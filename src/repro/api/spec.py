@@ -130,9 +130,11 @@ class SweepSpec:
         object.__setattr__(
             self, "seeds", tuple(_as_int(seed) for seed in self.seeds)
         )
-        object.__setattr__(
-            self, "magnitudes", tuple(float(m) for m in self.magnitudes)
-        )
+        try:
+            magnitudes = tuple(float(m) for m in self.magnitudes)
+        except (TypeError, ValueError, OverflowError) as error:
+            raise ConfigurationError(f"sweep magnitudes must be numbers: {error}") from error
+        object.__setattr__(self, "magnitudes", magnitudes)
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError("sweep seeds must be unique")
         if len(set(self.magnitudes)) != len(self.magnitudes):

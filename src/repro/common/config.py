@@ -51,7 +51,10 @@ def _as_int(value: Any) -> int:
         raise ConfigurationError(f"expected an integer, got {value!r}")
     if isinstance(value, str):
         raise ConfigurationError(f"expected an integer, got {value!r}")
-    return int(value)
+    try:
+        return int(value)
+    except (TypeError, ValueError) as error:
+        raise ConfigurationError(f"expected an integer, got {value!r}") from error
 
 
 def _as_bool(value: Any) -> bool:
@@ -104,7 +107,7 @@ def _build_from_mapping(
     for key, value in mapping.items():
         try:
             kwargs[key] = coercers[key](value)
-        except (TypeError, ValueError) as error:
+        except (TypeError, ValueError, OverflowError) as error:
             raise ConfigurationError(f"invalid {label}.{key}: {error}") from error
     return cls(**kwargs)
 

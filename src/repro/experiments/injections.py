@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple, Type
 
+from repro.common.config import _as_sequence
 from repro.common.exceptions import ConfigurationError
 from repro.network.attacks import (
     Attack,
@@ -380,7 +381,7 @@ def injections_from_mappings(
 ) -> Tuple[Injection, ...]:
     """Build a tuple of injections, passing through already-built ones."""
     built = []
-    for item in mappings:
+    for item in _as_sequence(mappings, "a scenario's injections"):
         if isinstance(item, Injection):
             built.append(item)
         elif isinstance(item, Mapping):

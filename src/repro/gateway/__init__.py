@@ -36,18 +36,15 @@ section and :func:`~repro.api.session.serve_gateway`); the CLI is
 from repro.common.config import GatewayConfig
 from repro.gateway.client import StreamClient
 from repro.gateway.journal import AlarmJournal
-from repro.gateway.metrics import Counter, Gauge, GatewayMetrics, Histogram
+from repro.gateway.metrics import GatewayMetrics
 from repro.gateway.pool import MonitorPool, StreamStatus
 from repro.gateway.server import GatewayServer
 
 __all__ = [
     "AlarmJournal",
-    "Counter",
-    "Gauge",
     "GatewayConfig",
     "GatewayMetrics",
     "GatewayServer",
-    "Histogram",
     "MonitorPool",
     "StreamClient",
     "StreamStatus",

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import json
 import socket
-import urllib.error
-import urllib.request
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import faults
@@ -37,7 +35,9 @@ from repro.common.exceptions import (
     StreamRejectedError,
     UnknownStreamError,
 )
+from repro.common.http import JsonClient
 from repro.common.retry import RetryPolicy
+from repro.gateway.pool import STREAM_ID
 
 __all__ = ["StreamClient"]
 
@@ -84,21 +84,19 @@ class _StreamConnection:
                 pass
 
 
-class StreamClient:
+class StreamClient(JsonClient):
     """Feeds plant streams into a gateway and queries their verdicts.
 
-    Parameters
-    ----------
-    base_url:
-        The gateway's operations URL, e.g. ``"http://127.0.0.1:8790"``.
-    timeout:
-        Per-request socket timeout in seconds.
-    retry:
-        Optional :class:`~repro.common.retry.RetryPolicy` applied to the
-        idempotent control-plane queries and the ingest connect on
-        transport failure.  ``None`` (the default) preserves fail-fast
-        behaviour.
+    Constructed as ``StreamClient(base_url, timeout=30.0, retry=None)``;
+    see :class:`~repro.common.http.JsonClient`.  The retry policy also
+    covers the ingest connect.
     """
+
+    fault_prefix = "gateway.client"
+    peer = "gateway"
+    unavailable = GatewayUnavailableError
+    rejected = GatewayError
+    statuses = {404: UnknownStreamError, 409: StreamRejectedError, 503: StreamRejectedError}
 
     def __init__(
         self,
@@ -106,90 +104,9 @@ class StreamClient:
         timeout: float = 30.0,
         retry: Optional[RetryPolicy] = None,
     ):
-        self.base_url = base_url.rstrip("/")
-        self.timeout = float(timeout)
-        self.retry = retry
+        super().__init__(base_url, timeout, retry)
         self._connections: Dict[str, _StreamConnection] = {}
         self._ingest_address: Optional[Tuple[str, int]] = None
-
-    # ------------------------------------------------------------------
-    # HTTP plumbing
-    # ------------------------------------------------------------------
-    def _request(
-        self,
-        method: str,
-        path: str,
-        payload: Optional[Dict[str, Any]] = None,
-        op: str = "request",
-    ) -> Dict[str, Any]:
-        # Every HTTP op on this surface is a read-only GET, so retrying on
-        # transport failure is always safe.
-        if self.retry is None:
-            return self._request_once(method, path, payload, op)
-        return self.retry.call(
-            lambda: self._request_once(method, path, payload, op),
-            retry_on=(GatewayUnavailableError,),
-            description=f"{method} {path}",
-        )
-
-    def _request_once(
-        self,
-        method: str,
-        path: str,
-        payload: Optional[Dict[str, Any]],
-        op: str,
-    ) -> Dict[str, Any]:
-        try:
-            # Fault seam: chaos plans refuse/delay/duplicate gateway
-            # queries here, upstream of the real transport.
-            directive = faults.fire(f"gateway.client.{op}", path=path)
-            response = self._http(method, path, payload)
-            if directive == "duplicate":
-                response = self._http(method, path, payload)
-            return response
-        except ConnectionError as error:
-            # Includes InjectedFault: injected transport failures take the
-            # same recovery path as real ones.
-            raise GatewayUnavailableError(
-                f"cannot reach gateway at {self.base_url}: {error}"
-            ) from None
-
-    def _http(
-        self,
-        method: str,
-        path: str,
-        payload: Optional[Dict[str, Any]] = None,
-    ) -> Dict[str, Any]:
-        url = f"{self.base_url}{path}"
-        data = None
-        headers = {"Accept": "application/json"}
-        if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            url, data=data, headers=headers, method=method
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            try:
-                detail = json.loads(error.read().decode("utf-8")).get("error")
-            except Exception:
-                detail = None
-            message = detail or (
-                f"gateway returned HTTP {error.code} for {method} {path}"
-            )
-            if error.code == 404:
-                raise UnknownStreamError(message) from None
-            if error.code in (409, 503):
-                raise StreamRejectedError(message) from None
-            raise GatewayError(message) from None
-        except (urllib.error.URLError, socket.timeout, ConnectionError, OSError) as error:
-            reason = getattr(error, "reason", error)
-            raise GatewayUnavailableError(
-                f"cannot reach gateway at {self.base_url}: {reason}"
-            ) from None
 
     def _ingest(self) -> Tuple[str, int]:
         if self._ingest_address is None:
@@ -290,31 +207,19 @@ class StreamClient:
         except StreamRejectedError:
             return False
 
-    def metrics_text(self) -> str:
-        """The raw Prometheus ``/metrics`` document."""
-        url = f"{self.base_url}/metrics"
-        try:
-            with urllib.request.urlopen(url, timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except (urllib.error.URLError, socket.timeout, OSError) as error:
-            reason = getattr(error, "reason", error)
-            raise GatewayError(
-                f"cannot reach gateway at {self.base_url}: {reason}"
-            ) from None
-
     def streams(self) -> List[str]:
         """Ids of every open stream."""
         return list(self._request("GET", "/streams", op="streams")["streams"])
 
     def status(self, stream_id: str) -> Dict[str, Any]:
         """One stream's status mapping."""
-        return self._request("GET", f"/streams/{stream_id}", op="status")
+        return self._request("GET", self._stream_path(stream_id), op="status")
 
     def alarms(self, stream_id: str) -> Dict[str, List[Dict[str, Any]]]:
         """Per-view alarm transitions of one stream."""
         return dict(
             self._request(
-                "GET", f"/streams/{stream_id}/alarms", op="alarms"
+                "GET", self._stream_path(stream_id, "/alarms"), op="alarms"
             )["alarms"]
         )
 
@@ -322,9 +227,20 @@ class StreamClient:
         """The stream's :class:`LiveRunReport` mapping."""
         return dict(
             self._request(
-                "GET", f"/streams/{stream_id}/report", op="report"
+                "GET", self._stream_path(stream_id, "/report"), op="report"
             )["report"]
         )
+
+    @staticmethod
+    def _stream_path(stream_id: str, resource: str = "") -> str:
+        """The query path of a stream; an id no route can carry names no
+        stream the gateway could hold."""
+        if not STREAM_ID.fullmatch(str(stream_id)):
+            raise UnknownStreamError(
+                f"no such stream {stream_id!r}: stream ids match "
+                f"{STREAM_ID.pattern}"
+            )
+        return f"/streams/{stream_id}{resource}"
 
     # ------------------------------------------------------------------
     def _connection(self, stream_id: str) -> _StreamConnection:

@@ -1,31 +1,17 @@
 """Gateway instrumentation, served at ``GET /metrics``.
 
-The Counter/Gauge/Histogram primitives that used to live here were
-promoted to :mod:`repro.obs.metrics` (the registry is now shared with the
-service coordinator's ``/metrics`` surface); this module re-exports them
-unchanged — ``from repro.gateway.metrics import Counter`` keeps working
-and resolves to the very same classes — and keeps the gateway-specific
-:class:`GatewayMetrics` bundle, now built on a
-:class:`~repro.obs.metrics.MetricsRegistry`.
+:class:`GatewayMetrics` bundles every gateway series on a
+:class:`~repro.obs.metrics.MetricsRegistry`, the registry the service
+coordinator's ``/metrics`` surface is built on too.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.obs.metrics import (  # noqa: F401  (re-exported shim surface)
-    LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    escape_label_value,
-)
+from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
 
-__all__ = ["Counter", "Gauge", "Histogram", "GatewayMetrics"]
-
-#: Kept under its historical name for in-tree users of the old module.
-_LATENCY_BUCKETS = LATENCY_BUCKETS
+__all__ = ["GatewayMetrics"]
 
 
 class GatewayMetrics:

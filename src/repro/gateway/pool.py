@@ -21,6 +21,7 @@ in-process :class:`LiveMonitor` over the same samples.
 
 from __future__ import annotations
 
+import re
 import threading
 import time
 from collections import OrderedDict, deque
@@ -41,7 +42,11 @@ from repro.gateway.journal import AlarmJournal
 from repro.gateway.metrics import GatewayMetrics
 from repro.live.monitor import LiveMonitor
 
-__all__ = ["MonitorPool", "StreamStatus"]
+__all__ = ["MonitorPool", "StreamStatus", "STREAM_ID"]
+
+#: The ids a stream may take: exactly what the HTTP routes carry in a path
+#: segment, so every stream the pool admits can also be queried.
+STREAM_ID = re.compile(r"[A-Za-z0-9_.:-]+")
 
 
 def _canonical(mapping: Dict[str, Any]) -> Dict[str, Any]:
@@ -206,8 +211,10 @@ class MonitorPool:
     ) -> None:
         """Admit a new stream; reject duplicates and a full pool."""
         stream_id = str(stream_id)
-        if not stream_id:
-            raise StreamRejectedError("stream id must be non-empty")
+        if not STREAM_ID.fullmatch(stream_id):
+            raise StreamRejectedError(
+                f"stream id {stream_id!r} must match {STREAM_ID.pattern}"
+            )
         with self._lock:
             if stream_id in self._streams:
                 raise StreamRejectedError(f"stream {stream_id!r} is already open")
@@ -281,7 +288,7 @@ class MonitorPool:
         """
         try:
             sample = _PendingSample(controller_values, process_values, time_hours)
-        except (TypeError, ValueError) as error:
+        except (TypeError, ValueError, OverflowError) as error:
             self.metrics.samples_rejected.increment()
             raise SampleRejectedError(f"malformed sample: {error}") from error
         if sample.controller.shape[0] != self._controller_dim:

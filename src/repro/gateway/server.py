@@ -6,8 +6,8 @@ Three cooperating pieces around one :class:`~repro.gateway.pool.MonitorPool`:
   connection per stream, ``open`` / ``sample`` / ``sync`` / ``close`` ops;
   a connection that vanishes mid-stream drops its stream and frees the
   pool slot;
-* an **HTTP operations surface** in the :mod:`repro.service.rest` style —
-  health/readiness probes, Prometheus ``/metrics``, per-stream queries
+* an **HTTP operations surface** on :class:`~repro.common.http.JsonHandler`
+  — health/readiness probes, Prometheus ``/metrics``, per-stream queries
   (status, alarms, report) and an SSE alarm-event feed, plus an HTTP
   sample path for clients that prefer POSTs over sockets;
 * a **flusher thread** driving cross-stream batched scoring every
@@ -55,7 +55,7 @@ import re
 import socketserver
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from repro._version import __version__
@@ -65,7 +65,8 @@ from repro.common.exceptions import (
     StreamRejectedError,
     UnknownStreamError,
 )
-from repro.gateway.pool import MonitorPool
+from repro.common.http import BadRequest, JsonHandler, decode_object, number
+from repro.gateway.pool import STREAM_ID, MonitorPool
 from repro.obs.logs import get_logger
 
 __all__ = ["GatewayServer"]
@@ -78,70 +79,26 @@ _MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Largest accepted ingest line; one sample is a few KB of JSON.
 _MAX_LINE_BYTES = 1024 * 1024
 
-_STREAM = re.compile(r"^/streams/([A-Za-z0-9_.:-]+)$")
+_STREAM = re.compile(rf"^/streams/({STREAM_ID.pattern})$")
 _STREAM_SUB = re.compile(
-    r"^/streams/([A-Za-z0-9_.:-]+)/(alarms|report|events|samples|close)$"
+    rf"^/streams/({STREAM_ID.pattern})/(alarms|report|events|samples|close)$"
 )
 
 
-class _OpsHandler(BaseHTTPRequestHandler):
+class _OpsHandler(JsonHandler):
     """Routes operations requests onto the server's pool."""
 
     # Bound by GatewayServer when the handler class is created.
     gateway: "GatewayServer"
 
-    protocol_version = "HTTP/1.1"
+    max_body_bytes = _MAX_BODY_BYTES
+    errors = ((StreamRejectedError, 409), (UnknownStreamError, 404), (GatewayError, 400))
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Silence per-request stderr chatter; /metrics carries the load."""
-
-    # ------------------------------------------------------------------
-    def _reply(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _error(self, status: int, message: str) -> None:
-        self._reply(status, {"error": message})
-
-    def _body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > _MAX_BODY_BYTES:
-            raise ValueError(f"request body exceeds {_MAX_BODY_BYTES} bytes")
-        if length == 0:
-            return {}
-        payload = json.loads(self.rfile.read(length).decode("utf-8"))
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        return payload
-
-    # ------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        try:
-            self._get()
-        except UnknownStreamError as error:
-            self._error(404, str(error))
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-reply (SSE consumers routinely do)
-        except Exception as error:  # pragma: no cover - defensive
-            self._error(500, f"{type(error).__name__}: {error}")
-
-    def _get(self) -> None:
+    def get(self) -> None:
         pool = self.gateway.pool
         if self.path == "/health":
             ingest_host, ingest_port = self.gateway.ingest_address
-            self._reply(
+            self.reply(
                 200,
                 {
                     "status": "ok",
@@ -155,35 +112,35 @@ class _OpsHandler(BaseHTTPRequestHandler):
             return
         if self.path == "/ready":
             if pool.is_full:
-                self._error(503, "stream pool is full")
+                self.reply_error(503, "stream pool is full")
             else:
-                self._reply(200, {"ready": True})
+                self.reply(200, {"ready": True})
             return
         if self.path == "/metrics":
-            self._reply_text(
+            self.reply_text(
                 200, pool.metrics.render(), "text/plain; version=0.0.4"
             )
             return
         if self.path == "/streams":
-            self._reply(200, {"streams": pool.stream_ids()})
+            self.reply(200, {"streams": pool.stream_ids()})
             return
         match = _STREAM.match(self.path)
         if match:
-            self._reply(200, pool.status(match.group(1)).to_mapping())
+            self.reply(200, pool.status(match.group(1)).to_mapping())
             return
         match = _STREAM_SUB.match(self.path)
         if match:
             stream_id, resource = match.groups()
             if resource == "alarms":
-                self._reply(200, {"alarms": pool.alarms(stream_id)})
+                self.reply(200, {"alarms": pool.alarms(stream_id)})
             elif resource == "report":
-                self._reply(200, {"report": pool.report(stream_id)})
+                self.reply(200, {"report": pool.report(stream_id)})
             elif resource == "events":
                 self._serve_events(stream_id)
             else:
-                self._error(405, f"{resource} requires POST")
+                self.reply_error(405, f"{resource} requires POST")
             return
-        self._error(404, f"no such resource: {self.path}")
+        self.not_found()
 
     def _serve_events(self, stream_id: str) -> None:
         """SSE feed of a stream's alarm transitions.
@@ -216,33 +173,12 @@ class _OpsHandler(BaseHTTPRequestHandler):
             self.wfile.flush()
             time.sleep(interval)
 
-    # ------------------------------------------------------------------
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        try:
-            payload = self._body()
-        except ValueError as error:
-            self._error(400, f"malformed request body: {error}")
-            return
-        try:
-            self._post(payload)
-        except StreamRejectedError as error:
-            self._error(409, str(error))
-        except UnknownStreamError as error:
-            self._error(404, str(error))
-        except GatewayError as error:
-            self._error(400, str(error))
-        except Exception as error:  # pragma: no cover - defensive
-            self._error(500, f"{type(error).__name__}: {error}")
-
-    def _post(self, payload: Dict[str, Any]) -> None:
+    def post(self, payload: Dict[str, Any]) -> None:
         pool = self.gateway.pool
         if self.path == "/streams":
             stream_id = str(payload.get("stream_id") or "")
-            onset = payload.get("anomaly_start_hour")
-            pool.open_stream(
-                stream_id, None if onset is None else float(onset)
-            )
-            self._reply(200, {"stream_id": stream_id, "open": True})
+            pool.open_stream(stream_id, number(payload, "anomaly_start_hour"))
+            self.reply(200, {"stream_id": stream_id, "open": True})
             return
         match = _STREAM_SUB.match(self.path)
         if match:
@@ -250,38 +186,29 @@ class _OpsHandler(BaseHTTPRequestHandler):
             if resource == "samples":
                 samples = payload.get("samples")
                 if not isinstance(samples, list):
-                    self._error(400, "body needs a 'samples' list")
-                    return
+                    raise BadRequest("body needs a 'samples' list")
                 # Vet the whole batch before feeding any of it, so a bad
                 # entry yields a 400 naming its index with zero samples
                 # buffered — never a 500 after a partial accept.
                 parsed = []
                 for index, sample in enumerate(samples):
                     if not isinstance(sample, dict):
-                        self._error(400, f"sample {index} must be an object")
-                        return
+                        raise BadRequest(f"sample {index} must be an object")
                     try:
-                        entry = (
-                            sample["controller"],
-                            sample["process"],
-                            float(sample["time_hours"]),
-                        )
+                        entry = (sample["controller"], sample["process"], sample["time_hours"])
                         pool.validate_sample(*entry)
-                    except (
-                        SampleRejectedError, KeyError, TypeError, ValueError,
-                    ) as error:
-                        self._error(400, f"sample {index} rejected: {error}")
-                        return
+                    except (SampleRejectedError, KeyError) as error:
+                        raise BadRequest(f"sample {index} rejected: {error}") from None
                     parsed.append(entry)
                 for controller, process, time_hours in parsed:
                     pool.feed(stream_id, controller, process, time_hours)
-                self._reply(200, {"accepted": len(parsed)})
+                self.reply(200, {"accepted": len(parsed)})
             elif resource == "close":
-                self._reply(200, {"report": pool.close_stream(stream_id)})
+                self.reply(200, {"report": pool.close_stream(stream_id)})
             else:
-                self._error(405, f"{resource} requires GET")
+                self.reply_error(405, f"{resource} requires GET")
             return
-        self._error(404, f"no such resource: {self.path}")
+        self.not_found()
 
 
 class _IngestHandler(socketserver.StreamRequestHandler):
@@ -313,11 +240,11 @@ class _IngestHandler(socketserver.StreamRequestHandler):
                 if not line:
                     continue
                 try:
-                    message = json.loads(line)
-                    op = message.get("op")
-                except (ValueError, AttributeError):
+                    message = decode_object(line)
+                except BadRequest:
                     self._send({"ok": False, "error": "malformed JSON line"})
                     return
+                op = message.get("op")
                 if op == "open":
                     if stream_id is not None:
                         self._send(
@@ -325,13 +252,11 @@ class _IngestHandler(socketserver.StreamRequestHandler):
                         )
                         return
                     candidate = str(message.get("stream") or "")
-                    onset = message.get("anomaly_start_hour")
                     try:
                         pool.open_stream(
-                            candidate,
-                            None if onset is None else float(onset),
+                            candidate, number(message, "anomaly_start_hour")
                         )
-                    except GatewayError as error:
+                    except (GatewayError, BadRequest) as error:
                         self._send({"ok": False, "error": str(error)})
                         return
                     stream_id = candidate
@@ -346,11 +271,9 @@ class _IngestHandler(socketserver.StreamRequestHandler):
                             stream_id,
                             message["controller"],
                             message["process"],
-                            float(message["time_hours"]),
+                            message["time_hours"],
                         )
-                    except (
-                        SampleRejectedError, KeyError, TypeError, ValueError,
-                    ) as error:
+                    except (SampleRejectedError, KeyError) as error:
                         # Reject this stream's bad sample and end only this
                         # connection; other streams are untouched.
                         self._send(

@@ -30,121 +30,31 @@ reaper), not to a blind re-send.
 
 from __future__ import annotations
 
-import json
-import socket
-import urllib.error
-import urllib.request
 from typing import Any, Dict, List, Optional
 
-from repro import faults
 from repro.api.spec import CampaignSpec
 from repro.common.exceptions import (
     CampaignIncompleteError,
     ServiceError,
     ServiceUnavailableError,
 )
-from repro.common.retry import RetryPolicy
+from repro.common.http import JsonClient
 
 __all__ = ["CoordinatorClient"]
 
 
-class CoordinatorClient:
+class CoordinatorClient(JsonClient):
     """Talks to a :class:`CoordinatorServer` over HTTP.
 
-    Parameters
-    ----------
-    base_url:
-        The coordinator's base URL, e.g. ``"http://127.0.0.1:8765"``.
-    timeout:
-        Per-request socket timeout in seconds.
-    retry:
-        Optional :class:`~repro.common.retry.RetryPolicy` applied to
-        idempotent operations on transport failure.  ``None`` (the
-        default) preserves fail-fast behaviour.
+    Constructed as ``CoordinatorClient(base_url, timeout=30.0,
+    retry=None)``; see :class:`~repro.common.http.JsonClient`.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        timeout: float = 30.0,
-        retry: Optional[RetryPolicy] = None,
-    ):
-        self.base_url = base_url.rstrip("/")
-        self.timeout = float(timeout)
-        self.retry = retry
-
-    # ------------------------------------------------------------------
-    def _request(
-        self,
-        method: str,
-        path: str,
-        payload: Optional[Dict[str, Any]] = None,
-        op: str = "request",
-        idempotent: bool = True,
-    ) -> Dict[str, Any]:
-        if self.retry is None or not idempotent:
-            return self._request_once(method, path, payload, op)
-        return self.retry.call(
-            lambda: self._request_once(method, path, payload, op),
-            retry_on=(ServiceUnavailableError,),
-            description=f"{method} {path}",
-        )
-
-    def _request_once(
-        self,
-        method: str,
-        path: str,
-        payload: Optional[Dict[str, Any]],
-        op: str,
-    ) -> Dict[str, Any]:
-        try:
-            # Fault seam: chaos plans refuse/delay/duplicate protocol
-            # calls here, upstream of the real transport.
-            directive = faults.fire(f"service.client.{op}", path=path)
-            response = self._http(method, path, payload)
-            if directive == "duplicate":
-                # Re-send the same (idempotent) operation — the duplicated
-                # answer must match what a single send produced.
-                response = self._http(method, path, payload)
-            return response
-        except ConnectionError as error:
-            # Includes InjectedFault: injected transport failures take the
-            # same recovery path as real ones.
-            raise ServiceUnavailableError(
-                f"cannot reach campaign coordinator at {self.base_url}: {error}"
-            ) from None
-
-    def _http(
-        self, method: str, path: str, payload: Optional[Dict[str, Any]]
-    ) -> Dict[str, Any]:
-        url = f"{self.base_url}{path}"
-        data = None
-        headers = {"Accept": "application/json"}
-        if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(url, data=data, headers=headers, method=method)
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            # The coordinator answered — surface its message, not a stack
-            # of urllib internals.
-            try:
-                detail = json.loads(error.read().decode("utf-8")).get("error")
-            except Exception:
-                detail = None
-            detail = detail or (
-                f"coordinator returned HTTP {error.code} for {method} {path}"
-            )
-            if error.code == 409:
-                raise CampaignIncompleteError(detail) from None
-            raise ServiceError(detail) from None
-        except (urllib.error.URLError, socket.timeout, ConnectionError, OSError) as error:
-            reason = getattr(error, "reason", error)
-            raise ServiceUnavailableError(
-                f"cannot reach campaign coordinator at {self.base_url}: {reason}"
-            ) from None
+    fault_prefix = "service.client"
+    peer = "campaign coordinator"
+    unavailable = ServiceUnavailableError
+    rejected = ServiceError
+    statuses = {409: CampaignIncompleteError}
 
     # -- coordinator protocol (what ChunkWorker drives) ----------------
     def campaign_ids(self) -> List[str]:
@@ -236,23 +146,6 @@ class CoordinatorClient:
                 "GET", f"/campaigns/{campaign_id}/trace", op="trace"
             )["spans"]
         )
-
-    def metrics_text(self) -> str:
-        """The coordinator's ``/metrics`` document (Prometheus text)."""
-        url = f"{self.base_url}/metrics"
-        request = urllib.request.Request(url, method="GET")
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as error:
-            raise ServiceError(
-                f"coordinator returned HTTP {error.code} for GET /metrics"
-            ) from None
-        except (urllib.error.URLError, socket.timeout, ConnectionError, OSError) as error:
-            reason = getattr(error, "reason", error)
-            raise ServiceUnavailableError(
-                f"cannot reach campaign coordinator at {self.base_url}: {reason}"
-            ) from None
 
     def tables(self, campaign_id: str) -> Dict[str, Any]:
         """The reduced result tables; raises ServiceError until complete."""

@@ -1,7 +1,7 @@
 """REST control surface over a :class:`CampaignCoordinator`.
 
-A deliberately small, dependency-free HTTP layer on the stdlib's threading
-``http.server`` — every route is a thin JSON translation of one
+Routes on the shared :class:`~repro.common.http.JsonHandler` (the stdlib's
+threading ``http.server``) — every route is a thin JSON translation of one
 coordinator method, so the protocol semantics (leases, idempotent acks,
 reduction) live in exactly one place and the in-process and remote paths
 cannot drift.
@@ -30,10 +30,9 @@ or a trusted LAN only — bind it accordingly (the default
 
 from __future__ import annotations
 
-import json
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from repro.api.spec import CampaignSpec
@@ -42,6 +41,7 @@ from repro.common.exceptions import (
     ConfigurationError,
     ServiceError,
 )
+from repro.common.http import BadRequest, JsonHandler, number
 from repro.service.coordinator import CampaignCoordinator
 
 __all__ = ["CoordinatorServer"]
@@ -60,122 +60,59 @@ _CHUNK_ACTION = re.compile(
 )
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JsonHandler):
     """Routes requests onto the server's coordinator."""
 
     # Set by CoordinatorServer when the handler class is bound.
     coordinator: CampaignCoordinator
 
-    protocol_version = "HTTP/1.1"
+    max_body_bytes = _MAX_BODY_BYTES
+    errors = ((CampaignIncompleteError, 409), (ConfigurationError, 400), (ServiceError, 404))
 
-    # ------------------------------------------------------------------
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Silence per-request stderr chatter; the coordinator keeps its
-        own per-campaign event log."""
-
-    def _reply(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _error(self, status: int, message: str) -> None:
-        self._reply(status, {"error": message})
-
-    def _body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > _MAX_BODY_BYTES:
-            raise ValueError(f"request body exceeds {_MAX_BODY_BYTES} bytes")
-        if length == 0:
-            return {}
-        payload = json.loads(self.rfile.read(length).decode("utf-8"))
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        return payload
-
-    # ------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        try:
-            self._get()
-        except ServiceError as error:
-            self._error(404, str(error))
-        except Exception as error:  # pragma: no cover - defensive
-            self._error(500, f"{type(error).__name__}: {error}")
-
-    def _get(self) -> None:
+    def get(self) -> None:
         coordinator = self.coordinator
         if self.path == "/health":
-            self._reply(200, coordinator.health())
+            self.reply(200, coordinator.health())
             return
         if self.path == "/metrics":
-            self._reply_text(
+            self.reply_text(
                 200,
                 coordinator.metrics_render(),
                 "text/plain; version=0.0.4; charset=utf-8",
             )
             return
         if self.path == "/campaigns":
-            self._reply(200, {"campaigns": coordinator.campaign_ids()})
+            self.reply(200, {"campaigns": coordinator.campaign_ids()})
             return
         match = _CAMPAIGN.match(self.path)
         if match:
-            self._reply(200, coordinator.progress(match.group(1)))
+            self.reply(200, coordinator.progress(match.group(1)))
             return
         match = _SUBRESOURCE.match(self.path)
         if match:
             campaign_id, resource = match.groups()
             if resource == "spec":
-                self._reply(200, {"spec": coordinator.spec_mapping(campaign_id)})
+                self.reply(200, {"spec": coordinator.spec_mapping(campaign_id)})
             elif resource == "chunks":
-                self._reply(200, {"chunks": coordinator.chunk_states(campaign_id)})
+                self.reply(200, {"chunks": coordinator.chunk_states(campaign_id)})
             elif resource == "events":
-                self._reply(200, {"events": coordinator.events(campaign_id)})
+                self.reply(200, {"events": coordinator.events(campaign_id)})
             elif resource == "trace":
-                self._reply(200, {"spans": coordinator.trace(campaign_id)})
+                self.reply(200, {"spans": coordinator.trace(campaign_id)})
             else:  # tables
-                try:
-                    self._reply(200, {"tables": coordinator.tables(campaign_id)})
-                except CampaignIncompleteError as error:
-                    self._error(409, str(error))
+                self.reply(200, {"tables": coordinator.tables(campaign_id)})
             return
-        self._error(404, f"no such resource: {self.path}")
+        self.not_found()
 
-    # ------------------------------------------------------------------
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        try:
-            payload = self._body()
-        except ValueError as error:
-            self._error(400, f"malformed request body: {error}")
-            return
-        try:
-            self._post(payload)
-        except ConfigurationError as error:
-            self._error(400, str(error))
-        except ServiceError as error:
-            self._error(404, str(error))
-        except Exception as error:  # pragma: no cover - defensive
-            self._error(500, f"{type(error).__name__}: {error}")
-
-    def _post(self, payload: Dict[str, Any]) -> None:
+    def post(self, payload: Dict[str, Any]) -> None:
         coordinator = self.coordinator
         if self.path == "/campaigns":
             if "spec" not in payload:
-                self._error(400, "submission body needs a 'spec' mapping")
-                return
+                raise BadRequest("submission body needs a 'spec' mapping")
             spec = CampaignSpec.from_mapping(payload["spec"])
             campaign_id = coordinator.submit(spec)
             progress = coordinator.progress(campaign_id)
-            self._reply(
+            self.reply(
                 200,
                 {
                     "campaign_id": campaign_id,
@@ -189,7 +126,7 @@ class _Handler(BaseHTTPRequestHandler):
             campaign_id = match.group(1)
             worker_id = str(payload.get("worker_id") or "anonymous")
             chunk = coordinator.claim(campaign_id, worker_id)
-            self._reply(
+            self.reply(
                 200,
                 {
                     "chunk": chunk,
@@ -203,20 +140,20 @@ class _Handler(BaseHTTPRequestHandler):
             worker_id = str(payload.get("worker_id") or "anonymous")
             if action == "heartbeat":
                 alive = coordinator.heartbeat(campaign_id, chunk_id, worker_id)
-                self._reply(200, {"alive": alive})
+                self.reply(200, {"alive": alive})
             else:  # ack
                 spans = payload.get("spans")
                 response = coordinator.ack(
                     campaign_id,
                     chunk_id,
                     worker_id,
-                    n_simulated=int(payload.get("n_simulated", 0)),
-                    n_cache_hits=int(payload.get("n_cache_hits", 0)),
+                    n_simulated=number(payload, "n_simulated", int, 0),
+                    n_cache_hits=number(payload, "n_cache_hits", int, 0),
                     spans=spans if isinstance(spans, list) else None,
                 )
-                self._reply(200, response)
+                self.reply(200, response)
             return
-        self._error(404, f"no such resource: {self.path}")
+        self.not_found()
 
 
 class CoordinatorServer:

@@ -1,18 +1,13 @@
 """Tests for :mod:`repro.obs.metrics` — the shared metrics registry.
 
-Covers the edge cases the ISSUE calls out: inclusive histogram bucket
-boundaries, label escaping, concurrent increments, and the gateway shim
-staying API-identical to the promoted module.
+Covers the edge cases: inclusive histogram bucket boundaries, label
+escaping and concurrent increments.
 """
 
 from __future__ import annotations
 
 import threading
 
-import pytest
-
-import repro.gateway.metrics as gateway_metrics
-import repro.obs.metrics as obs_metrics
 from repro.obs.metrics import (
     LATENCY_BUCKETS,
     Counter,
@@ -195,17 +190,3 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("c_total", "help")
         assert render_metrics(registry.metrics()) == registry.render()
-
-
-class TestGatewayShim:
-    """``repro.gateway.metrics`` must stay API-identical post-promotion."""
-
-    @pytest.mark.parametrize(
-        "name", ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
-    )
-    def test_shim_reexports_the_same_classes(self, name):
-        assert getattr(gateway_metrics, name) is getattr(obs_metrics, name)
-
-    def test_shim_keeps_the_historical_bucket_alias(self):
-        assert gateway_metrics._LATENCY_BUCKETS is obs_metrics.LATENCY_BUCKETS
-        assert gateway_metrics.escape_label_value is obs_metrics.escape_label_value
