@@ -11,11 +11,19 @@ when ``REPRO_BENCH_STRICT=1`` (the CI bench jobs).
 Unlike the figure benchmarks this one sizes its own campaign: the batch
 backend's win grows with the rows it can step together, so the run counts
 are floored to fill one default-sized batch even at smoke scale.
+
+Campaigns do not run that shape: they hand the batch kernel 2-3 rows per
+batch.  So the test also reports the narrow regime, the CPU cost per step
+of one short run on the serial kernel and on the batch kernel at B=1 and
+B=2 (``serial_step_seconds``, ``batch_b1_step_seconds``,
+``batch_b2_step_seconds``).  Under ``REPRO_BENCH_STRICT=1`` a B=1 step
+must cost at most 2.5x a serial one.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import replace
@@ -24,15 +32,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.common.config import ParallelConfig
+from repro.batch import run_specs_batched
+from repro.common.config import ParallelConfig, SimulationConfig
 from repro.experiments.parallel import (
     CampaignEngine,
+    RunSpec,
     calibration_specs,
     scenario_specs,
 )
+from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import normal_scenario, paper_scenarios
 
 MIN_SPEEDUP = 3.0
+#: Strict-mode ceiling on a B=1 batch step, in serial steps.
+MAX_B1_STEP_RATIO = 2.5
+#: One short run of the narrow-regime timing: 60 samples, 240 steps.
+NARROW_RUN = SimulationConfig(duration_hours=2.0, samples_per_hour=30, seed=0)
 BENCH_JSON = Path("BENCH_batch.json")
 
 
@@ -54,6 +69,33 @@ def campaign_specs(bench_config):
     for scenario in [normal_scenario(), *paper_scenarios()]:
         specs.extend(scenario_specs(config, scenario))
     return specs
+
+
+def narrow_batch_step_seconds(rounds: int = 3):
+    """CPU seconds per step of one short normal run: serial kernel, batch
+    kernel at B=1 and at B=2 (one step advances both rows).
+
+    The three runs are interleaved and each keeps its minimum over
+    ``rounds``, so a slow spell of the host hits all three alike.
+    """
+    scenario = normal_scenario()
+    specs = [
+        RunSpec(scenario=scenario, simulation=NARROW_RUN.with_seed(seed))
+        for seed in (1, 2)
+    ]
+    runs = {
+        "serial_step_seconds": lambda: run_scenario(scenario, specs[0].simulation),
+        "batch_b1_step_seconds": lambda: run_specs_batched(specs[:1]),
+        "batch_b2_step_seconds": lambda: run_specs_batched(specs),
+    }
+    best = dict.fromkeys(runs, math.inf)
+    for _ in range(rounds):
+        for name, run in runs.items():
+            started = time.process_time()
+            run()
+            best[name] = min(best[name], time.process_time() - started)
+    steps = NARROW_RUN.total_samples * NARROW_RUN.integration_steps_per_sample
+    return {name: seconds / steps for name, seconds in best.items()}
 
 
 def emit_bench_json(extra_info) -> None:
@@ -109,19 +151,34 @@ def test_batch_backend_speedup(benchmark, bench_config):
     assert any(run.shutdown_time_hours is not None for run in serial_results)
 
     speedup = serial_seconds / batch_seconds if batch_seconds > 0 else 1.0
+    step_seconds = narrow_batch_step_seconds()
+    b1_ratio = step_seconds["batch_b1_step_seconds"] / step_seconds["serial_step_seconds"]
     benchmark.extra_info["n_runs"] = len(specs)
     benchmark.extra_info["serial_seconds"] = round(serial_seconds, 3)
     benchmark.extra_info["batch_seconds"] = round(batch_seconds, 3)
     benchmark.extra_info["speedup"] = round(speedup, 2)
+    for name, seconds in step_seconds.items():
+        benchmark.extra_info[name] = round(seconds, 7)
     emit_bench_json(benchmark.extra_info)
 
     print()
     print("Batched vectorized campaign (five paper scenarios, single core)")
     print(f"  serial backend {serial_seconds:7.2f} s   ({len(specs)} runs)")
     print(f"  batch backend  {batch_seconds:7.2f} s   speedup {speedup:.2f}x")
+    print("CPU per step of one short run (narrow batches, as campaigns run them)")
+    print(f"  serial kernel  {step_seconds['serial_step_seconds'] * 1e3:7.3f} ms")
+    print(
+        f"  batch B=1      {step_seconds['batch_b1_step_seconds'] * 1e3:7.3f} ms"
+        f"   {b1_ratio:.2f}x serial"
+    )
+    print(f"  batch B=2      {step_seconds['batch_b2_step_seconds'] * 1e3:7.3f} ms")
 
     if os.environ.get("REPRO_BENCH_STRICT") == "1":
         assert speedup >= MIN_SPEEDUP, (
             f"batched campaign only {speedup:.2f}x faster than serial "
             f"(expected >= {MIN_SPEEDUP}x)"
+        )
+        assert b1_ratio <= MAX_B1_STEP_RATIO, (
+            f"a B=1 batch step costs {b1_ratio:.2f}x a serial step "
+            f"(expected <= {MAX_B1_STEP_RATIO}x)"
         )

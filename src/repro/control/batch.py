@@ -1,14 +1,15 @@
 """Batched decentralized TE control: ``B`` regulatory layers in lockstep.
 
 :class:`BatchDecentralizedController` vectorizes
-:class:`~repro.control.te_controller.TEDecentralizedController` across runs:
-each PI loop's internal state (integral, last output) and the override
-filters become ``(B,)`` arrays, and one :meth:`update` call computes the
-commands of every run with a handful of ufunc calls per loop instead of a
-Python pass per run.  Every expression keeps the serial operand order — the
-same discipline as :mod:`repro.te.batch` — so row ``i`` of the batched
-command matrix is bitwise-identical to the serial controller fed row ``i``'s
-measurements.
+:class:`~repro.control.te_controller.TEDecentralizedController` across runs
+*and* loops: the PI integrals form one ``(B, L)`` matrix (``L`` loops), the
+loop tuning becomes ``(L,)`` vectors, and one :meth:`update` call gathers
+every loop's measurement, computes every command and scatters them into the
+``(B, 12)`` command matrix with a fixed handful of ufunc calls, whatever the
+batch width.  Every elementwise expression keeps the serial PID's operand
+order — the same discipline as :mod:`repro.te.batch` — so row ``i`` of the
+batched command matrix is bitwise-identical to the serial controller fed row
+``i``'s measurements.
 
 Only the configuration space the serial campaign controller actually uses is
 supported: PI loops (no derivative action) with a positive update interval.
@@ -16,7 +17,7 @@ supported: PI loops (no derivative action) with a positive update interval.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -26,21 +27,9 @@ from repro.te.constants import N_XMEAS, N_XMV
 
 __all__ = ["BatchDecentralizedController"]
 
-
-class _BatchLoop:
-    """One PI loop's definition plus its per-row state."""
-
-    def __init__(self, definition, n_rows: int):
-        if definition.ti_hours is None or definition.ti_hours <= 0:
-            raise ConfigurationError(
-                "the batched controller supports PI loops only "
-                f"(loop {definition.name!r} has no integral time)"
-            )
-        self.definition = definition
-        self.integral = np.zeros(n_rows)
-
-    def take(self, indices: np.ndarray) -> None:
-        self.integral = self.integral[indices]
+#: Measurement columns of the override signals: reactor pressure XMEAS(7)
+#: and reactor level XMEAS(8).
+_OVERRIDE_COLUMNS = slice(6, 8)
 
 
 class BatchDecentralizedController:
@@ -58,24 +47,63 @@ class BatchDecentralizedController:
 
     def __init__(self, template: Optional[TEDecentralizedController], n_rows: int):
         template = template or TEDecentralizedController()
-        self._loops: List[_BatchLoop] = [
-            _BatchLoop(loop.definition, n_rows) for loop in template.loops
-        ]
+        definitions = [loop.definition for loop in template.loops]
         for loop in template.loops:
-            gains = loop.controller.gains
-            if gains.td_hours:
+            if loop.definition.ti_hours is None or loop.definition.ti_hours <= 0:
+                raise ConfigurationError(
+                    "the batched controller supports PI loops only "
+                    f"(loop {loop.name!r} has no integral time)"
+                )
+            if loop.controller.gains.td_hours:
                 raise ConfigurationError(
                     "the batched controller supports PI loops only "
                     f"(loop {loop.name!r} has derivative action)"
                 )
+
+        def vector(values) -> np.ndarray:
+            return np.array(list(values), dtype=float)
+
+        self._setpoint = vector(d.setpoint for d in definitions)
+        self._direction = vector(d.direction for d in definitions)
+        self._kc = vector(d.kc for d in definitions)
+        # The serial PID's increment is ``kc / ti * error * dt``, evaluated
+        # left to right, so ``kc / ti`` is one constant per loop.
+        self._kc_over_ti = vector(d.kc / d.ti_hours for d in definitions)
+        self._bias = vector(d.output_bias for d in definitions)
+        self._xmeas_columns = np.array(
+            [d.xmeas_index - 1 for d in definitions], dtype=np.intp
+        )
+        self._xmv_columns = np.array([d.xmv_index - 1 for d in definitions], dtype=np.intp)
+
+        # Override signals are handled as (B, 2) pairs: pressure, then level.
         self.pressure_override_start_kpa = template.pressure_override_start_kpa
         self.pressure_override_gain = template.pressure_override_gain
         self.level_override_start_percent = template.level_override_start_percent
         self.level_override_gain = template.level_override_gain
         self.override_filter_hours = template.override_filter_hours
-        self._pressure_loops = template.PRESSURE_OVERRIDE_LOOPS
-        self._level_loops = template.LEVEL_OVERRIDE_LOOPS
-        self._constant_xmv: Dict[int, float] = dict(template._constant_xmv)
+        self._override_start = vector(
+            (self.pressure_override_start_kpa, self.level_override_start_percent)
+        )
+        self._override_gain = vector(
+            (self.pressure_override_gain, self.level_override_gain)
+        )
+        self._override_floor = vector((0.10, 0.15))
+        self._pressure_loops = np.array(
+            [i for i, d in enumerate(definitions)
+             if d.name in template.PRESSURE_OVERRIDE_LOOPS],
+            dtype=np.intp,
+        )
+        self._level_loops = np.array(
+            [i for i, d in enumerate(definitions)
+             if d.name in template.LEVEL_OVERRIDE_LOOPS],
+            dtype=np.intp,
+        )
+
+        constant_xmv = dict(template._constant_xmv)
+        self._constant_columns = np.array(
+            [index - 1 for index in constant_xmv], dtype=np.intp
+        )
+        self._constant_values = vector(constant_xmv.values())
         self._nominal_output = np.array(template._output, dtype=float, copy=True)
         self._n_rows = int(n_rows)
         self.reset()
@@ -87,30 +115,44 @@ class BatchDecentralizedController:
 
     def reset(self) -> None:
         """Clear every row's controller memory."""
-        for loop in self._loops:
-            loop.integral = np.zeros(self._n_rows)
+        self._integral = np.zeros((self._n_rows, self._setpoint.size))
         self._output = np.tile(self._nominal_output, (self._n_rows, 1))
-        for index, value in self._constant_xmv.items():
-            self._output[:, index - 1] = value
-        self._filtered_pressure = np.zeros(self._n_rows)
-        self._filtered_level = np.zeros(self._n_rows)
+        self._output[:, self._constant_columns] = self._constant_values
+        self._filtered = np.zeros((self._n_rows, 2))
         self._filters_initialized = False
 
     def take(self, indices: np.ndarray) -> None:
         """Keep only the given rows (compaction after trips / early stops)."""
-        for loop in self._loops:
-            loop.take(indices)
+        self._integral = self._integral[indices]
         self._output = self._output[indices]
-        self._filtered_pressure = self._filtered_pressure[indices]
-        self._filtered_level = self._filtered_level[indices]
+        self._filtered = self._filtered[indices]
         self._n_rows = int(np.asarray(indices).size)
 
-    def _filter(self, previous: np.ndarray, values: np.ndarray, dt_hours: float) -> np.ndarray:
-        """Row-wise first-order override filter (mirrors the serial one)."""
-        if not self._filters_initialized or self.override_filter_hours <= 0:
-            return values.copy()
-        alpha = min(dt_hours / self.override_filter_hours, 1.0)
-        return previous + alpha * (values - previous)
+    def _setpoints(self) -> np.ndarray:
+        """Per-loop setpoints: ``(L,)``, or ``(B, L)`` while an override acts.
+
+        Mirrors the serial override: a factor below one scales the nominal
+        setpoint of its loops, and the level override wins on a loop that
+        both overrides act on.
+        """
+        high = self._filtered > self._override_start
+        if not high.any():
+            return self._setpoint
+        factor = np.where(
+            high,
+            np.maximum(
+                self._override_floor,
+                1.0 - self._override_gain * (self._filtered - self._override_start),
+            ),
+            1.0,
+        )
+        setpoint = self._setpoint[None, :].repeat(self._n_rows, axis=0)
+        for loops, column in ((self._pressure_loops, 0), (self._level_loops, 1)):
+            scale = factor[:, column, None]
+            setpoint[:, loops] = np.where(
+                scale < 1.0, self._setpoint[loops] * scale, setpoint[:, loops]
+            )
+        return setpoint
 
     def update(self, measurements: np.ndarray, dt_hours: float) -> np.ndarray:
         """Per-row commands, ``(B, 12)``, for per-row measurements ``(B, 41)``."""
@@ -123,82 +165,37 @@ class BatchDecentralizedController:
         if dt_hours <= 0:
             return self._output.copy()
 
-        self._filtered_pressure = self._filter(
-            self._filtered_pressure, measurements[:, 6], dt_hours
-        )
-        self._filtered_level = self._filter(
-            self._filtered_level, measurements[:, 7], dt_hours
-        )
+        signals = measurements[:, _OVERRIDE_COLUMNS]
+        if not self._filters_initialized or self.override_filter_hours <= 0:
+            self._filtered = signals.copy()
+        else:
+            alpha = min(dt_hours / self.override_filter_hours, 1.0)
+            self._filtered = self._filtered + alpha * (signals - self._filtered)
         self._filters_initialized = True
 
-        pressure_high = self._filtered_pressure > self.pressure_override_start_kpa
-        pressure_active = bool(pressure_high.any())
-        if pressure_active:
-            pressure_excess = (
-                self._filtered_pressure - self.pressure_override_start_kpa
-            )
-            pressure_factor = np.where(
-                pressure_high,
-                np.maximum(0.10, 1.0 - self.pressure_override_gain * pressure_excess),
-                1.0,
-            )
-        level_high = self._filtered_level > self.level_override_start_percent
-        level_active = bool(level_high.any())
-        if level_active:
-            level_excess = self._filtered_level - self.level_override_start_percent
-            level_factor = np.where(
-                level_high,
-                np.maximum(0.15, 1.0 - self.level_override_gain * level_excess),
-                1.0,
-            )
+        error = self._direction * (
+            self._setpoints() - measurements[:, self._xmeas_columns]
+        )
+        proportional = self._kc * error
+        increment = self._kc_over_ti * error * dt_hours
+        # The serial PID adds a literal-zero derivative term; mirror it so a
+        # -0.0 partial sum normalizes identically.
+        unclamped = self._bias + proportional + self._integral + increment + 0.0
+        value = np.minimum(np.maximum(unclamped, 0.0), 100.0)
+
+        # Anti-windup: accumulate only where it does not deepen saturation.
+        accumulate = (
+            (value == unclamped)
+            | ((unclamped > value) & (increment < 0))
+            | ((unclamped < value) & (increment > 0))
+        )
+        self._integral = np.where(
+            accumulate, self._integral + increment, self._integral
+        )
 
         output = self._output.copy()
-        for loop in self._loops:
-            definition = loop.definition
-            # A scalar setpoint broadcasts bitwise-identically to a filled
-            # vector; only rows under an active override need an array.
-            setpoint = definition.setpoint
-            if pressure_active and definition.name in self._pressure_loops:
-                setpoint = np.where(
-                    pressure_factor < 1.0,
-                    definition.setpoint * pressure_factor,
-                    setpoint,
-                )
-            if level_active and definition.name in self._level_loops:
-                setpoint = np.where(
-                    level_factor < 1.0, definition.setpoint * level_factor, setpoint
-                )
-
-            measurement = measurements[:, definition.xmeas_index - 1]
-            error = definition.direction * (setpoint - measurement)
-            proportional = definition.kc * error
-            integral_increment = (
-                definition.kc / definition.ti_hours * error * dt_hours
-            )
-            # The serial PID adds a literal-zero derivative term; mirror it
-            # so a -0.0 partial sum normalizes identically.
-            unclamped = (
-                definition.output_bias
-                + proportional
-                + loop.integral
-                + integral_increment
-                + 0.0
-            )
-            value = np.minimum(np.maximum(unclamped, 0.0), 100.0)
-
-            accumulate = (
-                (value == unclamped)
-                | ((unclamped > value) & (integral_increment < 0))
-                | ((unclamped < value) & (integral_increment > 0))
-            )
-            loop.integral = np.where(
-                accumulate, loop.integral + integral_increment, loop.integral
-            )
-            output[:, definition.xmv_index - 1] = value
-
-        for index, value in self._constant_xmv.items():
-            output[:, index - 1] = value
-
+        output[:, self._xmv_columns] = value
+        output[:, self._constant_columns] = self._constant_values
         self._output = output
         return output.copy()
 

@@ -36,6 +36,7 @@ from repro.network.attacks import (
     IntegrityAttack,
     ReplayAttack,
 )
+from repro.te.constants import N_IDV, N_XMEAS, N_XMV
 
 __all__ = [
     "Injection",
@@ -152,8 +153,10 @@ class DisturbanceInjection(Injection):
         super().__post_init__()
         object.__setattr__(self, "index", _coerce(self.index, int))
         object.__setattr__(self, "magnitude", _coerce(self.magnitude, float))
-        if self.index < 1:
-            raise ConfigurationError("disturbance index is 1-based and must be >= 1")
+        if not 1 <= self.index <= N_IDV:
+            raise ConfigurationError(
+                f"disturbance index is IDV(1)-IDV({N_IDV}), got {self.index}"
+            )
         if self.magnitude < 0:
             raise ConfigurationError("magnitude must be >= 0")
 
@@ -184,8 +187,12 @@ class ChannelInjection(Injection):
             raise ConfigurationError(
                 f"channel must be one of {_CHANNELS}, got {self.channel!r}"
             )
-        if self.target < 1:
-            raise ConfigurationError("target is 1-based and must be >= 1")
+        entries = N_XMEAS if self.channel == SENSOR else N_XMV
+        if not 1 <= self.target <= entries:
+            raise ConfigurationError(
+                f"{self.channel} target is 1-based and must be in [1, {entries}], "
+                f"got {self.target}"
+            )
 
     def build_attack(self, default_start_hour: float) -> Attack:
         """The :mod:`repro.network.attacks` instance realizing this injection."""

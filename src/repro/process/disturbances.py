@@ -155,15 +155,25 @@ class BatchIdv:
     the per-run ``{index: magnitude}`` dictionaries: an index is *active*
     exactly when its magnitude is non-zero, matching the truthiness tests
     the serial plant applies to ``active_at`` dictionaries.
+
+    ``scheduled`` holds every index that has an open window on some row (a
+    superset of the active ones: a zero magnitude is scheduled but not
+    active), or ``None`` when unknown.  The batched plant skips the masked
+    branch of an IDV when :meth:`may_be_active` rules it out on every row.
     """
 
-    def __init__(self, magnitudes: np.ndarray):
+    def __init__(self, magnitudes: np.ndarray, scheduled: Optional[frozenset] = None):
         self._magnitudes = magnitudes
+        self._scheduled = scheduled
 
     @property
     def n_rows(self) -> int:
         """Number of runs in the batch."""
         return self._magnitudes.shape[0]
+
+    def may_be_active(self, index: int) -> bool:
+        """Whether IDV(``index``) can be active on any row at this instant."""
+        return self._scheduled is None or index in self._scheduled
 
     def value(self, index: int) -> np.ndarray:
         """Per-row magnitude of IDV(``index``), ``(B,)`` (0 when inactive)."""
@@ -176,7 +186,7 @@ class BatchIdv:
     @classmethod
     def none(cls, n_rows: int, n_disturbances: int = 20) -> "BatchIdv":
         """No disturbance active on any row."""
-        return cls(np.zeros((n_rows, n_disturbances + 1)))
+        return cls(np.zeros((n_rows, n_disturbances + 1)), frozenset())
 
 
 class BatchDisturbanceView:
@@ -224,16 +234,16 @@ class BatchDisturbanceView:
         Duplicate activations of one index on one row combine through
         ``max``, exactly like :meth:`DisturbanceSchedule.active_at`.
         """
-        magnitudes = np.zeros((self._n_rows, self._n + 1))
         if self._rows.size:
             active = (time_hours >= self._starts) & (time_hours < self._ends)
             if active.any():
+                magnitudes = np.zeros((self._n_rows, self._n + 1))
+                indices = self._indices[active]
                 np.maximum.at(
-                    magnitudes,
-                    (self._rows[active], self._indices[active]),
-                    self._magnitudes[active],
+                    magnitudes, (self._rows[active], indices), self._magnitudes[active]
                 )
-        return BatchIdv(magnitudes)
+                return BatchIdv(magnitudes, frozenset(indices.tolist()))
+        return BatchIdv.none(self._n_rows, self._n)
 
     def take(self, indices: np.ndarray) -> None:
         """Keep only the given rows (compaction after trips / early stops)."""

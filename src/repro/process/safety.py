@@ -128,7 +128,9 @@ class BatchSafetyMonitor:
     ordering as :class:`SafetyMonitor`, but over ``(B,)`` quantity arrays:
     :meth:`check` returns the rows that tripped this step (with the reason
     the serial monitor would have raised) instead of raising, so the batch
-    simulator can freeze those rows while the rest continue.
+    simulator can freeze those rows while the rest continue.  All limits
+    are compared at once, as one ``(n_limits, B)`` stack against low, high
+    and grace vectors.
 
     Parameters
     ----------
@@ -146,12 +148,45 @@ class BatchSafetyMonitor:
     ):
         self._limits: List[SafetyLimit] = list(limits)
         self._n_rows = int(n_rows)
-        # Keyed by quantity name — shared between limits on the same
-        # quantity — exactly like the serial monitor's start dictionary, so
-        # the two track grace windows identically even for limit sets with
-        # duplicate quantities.
-        self._violation_start: Dict[str, np.ndarray] = {}
         self.enabled = bool(enabled)
+        # Violation starts are keyed by quantity — shared between limits on
+        # the same quantity — exactly like the serial monitor's start
+        # dictionary: one row per distinct quantity, NaN while not violated.
+        self._quantities: List[str] = list(
+            dict.fromkeys(limit.quantity for limit in self._limits)
+        )
+        group = [self._quantities.index(limit.quantity) for limit in self._limits]
+        n_limits = len(group)
+        shared = len(self._quantities) < n_limits
+        # Per limit, the row of its quantity; per quantity, its last limit.
+        # With one limit per quantity both maps are the identity: a slice.
+        self._group = np.array(group, dtype=np.intp) if shared else slice(None)
+        self._last = (
+            np.array(
+                [max(j for j, g in enumerate(group) if g == q)
+                 for q in range(len(self._quantities))],
+                dtype=np.intp,
+            )
+            if shared
+            else slice(None)
+        )
+        #: ``earlier[j, i]``: limit ``i`` precedes limit ``j`` on its quantity.
+        self._earlier = (
+            np.array(
+                [[i < j and group[i] == group[j] for i in range(n_limits)]
+                 for j in range(n_limits)]
+            )
+            if shared
+            else None
+        )
+        self._low = np.array(
+            [-np.inf if limit.low is None else limit.low for limit in self._limits]
+        )[:, None]
+        self._high = np.array(
+            [np.inf if limit.high is None else limit.high for limit in self._limits]
+        )[:, None]
+        self._grace = np.array([limit.grace_hours for limit in self._limits])[:, None]
+        self._start = np.full((len(self._quantities), self._n_rows), np.nan)
 
     def check(
         self, time_hours: float, quantities: Dict[str, np.ndarray]
@@ -162,41 +197,48 @@ class BatchSafetyMonitor:
         tripped row, the description the serial monitor's
         :class:`~repro.common.exceptions.ProcessShutdown` would carry.
         Limits are evaluated in list order and the first limit to trip a
-        row supplies its reason, exactly like the serial raise.
+        row supplies its reason, exactly like the serial raise.  A quantity
+        missing from ``quantities`` is skipped and keeps its violation
+        starts, like the serial monitor.
         """
         tripped = np.zeros(self._n_rows, dtype=bool)
         reasons: List[Optional[str]] = [None] * self._n_rows
-        for limit in self._limits:
-            if limit.quantity not in quantities:
-                continue
-            values = quantities[limit.quantity]
-            violated = np.zeros(self._n_rows, dtype=bool)
-            if limit.low is not None:
-                violated |= values < limit.low
-            if limit.high is not None:
-                violated |= values > limit.high
-            if limit.quantity not in self._violation_start:
-                self._violation_start[limit.quantity] = np.full(
-                    self._n_rows, np.nan
-                )
-            start = self._violation_start[limit.quantity]
-            start[violated & np.isnan(start)] = time_hours
-            if self.enabled:
-                trips_now = violated & (time_hours - start >= limit.grace_hours)
-                for row in np.flatnonzero(trips_now & ~tripped):
+        if not self._limits:
+            return tripped, reasons
+        rows = [quantities.get(quantity) for quantity in self._quantities]
+        missing = [row is None for row in rows]
+        if any(missing):
+            # NaN violates no limit; the starts are restored below.
+            rows = [np.full(self._n_rows, np.nan) if row is None else row for row in rows]
+        values = np.array(rows, dtype=float)[self._group]
+        violated = (values < self._low) | (values > self._high)
+
+        start = self._start[self._group]
+        if self._earlier is not None:
+            # A limit that is not violated clears its quantity's start before
+            # the later limits on that quantity are evaluated.
+            start = np.where(self._earlier @ ~violated, np.nan, start)
+        start = np.where(np.isnan(start), time_hours, start)
+        kept = np.where(violated, start, np.nan)[self._last]
+        if any(missing):
+            kept[missing] = self._start[missing]
+        self._start = kept
+
+        if self.enabled:
+            trips = violated & (time_hours - start >= self._grace)
+            if trips.any():
+                tripped = trips.any(axis=0)
+                first = trips.argmax(axis=0)
+                for row in np.flatnonzero(tripped):
+                    limit = self._limits[first[row]]
                     reasons[row] = (
                         limit.description
-                        or f"{limit.quantity} = {float(values[row]):.4g} "
+                        or f"{limit.quantity} = {float(values[first[row], row]):.4g} "
                         f"outside [{limit.low}, {limit.high}]"
                     )
-                tripped |= trips_now
-            start[~violated] = np.nan
         return tripped, reasons
 
     def take(self, indices: np.ndarray) -> None:
         """Keep only the given rows (compaction after trips / early stops)."""
-        self._violation_start = {
-            quantity: start[indices]
-            for quantity, start in self._violation_start.items()
-        }
+        self._start = self._start[:, indices]
         self._n_rows = int(np.asarray(indices).size)

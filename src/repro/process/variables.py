@@ -71,6 +71,8 @@ class VariableRegistry:
     def __init__(self, specs: Optional[Iterable[VariableSpec]] = None):
         self._specs: List[VariableSpec] = []
         self._index: Dict[str, int] = {}
+        self._lower = np.empty(0)
+        self._upper = np.empty(0)
         for spec in specs or []:
             self.add(spec)
 
@@ -80,6 +82,9 @@ class VariableRegistry:
             raise ConfigurationError(f"duplicate variable {spec.name!r}")
         self._index[spec.name] = len(self._specs)
         self._specs.append(spec)
+        # clip() runs on every simulation step, so its bounds are built here.
+        self._lower = self.lower_bounds()
+        self._upper = self.upper_bounds()
 
     def __len__(self) -> int:
         return len(self._specs)
@@ -135,7 +140,8 @@ class VariableRegistry:
             raise ConfigurationError(
                 f"expected {len(self)} values, got {values.shape[-1]}"
             )
-        return np.clip(values, self.lower_bounds(), self.upper_bounds())
+        # The array method is what np.clip dispatches to, minus its wrappers.
+        return values.clip(self._lower, self._upper)
 
     def describe(self) -> str:
         """A plain-text table of the registry, useful for documentation."""

@@ -13,6 +13,12 @@ use the same pairwise algorithm as their 1-D counterparts; and
 ``np.random.Generator`` streams are invariant to draw granularity, which is
 what lets the per-row noise streams be served from pre-drawn blocks).
 
+The branches of a disturbance that no row can have active at this step
+(see :meth:`~repro.process.disturbances.BatchIdv.may_be_active`) are
+skipped: there the serial plant only applies identity operations (``x *
+1.0``, ``x + 0.0`` on values that are never ``-0.0``, a ``where`` that keeps
+every row), so skipping them changes no bit.
+
 Randomness keeps the serial seed-derivation scheme: each row owns the two
 ``RandomStream`` children a serial :class:`TEPlant` would derive from its
 seed (``te-plant/measurement-noise`` and ``te-plant/ambient``) — only the
@@ -34,6 +40,8 @@ from repro.te.plant import _HEAVY_MASK, _IDX, _LIGHT_MASK, TEPlant
 from repro.te.state import BatchTEState
 
 __all__ = ["BatchTEPlant"]
+
+_HEAVY = _HEAVY_MASK > 0
 
 
 @dataclass
@@ -156,11 +164,14 @@ class BatchTEPlant(TEPlant):
     # ------------------------------------------------------------------
     def _effective_xmv_batch(self, xmv: np.ndarray, idv: BatchIdv) -> np.ndarray:
         """Row-wise valve sticking, mirroring :meth:`TEPlant._effective_xmv`."""
-        effective = self._xmv_registry.clip(np.asarray(xmv, dtype=float))
+        effective = self._xmv_registry.clip(xmv)
         for index, stuck in (
             (14, self._stuck_reactor_cw_rows),
             (15, self._stuck_condenser_cw_rows),
         ):
+            if not idv.may_be_active(index):
+                stuck.fill(np.nan)
+                continue
             column = 9 if index == 14 else 10
             active = idv.active(index)
             newly = active & np.isnan(stuck)
@@ -173,15 +184,17 @@ class BatchTEPlant(TEPlant):
         self, idv: BatchIdv, state: BatchTEState
     ) -> np.ndarray:
         """Row-wise stream-4 composition (:meth:`TEPlant._feed4_composition`)."""
-        composition = np.tile(self._feed4_comp_base, (state.n_rows, 1))
+        composition = self._feed4_comp_base[None, :].repeat(state.n_rows, axis=0)
         shift = state.feed4_composition_shift
-        shift = np.where(idv.active(8), shift * 8.0, shift)
-        shift = np.where(idv.active(1), shift + -0.05 * idv.value(1), shift)
+        if idv.may_be_active(8):
+            shift = np.where(idv.active(8), shift * 8.0, shift)
+        if idv.may_be_active(1):
+            shift = np.where(idv.active(1), shift + -0.05 * idv.value(1), shift)
         a, b, c = _IDX["A"], _IDX["B"], _IDX["C"]
         composition[:, a] = np.maximum(composition[:, a] + shift, 0.01)
         composition[:, c] = np.maximum(composition[:, c] - shift, 0.01)
-        active2 = idv.active(2)
-        if active2.any():
+        if idv.may_be_active(2):
+            active2 = idv.active(2)
             extra_b = 0.025 * idv.value(2)
             composition[:, b] = np.where(
                 active2, composition[:, b] + extra_b, composition[:, b]
@@ -196,7 +209,7 @@ class BatchTEPlant(TEPlant):
                 np.maximum(composition[:, c] - extra_b / 2.0, 0.01),
                 composition[:, c],
             )
-        return composition / composition.sum(axis=1)[:, None]
+        return composition / np.add.reduce(composition, axis=1)[:, None]
 
     def _compute_flows_batch(
         self, xmv: np.ndarray, state: BatchTEState, idv: BatchIdv
@@ -209,12 +222,12 @@ class BatchTEPlant(TEPlant):
         """
         effective = self._effective_xmv_batch(xmv, idv)
 
-        feed1_available = np.where(idv.active(6), 0.0, 1.0)
-        feed4_available = np.where(idv.active(7), 0.8, 1.0)
-
         feed1_total = np.minimum(
             self._feed1_per_percent * effective[:, 2], self._feed1_capacity
-        ) * feed1_available * state.feed1_pressure_factor
+        )
+        if idv.may_be_active(6):
+            feed1_total = feed1_total * np.where(idv.active(6), 0.0, 1.0)
+        feed1_total = feed1_total * state.feed1_pressure_factor
         feed1 = feed1_total[:, None] * self._feed1_comp
 
         n_rows = state.n_rows
@@ -222,7 +235,9 @@ class BatchTEPlant(TEPlant):
         feed2[:, _IDX["D"]] = self._feed2_per_percent * effective[:, 0]
         feed3 = np.zeros((n_rows, len(COMPONENTS)))
         feed3[:, _IDX["E"]] = self._feed3_per_percent * effective[:, 1]
-        feed4_total = self._feed4_per_percent * effective[:, 3] * feed4_available
+        feed4_total = self._feed4_per_percent * effective[:, 3]
+        if idv.may_be_active(7):
+            feed4_total = feed4_total * np.where(idv.active(7), 0.8, 1.0)
         feed4 = feed4_total[:, None] * self._feed4_composition_batch(idv, state)
 
         reactor_pressure = state.reactor_pressure_kpa
@@ -237,7 +252,7 @@ class BatchTEPlant(TEPlant):
         )
 
         vapor_inventory = state.separator_vapor
-        vapor_total = np.maximum(vapor_inventory.sum(axis=1), 1e-9)
+        vapor_total = np.maximum(np.add.reduce(vapor_inventory, axis=1), 1e-9)
         vapor_fraction = vapor_inventory / vapor_total[:, None]
 
         pressure_factor = np.maximum(reactor_pressure, 0.0) / self._pressure_nominal
@@ -253,8 +268,8 @@ class BatchTEPlant(TEPlant):
             + 0.004 * (float(INTERNAL["separator_temp_nominal"]) - state.separator_temp)
         )
         cond = np.where(
-            _HEAVY_MASK > 0,
-            np.clip(self._cond_base + condenser_shift[:, None], 0.02, 0.98),
+            _HEAVY,
+            (self._cond_base + condenser_shift[:, None]).clip(0.02, 0.98),
             self._cond_base,
         )
 
@@ -265,14 +280,14 @@ class BatchTEPlant(TEPlant):
             * np.sqrt(separator_level / 50.0)
         )
         liquid_inventory = state.separator_liquid
-        liquid_total = np.maximum(liquid_inventory.sum(axis=1), 1e-9)
+        liquid_total = np.maximum(np.add.reduce(liquid_inventory, axis=1), 1e-9)
         f10 = f10_total[:, None] * liquid_inventory / liquid_total[:, None]
 
         steam = self._steam_per_percent * effective[:, 8]
         steam_factor = 1.0 + float(INTERNAL["stripping_steam_gain"]) * (
             steam / float(INTERNAL["steam_nominal"]) - 1.0
         )
-        strip = np.clip(self._strip_base * steam_factor[:, None], 0.0, 0.995)
+        strip = (self._strip_base * steam_factor[:, None]).clip(0.0, 0.995)
         overhead = strip * f10
 
         stripper_level = np.maximum(state.stripper_level_percent, 0.0)
@@ -282,7 +297,7 @@ class BatchTEPlant(TEPlant):
             * np.sqrt(stripper_level / 50.0)
         )
         stripper_inventory = state.stripper_liquid
-        stripper_total = np.maximum(stripper_inventory.sum(axis=1), 1e-9)
+        stripper_total = np.maximum(np.add.reduce(stripper_inventory, axis=1), 1e-9)
         f11 = f11_total[:, None] * stripper_inventory / stripper_total[:, None]
 
         reactor_in = (
@@ -326,6 +341,18 @@ class BatchTEPlant(TEPlant):
         Each row consumes exactly that many values from its own stream.
         """
         n_rows = idv.n_rows
+        if not self.enable_process_variation:
+            zeros = np.zeros(n_rows)
+            return _AmbientDraws(zeros, zeros, zeros, zeros, zeros, zeros)
+        if not (
+            idv.may_be_active(13) or idv.may_be_active(9) or idv.may_be_active(10)
+        ):
+            # Every row takes just the three base walks.
+            values = np.array([stream.take(3) for stream in self._ambient_streams])
+            zeros = np.zeros(n_rows)
+            return _AmbientDraws(
+                values[:, 0], values[:, 1], values[:, 2], zeros, zeros, zeros
+            )
         draws = _AmbientDraws(
             walk=np.zeros(n_rows),
             composition=np.zeros(n_rows),
@@ -334,8 +361,6 @@ class BatchTEPlant(TEPlant):
             reactor_9=np.zeros(n_rows),
             reactor_10=np.zeros(n_rows),
         )
-        if not self.enable_process_variation:
-            return draws
         active13 = idv.active(13)
         active9 = idv.active(9)
         active10 = idv.active(10)
@@ -403,6 +428,7 @@ class BatchTEPlant(TEPlant):
         state.recycle_flow = np.maximum(state.recycle_flow, 0.0)
 
         state.time_hours += dt
+        state.mark_changed()
 
     def _update_ambient_batch(
         self, dt: float, idv: BatchIdv, draws: _AmbientDraws
@@ -413,57 +439,56 @@ class BatchTEPlant(TEPlant):
             return
         sqrt_dt = np.sqrt(dt)
         walk = float(INTERNAL["feed1_pressure_walk_std"])
-        state.feed1_pressure_factor = np.clip(
+        state.feed1_pressure_factor = (
             state.feed1_pressure_factor
             + (
                 walk * sqrt_dt * draws.walk
                 + 0.15 * (1.0 - state.feed1_pressure_factor) * dt
-            ),
-            0.7,
-            1.3,
-        )
+            )
+        ).clip(0.7, 1.3)
 
         comp_walk = float(INTERNAL["feed4_composition_walk_std"])
-        state.feed4_composition_shift = np.clip(
+        state.feed4_composition_shift = (
             state.feed4_composition_shift
             + (
                 comp_walk * sqrt_dt * draws.composition
                 - 0.2 * state.feed4_composition_shift * dt
-            ),
-            -0.06,
-            0.06,
-        )
+            )
+        ).clip(-0.06, 0.06)
 
         cw_walk = float(INTERNAL["cw_inlet_walk_std"])
-        state.cw_inlet_shift = np.clip(
+        state.cw_inlet_shift = (
             state.cw_inlet_shift
             + (
                 cw_walk * sqrt_dt * draws.cooling
                 - 0.3 * state.cw_inlet_shift * dt
-            ),
-            -4.0,
-            4.0,
-        )
+            )
+        ).clip(-4.0, 4.0)
 
-        active13 = idv.active(13)
-        drifted = np.clip(
-            state.kinetics_drift
-            + (0.05 * sqrt_dt * draws.kinetics - 0.02 * dt),
-            -0.5,
-            0.2,
-        )
         decayed = state.kinetics_drift * max(1.0 - 0.5 * dt, 0.0)
-        state.kinetics_drift = np.where(active13, drifted, decayed)
+        if idv.may_be_active(13):
+            drifted = (
+                state.kinetics_drift
+                + (0.05 * sqrt_dt * draws.kinetics - 0.02 * dt)
+            ).clip(-0.5, 0.2)
+            decayed = np.where(idv.active(13), drifted, decayed)
+        state.kinetics_drift = decayed
 
     def _cooling_water_inlets_batch(self, idv: BatchIdv) -> Dict[str, np.ndarray]:
         """Row-wise cooling-water inlet temperatures, ``(B,)`` each."""
         state = self.state
-        reactor_inlet = float(INTERNAL["reactor_cw_inlet_nominal"]) + 5.0 * idv.value(4)
-        condenser_inlet = (
-            float(INTERNAL["condenser_cw_inlet_nominal"]) + 5.0 * idv.value(5)
-        )
-        reactor_scale = np.where(idv.active(11), 1.0, 0.15)
-        condenser_scale = np.where(idv.active(12), 1.0, 0.15)
+        reactor_inlet = float(INTERNAL["reactor_cw_inlet_nominal"])
+        if idv.may_be_active(4):
+            reactor_inlet = reactor_inlet + 5.0 * idv.value(4)
+        condenser_inlet = float(INTERNAL["condenser_cw_inlet_nominal"])
+        if idv.may_be_active(5):
+            condenser_inlet = condenser_inlet + 5.0 * idv.value(5)
+        reactor_scale = 0.15
+        if idv.may_be_active(11):
+            reactor_scale = np.where(idv.active(11), 1.0, 0.15)
+        condenser_scale = 0.15
+        if idv.may_be_active(12):
+            condenser_scale = np.where(idv.active(12), 1.0, 0.15)
         reactor_inlet = reactor_inlet + reactor_scale * state.cw_inlet_shift
         condenser_inlet = condenser_inlet + condenser_scale * state.cw_inlet_shift
         return {"reactor": reactor_inlet, "condenser": condenser_inlet}
@@ -488,12 +513,14 @@ class BatchTEPlant(TEPlant):
             float(INTERNAL["reactor_temp_nominal"])
             + float(INTERNAL["reactor_heat_gain"]) * (heat_norm - 1.0)
             - float(INTERNAL["reactor_cooling_gain"]) * (cooling_norm - 1.0)
-            + 1.5 * idv.value(3)
         )
-        if self.enable_process_variation:
+        if idv.may_be_active(3):
+            reactor_target = reactor_target + 1.5 * idv.value(3)
+        if self.enable_process_variation and idv.may_be_active(9):
             reactor_target = np.where(
                 idv.active(9), reactor_target + 0.6 * draws.reactor_9, reactor_target
             )
+        if self.enable_process_variation and idv.may_be_active(10):
             reactor_target = np.where(
                 idv.active(10), reactor_target + 0.4 * draws.reactor_10, reactor_target
             )
@@ -503,7 +530,7 @@ class BatchTEPlant(TEPlant):
         ) / tau_r
 
         condenser_inlet = inlets["condenser"]
-        effluent_total = flows["effluent"].sum(axis=1)
+        effluent_total = np.add.reduce(flows["effluent"], axis=1)
         nominal_sep_driving = float(INTERNAL["separator_temp_nominal"]) - float(
             INTERNAL["condenser_cw_inlet_nominal"]
         )
@@ -517,7 +544,7 @@ class BatchTEPlant(TEPlant):
         ) / tau_s
 
         steam = flows["steam"]
-        f10_total = flows["f10"].sum(axis=1)
+        f10_total = np.add.reduce(flows["f10"], axis=1)
         stripper_target = (
             float(INTERNAL["stripper_temp_nominal"])
             + 25.0 * (steam / float(INTERNAL["steam_nominal"]) - 1.0)
@@ -553,16 +580,11 @@ class BatchTEPlant(TEPlant):
     # Measurement
     # ------------------------------------------------------------------
     def _composition_percent_batch(
-        self, vectors: np.ndarray, nominal_fraction: np.ndarray, published: np.ndarray
+        self, vectors: np.ndarray, scale: np.ndarray
     ) -> np.ndarray:
         """Row-wise mirror of :meth:`TEPlant._composition_percent`."""
-        total = np.maximum(vectors.sum(axis=1), 1e-9)
+        total = np.maximum(np.add.reduce(vectors, axis=1), 1e-9)
         fraction = vectors / total[:, None]
-        scale = np.where(
-            nominal_fraction > 1e-9,
-            published / np.maximum(nominal_fraction, 1e-9),
-            0.0,
-        )
         return fraction * scale
 
     def measure(self, noisy: bool = True) -> np.ndarray:
@@ -572,15 +594,15 @@ class BatchTEPlant(TEPlant):
         n_rows = state.n_rows
         xmeas = np.zeros((n_rows, 41))
 
-        feed1_total = flows["feed1"].sum(axis=1)
-        feed2_total = flows["feed2"].sum(axis=1)
-        feed3_total = flows["feed3"].sum(axis=1)
-        feed4_total = flows["feed4"].sum(axis=1)
+        feed1_total = np.add.reduce(flows["feed1"], axis=1)
+        feed2_total = np.add.reduce(flows["feed2"], axis=1)
+        feed3_total = np.add.reduce(flows["feed3"], axis=1)
+        feed4_total = np.add.reduce(flows["feed4"], axis=1)
         reactor_in = flows["reactor_in"]
-        reactor_feed_total = reactor_in.sum(axis=1)
+        reactor_feed_total = np.add.reduce(reactor_in, axis=1)
         purge_total = flows["purge_total"]
-        f10_total = flows["f10"].sum(axis=1)
-        f11_total = flows["f11"].sum(axis=1)
+        f10_total = np.add.reduce(flows["f10"], axis=1)
+        f11_total = np.add.reduce(flows["f11"], axis=1)
         steam = flows["steam"]
 
         reactor_pressure = state.reactor_pressure_kpa
@@ -613,21 +635,16 @@ class BatchTEPlant(TEPlant):
         xmeas[:, 20] = state.reactor_cw_outlet
         xmeas[:, 21] = state.separator_cw_outlet
 
-        stream6_published = np.concatenate([self._xmeas_nominal[22:28], np.zeros(2)])
-        stream6 = self._composition_percent_batch(
-            reactor_in, self._stream6_nominal_frac, stream6_published
-        )
+        stream6 = self._composition_percent_batch(reactor_in, self._stream6_scale)
         xmeas[:, 22:28] = stream6[:, :6]
 
         purge_fraction = self._composition_percent_batch(
-            flows["vapor_fraction"], self._purge_nominal_frac, self._xmeas_nominal[28:36]
+            flows["vapor_fraction"], self._purge_scale
         )
         xmeas[:, 28:36] = purge_fraction
 
         product_fraction = self._composition_percent_batch(
-            state.stripper_liquid,
-            self._product_nominal_frac,
-            np.concatenate([np.zeros(3), self._xmeas_nominal[36:41]]),
+            state.stripper_liquid, self._product_scale
         )
         xmeas[:, 36:41] = product_fraction[:, 3:]
 

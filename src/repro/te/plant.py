@@ -44,6 +44,13 @@ _HEAVY_MASK = 1.0 - _LIGHT_MASK
 _IDX = {component: i for i, component in enumerate(COMPONENTS)}
 
 
+def _composition_scale(nominal_fraction: np.ndarray, published: np.ndarray) -> np.ndarray:
+    """Factors taking nominal mole fractions to published analyser values."""
+    return np.where(
+        nominal_fraction > 1e-9, published / np.maximum(nominal_fraction, 1e-9), 0.0
+    )
+
+
 class TEPlant(PlantModel):
     """Dynamic Tennessee-Eastman plant.
 
@@ -116,11 +123,20 @@ class TEPlant(PlantModel):
         self._sep_pressure_nominal = float(INTERNAL["separator_pressure_nominal"])
         self._dp_nominal = self._pressure_nominal - self._sep_pressure_nominal
 
-        # Nominal composition fractions used to calibrate the analyser outputs.
+        # Analyser calibration: per-component factors mapping the internal
+        # mole fractions to the published percentages at the nominal point.
         reactor_in_total = max(balance.reactor_feed_total, 1e-12)
-        self._stream6_nominal_frac = balance.reactor_in / reactor_in_total
-        self._purge_nominal_frac = balance.purge / max(balance.purge_total, 1e-12)
-        self._product_nominal_frac = balance.product / max(balance.product_total, 1e-12)
+        self._stream6_scale = _composition_scale(
+            balance.reactor_in / reactor_in_total,
+            np.concatenate([self._xmeas_nominal[22:28], np.zeros(2)]),
+        )
+        self._purge_scale = _composition_scale(
+            balance.purge / max(balance.purge_total, 1e-12), self._xmeas_nominal[28:36]
+        )
+        self._product_scale = _composition_scale(
+            balance.product / max(balance.product_total, 1e-12),
+            np.concatenate([np.zeros(3), self._xmeas_nominal[36:41]]),
+        )
 
         # Initial liquid-inventory compositions consistent with the nominal
         # stream table (totals keep the nominal vessel levels from constants).
@@ -504,13 +520,10 @@ class TEPlant(PlantModel):
     # ------------------------------------------------------------------
     # Measurement
     # ------------------------------------------------------------------
-    def _composition_percent(
-        self, vector: np.ndarray, nominal_fraction: np.ndarray, published: np.ndarray
-    ) -> np.ndarray:
+    def _composition_percent(self, vector: np.ndarray, scale: np.ndarray) -> np.ndarray:
         """Scale internal mole fractions so the nominal point matches the table."""
         total = max(float(vector.sum()), 1e-9)
         fraction = vector / total
-        scale = np.where(nominal_fraction > 1e-9, published / np.maximum(nominal_fraction, 1e-9), 0.0)
         return fraction * scale
 
     def measure(self, noisy: bool = True) -> np.ndarray:
@@ -554,20 +567,16 @@ class TEPlant(PlantModel):
         xmeas[20] = state.reactor_cw_outlet
         xmeas[21] = state.separator_cw_outlet
 
-        stream6_published = np.concatenate([self._xmeas_nominal[22:28], np.zeros(2)])
-        stream6 = self._composition_percent(
-            reactor_in, self._stream6_nominal_frac, stream6_published
-        )
+        stream6 = self._composition_percent(reactor_in, self._stream6_scale)
         xmeas[22:28] = stream6[:6]
 
         purge_fraction = self._composition_percent(
-            flows["vapor_fraction"], self._purge_nominal_frac, self._xmeas_nominal[28:36]
+            flows["vapor_fraction"], self._purge_scale
         )
         xmeas[28:36] = purge_fraction
 
         product_fraction = self._composition_percent(
-            state.stripper_liquid, self._product_nominal_frac,
-            np.concatenate([np.zeros(3), self._xmeas_nominal[36:41]]),
+            state.stripper_liquid, self._product_scale
         )
         xmeas[36:41] = product_fraction[3:]
 

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -13,6 +13,18 @@ __all__ = ["TEState", "BatchTEState"]
 
 _LIGHTS = ("A", "B", "C")
 _HEAVIES = ("D", "E", "F", "G", "H")
+
+# Constants of the derived quantities, spelled as TEState's properties
+# compute them so the batched values stay bitwise-identical.
+_REACTOR_MOLES = sum(INTERNAL["reactor_vapor_nominal"].values())
+_REACTOR_TEMP_K = float(INTERNAL["reactor_temp_nominal"]) + 273.15
+_REACTOR_PRESSURE = float(INTERNAL["reactor_pressure_nominal"])
+_SEPARATOR_MOLES = sum(INTERNAL["separator_vapor_nominal"].values())
+_SEPARATOR_TEMP_K = float(INTERNAL["separator_temp_nominal"]) + 273.15
+_SEPARATOR_PRESSURE = float(INTERNAL["separator_pressure_nominal"])
+_REACTOR_CAPACITY = float(INTERNAL["reactor_liquid_capacity"])
+_SEPARATOR_CAPACITY = float(INTERNAL["separator_liquid_capacity"])
+_STRIPPER_CAPACITY = float(INTERNAL["stripper_liquid_capacity"])
 
 
 def _component_vector(values: Dict[str, float]) -> np.ndarray:
@@ -147,11 +159,13 @@ class TEState:
 
     def clip_nonnegative(self) -> None:
         """Clamp all molar inventories to be non-negative (numerical guard)."""
-        np.clip(self.reactor_vapor, 0.0, None, out=self.reactor_vapor)
-        np.clip(self.reactor_liquid, 0.0, None, out=self.reactor_liquid)
-        np.clip(self.separator_vapor, 0.0, None, out=self.separator_vapor)
-        np.clip(self.separator_liquid, 0.0, None, out=self.separator_liquid)
-        np.clip(self.stripper_liquid, 0.0, None, out=self.stripper_liquid)
+        # np.clip with no upper bound dispatches to np.maximum; calling the
+        # ufunc directly gives the same bits without the wrapper layers.
+        np.maximum(self.reactor_vapor, 0.0, out=self.reactor_vapor)
+        np.maximum(self.reactor_liquid, 0.0, out=self.reactor_liquid)
+        np.maximum(self.separator_vapor, 0.0, out=self.separator_vapor)
+        np.maximum(self.separator_liquid, 0.0, out=self.separator_liquid)
+        np.maximum(self.stripper_liquid, 0.0, out=self.stripper_liquid)
 
 
 @dataclass
@@ -182,6 +196,9 @@ class BatchTEState:
     cw_inlet_shift: np.ndarray
     kinetics_drift: np.ndarray
     time_hours: float = 0.0
+    _derived: Optional[Tuple[np.ndarray, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     #: Names of the per-row array fields (everything except the clock).
     ARRAY_FIELDS = (
@@ -240,50 +257,74 @@ class BatchTEState:
         """Keep only the given rows (compaction after trips / early stops)."""
         for name in self.ARRAY_FIELDS:
             setattr(self, name, getattr(self, name)[indices])
+        self._derived = None
 
     # -- derived quantities (row-wise mirrors of TEState) ---------------
-    @property
-    def reactor_level_percent(self) -> np.ndarray:
-        """Reactor liquid level, % of capacity, per row."""
-        capacity = float(INTERNAL["reactor_liquid_capacity"])
-        return 100.0 * self.reactor_liquid.sum(axis=1) / capacity
+    def mark_changed(self) -> None:
+        """Drop the stored derived quantities after the state was updated.
 
-    @property
-    def separator_level_percent(self) -> np.ndarray:
-        """Separator liquid level, % of capacity, per row."""
-        capacity = float(INTERNAL["separator_liquid_capacity"])
-        return 100.0 * self.separator_liquid.sum(axis=1) / capacity
+        The pressures and levels are read by the measurement map, the flow
+        network and the safety check of every step, so they are computed
+        once per state; whatever mutates the arrays calls this afterwards.
+        """
+        self._derived = None
 
-    @property
-    def stripper_level_percent(self) -> np.ndarray:
-        """Stripper liquid level, % of capacity, per row."""
-        capacity = float(INTERNAL["stripper_liquid_capacity"])
-        return 100.0 * self.stripper_liquid.sum(axis=1) / capacity
+    def _derived_values(self) -> Tuple[np.ndarray, ...]:
+        """Reactor and separator pressure, reactor, separator and stripper
+        level, computed on first use after a change."""
+        derived = self._derived
+        if derived is None:
+            moles = np.add.reduce(self.reactor_vapor, axis=1)
+            temp_k = self.reactor_temp + 273.15
+            reactor_pressure = (
+                _REACTOR_PRESSURE * (moles / _REACTOR_MOLES) * (temp_k / _REACTOR_TEMP_K)
+            )
+            moles = np.add.reduce(self.separator_vapor, axis=1)
+            temp_k = self.separator_temp + 273.15
+            separator_pressure = (
+                _SEPARATOR_PRESSURE
+                * (moles / _SEPARATOR_MOLES)
+                * (temp_k / _SEPARATOR_TEMP_K)
+            )
+            derived = self._derived = (
+                reactor_pressure,
+                separator_pressure,
+                100.0 * np.add.reduce(self.reactor_liquid, axis=1) / _REACTOR_CAPACITY,
+                100.0 * np.add.reduce(self.separator_liquid, axis=1) / _SEPARATOR_CAPACITY,
+                100.0 * np.add.reduce(self.stripper_liquid, axis=1) / _STRIPPER_CAPACITY,
+            )
+        return derived
 
     @property
     def reactor_pressure_kpa(self) -> np.ndarray:
         """Reactor pressure (kPa gauge) per row."""
-        nominal_moles = sum(INTERNAL["reactor_vapor_nominal"].values())
-        nominal_temp_k = float(INTERNAL["reactor_temp_nominal"]) + 273.15
-        moles = self.reactor_vapor.sum(axis=1)
-        temp_k = self.reactor_temp + 273.15
-        nominal_pressure = float(INTERNAL["reactor_pressure_nominal"])
-        return nominal_pressure * (moles / nominal_moles) * (temp_k / nominal_temp_k)
+        return self._derived_values()[0]
 
     @property
     def separator_pressure_kpa(self) -> np.ndarray:
         """Separator pressure (kPa gauge) per row."""
-        nominal_moles = sum(INTERNAL["separator_vapor_nominal"].values())
-        nominal_temp_k = float(INTERNAL["separator_temp_nominal"]) + 273.15
-        moles = self.separator_vapor.sum(axis=1)
-        temp_k = self.separator_temp + 273.15
-        nominal_pressure = float(INTERNAL["separator_pressure_nominal"])
-        return nominal_pressure * (moles / nominal_moles) * (temp_k / nominal_temp_k)
+        return self._derived_values()[1]
+
+    @property
+    def reactor_level_percent(self) -> np.ndarray:
+        """Reactor liquid level, % of capacity, per row."""
+        return self._derived_values()[2]
+
+    @property
+    def separator_level_percent(self) -> np.ndarray:
+        """Separator liquid level, % of capacity, per row."""
+        return self._derived_values()[3]
+
+    @property
+    def stripper_level_percent(self) -> np.ndarray:
+        """Stripper liquid level, % of capacity, per row."""
+        return self._derived_values()[4]
 
     def clip_nonnegative(self) -> None:
         """Clamp all molar inventories to be non-negative (numerical guard)."""
-        np.clip(self.reactor_vapor, 0.0, None, out=self.reactor_vapor)
-        np.clip(self.reactor_liquid, 0.0, None, out=self.reactor_liquid)
-        np.clip(self.separator_vapor, 0.0, None, out=self.separator_vapor)
-        np.clip(self.separator_liquid, 0.0, None, out=self.separator_liquid)
-        np.clip(self.stripper_liquid, 0.0, None, out=self.stripper_liquid)
+        np.maximum(self.reactor_vapor, 0.0, out=self.reactor_vapor)
+        np.maximum(self.reactor_liquid, 0.0, out=self.reactor_liquid)
+        np.maximum(self.separator_vapor, 0.0, out=self.separator_vapor)
+        np.maximum(self.separator_liquid, 0.0, out=self.separator_liquid)
+        np.maximum(self.stripper_liquid, 0.0, out=self.stripper_liquid)
+        self._derived = None

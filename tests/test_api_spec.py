@@ -264,6 +264,43 @@ class TestSchemaValidation:
                 "end_hour = 5.0\n"
             )
 
+    @pytest.mark.parametrize(
+        "injection, match",
+        [
+            ({"type": "disturbance", "index": 25}, r"IDV\(1\)-IDV\(20\), got 25"),
+            ({"type": "disturbance", "index": 0}, r"IDV\(1\)-IDV\(20\), got 0"),
+            ({"type": "dos", "channel": "sensor", "target": 50}, r"\[1, 41\], got 50"),
+            ({"type": "dos", "channel": "actuator", "target": 13}, r"\[1, 12\], got 13"),
+        ],
+    )
+    def test_out_of_range_injection_index_fails_at_load(self, injection, match):
+        # Such a run would only fail once it is built for simulation, after
+        # the calibration runs were already simulated.
+        mapping = {
+            "name": "x",
+            "scenarios": [{"name": "bad", "injections": [injection]}],
+        }
+        with pytest.raises(ConfigurationError, match=match):
+            api.CampaignSpec.from_mapping(mapping)
+
+    def test_injection_index_bounds_are_inclusive(self):
+        spec = api.CampaignSpec.from_mapping(
+            {
+                "name": "x",
+                "scenarios": [
+                    {
+                        "name": "edges",
+                        "injections": [
+                            {"type": "disturbance", "index": 20},
+                            {"type": "dos", "channel": "sensor", "target": 41},
+                            {"type": "dos", "channel": "actuator", "target": 12},
+                        ],
+                    }
+                ],
+            }
+        )
+        assert len(spec.scenarios[0].injections) == 3
+
     def test_magnitude_sweep_skips_unscalable_scenarios(self):
         spec = api.loads_spec(
             'name = "x"\n'

@@ -1,9 +1,12 @@
 """Tests for safety interlocks."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.exceptions import ConfigurationError, ProcessShutdown
-from repro.process.safety import SafetyLimit, SafetyMonitor
+from repro.process.safety import BatchSafetyMonitor, SafetyLimit, SafetyMonitor
 
 
 class TestSafetyLimit:
@@ -178,3 +181,74 @@ class TestBatchSafetyMonitor:
         # Row 0 (old row 1) never violated; row 1 (old row 2) finishes its
         # grace window started at t=1.0.
         assert tripped.tolist() == [False, True]
+
+
+class TestBatchSafetyMonitorMatchesSerial:
+    """Property: the stacked comparison trips the rows, at the steps and for
+    the reasons, that one serial monitor per row would — including limits
+    sharing a quantity and quantities missing from some calls."""
+
+    QUANTITIES = ("pressure", "level")
+
+    @staticmethod
+    def limit_sets():
+        bounds = st.sampled_from(
+            [(None, 5.0), (2.0, None), (2.0, 8.0), (5.0, 8.0), (None, 2.0)]
+        )
+        limit = st.builds(
+            lambda quantity, low_high, grace, described: SafetyLimit(
+                quantity,
+                low=low_high[0],
+                high=low_high[1],
+                grace_hours=grace,
+                description="limit tripped" if described else "",
+            ),
+            st.sampled_from(TestBatchSafetyMonitorMatchesSerial.QUANTITIES),
+            bounds,
+            st.sampled_from([0.0, 0.02, 0.05]),
+            st.booleans(),
+        )
+        return st.lists(limit, min_size=1, max_size=4)
+
+    def test_matches_one_serial_monitor_per_row(self):
+        steps = st.lists(
+            st.tuples(
+                st.lists(
+                    st.sampled_from([0.0, 3.0, 6.0, 10.0, np.nan]), min_size=3, max_size=3
+                ),
+                st.lists(st.sampled_from([0.0, 3.0, 6.0, 10.0]), min_size=3, max_size=3),
+                st.sets(st.sampled_from(self.QUANTITIES)),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(limits=self.limit_sets(), steps=steps, enabled=st.booleans())
+        def check(limits, steps, enabled):
+            serial = [SafetyMonitor(limits, enabled=enabled) for _ in range(3)]
+            batch = BatchSafetyMonitor(limits, n_rows=3, enabled=enabled)
+            alive = [0, 1, 2]
+            for step, (pressure, level, present) in enumerate(steps):
+                time = 0.01 * (step + 1)
+                columns = {"pressure": pressure, "level": level}
+                expected = []
+                for row in alive:
+                    reason = None
+                    try:
+                        serial[row].check(time, {q: columns[q][row] for q in present})
+                    except ProcessShutdown as shutdown:
+                        reason = shutdown.reason
+                    expected.append(reason)
+                tripped, reasons = batch.check(
+                    time, {q: np.array(columns[q])[alive] for q in present}
+                )
+                assert reasons == expected
+                assert tripped.tolist() == [r is not None for r in expected]
+                keep = np.flatnonzero(~tripped)
+                batch.take(keep)
+                alive = [alive[i] for i in keep]
+                if not alive:
+                    break
+
+        check()
