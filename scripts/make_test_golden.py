@@ -1,0 +1,152 @@
+"""Regenerate ``tests/golden/campaign_smoke.json``, the checked-in anchor of
+the campaign tables, the run trajectories and the lockstep step count.
+
+One :class:`~repro.api.Session` runs ``examples/specs/batch_paper.toml`` at
+the smoke shape (3 calibration runs, 2 runs per scenario, 14 h at 30
+samples/h, anomaly onset at hour 6, root seed 2016, one worker, a fresh
+cache directory), with the ``[live]`` section of
+``examples/specs/live_paper.toml``.  The session runs three times, in this
+order:
+
+1. ``run(streaming=True)`` on the fresh cache, counting the
+   ``BatchTEPlant.step_batch`` calls it makes (calibration included);
+2. ``run(streaming=False)``, which replays that cache and retains every run;
+3. ``run_live()``.
+
+The record holds the sha256 of each run's tables (canonical JSON), one
+sha256 over every run the second call retains (both data views, their
+timestamps and the shutdown time), the step count, and the numpy, scipy
+and Python versions the digests hold on.  ``tests/test_golden_campaign.py``
+repeats the same measurement and compares.  Regenerate only when a change
+is meant to alter these values.
+
+    PYTHONPATH=src python scripts/make_test_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import platform
+import tempfile
+from contextlib import contextmanager
+from dataclasses import replace
+from pathlib import Path
+from typing import Dict, Iterator
+
+import numpy as np
+import scipy
+
+from repro import api
+from repro.common.config import ExperimentConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = ROOT / "examples" / "specs"
+GOLDEN = ROOT / "tests" / "golden" / "campaign_smoke.json"
+ROOT_SEED = 2016
+
+
+def versions() -> Dict[str, str]:
+    """The library versions a digest is only promised to hold on."""
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "python": platform.python_version(),
+    }
+
+
+def golden_spec(cache_dir: Path) -> api.CampaignSpec:
+    """The smoke-shaped batch campaign, armed with the live section."""
+    spec = api.load_spec(SPECS / "batch_paper.toml")
+    smoke = ExperimentConfig.smoke(seed=ROOT_SEED)
+    experiment = replace(
+        spec.experiment,
+        n_calibration_runs=smoke.n_calibration_runs,
+        n_runs_per_scenario=smoke.n_runs_per_scenario,
+        anomaly_start_hour=smoke.anomaly_start_hour,
+        simulation=replace(
+            spec.experiment.simulation,
+            duration_hours=smoke.simulation.duration_hours,
+            samples_per_hour=smoke.simulation.samples_per_hour,
+            seed=smoke.simulation.seed,
+        ),
+        parallel=replace(
+            spec.experiment.parallel, n_workers=1, cache_dir=str(cache_dir)
+        ),
+        seed=smoke.seed,
+    )
+    live = api.load_spec(SPECS / "live_paper.toml").live
+    return replace(spec.with_experiment(experiment), live=live)
+
+
+def table_digest(tables) -> str:
+    """sha256 of a table mapping's canonical JSON."""
+    text = json.dumps(tables, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def trajectory_digest(result: api.CampaignResult) -> str:
+    """One sha256 over every retained run, in scenario and run order."""
+    digest = hashlib.sha256()
+    for records in result.per_seed.values():
+        for name, record in records.items():
+            for run in record.results:
+                digest.update(name.encode("utf-8"))
+                for view in (run.controller_data, run.process_data):
+                    for array in (view.values, view.timestamps):
+                        array = np.ascontiguousarray(array, dtype=np.float64)
+                        digest.update(repr(array.shape).encode("ascii"))
+                        digest.update(array.tobytes())
+                digest.update(repr(run.shutdown_time_hours).encode("ascii"))
+    return digest.hexdigest()
+
+
+@contextmanager
+def counted_steps() -> Iterator[Dict[str, int]]:
+    """Count ``BatchTEPlant.step_batch`` calls while the block runs."""
+    from repro.te.batch import BatchTEPlant
+
+    original = BatchTEPlant.step_batch
+    count = {"calls": 0}
+
+    def step_batch(self, *args, **kwargs):
+        count["calls"] += 1
+        return original(self, *args, **kwargs)
+
+    BatchTEPlant.step_batch = step_batch
+    try:
+        yield count
+    finally:
+        BatchTEPlant.step_batch = original
+
+
+def measure(cache_dir: Path) -> Dict[str, object]:
+    """Run the three campaign calls on a fresh cache and record them."""
+    session = api.Session(golden_spec(cache_dir))
+    with counted_steps() as steps:
+        streaming = session.run(streaming=True)
+    eager = session.run(streaming=False)
+    live = session.run_live()
+    return {
+        "versions": versions(),
+        "step_batch_calls": steps["calls"],
+        "tables": {
+            "streaming": table_digest(streaming.tables()),
+            "eager": table_digest(eager.tables()),
+            "live": table_digest(live.tables()),
+        },
+        "trajectories": trajectory_digest(eager),
+    }
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as scratch:
+        record = measure(Path(scratch) / "cache")
+    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+    GOLDEN.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    print(json.dumps(record, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
