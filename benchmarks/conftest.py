@@ -11,8 +11,10 @@ that shared campaign.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -58,3 +60,32 @@ def calibrated_evaluation(bench_config) -> Evaluation:
 def scenario_evaluations(calibrated_evaluation):
     """Results of the paper's four scenarios, evaluated once per session."""
     return calibrated_evaluation.evaluate_all(paper_scenarios())
+
+
+@pytest.fixture
+def emit_bench_json(benchmark):
+    """Write the requesting benchmark's ``BENCH_<name>.json``.
+
+    ``<name>`` is the module name after ``test_bench_``.  The nightly trend
+    (``scripts/bench_trends.py``) then always has this benchmark's
+    trajectory, independently of pytest-benchmark's ``--benchmark-json``.
+    Call the fixture with the ``extra_info`` key whose value the trend
+    tracks as the benchmark's mean, once ``extra_info`` is complete.
+    """
+
+    def emit(mean_key: str) -> None:
+        module = Path(benchmark.fullname.split("::")[0]).stem
+        payload = {
+            "benchmarks": [
+                {
+                    "name": benchmark.name,
+                    "fullname": benchmark.fullname,
+                    "stats": {"mean": benchmark.extra_info[mean_key]},
+                    "extra_info": dict(benchmark.extra_info),
+                }
+            ]
+        }
+        path = Path(f"BENCH_{module.removeprefix('test_bench_')}.json")
+        path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+
+    return emit

@@ -22,12 +22,10 @@ must cost at most 2.5x a serial one.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,7 +46,6 @@ MIN_SPEEDUP = 3.0
 MAX_B1_STEP_RATIO = 2.5
 #: One short run of the narrow-regime timing: 60 samples, 240 steps.
 NARROW_RUN = SimulationConfig(duration_hours=2.0, samples_per_hour=30, seed=0)
-BENCH_JSON = Path("BENCH_batch.json")
 
 
 def campaign_specs(bench_config):
@@ -98,24 +95,8 @@ def narrow_batch_step_seconds(rounds: int = 3):
     return {name: seconds / steps for name, seconds in best.items()}
 
 
-def emit_bench_json(extra_info) -> None:
-    """Write ``BENCH_batch.json`` so the nightly trend always has this
-    trajectory, independently of pytest-benchmark's ``--benchmark-json``."""
-    payload = {
-        "benchmarks": [
-            {
-                "name": "test_batch_backend_speedup",
-                "fullname": "benchmarks/test_bench_batch.py::test_batch_backend_speedup",
-                "stats": {"mean": extra_info["batch_seconds"]},
-                "extra_info": dict(extra_info),
-            }
-        ]
-    }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2), encoding="utf-8")
-
-
 @pytest.mark.benchmark(group="batch-campaign")
-def test_batch_backend_speedup(benchmark, bench_config):
+def test_batch_backend_speedup(benchmark, bench_config, emit_bench_json):
     specs = campaign_specs(bench_config)
 
     serial_engine = CampaignEngine(ParallelConfig.serial())
@@ -159,7 +140,7 @@ def test_batch_backend_speedup(benchmark, bench_config):
     benchmark.extra_info["speedup"] = round(speedup, 2)
     for name, seconds in step_seconds.items():
         benchmark.extra_info[name] = round(seconds, 7)
-    emit_bench_json(benchmark.extra_info)
+    emit_bench_json("batch_seconds")
 
     print()
     print("Batched vectorized campaign (five paper scenarios, single core)")

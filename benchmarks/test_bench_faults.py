@@ -39,7 +39,6 @@ from repro.service import CampaignCoordinator, ChunkWorker
 
 MAX_OVERHEAD = 0.03
 ROUNDS = 5
-BENCH_JSON = Path("BENCH_faults.json")
 
 # Journal appends scale with the chunk count, not the run length, so the
 # run length sets how honest the ratio is: 12-hour runs keep the bench
@@ -63,24 +62,8 @@ def _spec() -> CampaignSpec:
     ).with_experiment(BENCH_EXPERIMENT)
 
 
-def emit_bench_json(extra_info) -> None:
-    """Write ``BENCH_faults.json`` so the nightly trend always has this
-    trajectory, independently of pytest-benchmark's ``--benchmark-json``."""
-    payload = {
-        "benchmarks": [
-            {
-                "name": "test_journal_overhead",
-                "fullname": "benchmarks/test_bench_faults.py::test_journal_overhead",
-                "stats": {"mean": extra_info["journaled_seconds"]},
-                "extra_info": dict(extra_info),
-            }
-        ]
-    }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2), encoding="utf-8")
-
-
 @pytest.mark.benchmark(group="faults-overhead")
-def test_journal_overhead(benchmark, tmp_path):
+def test_journal_overhead(benchmark, tmp_path, emit_bench_json):
     def run_protocol(cache_dir: Path, journal) -> tuple:
         coordinator = CampaignCoordinator(cache_dir, journal=journal)
         campaign_id = coordinator.submit(_spec())
@@ -135,7 +118,7 @@ def test_journal_overhead(benchmark, tmp_path):
     benchmark.extra_info["plain_seconds"] = round(plain_seconds, 3)
     benchmark.extra_info["journaled_seconds"] = round(journaled_seconds, 3)
     benchmark.extra_info["faults_journal_overhead_fraction"] = round(overhead, 4)
-    emit_bench_json(benchmark.extra_info)
+    emit_bench_json("journaled_seconds")
 
     print()
     print("Journal overhead (five-scenario campaign, fresh caches)")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -34,7 +33,6 @@ FLUSH_EVERY = 4
 #: Per-stream sample cap so the sequential baseline stays bounded even at
 #: ``REPRO_BENCH_SCALE=paper``.
 MAX_SAMPLES = 240
-BENCH_JSON = Path("BENCH_gateway.json")
 
 
 @pytest.fixture(scope="module")
@@ -47,28 +45,9 @@ def recorded_run(bench_config):
     )
 
 
-def emit_bench_json(extra_info) -> None:
-    """Write ``BENCH_gateway.json`` so the nightly trend always has this
-    trajectory, independently of pytest-benchmark's ``--benchmark-json``."""
-    payload = {
-        "benchmarks": [
-            {
-                "name": "test_gateway_batched_scoring_speedup",
-                "fullname": (
-                    "benchmarks/test_bench_gateway.py::"
-                    "test_gateway_batched_scoring_speedup"
-                ),
-                "stats": {"mean": extra_info["batched_seconds"]},
-                "extra_info": dict(extra_info),
-            }
-        ]
-    }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2), encoding="utf-8")
-
-
 @pytest.mark.benchmark(group="gateway-streams")
 def test_gateway_batched_scoring_speedup(
-    benchmark, bench_config, calibrated_evaluation, recorded_run
+    benchmark, bench_config, calibrated_evaluation, recorded_run, emit_bench_json
 ):
     analyzer = calibrated_evaluation.analyzer
     onset = bench_config.anomaly_start_hour
@@ -135,7 +114,7 @@ def test_gateway_batched_scoring_speedup(
     benchmark.extra_info["speedup"] = round(speedup, 2)
     benchmark.extra_info["samples_per_second"] = round(samples_per_second, 1)
     benchmark.extra_info["streams_per_core"] = round(streams_per_core)
-    emit_bench_json(benchmark.extra_info)
+    emit_bench_json("batched_seconds")
 
     print()
     print(f"Gateway cross-stream batched scoring ({N_STREAMS} streams)")

@@ -26,7 +26,6 @@ import io
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -38,27 +37,10 @@ from repro.obs.trace import Tracer, set_tracer
 
 MAX_OVERHEAD = 0.02
 ROUNDS = 5
-BENCH_JSON = Path("BENCH_obs.json")
-
-
-def emit_bench_json(extra_info) -> None:
-    """Write ``BENCH_obs.json`` so the nightly trend always has this
-    trajectory, independently of pytest-benchmark's ``--benchmark-json``."""
-    payload = {
-        "benchmarks": [
-            {
-                "name": "test_obs_overhead",
-                "fullname": "benchmarks/test_bench_obs.py::test_obs_overhead",
-                "stats": {"mean": extra_info["enabled_seconds"]},
-                "extra_info": dict(extra_info),
-            }
-        ]
-    }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2), encoding="utf-8")
 
 
 @pytest.mark.benchmark(group="obs-overhead")
-def test_obs_overhead(benchmark, bench_config):
+def test_obs_overhead(benchmark, bench_config, emit_bench_json):
     scenarios = [normal_scenario(), *paper_scenarios()]
 
     def run_campaign() -> str:
@@ -115,7 +97,7 @@ def test_obs_overhead(benchmark, bench_config):
     benchmark.extra_info["plain_seconds"] = round(plain_seconds, 3)
     benchmark.extra_info["enabled_seconds"] = round(enabled_seconds, 3)
     benchmark.extra_info["obs_overhead_fraction"] = round(overhead, 4)
-    emit_bench_json(benchmark.extra_info)
+    emit_bench_json("enabled_seconds")
 
     print()
     print("Observability overhead (five-scenario campaign)")

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -32,7 +31,6 @@ from repro.response import ActionSpec, ResponsePolicy, ResponseRunner
 
 MAX_OVERHEAD = 0.05
 ROUNDS = 5
-BENCH_JSON = Path("BENCH_response.json")
 
 
 def _never_matching_policy() -> ResponsePolicy:
@@ -49,27 +47,10 @@ def _never_matching_policy() -> ResponsePolicy:
     )
 
 
-def emit_bench_json(extra_info) -> None:
-    """Write ``BENCH_response.json`` so the nightly trend always has this
-    trajectory, independently of pytest-benchmark's ``--benchmark-json``."""
-    payload = {
-        "benchmarks": [
-            {
-                "name": "test_response_runner_overhead",
-                "fullname": (
-                    "benchmarks/test_bench_response.py::"
-                    "test_response_runner_overhead"
-                ),
-                "stats": {"mean": extra_info["response_seconds"]},
-                "extra_info": dict(extra_info),
-            }
-        ]
-    }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2), encoding="utf-8")
-
-
 @pytest.mark.benchmark(group="response-overhead")
-def test_response_runner_overhead(benchmark, bench_config, calibrated_evaluation):
+def test_response_runner_overhead(
+    benchmark, bench_config, calibrated_evaluation, emit_bench_json
+):
     analyzer = calibrated_evaluation.analyzer
     scenario = get_scenario("normal")
     simulation = bench_config.simulation
@@ -133,7 +114,7 @@ def test_response_runner_overhead(benchmark, bench_config, calibrated_evaluation
     benchmark.extra_info["plain_seconds"] = round(plain_seconds, 3)
     benchmark.extra_info["response_seconds"] = round(response_seconds, 3)
     benchmark.extra_info["overhead_fraction"] = round(overhead, 4)
-    emit_bench_json(benchmark.extra_info)
+    emit_bench_json("response_seconds")
 
     print()
     print("Response runner overhead (normal scenario, no action fires)")

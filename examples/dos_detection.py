@@ -3,8 +3,10 @@
 The paper observes that DoS attacks — where the actuator keeps re-using the
 last command it received — are much slower to detect than integrity attacks
 and that their oMEDA diagnosis does not clearly implicate the attacked
-variable.  This example reproduces both observations with the streaming
-detector running observation by observation, the way an online monitor would.
+variable.  This example reproduces both observations with a live monitor
+scoring the process view observation by observation, the way an online
+monitor would: detections count from the attack onset on, and the alarm
+raised at the detection names the chart that fired.
 
 Run with:  python examples/dos_detection.py
 """
@@ -12,7 +14,6 @@ Run with:  python examples/dos_detection.py
 from __future__ import annotations
 
 
-from repro.anomaly.detector import StreamingDetector
 from repro.common.config import MSPCConfig, SimulationConfig
 from repro.datasets.dataset import ProcessDataset
 from repro.experiments.runner import run_scenario
@@ -21,6 +22,7 @@ from repro.experiments.scenarios import (
     integrity_attack_on_xmv3_scenario,
     normal_scenario,
 )
+from repro.live.monitor import LiveViewMonitor
 from repro.mspc.model import MSPCMonitor
 
 ANOMALY_START_HOUR = 5.0
@@ -42,29 +44,29 @@ def calibrate() -> MSPCMonitor:
 
 def stream_and_report(monitor: MSPCMonitor, scenario, label: str) -> None:
     run = run_scenario(scenario, SIMULATION, anomaly_start_hour=ANOMALY_START_HOUR)
-    detector = StreamingDetector(monitor)
-    detection_after_onset = None
+    live = LiveViewMonitor(
+        monitor, view="process", anomaly_start_hour=ANOMALY_START_HOUR
+    )
     for row, time in zip(run.process_data.values, run.process_data.timestamps):
-        event = detector.observe(row, time)
-        if (
-            event is not None
-            and detection_after_onset is None
-            and event.detection_time_hours >= ANOMALY_START_HOUR
-        ):
-            detection_after_onset = event
+        live.observe(row, time)
     print(f"--- {label} ---")
-    if detection_after_onset is None:
+    detection = live.detection_index
+    if detection is None:
         print("  not detected within the simulation horizon")
         return
-    run_length = detection_after_onset.detection_time_hours - ANOMALY_START_HOUR
-    print(f"  detected on the {detection_after_onset.chart} chart "
-          f"after {run_length:.2f} h (statistic {detection_after_onset.statistic_value:.1f} "
-          f"vs limit {detection_after_onset.limit:.1f})")
+    run_length = live.detection_time_hours - ANOMALY_START_HOUR
+    # The alarm standing at the detection: raised there, or earlier within
+    # the same violation run when that run began before the onset.
+    alarm = [
+        event for event in live.alarms.raise_events if event.index <= detection
+    ][-1]
+    print(f"  detected on the {alarm.chart} chart "
+          f"after {run_length:.2f} h (statistic {alarm.statistic_value:.1f} "
+          f"vs limit {alarm.limit:.1f})")
     diagnosis = monitor.diagnose(
         run.process_data,
         observation_indices=range(
-            detection_after_onset.detection_index,
-            min(detection_after_onset.detection_index + 3, run.process_data.n_observations),
+            detection, min(detection + 3, run.process_data.n_observations)
         ),
     )
     print(f"  oMEDA top variables: {', '.join(diagnosis.top_variables(4))}")

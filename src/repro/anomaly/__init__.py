@@ -4,12 +4,10 @@ The paper's key idea is to monitor **both** controller-level and process-level
 data with MSPC: detection works on either view, and comparing the oMEDA
 diagnoses of the two views makes it possible to tell process disturbances from
 integrity attacks — the two views agree under a disturbance and diverge under
-an attack.  This package provides the streaming detector, the anomaly event
-record and the dual-level analyzer implementing that comparison.
+an attack.  This package provides the dual-level analyzer implementing that
+comparison; :mod:`repro.live` runs the same detection sample by sample.
 """
 
-from repro.anomaly.events import AnomalyEvent
-from repro.anomaly.detector import StreamingDetector
 from repro.anomaly.diagnosis import (
     DualLevelAnalyzer,
     DualLevelDiagnosis,
@@ -20,8 +18,6 @@ from repro.anomaly.diagnosis import (
 )
 
 __all__ = [
-    "AnomalyEvent",
-    "StreamingDetector",
     "DualLevelAnalyzer",
     "DualLevelDiagnosis",
     "DiagnosisSummary",

@@ -271,40 +271,7 @@ class Session:
         ``on_run`` is called with every analyzed run as it completes
         (progress reporting).
         """
-        streaming = (
-            self.spec.analysis.streaming if streaming is None else bool(streaming)
-        )
-        scenarios = self.spec.expanded_scenarios()
-        result = CampaignResult(spec=self.spec)
-        with log_context(campaign=self.fingerprint()), obs_span(
-            "session.run",
-            n_seeds=len(self.spec.seeds()),
-            n_scenarios=len(scenarios),
-            streaming=streaming,
-        ):
-            for seed in self.spec.seeds():
-                evaluation = self._calibrated(seed, keep_results=not streaming)
-                with obs_span("session.seed", seed=seed), log_context(seed=seed):
-                    if streaming:
-                        results = evaluation.evaluate_all_streaming(
-                            scenarios,
-                            chunk_size=self.spec.analysis.chunk_size,
-                            on_run=on_run,
-                        )
-                    else:
-                        results = evaluation.evaluate_all(
-                            scenarios, on_run=on_run
-                        )
-                result.per_seed[seed] = results
-            _LOG.info(
-                "campaign complete",
-                extra={
-                    "n_seeds": len(result.per_seed),
-                    "n_scenarios": len(scenarios),
-                    "streaming": streaming,
-                },
-            )
-        return result
+        return self._run(streaming, on_run, policy=None)
 
     def run_live(
         self, streaming: Optional[bool] = None, on_run=None
@@ -326,19 +293,44 @@ class Session:
                 "the spec's [live] section is not enabled; set "
                 "live.enabled = true (or use Session.run for batch execution)"
             )
+        return self._run(streaming, on_run, policy=live.policy())
+
+    def _run(self, streaming: Optional[bool], on_run, policy) -> CampaignResult:
+        """The body of :meth:`run` and :meth:`run_live` (``policy=None``:
+        no early stopping)."""
         streaming = (
             self.spec.analysis.streaming if streaming is None else bool(streaming)
         )
         scenarios = self.spec.expanded_scenarios()
         result = CampaignResult(spec=self.spec)
-        for seed in self.spec.seeds():
-            evaluation = self._calibrated(seed, keep_results=not streaming)
-            result.per_seed[seed] = evaluation.evaluate_all_live(
-                scenarios,
-                policy=live.policy(),
-                streaming=streaming,
-                chunk_size=self.spec.analysis.chunk_size,
-                on_run=on_run,
+        with log_context(campaign=self.fingerprint()), obs_span(
+            "session.run",
+            n_seeds=len(self.spec.seeds()),
+            n_scenarios=len(scenarios),
+            streaming=streaming,
+            live=policy is not None,
+        ):
+            for seed in self.spec.seeds():
+                evaluation = self._calibrated(seed, keep_results=not streaming)
+                with obs_span("session.seed", seed=seed), log_context(seed=seed):
+                    result.per_seed[seed] = evaluation.evaluate_all_live(
+                        scenarios,
+                        policy=policy,
+                        streaming=streaming,
+                        # The spec's chunk size shards the streaming path only.
+                        chunk_size=(
+                            self.spec.analysis.chunk_size if streaming else None
+                        ),
+                        on_run=on_run,
+                    )
+            _LOG.info(
+                "campaign complete",
+                extra={
+                    "n_seeds": len(result.per_seed),
+                    "n_scenarios": len(scenarios),
+                    "streaming": streaming,
+                    "live": policy is not None,
+                },
             )
         return result
 

@@ -1,26 +1,27 @@
 """Streaming, sharded analysis of campaign results.
 
-PR 1 parallelised the *simulation* stage of the paper's evaluation; this
-module does the same for the *analysis* stage (MSPC scoring, oMEDA diagnosis,
-ARL aggregation) while bounding memory:
+This module runs the analysis stage of the paper's evaluation (MSPC
+scoring, oMEDA diagnosis, ARL aggregation) next to the simulation stage,
+in one loop with bounded memory:
 
-* campaign results are consumed as an **iterator** — chunked loads from the
-  NPZ :class:`~repro.experiments.parallel.ResultCache` instead of
-  whole-campaign lists; on the streaming path cached runs are handed to the
-  scoring workers *as paths*, so the NPZ decompression itself is sharded and
-  the parent process never materializes the run arrays;
+* :class:`AnalysisPipeline` walks one ordered plan of every scenario's runs
+  chunk by chunk; per chunk it peeks the NPZ
+  :class:`~repro.experiments.parallel.ResultCache`, simulates the misses in
+  one engine call and scores the chunk.  When streaming, cached runs are
+  handed to the scoring workers *as paths*, so the NPZ decompression itself
+  is sharded and the parent process never materializes the run arrays;
 * per-run MSPC scoring + oMEDA diagnosis fan out over a worker pool
   (:class:`AnalysisEngine`), with workers returning compact
   :class:`~repro.anomaly.diagnosis.DiagnosisSummary` records instead of full
-  per-observation charts;
+  per-observation charts unless the caller retains runs;
 * aggregation happens in **incremental reducers** (:class:`ScenarioReducer`:
   detection counts, ARL, classification tallies, mean-oMEDA) so a finished
   run can be dropped immediately.
 
 Peak memory of a streaming campaign is therefore O(chunk), not O(campaign),
-and the produced :class:`ScenarioSummary` tables are bitwise-identical to the
-eager :class:`~repro.experiments.evaluation.Evaluation` path (which itself
-sits on these reducers).
+and the produced :class:`ScenarioSummary` tables are bitwise-identical to
+the retained :class:`~repro.experiments.evaluation.ScenarioEvaluation`
+records of the same loop.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from __future__ import annotations
 import numbers
 import time
 import warnings
+from contextlib import closing
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
     Dict,
@@ -54,11 +56,16 @@ from repro.anomaly.diagnosis import (
 from repro.common.config import EarlyStopPolicy, ExperimentConfig, ParallelConfig
 from repro.common.exceptions import ConfigurationError
 from repro.datasets.io import peek_result_npz
-from repro.experiments.parallel import CampaignEngine, CampaignStats, scenario_specs
+from repro.experiments.parallel import (
+    CampaignEngine,
+    CampaignStats,
+    RunSpec,
+    scenario_specs,
+)
 from repro.experiments.scenarios import Scenario, paper_scenarios
 from repro.mspc.arl import RunLengthAccumulator, run_length
 from repro.mspc.model import OmedaResult
-from repro.obs.logs import get_logger, log_context
+from repro.obs.logs import get_logger
 from repro.obs.trace import span as obs_span
 from repro.process.simulator import SimulationResult
 
@@ -85,6 +92,9 @@ DiagnosisLike = Union[DualLevelDiagnosis, DiagnosisSummary]
 #: process ever materializing the run data.
 ResultSource = Union[SimulationResult, str, Path]
 
+#: One entry of a campaign plan: a scenario, a run index and its spec.
+PlannedRun = Tuple[Scenario, int, RunSpec]
+
 
 # ----------------------------------------------------------------------
 # Per-run record
@@ -93,9 +103,8 @@ ResultSource = Union[SimulationResult, str, Path]
 class AnalyzedRun:
     """The analysis outcome of one run of one scenario.
 
-    ``result`` is retained only when the pipeline is asked to keep full
-    simulation results (the eager compatibility path); the streaming path
-    leaves it ``None`` so the run's arrays can be freed as soon as the
+    ``result`` is set only when the pipeline retains runs; the streaming
+    path leaves it ``None`` so the run's arrays can be freed as soon as the
     reducers have consumed this record.
     """
 
@@ -563,6 +572,12 @@ class ScenarioSummary:
 class AnalysisPipeline:
     """Streams a campaign through simulation, sharded scoring and reducers.
 
+    One loop (:meth:`iter_campaign`) runs every campaign: it walks one
+    ordered plan of ``(scenario, run index, RunSpec)`` entries spanning all
+    scenarios, chunk by chunk.  Per chunk it peeks the result cache,
+    simulates the misses with one engine call and scores the whole chunk
+    through the :class:`AnalysisEngine`.
+
     Parameters
     ----------
     analyzer:
@@ -574,14 +589,18 @@ class AnalysisPipeline:
         Optional pre-built simulation engine (shared with
         :class:`~repro.experiments.evaluation.Evaluation` so cache state and
         stats are visible to the caller).
-    summarize:
-        When ``True`` (the streaming default) workers return compact
-        :class:`DiagnosisSummary` records; ``False`` retains the full
-        :class:`DualLevelDiagnosis` per run.
-    keep_results:
-        When ``True`` each :class:`AnalyzedRun` carries its
-        :class:`SimulationResult`; peak memory then grows with the campaign
-        again, so this is only meant for the eager compatibility path.
+    chunk_size:
+        Runs per chunk.  With ``retain`` the whole plan is one chunk unless
+        this is set; when streaming it defaults to
+        :attr:`ParallelConfig.resolved_chunk_size`, and chunks never span
+        two scenarios.
+    retain:
+        ``True`` keeps everything: cache hits are loaded in this process
+        and each :class:`AnalyzedRun` carries its :class:`SimulationResult`
+        and full :class:`DualLevelDiagnosis`, so peak memory grows with the
+        campaign.  ``False`` (the default) streams: cache hits are handed to
+        the scoring workers *as paths*, runs come back as compact
+        :class:`DiagnosisSummary` records, and peak memory is O(chunk).
     early_stop:
         Optional :class:`~repro.common.config.EarlyStopPolicy`: anomalous
         scenarios' runs are then live-monitored while they simulate and
@@ -598,8 +617,7 @@ class AnalysisPipeline:
         config: ExperimentConfig,
         engine: Optional[CampaignEngine] = None,
         chunk_size: Optional[int] = None,
-        summarize: bool = True,
-        keep_results: bool = False,
+        retain: bool = False,
         early_stop: Optional[EarlyStopPolicy] = None,
     ):
         self.config = config
@@ -607,17 +625,16 @@ class AnalysisPipeline:
         self.engine = engine or CampaignEngine(config.parallel)
         self.analysis_engine = AnalysisEngine(analyzer, config.parallel)
         self.chunk_size = chunk_size
-        self.summarize = summarize
-        self.keep_results = keep_results
+        self.retain = retain
         self.early_stop = early_stop
         if early_stop is not None:
             self.engine.set_live_analyzer(analyzer)
-        # Accumulated over every scenario streamed through this pipeline
-        # (each engine/analysis ``last_stats`` only covers one scenario).
+        # Accumulated over every chunk streamed through this pipeline (each
+        # engine/analysis ``last_stats`` only covers one call).
         self.simulation_stats = CampaignStats()
         self.analysis_stats = AnalysisStats()
 
-    def _specs(self, scenario: Scenario, n_runs: Optional[int]) -> List:
+    def _specs(self, scenario: Scenario, n_runs: Optional[int]) -> List[RunSpec]:
         """The scenario's run specs, live early stopping attached if set."""
         if self.early_stop is None:
             return scenario_specs(self.config, scenario, n_runs)
@@ -625,235 +642,119 @@ class AnalysisPipeline:
 
         return live_scenario_specs(self.config, scenario, self.early_stop, n_runs)
 
-    # ------------------------------------------------------------------
-    def iter_scenario(
-        self, scenario: Scenario, n_runs: Optional[int] = None
-    ) -> Iterator[AnalyzedRun]:
-        """Simulate, score and yield one scenario's runs, one at a time.
+    def _chunks(
+        self, scenarios: Sequence[Scenario], n_runs: Optional[int]
+    ) -> Iterator[List[PlannedRun]]:
+        """The campaign plan, cut into the chunks the loop runs one by one.
 
-        Results stream chunk by chunk; each chunk's MSPC scoring + oMEDA
-        diagnosis fans out over the analysis pool; every yielded record is
-        final, so the caller can fold it into reducers and drop it.
-
-        On the streaming path (``keep_results=False``) runs already present
-        in the NPZ result cache are handed to the workers *as paths*: the
-        worker loads, scores and summarizes the run, and the parent process
-        never materializes its arrays at all.  The eager path
-        (``keep_results=True``) loads results in the parent, since the
-        caller wants them retained anyway.
-
-        The raw iterators leave the cache eviction policy to the caller
-        (streaming must not evict entries whose paths workers hold);
-        :meth:`analyze_scenario` / :meth:`analyze_all` prune once their
-        campaign is done, and the eager path prunes via the engine.
+        With retention the plan is cut as a whole (by default into one
+        chunk, so one engine call and one scoring pool span the sweep);
+        when streaming, each scenario's runs are cut separately.
         """
-        if self.keep_results:
+        plan = []
+        for scenario in scenarios:
             specs = self._specs(scenario, n_runs)
-            yield from self._iter_eager([(scenario, specs)])
+            plan.append([(scenario, index, spec) for index, spec in enumerate(specs)])
+        if self.retain:
+            plan = [[entry for entries in plan for entry in entries]]
+            default = max(1, len(plan[0]))
         else:
-            yield from self._iter_streaming(scenario, n_runs)
+            default = self.config.parallel.resolved_chunk_size
+        size = int(self.chunk_size) if self.chunk_size is not None else default
+        if size < 1:
+            raise ConfigurationError("chunk_size must be >= 1")
+        for entries in plan:
+            for offset in range(0, len(entries), size):
+                yield entries[offset : offset + size]
 
+    # ------------------------------------------------------------------
     def iter_campaign(
         self,
         scenarios: Sequence[Scenario],
         n_runs: Optional[int] = None,
     ) -> Iterator[AnalyzedRun]:
-        """Stream several scenarios' runs, in scenario order.
+        """Simulate, score and yield every run of a campaign, in plan order.
 
-        On the eager path the whole sweep is submitted to the engine as one
-        batch (one pool, fan-out spanning every scenario — the pre-streaming
-        behaviour); per-run seeds make the outcome identical either way.
-        The streaming path goes scenario by scenario, chunk by chunk.
+        Every yielded record is final, so the caller can fold it into
+        reducers and drop it.  Per-run seeds make the outcome
+        bitwise-identical whatever the chunking, retention, worker count or
+        backend.  The cache eviction policy runs once, when the loop ends:
+        streaming hands cache paths to the scoring workers, so it must not
+        delete entries mid-campaign.
         """
-        if self.keep_results:
-            groups = [
-                (scenario, self._specs(scenario, n_runs))
-                for scenario in scenarios
-            ]
-            yield from self._iter_eager(groups)
-        else:
-            for scenario in scenarios:
-                yield from self._iter_streaming(scenario, n_runs)
-
-    def _iter_eager(
-        self, groups: Sequence[Tuple[Scenario, List]]
-    ) -> Iterator[AnalyzedRun]:
-        """Parent-side loads, full retention: the eager compatibility path.
-
-        Retention makes O(chunk) memory moot here, so unless an explicit
-        ``chunk_size`` was configured, the whole batch runs as one chunk —
-        a single pool whose fan-out spans every scenario of the sweep.
-        """
-        flat_specs: List = []
-        scenario_of: List[Scenario] = []
-        for scenario, specs in groups:
-            flat_specs.extend(specs)
-            scenario_of.extend([scenario] * len(specs))
-        starts = [
-            self.config.anomaly_start_hour if scenario.is_anomalous else None
-            for scenario in scenario_of
-        ]
-        chunk = self.chunk_size or max(1, len(flat_specs))
-        # By the time verdict ``i`` is yielded, the chunk containing result
-        # ``i`` has necessarily passed through and been recorded.
-        retained: Dict[int, SimulationResult] = {}
-        stream = self.engine.iter_run(flat_specs, chunk)
-
-        def passthrough() -> Iterator[SimulationResult]:
-            for index, item in enumerate(stream):
-                retained[index] = item
-                yield item
-
-        scored = self.analysis_engine.map(
-            passthrough(),
-            anomaly_start_hour=starts,
-            summarize=self.summarize,
-            chunk_size=chunk,
-        )
         try:
-            run_index = 0
-            current: Optional[Scenario] = None
-            for flat_index, verdict in enumerate(scored):
-                scenario = scenario_of[flat_index]
-                if scenario is not current:
-                    current, run_index = scenario, 0
-                yield self._record(scenario, run_index, verdict, retained[flat_index])
-                run_index += 1
-        finally:
-            # Close the inner generators first so their stats are final
-            # (and the engine's deferred prune has run) before absorbing —
-            # early termination by the consumer then still books the work
-            # actually done.
-            scored.close()
-            stream.close()
-            self.simulation_stats.absorb(self.engine.last_stats)
-            self.analysis_stats.absorb(self.analysis_engine.last_stats)
-
-    def _iter_streaming(
-        self, scenario: Scenario, n_runs: Optional[int]
-    ) -> Iterator[AnalyzedRun]:
-        """Worker-side cache loads, O(chunk) memory: the streaming path.
-
-        Misses go through :meth:`CampaignEngine.run` per chunk, which spins
-        its pool up per call — acceptable because a mostly-cold cache means
-        simulation dominates anyway; fully cached replays (the streaming
-        path's main use) never pay it.
-        """
-        specs = self._specs(scenario, n_runs)
-        anomaly_start = (
-            self.config.anomaly_start_hour if scenario.is_anomalous else None
-        )
-        size = (
-            int(self.chunk_size)
-            if self.chunk_size is not None
-            else self.config.parallel.resolved_chunk_size
-        )
-        if size < 1:
-            raise ConfigurationError("chunk_size must be >= 1")
-        stats = CampaignStats(backend="serial", n_workers=1)
-        run_index = 0
-        try:
-            for offset in range(0, len(specs), size):
-                chunk_specs = specs[offset : offset + size]
-                chunk_started = time.perf_counter()
-                stats.n_runs += len(chunk_specs)
-                sources: List[Optional[ResultSource]] = [None] * len(chunk_specs)
-                missing: List[int] = []
-                for index, spec in enumerate(chunk_specs):
-                    path = self._valid_cache_path(spec)
-                    if path is not None:
-                        sources[index] = path
-                    else:
-                        missing.append(index)
-                stats.n_cache_hits += len(chunk_specs) - len(missing)
+            for chunk_index, chunk in enumerate(self._chunks(scenarios, n_runs)):
+                specs = [spec for _, _, spec in chunk]
+                started = time.perf_counter()
+                sources = [self._cached(spec) for spec in specs]
+                missing = [i for i, source in enumerate(sources) if source is None]
+                stats = CampaignStats(
+                    n_runs=len(chunk), n_cache_hits=len(chunk) - len(missing)
+                )
                 if missing:
-                    # Eviction is deferred to the end of the campaign
-                    # (prune=False): the policy must not delete entries whose
-                    # paths were just handed to the scoring workers.
                     simulated = self.engine.run(
-                        [chunk_specs[i] for i in missing], prune=False
+                        [specs[i] for i in missing], prune=False
                     )
                     for index, result in zip(missing, simulated):
                         sources[index] = result
                     # Book what the engine actually did: a concurrent
                     # campaign may have filled the cache between our peek
                     # and the run, turning a miss into a hit.
-                    engine_stats = self.engine.last_stats
-                    stats.n_simulated += engine_stats.n_simulated
-                    stats.n_cache_hits += engine_stats.n_cache_hits
-                    stats.n_workers = max(stats.n_workers, engine_stats.n_workers)
-                    if engine_stats.backend in ("process", "batch"):
-                        stats.backend = engine_stats.backend
-                stats.wall_seconds += time.perf_counter() - chunk_started
-                try:
-                    verdicts = list(
-                        self.analysis_engine.map(
-                            sources,
-                            anomaly_start_hour=anomaly_start,
-                            summarize=self.summarize,
-                            chunk_size=len(sources),
-                        )
+                    stats.absorb(
+                        replace(self.engine.last_stats, n_runs=0, wall_seconds=0.0)
                     )
+                stats.wall_seconds = time.perf_counter() - started
+                self.simulation_stats.absorb(stats)
+                starts = [
+                    self.config.anomaly_start_hour if scenario.is_anomalous else None
+                    for scenario, _, _ in chunk
+                ]
+                try:
+                    verdicts = self._score(sources, starts)
                 except Exception as error:
                     # Recovery only makes sense when the chunk depended on
                     # cache paths that may have gone bad under us (another
                     # campaign's prune/clear on a shared cache, or arrays
-                    # corrupt past the peeked JSON members); anything else is
-                    # a genuine scoring failure and propagates.
-                    if not any(
-                        isinstance(source, (str, Path)) for source in sources
-                    ):
+                    # corrupt past the peeked JSON members); anything else
+                    # is a genuine scoring failure and propagates.
+                    if not any(isinstance(source, (str, Path)) for source in sources):
                         raise
-                    warnings.warn(
-                        f"chunk scoring failed ({error!r}); retrying with "
-                        "cache-miss semantics",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    _LOG.warning(
-                        "chunk scoring failed; retrying with cache-miss "
-                        "semantics",
-                        extra={"chunk": offset // size, "error": repr(error)},
-                    )
-                    # Rebuild the pool (a dead worker poisons it), reload
-                    # sound entries / re-simulate broken ones, and rescore
-                    # from memory.
-                    self.analysis_engine.close()
-                    recovered = self.engine.run(chunk_specs, prune=False)
-                    # Entries that had to be re-simulated were optimistically
-                    # counted as hits when their paths passed the peek.
+                    self._before_recovery(error, chunk_index)
+                    sources = self.engine.run(specs, prune=False)
+                    # Entries that had to be re-simulated were
+                    # optimistically counted as hits when their paths
+                    # passed the peek.
                     resimulated = self.engine.last_stats.n_simulated
-                    stats.n_simulated += resimulated
-                    stats.n_cache_hits = max(0, stats.n_cache_hits - resimulated)
-                    verdicts = list(
-                        self.analysis_engine.map(
-                            recovered,
-                            anomaly_start_hour=anomaly_start,
-                            summarize=self.summarize,
-                            chunk_size=len(recovered),
-                        )
+                    self.simulation_stats.n_simulated += resimulated
+                    self.simulation_stats.n_cache_hits = max(
+                        0, self.simulation_stats.n_cache_hits - resimulated
                     )
-                for verdict in verdicts:
-                    yield self._record(scenario, run_index, verdict, None)
-                    run_index += 1
-                self.analysis_stats.absorb(self.analysis_engine.last_stats)
+                    verdicts = self._score(sources, starts)
+                for (scenario, run_index, _), source, verdict in zip(
+                    chunk, sources, verdicts
+                ):
+                    yield self._record(
+                        scenario, run_index, verdict, source if self.retain else None
+                    )
         finally:
-            # Eviction is a campaign-level concern: analyze_scenario /
-            # analyze_all prune once scoring is done.  Pruning here would
-            # evict entries later scenarios of the same sweep still need.
-            self.simulation_stats.absorb(stats)
+            self.engine.prune_cache()
 
-    def _valid_cache_path(self, spec) -> Optional[Path]:
-        """The spec's cache entry path, if present and structurally sound.
+    def _cached(self, spec: RunSpec) -> Optional[ResultSource]:
+        """A spec's cache hit as scoring takes it, or ``None`` on a miss.
 
-        Validation uses :func:`~repro.datasets.io.peek_result_npz`, which
-        reads only the small JSON members — a corrupt or truncated entry is
-        treated as a miss and re-simulated, matching
-        :meth:`ResultCache.load` semantics without loading the arrays.
+        With retention the result is loaded here.  When streaming only the
+        entry's path is returned, after
+        :func:`~repro.datasets.io.peek_result_npz` has read its small JSON
+        members: a corrupt or truncated entry is a miss and is
+        re-simulated, as :meth:`ResultCache.load` would treat it, without
+        loading the arrays.
         """
-        if self.engine.cache is None:
+        cache = self.engine.cache
+        if cache is None:
             return None
-        path = self.engine.cache.path_for(spec)
+        if self.retain:
+            return cache.load(spec)
+        path = cache.path_for(spec)
         if not path.is_file():
             return None
         try:
@@ -861,6 +762,37 @@ class AnalysisPipeline:
         except Exception:
             return None
         return path
+
+    def _score(
+        self, sources: Sequence[ResultSource], starts: List[Optional[float]]
+    ) -> List[ScoredRun]:
+        """Score one chunk in a single :meth:`AnalysisEngine.map` call."""
+        verdicts = list(
+            self.analysis_engine.map(
+                sources,
+                anomaly_start_hour=starts,
+                summarize=not self.retain,
+                chunk_size=len(sources),
+            )
+        )
+        self.analysis_stats.absorb(self.analysis_engine.last_stats)
+        return verdicts
+
+    def _before_recovery(self, error: Exception, chunk_index: int) -> None:
+        """Report a chunk whose cache paths failed to score and rebuild the
+        scoring pool (a dead worker poisons it) before the chunk is rerun
+        from memory."""
+        warnings.warn(
+            f"chunk scoring failed ({error!r}); retrying with "
+            "cache-miss semantics",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        _LOG.warning(
+            "chunk scoring failed; retrying with cache-miss semantics",
+            extra={"chunk": chunk_index, "error": repr(error)},
+        )
+        self.analysis_engine.close()
 
     def _record(
         self,
@@ -886,61 +818,44 @@ class AnalysisPipeline:
             result=result,
         )
 
-    def analyze_scenario(
-        self,
-        scenario: Scenario,
-        n_runs: Optional[int] = None,
-        prune: bool = True,
-        on_run=None,
-    ) -> ScenarioSummary:
-        """Stream one scenario through the reducers and summarize it.
-
-        ``prune=False`` defers the cache eviction policy to the caller —
-        :meth:`analyze_all` prunes once per sweep, after the last scenario,
-        so a tight cap cannot evict entries a later scenario still needs.
-        ``on_run`` is called with every :class:`AnalyzedRun` as it streams
-        through (progress reporting).
-        """
-        reducer = ScenarioReducer(scenario)
-        with obs_span(
-            "analysis.scenario", scenario=scenario.name
-        ) as scenario_span, log_context(scenario=scenario.name):
-            for run in self.iter_scenario(scenario, n_runs):
-                reducer.update(run)
-                if on_run is not None:
-                    on_run(run)
-            if prune:
-                self.engine.prune_cache()
-            summary = reducer.summary()
-            scenario_span.annotate(
-                n_runs=summary.n_runs, n_detected=summary.n_detected
-            )
-        _LOG.info(
-            "scenario analyzed",
-            extra={
-                "scenario": scenario.name,
-                "n_runs": summary.n_runs,
-                "n_detected": summary.n_detected,
-            },
-        )
-        return summary
-
     def analyze_all(
         self,
         scenarios: Optional[Sequence[Scenario]] = None,
         on_run=None,
+        n_runs: Optional[int] = None,
     ) -> Dict[str, ScenarioSummary]:
-        """Stream every scenario (defaults to the paper's four)."""
+        """Run every scenario (defaults to the paper's four) into reducers.
+
+        ``on_run`` is called with every :class:`AnalyzedRun` as it streams
+        through (progress reporting, or collecting retained runs).  The
+        scoring pool is released when the campaign is done.
+        """
         scenarios = list(scenarios or paper_scenarios())
-        summaries: Dict[str, ScenarioSummary] = {}
-        try:
-            for scenario in scenarios:
-                summaries[scenario.name] = self.analyze_scenario(
-                    scenario, prune=False, on_run=on_run
-                )
-        finally:
-            self.analysis_engine.close()
-            self.engine.prune_cache()
+        reducers = {scenario.name: ScenarioReducer(scenario) for scenario in scenarios}
+        with obs_span(
+            "analysis.campaign", n_scenarios=len(scenarios), retain=self.retain
+        ) as campaign_span:
+            try:
+                with closing(self.iter_campaign(scenarios, n_runs)) as runs:
+                    for run in runs:
+                        reducers[run.scenario_name].update(run)
+                        if on_run is not None:
+                            on_run(run)
+            finally:
+                self.analysis_engine.close()
+            summaries = {name: reducer.summary() for name, reducer in reducers.items()}
+            campaign_span.annotate(
+                n_runs=sum(summary.n_runs for summary in summaries.values())
+            )
+        for name, summary in summaries.items():
+            _LOG.info(
+                "scenario analyzed",
+                extra={
+                    "scenario": name,
+                    "n_runs": summary.n_runs,
+                    "n_detected": summary.n_detected,
+                },
+            )
         return summaries
 
     # ------------------------------------------------------------------

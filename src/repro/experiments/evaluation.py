@@ -5,15 +5,15 @@ to fit the dual-level MSPC models, repeated runs of every anomalous scenario,
 Average Run Length computation and per-view oMEDA diagnosis — i.e. everything
 needed to regenerate Figures 4 and 5 and the ARL discussion of the paper.
 
-Since PR 2 the evaluation sits on top of the streaming analysis stage
-(:mod:`repro.experiments.analysis`): simulation results stream out of the
-engine chunk by chunk, MSPC scoring + oMEDA diagnosis fan out over the worker
-pool, and all aggregates come from the incremental
-:class:`~repro.experiments.analysis.ScenarioReducer`.  The eager API below is
-a thin retention wrapper over that pipeline — it keeps full results and
-diagnoses alive for inspection and produces bitwise-identical tables; use
-:meth:`Evaluation.evaluate_all_streaming` when the campaign is too large to
-hold in memory.
+Every ``evaluate_*`` method drives the same loop of the streaming analysis
+stage (:mod:`repro.experiments.analysis`): simulation results come out of
+the engine chunk by chunk, MSPC scoring + oMEDA diagnosis fan out over the
+worker pool, and all aggregates come from the incremental
+:class:`~repro.experiments.analysis.ScenarioReducer`.  The only choice is
+retention: :meth:`Evaluation.evaluate_all` keeps full results and diagnoses
+alive for inspection, :meth:`Evaluation.evaluate_all_streaming` keeps only
+the aggregates when the campaign is too large to hold in memory; the tables
+are bitwise-identical either way.
 """
 
 from __future__ import annotations
@@ -193,77 +193,63 @@ class Evaluation:
             raise NotFittedError("call calibrate() before evaluating scenarios")
 
     # ------------------------------------------------------------------
-    def _pipeline(self, **overrides) -> AnalysisPipeline:
-        """An analysis pipeline sharing this evaluation's engine and analyzer."""
-        options = dict(engine=self.engine, summarize=False, keep_results=True)
-        options.update(overrides)
-        pipeline = AnalysisPipeline(self.analyzer, self.config, **options)
-        self.last_pipeline = pipeline
-        return pipeline
-
-    def _evaluate_with(
+    def _evaluate(
         self,
-        pipeline: AnalysisPipeline,
-        scenario: Scenario,
+        scenarios: Optional[Sequence[Scenario]],
+        retain: bool,
         n_runs: Optional[int] = None,
-    ) -> ScenarioEvaluation:
-        """Stream one scenario through a pipeline, retaining everything."""
-        results: List[SimulationResult] = []
-        diagnoses: List[DualLevelDiagnosis] = []
-        run_lengths: List[Optional[float]] = []
-        for run in pipeline.iter_scenario(scenario, n_runs):
-            results.append(run.result)
-            diagnoses.append(run.diagnosis)
-            run_lengths.append(run.run_length)
-        evaluation = ScenarioEvaluation(
-            scenario=scenario,
-            results=results,
-            diagnoses=diagnoses,
-            run_lengths=run_lengths,
+        chunk_size: Optional[int] = None,
+        early_stop: Optional[EarlyStopPolicy] = None,
+        on_run=None,
+    ):
+        """The one code path behind every ``evaluate_*`` method.
+
+        Streams ``scenarios`` (default: the paper's four) through an
+        :class:`AnalysisPipeline` sharing this evaluation's engine and
+        analyzer.  With ``retain`` every run's result and full diagnosis are
+        kept on :class:`ScenarioEvaluation` records, which are also stored
+        in :attr:`scenario_results`, and every scenario evaluated so far is
+        returned; otherwise the :class:`ScenarioSummary` aggregates of
+        ``scenarios`` are.
+        """
+        self._require_calibrated()
+        scenarios = list(scenarios or paper_scenarios())
+        pipeline = AnalysisPipeline(
+            self.analyzer,
+            self.config,
+            engine=self.engine,
+            chunk_size=chunk_size,
+            retain=retain,
+            early_stop=early_stop,
         )
-        self._scenario_results[scenario.name] = evaluation
-        return evaluation
+        self.last_pipeline = pipeline
+        if not retain:
+            return pipeline.analyze_all(scenarios, on_run=on_run, n_runs=n_runs)
+        retained: Dict[str, List[AnalyzedRun]] = {
+            scenario.name: [] for scenario in scenarios
+        }
+
+        def keep(run: AnalyzedRun) -> None:
+            retained[run.scenario_name].append(run)
+            if on_run is not None:
+                on_run(run)
+
+        pipeline.analyze_all(scenarios, on_run=keep, n_runs=n_runs)
+        for scenario in scenarios:
+            runs = retained[scenario.name]
+            self._scenario_results[scenario.name] = ScenarioEvaluation(
+                scenario=scenario,
+                results=[run.result for run in runs],
+                diagnoses=[run.diagnosis for run in runs],
+                run_lengths=[run.run_length for run in runs],
+            )
+        return dict(self._scenario_results)
 
     def evaluate_scenario(
         self, scenario: Scenario, n_runs: Optional[int] = None
     ) -> ScenarioEvaluation:
         """Run one scenario ``n_runs`` times and aggregate its results."""
-        self._require_calibrated()
-        pipeline = self._pipeline()
-        try:
-            return self._evaluate_with(pipeline, scenario, n_runs)
-        finally:
-            pipeline.analysis_engine.close()
-
-    def _evaluate_all_with(
-        self,
-        pipeline: AnalysisPipeline,
-        scenarios: Sequence[Scenario],
-        on_run=None,
-    ) -> Dict[str, ScenarioEvaluation]:
-        """Drain a campaign pipeline into eager per-scenario records."""
-        by_name = {scenario.name: scenario for scenario in scenarios}
-        collected: Dict[str, Tuple[list, list, list]] = {
-            scenario.name: ([], [], []) for scenario in scenarios
-        }
-        try:
-            for run in pipeline.iter_campaign(scenarios):
-                results, diagnoses, run_lengths = collected[run.scenario_name]
-                results.append(run.result)
-                diagnoses.append(run.diagnosis)
-                run_lengths.append(run.run_length)
-                if on_run is not None:
-                    on_run(run)
-        finally:
-            pipeline.analysis_engine.close()
-        for name, (results, diagnoses, run_lengths) in collected.items():
-            self._scenario_results[name] = ScenarioEvaluation(
-                scenario=by_name[name],
-                results=results,
-                diagnoses=diagnoses,
-                run_lengths=run_lengths,
-            )
-        return dict(self._scenario_results)
+        return self._evaluate([scenario], retain=True, n_runs=n_runs)[scenario.name]
 
     def evaluate_all(
         self,
@@ -272,17 +258,15 @@ class Evaluation:
     ) -> Dict[str, ScenarioEvaluation]:
         """Evaluate every scenario (defaults to the paper's four).
 
-        The runs of *all* scenarios are submitted to the engine as one batch
-        (via :meth:`AnalysisPipeline.iter_campaign`), so the simulation
-        fan-out spans the whole sweep rather than one scenario at a time;
-        per-run seeds make the outcome bitwise-identical whatever the
-        batching, chunking, worker count or backend.  ``on_run`` is called
-        with every :class:`~repro.experiments.analysis.AnalyzedRun` as it
-        completes (progress reporting).
+        The runs of *all* scenarios are submitted to the engine as one batch,
+        so the simulation fan-out spans the whole sweep rather than one
+        scenario at a time; per-run seeds make the outcome bitwise-identical
+        whatever the batching, chunking, worker count or backend.  Every
+        result and diagnosis is retained.  ``on_run`` is called with every
+        :class:`~repro.experiments.analysis.AnalyzedRun` as it completes
+        (progress reporting).
         """
-        self._require_calibrated()
-        scenarios = list(scenarios or paper_scenarios())
-        return self._evaluate_all_with(self._pipeline(), scenarios, on_run)
+        return self._evaluate(scenarios, retain=True, on_run=on_run)
 
     def evaluate_all_streaming(
         self,
@@ -300,11 +284,9 @@ class Evaluation:
         the same table API as :class:`ScenarioEvaluation` and are
         bitwise-identical to the eager path's tables.
         """
-        self._require_calibrated()
-        pipeline = self._pipeline(
-            summarize=True, keep_results=False, chunk_size=chunk_size
+        return self._evaluate(
+            scenarios, retain=False, chunk_size=chunk_size, on_run=on_run
         )
-        return pipeline.analyze_all(scenarios, on_run=on_run)
 
     def evaluate_all_live(
         self,
@@ -327,20 +309,16 @@ class Evaluation:
         (:meth:`~repro.experiments.parallel.RunSpec.cache_token`) and never
         mix with full-horizon entries.  Normal scenarios always run their
         whole horizon, and ``policy=None`` disables early stopping entirely
-        (the campaign is then identical to :meth:`evaluate_all`).
+        (the campaign is then identical to :meth:`evaluate_all`, or to
+        :meth:`evaluate_all_streaming` with ``streaming``).
         """
-        self._require_calibrated()
-        scenarios = list(scenarios or paper_scenarios())
-        if streaming:
-            pipeline = self._pipeline(
-                summarize=True,
-                keep_results=False,
-                chunk_size=chunk_size,
-                early_stop=policy,
-            )
-            return pipeline.analyze_all(scenarios, on_run=on_run)
-        pipeline = self._pipeline(early_stop=policy, chunk_size=chunk_size)
-        return self._evaluate_all_with(pipeline, scenarios, on_run)
+        return self._evaluate(
+            scenarios,
+            retain=not streaming,
+            chunk_size=chunk_size,
+            early_stop=policy,
+            on_run=on_run,
+        )
 
     @property
     def scenario_results(self) -> Dict[str, ScenarioEvaluation]:

@@ -116,7 +116,7 @@ class AlarmManager:
     """Consecutive-violation alarm state machine over the D and Q charts.
 
     The rule matches the paper's detection rule (and
-    :class:`~repro.anomaly.detector.StreamingDetector`): an alarm is raised
+    :func:`repro.mspc.charts.detect_anomaly`): an alarm is raised
     at the ``consecutive_violations``-th consecutive sample above the
     detection limit on either chart.  It is cleared at the first sample at
     which *both* statistics are back at or under their limits, after which a

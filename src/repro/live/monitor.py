@@ -68,12 +68,10 @@ class _DetectionRule:
 class LiveViewMonitor:
     """Incremental D/Q scoring + alarms for one data view.
 
-    Not built on :class:`~repro.anomaly.detector.StreamingDetector`: the
-    live monitor additionally needs the onset-restricted detection
-    bookkeeping of the batch path (false alarms vs. counted detections)
-    and raise/*clear* alarm transitions, neither of which the one-shot
-    streaming detector models.  All three implementations of the
-    consecutive-violation rule are pinned against each other by the
+    Besides the alarm transitions it keeps the onset-restricted detection
+    bookkeeping of the batch path (false alarms vs. counted detections).
+    Both implementations of the consecutive-violation rule — the batch
+    charts' and this one — are pinned against each other by the
     equivalence tests.
 
     Parameters

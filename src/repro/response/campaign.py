@@ -4,9 +4,9 @@ Response actions mutate the trajectory mid-run, so response-enabled runs
 must never share NPZ cache entries with plain campaign runs.  This module
 therefore executes them in-process through
 :func:`~repro.experiments.runner.run_scenario` — bypassing the result
-cache entirely — while deriving per-run seeds with the engine's own
-:func:`~repro.experiments.parallel.scenario_run_seed`, so a run the
-policy never touches is bitwise-identical to the same run under the
+cache entirely — while taking each run's settings from the engine's own
+:func:`~repro.experiments.parallel.scenario_specs`, so a run the policy
+never touches is bitwise-identical to the same run under the
 batch/parallel engine.  Early stopping is deliberately off: recovery has
 to stay observable after the detection.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.experiments.evaluation import Evaluation
-from repro.experiments.parallel import scenario_run_seed
+from repro.experiments.parallel import scenario_specs
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import Scenario
 from repro.live.monitor import LiveMonitor
@@ -75,27 +75,26 @@ def evaluate_scenario_response(
     """Run one scenario ``n_runs`` times with the response runner attached.
 
     ``evaluation`` must be calibrated (it is calibrated on demand
-    otherwise).  Seeds follow the campaign engine's derivation, so the
+    otherwise).  Runs follow the campaign engine's specs, so the
     pre-action prefix of every run matches the plain campaign bitwise.
     """
     if not evaluation.is_calibrated:
         evaluation.calibrate(keep_results=False)
     config = evaluation.config
-    total = n_runs if n_runs is not None else config.n_runs_per_scenario
     reports = []
-    for run_index in range(total):
-        seed = scenario_run_seed(config.seed, run_index)
+    for run_index, spec in enumerate(scenario_specs(config, scenario, n_runs)):
         monitor = LiveMonitor(
             evaluation.analyzer,
             anomaly_start_hour=(
-                config.anomaly_start_hour if scenario.is_anomalous else None
+                spec.anomaly_start_hour if scenario.is_anomalous else None
             ),
         )
         runner = ResponseRunner(monitor, policy)
         run_scenario(
             scenario,
-            config.simulation.with_seed(seed),
-            anomaly_start_hour=config.anomaly_start_hour,
+            spec.simulation,
+            anomaly_start_hour=spec.anomaly_start_hour,
+            enable_safety=spec.enable_safety,
             observers=[LiveRunObserver(monitor)],
             observer_factories=[runner.bind],
         )
