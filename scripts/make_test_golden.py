@@ -15,10 +15,13 @@ order:
 
 The record holds the sha256 of each run's tables (canonical JSON), one
 sha256 over every run the second call retains (both data views, their
-timestamps and the shutdown time), the step count, and the numpy, scipy
-and Python versions the digests hold on.  ``tests/test_golden_campaign.py``
-repeats the same measurement and compares.  Regenerate only when a change
-is meant to alter these values.
+timestamps and the shutdown time), the same digest per retained run keyed
+``scenario/index`` (so a mismatch names the run), a sha256 of the
+calibration matrices the models were fitted on (values and timestamps of
+both views), the step count, and the numpy, scipy and Python versions the
+digests hold on.  ``tests/test_golden_campaign.py`` repeats the same
+measurement and compares.  Regenerate only when a change is meant to alter
+these values.
 
     PYTHONPATH=src python scripts/make_test_golden.py
 """
@@ -85,19 +88,50 @@ def table_digest(tables) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _update_views(digest, controller_data, process_data) -> None:
+    """Feed both data views' values and timestamps into ``digest``."""
+    for view in (controller_data, process_data):
+        for array in (view.values, view.timestamps):
+            array = np.ascontiguousarray(array, dtype=np.float64)
+            digest.update(repr(array.shape).encode("ascii"))
+            digest.update(array.tobytes())
+
+
+def _update_run(digest, name: str, run) -> None:
+    """Feed one retained run (views and shutdown time) into ``digest``."""
+    digest.update(name.encode("utf-8"))
+    _update_views(digest, run.controller_data, run.process_data)
+    digest.update(repr(run.shutdown_time_hours).encode("ascii"))
+
+
 def trajectory_digest(result: api.CampaignResult) -> str:
     """One sha256 over every retained run, in scenario and run order."""
     digest = hashlib.sha256()
     for records in result.per_seed.values():
         for name, record in records.items():
             for run in record.results:
-                digest.update(name.encode("utf-8"))
-                for view in (run.controller_data, run.process_data):
-                    for array in (view.values, view.timestamps):
-                        array = np.ascontiguousarray(array, dtype=np.float64)
-                        digest.update(repr(array.shape).encode("ascii"))
-                        digest.update(array.tobytes())
-                digest.update(repr(run.shutdown_time_hours).encode("ascii"))
+                _update_run(digest, name, run)
+    return digest.hexdigest()
+
+
+def run_digests(result: api.CampaignResult) -> Dict[str, str]:
+    """The sha256 of each retained run, keyed ``scenario/index``."""
+    digests: Dict[str, str] = {}
+    for records in result.per_seed.values():
+        for name, record in records.items():
+            for index, run in enumerate(record.results):
+                digest = hashlib.sha256()
+                _update_run(digest, name, run)
+                digests[f"{name}/{index}"] = digest.hexdigest()
+    return digests
+
+
+def calibration_digest(session: api.Session) -> str:
+    """sha256 of the calibration matrices the root seed's models were
+    fitted on: values and timestamps of both views."""
+    calibration = session.evaluation(ROOT_SEED).calibration
+    digest = hashlib.sha256()
+    _update_views(digest, calibration.controller_data, calibration.process_data)
     return digest.hexdigest()
 
 
@@ -136,6 +170,8 @@ def measure(cache_dir: Path) -> Dict[str, object]:
             "live": table_digest(live.tables()),
         },
         "trajectories": trajectory_digest(eager),
+        "runs": run_digests(eager),
+        "calibration": calibration_digest(session),
     }
 
 

@@ -7,7 +7,10 @@ other; these tests compare the campaign's outputs with values frozen in
 
 * the ARL and classification tables of the streaming, eager and live
   campaign paths;
-* every retained run's trajectories and shutdown time;
+* every retained run's trajectories and shutdown time, as one digest and
+  as one digest per run keyed ``scenario/index``, so a mismatch names the
+  run;
+* the calibration matrices both models are fitted on;
 * the number of lockstep batch steps the fresh-cache campaign takes, which
   depends only on how runs are packed into batches.
 
@@ -52,6 +55,19 @@ def test_tables_match_golden(measured, path):
 
 def test_trajectories_match_golden(measured):
     assert measured["trajectories"] == GOLDEN["trajectories"]
+
+
+def test_retained_runs_match_golden_keys(measured):
+    assert sorted(measured["runs"]) == sorted(GOLDEN["runs"])
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN["runs"]))
+def test_run_matches_golden(measured, run):
+    assert measured["runs"].get(run) == GOLDEN["runs"][run]
+
+
+def test_calibration_matches_golden(measured):
+    assert measured["calibration"] == GOLDEN["calibration"]
 
 
 def test_lockstep_step_count_matches_golden(measured):
