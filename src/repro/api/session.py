@@ -217,7 +217,11 @@ class Session:
     -----
     Calibration is the expensive, anomaly-independent part of a campaign;
     the session runs it lazily, once per root seed, and reuses the fitted
-    models for every subsequent :meth:`run` / :meth:`analyze` call.
+    models for every subsequent :meth:`run` / :meth:`analyze` call.  The
+    first :meth:`run` of a seed puts its calibration runs at the head of
+    the campaign plan, so they share simulation batches with the first
+    scenario runs (see
+    :meth:`~repro.experiments.evaluation.Evaluation.calibrate_and_evaluate`).
     """
 
     def __init__(self, spec: SpecLike, engine: Optional[CampaignEngine] = None):
@@ -310,19 +314,30 @@ class Session:
             streaming=streaming,
             live=policy is not None,
         ):
+            # The spec's chunk size shards the streaming path only.
+            chunk_size = self.spec.analysis.chunk_size if streaming else None
             for seed in self.spec.seeds():
-                evaluation = self._calibrated(seed, keep_results=not streaming)
+                evaluation = self.evaluation(seed)
                 with obs_span("session.seed", seed=seed), log_context(seed=seed):
-                    result.per_seed[seed] = evaluation.evaluate_all_live(
-                        scenarios,
-                        policy=policy,
-                        streaming=streaming,
-                        # The spec's chunk size shards the streaming path only.
-                        chunk_size=(
-                            self.spec.analysis.chunk_size if streaming else None
-                        ),
-                        on_run=on_run,
-                    )
+                    if policy is None:
+                        records = evaluation.calibrate_and_evaluate(
+                            scenarios,
+                            streaming=streaming,
+                            chunk_size=chunk_size,
+                            on_run=on_run,
+                        )
+                    else:
+                        # Live runs score against the fitted models while
+                        # they simulate: calibrate first, pack only them.
+                        self._calibrated(seed, keep_results=not streaming)
+                        records = evaluation.evaluate_all_live(
+                            scenarios,
+                            policy=policy,
+                            streaming=streaming,
+                            chunk_size=chunk_size,
+                            on_run=on_run,
+                        )
+                    result.per_seed[seed] = records
             _LOG.info(
                 "campaign complete",
                 extra={

@@ -202,7 +202,10 @@ class AnalysisSpec:
         the sharded analysis pipeline with O(chunk) peak memory and keeps
         only :class:`~repro.experiments.analysis.ScenarioSummary` records.
     chunk_size:
-        Streaming shard size (``None``: 2x the worker count).
+        Runs per streaming chunk (``None``:
+        :attr:`~repro.common.config.ParallelConfig.resolved_simulation_chunk_size`,
+        one full batch per worker on the ``"batch"`` backend, else 2x the
+        worker count).
     tables:
         Which result tables :meth:`CampaignResult.tables` produces.
     """

@@ -359,11 +359,12 @@ class ParallelConfig:
         Age cap of cache entries, in seconds.  Entries older than this are
         evicted after a campaign finishes.  ``None`` disables the age policy.
     chunk_size:
-        Number of runs loaded/simulated and analyzed per shard of the
-        streaming analysis stage.  Peak memory of a streaming campaign is
+        Number of runs loaded/simulated and analyzed per chunk of a
+        streaming campaign.  Peak memory of a streaming campaign is
         proportional to this value, not to the campaign size.  ``None``
-        picks ``2 * resolved_workers`` so every worker stays busy while a
-        chunk is reduced.
+        picks :attr:`resolved_simulation_chunk_size`: one full vectorized
+        batch per worker on the ``"batch"`` backend, ``2 *
+        resolved_workers`` on the others, so every worker stays busy.
     """
 
     #: Default rows per vectorized batch of the ``"batch"`` backend.
@@ -420,12 +421,12 @@ class ParallelConfig:
 
     @property
     def resolved_chunk_size(self) -> int:
-        """The effective streaming chunk size (``chunk_size`` or 2x workers).
+        """``chunk_size``, or 2x workers whatever the backend.
 
-        This governs the *analysis* stage's shards — and therefore its
-        O(chunk) peak memory — so it stays small regardless of backend; the
-        simulation fan-out uses :attr:`resolved_simulation_chunk_size`,
-        which grows with the batch size on the ``"batch"`` backend.
+        The default scoring chunk of a bare
+        :meth:`~repro.experiments.analysis.AnalysisEngine.map` call.
+        Campaigns simulate and score in chunks of
+        :attr:`resolved_simulation_chunk_size` instead.
         """
         if self.chunk_size is not None:
             return int(self.chunk_size)
@@ -433,7 +434,8 @@ class ParallelConfig:
 
     @property
     def resolved_simulation_chunk_size(self) -> int:
-        """Specs per chunk of the simulation engine's fan-out.
+        """Specs per chunk of a streaming campaign and of the engine's
+        fan-out.
 
         Same as :attr:`resolved_chunk_size`, except that on the ``"batch"``
         backend an auto-sized chunk is floored to one full vectorized batch

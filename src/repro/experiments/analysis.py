@@ -5,11 +5,14 @@ scoring, oMEDA diagnosis, ARL aggregation) next to the simulation stage,
 in one loop with bounded memory:
 
 * :class:`AnalysisPipeline` walks one ordered plan of every scenario's runs
-  chunk by chunk; per chunk it peeks the NPZ
+  chunk by chunk, headed by the calibration runs when it also calibrates;
+  per chunk it peeks the NPZ
   :class:`~repro.experiments.parallel.ResultCache`, simulates the misses in
-  one engine call and scores the chunk.  When streaming, cached runs are
-  handed to the scoring workers *as paths*, so the NPZ decompression itself
-  is sharded and the parent process never materializes the run arrays;
+  one engine call (so the batch backend steps calibration and scenario runs
+  in the same lockstep batches) and scores the chunk.  When streaming,
+  cached runs are handed to the scoring workers *as paths*, so the NPZ
+  decompression itself is sharded and the parent process never
+  materializes the run arrays;
 * per-run MSPC scoring + oMEDA diagnosis fan out over a worker pool
   (:class:`AnalysisEngine`), with workers returning compact
   :class:`~repro.anomaly.diagnosis.DiagnosisSummary` records instead of full
@@ -34,6 +37,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -60,8 +64,10 @@ from repro.experiments.parallel import (
     CampaignEngine,
     CampaignStats,
     RunSpec,
+    calibration_specs,
     scenario_specs,
 )
+from repro.experiments.runner import CalibrationData, calibration_data
 from repro.experiments.scenarios import Scenario, paper_scenarios
 from repro.mspc.arl import RunLengthAccumulator, run_length
 from repro.mspc.model import OmedaResult
@@ -92,8 +98,10 @@ DiagnosisLike = Union[DualLevelDiagnosis, DiagnosisSummary]
 #: process ever materializing the run data.
 ResultSource = Union[SimulationResult, str, Path]
 
-#: One entry of a campaign plan: a scenario, a run index and its spec.
-PlannedRun = Tuple[Scenario, int, RunSpec]
+#: One entry of a campaign plan: a scenario, a run index and its spec.  The
+#: calibration runs that head a calibrating plan have no scenario (``None``):
+#: they are simulated with the campaign's runs but never scored.
+PlannedRun = Tuple[Optional[Scenario], int, RunSpec]
 
 
 # ----------------------------------------------------------------------
@@ -574,9 +582,10 @@ class AnalysisPipeline:
 
     One loop (:meth:`iter_campaign`) runs every campaign: it walks one
     ordered plan of ``(scenario, run index, RunSpec)`` entries spanning all
-    scenarios, chunk by chunk.  Per chunk it peeks the result cache,
-    simulates the misses with one engine call and scores the whole chunk
-    through the :class:`AnalysisEngine`.
+    scenarios, headed by the calibration runs when the loop also
+    calibrates, chunk by chunk.  Per chunk it peeks the result cache,
+    simulates the misses with one engine call and scores the chunk's
+    scenario runs through the :class:`AnalysisEngine`.
 
     Parameters
     ----------
@@ -592,8 +601,9 @@ class AnalysisPipeline:
     chunk_size:
         Runs per chunk.  With ``retain`` the whole plan is one chunk unless
         this is set; when streaming it defaults to
-        :attr:`ParallelConfig.resolved_chunk_size`, and chunks never span
-        two scenarios.
+        :attr:`ParallelConfig.resolved_simulation_chunk_size` (one full
+        vectorized batch per worker on the ``"batch"`` backend).  Chunks
+        are cut from the flat plan, so one may span several scenarios.
     retain:
         ``True`` keeps everything: cache hits are loaded in this process
         and each :class:`AnalyzedRun` carries its :class:`SimulationResult`
@@ -643,35 +653,44 @@ class AnalysisPipeline:
         return live_scenario_specs(self.config, scenario, self.early_stop, n_runs)
 
     def _chunks(
-        self, scenarios: Sequence[Scenario], n_runs: Optional[int]
+        self,
+        scenarios: Sequence[Scenario],
+        n_runs: Optional[int],
+        calibrate: bool,
     ) -> Iterator[List[PlannedRun]]:
         """The campaign plan, cut into the chunks the loop runs one by one.
 
-        With retention the plan is cut as a whole (by default into one
-        chunk, so one engine call and one scoring pool span the sweep);
-        when streaming, each scenario's runs are cut separately.
+        The plan is one flat list: the calibration runs when ``calibrate``,
+        then every scenario's runs.  With retention it is by default one
+        chunk, so one engine call and one scoring pool span the sweep; when
+        streaming, chunks default to one full simulation batch per worker.
         """
-        plan = []
+        plan: List[PlannedRun] = []
+        if calibrate:
+            plan.extend(
+                (None, index, spec)
+                for index, spec in enumerate(calibration_specs(self.config))
+            )
         for scenario in scenarios:
             specs = self._specs(scenario, n_runs)
-            plan.append([(scenario, index, spec) for index, spec in enumerate(specs)])
-        if self.retain:
-            plan = [[entry for entries in plan for entry in entries]]
-            default = max(1, len(plan[0]))
+            plan.extend((scenario, index, spec) for index, spec in enumerate(specs))
+        if self.chunk_size is not None:
+            size = int(self.chunk_size)
+        elif self.retain:
+            size = max(1, len(plan))
         else:
-            default = self.config.parallel.resolved_chunk_size
-        size = int(self.chunk_size) if self.chunk_size is not None else default
+            size = self.config.parallel.resolved_simulation_chunk_size
         if size < 1:
             raise ConfigurationError("chunk_size must be >= 1")
-        for entries in plan:
-            for offset in range(0, len(entries), size):
-                yield entries[offset : offset + size]
+        for offset in range(0, len(plan), size):
+            yield plan[offset : offset + size]
 
     # ------------------------------------------------------------------
     def iter_campaign(
         self,
         scenarios: Sequence[Scenario],
         n_runs: Optional[int] = None,
+        fit: Optional[Callable[[CalibrationData], object]] = None,
     ) -> Iterator[AnalyzedRun]:
         """Simulate, score and yield every run of a campaign, in plan order.
 
@@ -681,33 +700,44 @@ class AnalysisPipeline:
         backend.  The cache eviction policy runs once, when the loop ends:
         streaming hands cache paths to the scoring workers, so it must not
         delete entries mid-campaign.
+
+        ``fit`` puts the configuration's calibration runs at the head of the
+        plan, where they simulate in the same engine calls as the first
+        scenario runs.  They are never scored or yielded, and a cache hit
+        is loaded, never handed on as a path.  Once the last of them is in,
+        their :class:`CalibrationData` (keeping the per-run results only
+        with ``retain``) is passed to ``fit``, which must fit this
+        pipeline's analyzer; only then are that chunk's scenario runs
+        scored.
         """
+        if fit is not None and self.early_stop is not None:
+            raise ConfigurationError(
+                "live early-stop runs score against the fitted analyzer "
+                "while they simulate; calibrate before the campaign"
+            )
+        calibration: List[SimulationResult] = []
+        n_calibration = self.config.n_calibration_runs if fit is not None else 0
         try:
-            for chunk_index, chunk in enumerate(self._chunks(scenarios, n_runs)):
-                specs = [spec for _, _, spec in chunk]
-                started = time.perf_counter()
-                sources = [self._cached(spec) for spec in specs]
-                missing = [i for i, source in enumerate(sources) if source is None]
-                stats = CampaignStats(
-                    n_runs=len(chunk), n_cache_hits=len(chunk) - len(missing)
-                )
-                if missing:
-                    simulated = self.engine.run(
-                        [specs[i] for i in missing], prune=False
-                    )
-                    for index, result in zip(missing, simulated):
-                        sources[index] = result
-                    # Book what the engine actually did: a concurrent
-                    # campaign may have filled the cache between our peek
-                    # and the run, turning a miss into a hit.
-                    stats.absorb(
-                        replace(self.engine.last_stats, n_runs=0, wall_seconds=0.0)
-                    )
-                stats.wall_seconds = time.perf_counter() - started
-                self.simulation_stats.absorb(stats)
+            chunks = self._chunks(scenarios, n_runs, calibrate=fit is not None)
+            for chunk_index, chunk in enumerate(chunks):
+                simulated = self._simulate(chunk)
+                entries: List[PlannedRun] = []
+                sources: List[ResultSource] = []
+                for entry, source in zip(chunk, simulated):
+                    if entry[0] is None:
+                        calibration.append(source)
+                    else:
+                        entries.append(entry)
+                        sources.append(source)
+                if fit is not None and len(calibration) == n_calibration:
+                    self._calibrate(fit, calibration)
+                    fit, calibration = None, []
+                if not entries:
+                    continue
+                specs = [spec for _, _, spec in entries]
                 starts = [
                     self.config.anomaly_start_hour if scenario.is_anomalous else None
-                    for scenario, _, _ in chunk
+                    for scenario, _, _ in entries
                 ]
                 try:
                     verdicts = self._score(sources, starts)
@@ -719,6 +749,8 @@ class AnalysisPipeline:
                     # is a genuine scoring failure and propagates.
                     if not any(isinstance(source, (str, Path)) for source in sources):
                         raise
+                    # Only the scenario runs are rerun: the chunk's
+                    # calibration runs were never paths and are folded in.
                     self._before_recovery(error, chunk_index)
                     sources = self.engine.run(specs, prune=False)
                     # Entries that had to be re-simulated were
@@ -731,7 +763,7 @@ class AnalysisPipeline:
                     )
                     verdicts = self._score(sources, starts)
                 for (scenario, run_index, _), source, verdict in zip(
-                    chunk, sources, verdicts
+                    entries, sources, verdicts
                 ):
                     yield self._record(
                         scenario, run_index, verdict, source if self.retain else None
@@ -739,10 +771,45 @@ class AnalysisPipeline:
         finally:
             self.engine.prune_cache()
 
-    def _cached(self, spec: RunSpec) -> Optional[ResultSource]:
+    def _simulate(self, chunk: Sequence[PlannedRun]) -> List[ResultSource]:
+        """Every run of a chunk, in order: cache hits as :meth:`_cached`
+        returns them, misses simulated in one engine call."""
+        specs = [spec for _, _, spec in chunk]
+        started = time.perf_counter()
+        sources = [
+            self._cached(spec, load=self.retain or scenario is None)
+            for scenario, _, spec in chunk
+        ]
+        missing = [i for i, source in enumerate(sources) if source is None]
+        stats = CampaignStats(
+            n_runs=len(chunk), n_cache_hits=len(chunk) - len(missing)
+        )
+        if missing:
+            simulated = self.engine.run([specs[i] for i in missing], prune=False)
+            for index, result in zip(missing, simulated):
+                sources[index] = result
+            # Book what the engine actually did: a concurrent campaign may
+            # have filled the cache between our peek and the run, turning a
+            # miss into a hit.
+            stats.absorb(replace(self.engine.last_stats, n_runs=0, wall_seconds=0.0))
+        stats.wall_seconds = time.perf_counter() - started
+        self.simulation_stats.absorb(stats)
+        return sources  # type: ignore[return-value]
+
+    def _calibrate(
+        self,
+        fit: Callable[[CalibrationData], object],
+        results: List[SimulationResult],
+    ) -> None:
+        """Fold the plan's calibration runs into matrices and fit on them."""
+        with obs_span("analysis.calibrate", n_runs=len(results)):
+            fit(calibration_data(results, keep_results=self.retain))
+        _LOG.info("calibrated", extra={"n_runs": len(results)})
+
+    def _cached(self, spec: RunSpec, load: bool) -> Optional[ResultSource]:
         """A spec's cache hit as scoring takes it, or ``None`` on a miss.
 
-        With retention the result is loaded here.  When streaming only the
+        With ``load`` the result is loaded here.  Otherwise only the
         entry's path is returned, after
         :func:`~repro.datasets.io.peek_result_npz` has read its small JSON
         members: a corrupt or truncated entry is a miss and is
@@ -752,7 +819,7 @@ class AnalysisPipeline:
         cache = self.engine.cache
         if cache is None:
             return None
-        if self.retain:
+        if load:
             return cache.load(spec)
         path = cache.path_for(spec)
         if not path.is_file():
@@ -823,11 +890,13 @@ class AnalysisPipeline:
         scenarios: Optional[Sequence[Scenario]] = None,
         on_run=None,
         n_runs: Optional[int] = None,
+        fit: Optional[Callable[[CalibrationData], object]] = None,
     ) -> Dict[str, ScenarioSummary]:
         """Run every scenario (defaults to the paper's four) into reducers.
 
         ``on_run`` is called with every :class:`AnalyzedRun` as it streams
-        through (progress reporting, or collecting retained runs).  The
+        through (progress reporting, or collecting retained runs).  ``fit``
+        calibrates in the same plan (see :meth:`iter_campaign`).  The
         scoring pool is released when the campaign is done.
         """
         scenarios = list(scenarios or paper_scenarios())
@@ -836,7 +905,7 @@ class AnalysisPipeline:
             "analysis.campaign", n_scenarios=len(scenarios), retain=self.retain
         ) as campaign_span:
             try:
-                with closing(self.iter_campaign(scenarios, n_runs)) as runs:
+                with closing(self.iter_campaign(scenarios, n_runs, fit)) as runs:
                     for run in runs:
                         reducers[run.scenario_name].update(run)
                         if on_run is not None:

@@ -13,7 +13,9 @@ worker pool, and all aggregates come from the incremental
 retention: :meth:`Evaluation.evaluate_all` keeps full results and diagnoses
 alive for inspection, :meth:`Evaluation.evaluate_all_streaming` keeps only
 the aggregates when the campaign is too large to hold in memory; the tables
-are bitwise-identical either way.
+are bitwise-identical either way.  :meth:`Evaluation.calibrate_and_evaluate`
+runs the same loop with the calibration runs at the head of its plan, so
+they share the simulation batches of the first scenario runs.
 """
 
 from __future__ import annotations
@@ -180,13 +182,17 @@ class Evaluation:
         retaining all of them on :attr:`calibration` for the process
         lifetime.
         """
-        self.calibration = run_calibration_campaign(
-            self.config, engine=self.engine, keep_results=keep_results
+        return self._fit(
+            run_calibration_campaign(
+                self.config, engine=self.engine, keep_results=keep_results
+            )
         )
-        self.analyzer.fit(
-            self.calibration.controller_data, self.calibration.process_data
-        )
-        return self.calibration
+
+    def _fit(self, calibration: CalibrationData) -> CalibrationData:
+        """Keep a calibration campaign and fit both MSPC models on it."""
+        self.calibration = calibration
+        self.analyzer.fit(calibration.controller_data, calibration.process_data)
+        return calibration
 
     def _require_calibrated(self) -> None:
         if not self.is_calibrated:
@@ -201,6 +207,7 @@ class Evaluation:
         chunk_size: Optional[int] = None,
         early_stop: Optional[EarlyStopPolicy] = None,
         on_run=None,
+        calibrate: bool = False,
     ):
         """The one code path behind every ``evaluate_*`` method.
 
@@ -210,9 +217,12 @@ class Evaluation:
         kept on :class:`ScenarioEvaluation` records, which are also stored
         in :attr:`scenario_results`, and every scenario evaluated so far is
         returned; otherwise the :class:`ScenarioSummary` aggregates of
-        ``scenarios`` are.
+        ``scenarios`` are.  ``calibrate`` lets an uncalibrated evaluation
+        calibrate in the pipeline's plan instead of raising.
         """
-        self._require_calibrated()
+        fit = self._fit if calibrate and not self.is_calibrated else None
+        if fit is None:
+            self._require_calibrated()
         scenarios = list(scenarios or paper_scenarios())
         pipeline = AnalysisPipeline(
             self.analyzer,
@@ -224,7 +234,9 @@ class Evaluation:
         )
         self.last_pipeline = pipeline
         if not retain:
-            return pipeline.analyze_all(scenarios, on_run=on_run, n_runs=n_runs)
+            return pipeline.analyze_all(
+                scenarios, on_run=on_run, n_runs=n_runs, fit=fit
+            )
         retained: Dict[str, List[AnalyzedRun]] = {
             scenario.name: [] for scenario in scenarios
         }
@@ -234,7 +246,7 @@ class Evaluation:
             if on_run is not None:
                 on_run(run)
 
-        pipeline.analyze_all(scenarios, on_run=keep, n_runs=n_runs)
+        pipeline.analyze_all(scenarios, on_run=keep, n_runs=n_runs, fit=fit)
         for scenario in scenarios:
             runs = retained[scenario.name]
             self._scenario_results[scenario.name] = ScenarioEvaluation(
@@ -318,6 +330,36 @@ class Evaluation:
             chunk_size=chunk_size,
             early_stop=policy,
             on_run=on_run,
+        )
+
+    def calibrate_and_evaluate(
+        self,
+        scenarios: Optional[Sequence[Scenario]] = None,
+        streaming: bool = False,
+        chunk_size: Optional[int] = None,
+        on_run=None,
+    ):
+        """Evaluate every scenario, calibrating first in the same plan.
+
+        On an evaluation that is not calibrated yet, the calibration runs
+        head the campaign plan: they simulate in the same engine calls (on
+        the ``"batch"`` backend, the same lockstep batches) as the first
+        scenario runs, and both models are fitted once the last of them is
+        in, before any scenario run is scored.  Calibration runs are never
+        scored and never reach ``on_run``.  Afterwards :attr:`calibration`
+        is what ``calibrate(keep_results=not streaming)`` leaves, and the
+        results are bitwise-identical to :meth:`calibrate` followed by
+        :meth:`evaluate_all_streaming` (``streaming``) or
+        :meth:`evaluate_all`.  An evaluation already calibrated just
+        evaluates.  Live early-stop runs need the fitted models while they
+        simulate, so :meth:`evaluate_all_live` never calibrates in its plan.
+        """
+        return self._evaluate(
+            scenarios,
+            retain=not streaming,
+            chunk_size=chunk_size,
+            on_run=on_run,
+            calibrate=True,
         )
 
     @property

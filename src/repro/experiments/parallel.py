@@ -507,8 +507,8 @@ class CampaignEngine:
         """Execute specs in chunks, yielding results in spec order.
 
         The streaming counterpart of :meth:`run`: at most ``chunk_size``
-        results (default :attr:`ParallelConfig.resolved_chunk_size`) are
-        alive at once, so peak memory is O(chunk) instead of O(campaign).
+        results (default :attr:`ParallelConfig.resolved_simulation_chunk_size`)
+        are alive at once, so peak memory is O(chunk) instead of O(campaign).
         Cached entries are loaded lazily, chunk by chunk; pending runs of a
         chunk fan out over a worker pool that persists across chunks, and
         results are cached as they complete, so an interrupted campaign

@@ -9,7 +9,7 @@ disturbance schedule and safety monitor — and runs it through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.config import ExperimentConfig, SimulationConfig
 from repro.common.exceptions import ConfigurationError
@@ -36,6 +36,7 @@ __all__ = [
     "scenario_run_metadata",
     "run_scenario",
     "run_calibration_campaign",
+    "calibration_data",
     "CalibrationData",
 ]
 
@@ -223,6 +224,35 @@ class CalibrationData:
         return self.n_runs_executed
 
 
+def calibration_data(
+    results: Iterable[SimulationResult], keep_results: bool = True
+) -> CalibrationData:
+    """Concatenate calibration runs, in order, into :class:`CalibrationData`.
+
+    The one place calibration results become the matrices the models are
+    fitted on: :func:`run_calibration_campaign` and a campaign plan that
+    calibrates both use it.  ``keep_results=False`` drops each
+    :class:`SimulationResult` once its views are taken, so only the
+    concatenated matrices outlive the call.
+    """
+    controller_parts: List[ProcessDataset] = []
+    process_parts: List[ProcessDataset] = []
+    kept: List[SimulationResult] = []
+    n_executed = 0
+    for result in results:
+        controller_parts.append(result.controller_data)
+        process_parts.append(result.process_data)
+        n_executed += 1
+        if keep_results:
+            kept.append(result)
+    return CalibrationData(
+        controller_data=ProcessDataset.concatenate(controller_parts),
+        process_data=ProcessDataset.concatenate(process_parts),
+        results=kept,
+        n_runs_executed=n_executed,
+    )
+
+
 def run_calibration_campaign(
     config: ExperimentConfig,
     scenario: Optional[Scenario] = None,
@@ -245,19 +275,7 @@ def run_calibration_campaign(
     from repro.experiments.parallel import CampaignEngine, calibration_specs
 
     engine = engine or CampaignEngine(config.parallel)
-    controller_parts: List[ProcessDataset] = []
-    process_parts: List[ProcessDataset] = []
-    results: List[SimulationResult] = []
-    n_executed = 0
-    for result in engine.iter_run(calibration_specs(config, scenario), chunk_size):
-        controller_parts.append(result.controller_data)
-        process_parts.append(result.process_data)
-        n_executed += 1
-        if keep_results:
-            results.append(result)
-    return CalibrationData(
-        controller_data=ProcessDataset.concatenate(controller_parts),
-        process_data=ProcessDataset.concatenate(process_parts),
-        results=results,
-        n_runs_executed=n_executed,
+    return calibration_data(
+        engine.iter_run(calibration_specs(config, scenario), chunk_size),
+        keep_results=keep_results,
     )

@@ -7,6 +7,7 @@ to the pre-existing eager ``Evaluation.evaluate_all`` path; and novel
 anomaly primitives (drift, stuck-at, replay) run purely from a spec file.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.common.config import (
     SimulationConfig,
 )
 from repro.common.exceptions import ConfigurationError
+from repro.experiments.analysis import build_arl_table, build_classification_table
 from repro.experiments.evaluation import Evaluation
 from repro.experiments.scenarios import normal_scenario, paper_scenarios
 
@@ -143,6 +145,153 @@ class TestSession:
         streaming = session.run(streaming=True)
         assert eager.arl_table() == streaming.arl_table()
         assert eager.classification_table() == streaming.classification_table()
+
+
+# Three calibration runs plus 5 x 2 scenario runs through the batch kernel
+# on one worker at batch_size 8: one flat plan of 13 runs.
+FOLD_EXPERIMENT = ExperimentConfig(
+    n_calibration_runs=3,
+    n_runs_per_scenario=2,
+    anomaly_start_hour=2.0,
+    simulation=SimulationConfig(duration_hours=4.0, samples_per_hour=20, seed=21),
+    parallel=ParallelConfig(n_workers=1, backend="batch", batch_size=8),
+    seed=21,
+)
+
+
+def fold_spec(streaming: bool, cache_dir=None) -> api.CampaignSpec:
+    experiment = FOLD_EXPERIMENT
+    if cache_dir is not None:
+        experiment = replace(
+            experiment, parallel=experiment.parallel.with_cache_dir(cache_dir)
+        )
+    spec = api.load_spec(SPEC_DIR / "paper.toml").with_experiment(experiment)
+    return replace(spec, analysis=api.AnalysisSpec(streaming=streaming))
+
+
+def assert_same_models(folded: Evaluation, reference: Evaluation) -> None:
+    """Calibration matrices, scaling, loadings and limits, bit for bit."""
+    assert folded.is_calibrated and reference.is_calibrated
+    ours, theirs = folded.calibration, reference.calibration
+    assert ours.n_runs == theirs.n_runs
+    assert len(ours.results) == len(theirs.results)
+    for view in ("controller_data", "process_data"):
+        for a, b in [(ours, theirs)] + list(zip(ours.results, theirs.results)):
+            assert np.array_equal(getattr(a, view).values, getattr(b, view).values)
+            assert np.array_equal(
+                getattr(a, view).timestamps, getattr(b, view).timestamps
+            )
+    for monitor in ("controller_monitor", "process_monitor"):
+        a = getattr(folded.analyzer, monitor)
+        b = getattr(reference.analyzer, monitor)
+        assert np.array_equal(a.scaler.mean_, b.scaler.mean_)
+        assert np.array_equal(a.scaler.std_, b.scaler.std_)
+        assert np.array_equal(a.pca.loadings_, b.pca.loadings_)
+        assert np.array_equal(a.pca.eigenvalues_, b.pca.eigenvalues_)
+        assert dict(a.t2_limits.limits) == dict(b.t2_limits.limits)
+        assert dict(a.spe_limits.limits) == dict(b.spe_limits.limits)
+
+
+class TestCalibrationInThePlan:
+    """A fresh ``Session.run`` simulates a seed's calibration runs in the
+    same engine calls (and lockstep batches) as its first scenario runs."""
+
+    @pytest.mark.parametrize("streaming", [True, False])
+    def test_fresh_run_matches_explicit_calibration(self, streaming):
+        spec = fold_spec(streaming)
+        session = api.Session(spec)
+        result = session.run()
+
+        reference = Evaluation(FOLD_EXPERIMENT)
+        reference.calibrate(keep_results=not streaming)
+        scenarios = spec.expanded_scenarios()
+        if streaming:
+            expected = reference.evaluate_all_streaming(scenarios)
+        else:
+            expected = reference.evaluate_all(scenarios)
+
+        assert_same_models(session.evaluation(), reference)
+        assert result.arl_table() == build_arl_table(expected)
+        assert result.classification_table() == build_classification_table(
+            expected
+        )
+        for name, record in result.scenario_results.items():
+            assert record.run_lengths == expected[name].run_lengths
+            assert record.shutdown_times() == expected[name].shutdown_times()
+            for view in ("controller", "process"):
+                names, mean = record.mean_omeda(view)
+                expected_names, expected_mean = expected[name].mean_omeda(view)
+                assert names == expected_names
+                assert np.array_equal(mean, expected_mean)
+
+    @pytest.mark.parametrize("streaming", [True, False])
+    def test_calibration_runs_never_reach_on_run(self, streaming):
+        spec = fold_spec(streaming)
+        seen = []
+        api.Session(spec).run(
+            on_run=lambda run: seen.append((run.scenario_name, run.run_index))
+        )
+        assert seen == [
+            (scenario.name, index)
+            for scenario in spec.expanded_scenarios()
+            for index in range(FOLD_EXPERIMENT.n_runs_per_scenario)
+        ]
+
+    def test_streaming_batches_are_full_width(self, monkeypatch):
+        """13 runs cut at one full batch per worker: 8, then the other 5."""
+        from repro.batch.simulator import BatchSimulator
+
+        widths = []
+        original = BatchSimulator.run_specs
+
+        def run_specs(self, specs):
+            widths.append(len(specs))
+            return original(self, specs)
+
+        monkeypatch.setattr(BatchSimulator, "run_specs", run_specs)
+        api.Session(fold_spec(streaming=True)).run()
+        assert widths == [8, 5]
+
+    def test_warm_cache_loads_calibration_and_reruns_only_scenarios(
+        self, tmp_path
+    ):
+        """On a cache hit calibration runs are loaded, never passed to the
+        scoring workers as paths; when a path fails to score, the rerun
+        leaves them out."""
+        from repro.experiments.parallel import ResultCache, scenario_specs
+
+        warm = api.Session(fold_spec(True, tmp_path)).run()
+        spec = fold_spec(True, tmp_path)
+        idv6 = next(s for s in spec.expanded_scenarios() if s.name == "idv6")
+        # Arrays corrupt past the JSON members the cache peek reads: the
+        # entry passes as a path and fails only when a worker loads it.
+        path = ResultCache(tmp_path).path_for(
+            scenario_specs(spec.experiment, idv6)[0]
+        )
+        with np.load(path, allow_pickle=True) as payload:
+            members = dict(payload)
+        members["controller_values"] = np.zeros((2, 1))
+        np.savez_compressed(path, **members)
+
+        session = api.Session(spec)
+        rerun = []
+        original = session.engine.run
+
+        def run(specs, prune=True):
+            rerun.append([run_spec.scenario.name for run_spec in specs])
+            return original(specs, prune=prune)
+
+        session.engine.run = run
+        with pytest.warns(RuntimeWarning, match="retrying"):
+            result = session.run()
+        # Chunk one is 3 calibration runs and the first 5 scenario runs.
+        assert rerun == [["normal", "normal", "idv6", "idv6", "attack_xmv3"]]
+        assert result.tables() == warm.tables()
+        pipeline = session.evaluation().last_pipeline
+        assert pipeline.simulation_stats.n_simulated == 1
+        reference = Evaluation(FOLD_EXPERIMENT)
+        reference.calibrate(keep_results=False)
+        assert_same_models(session.evaluation(), reference)
 
 
 class TestSweeps:
