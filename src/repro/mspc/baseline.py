@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from repro.common.exceptions import ConfigurationError, NotFittedError
 from repro.common.validation import as_2d_array, check_matching_columns
@@ -135,7 +135,8 @@ class UnivariateShewhartMonitor:
     def limits(self) -> Dict[str, Tuple[float, float]]:
         """Per-variable (lower, upper) control limits."""
         self._require_fitted()
-        z = stats.norm.ppf(0.5 + self.confidence / 2.0)
+        # ndtri is the standard normal quantile, scipy.stats.norm.ppf.
+        z = special.ndtri(0.5 + self.confidence / 2.0)
         lower = self._mean - z * self._std
         upper = self._mean + z * self._std
         return {
@@ -153,7 +154,7 @@ class UnivariateShewhartMonitor:
             raise ConfigurationError(
                 "monitored data variables do not match the calibration variables"
             )
-        z = stats.norm.ppf(0.5 + self.confidence / 2.0)
+        z = special.ndtri(0.5 + self.confidence / 2.0)
         deviation = np.abs(values - self._mean) / self._std
         return UnivariateMonitoringResult(
             variable_names=self._names,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from repro.common.exceptions import ConfigurationError
 from repro.common.validation import as_1d_array, check_probability
@@ -44,7 +44,9 @@ def t2_limit_theoretical(n_samples: int, n_components: int, confidence: float) -
         )
     a = float(n_components)
     n = float(n_samples)
-    f_value = stats.f.ppf(confidence, a, n - a)
+    # ``scipy.stats.f.ppf(confidence, a, n - a)``, without importing
+    # ``scipy.stats`` (pinned against it in tests/test_mspc_limits.py).
+    f_value = special.fdtri(a, n - a, confidence)
     return a * (n ** 2 - 1.0) / (n * (n - a)) * f_value
 
 
@@ -65,7 +67,9 @@ def spe_limit_theoretical(residual_eigenvalues, confidence: float) -> float:
     theta2 = float((eigenvalues ** 2).sum())
     g = theta2 / theta1
     h = theta1 ** 2 / theta2
-    return g * stats.chi2.ppf(confidence, h)
+    # ``scipy.stats.chi2.ppf(confidence, h)``, without importing
+    # ``scipy.stats``; the operand order keeps the product bit for bit.
+    return g * (2.0 * special.gammaincinv(h / 2.0, confidence))
 
 
 def percentile_limit(calibration_statistics, confidence: float) -> float:

@@ -1,10 +1,18 @@
 """Tests for the control limits."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
+from scipy import stats
 
 from repro.common.exceptions import ConfigurationError
 from repro.datasets.generator import make_latent_structure_dataset
+from repro.mspc.baseline import UnivariateShewhartMonitor
 from repro.mspc.limits import (
     ControlLimits,
     percentile_limit,
@@ -24,8 +32,6 @@ class TestT2Limit:
         assert t2_limit_theoretical(100, 5, 0.99) > t2_limit_theoretical(100, 2, 0.99)
 
     def test_large_sample_approaches_chi2(self):
-        from scipy import stats
-
         limit = t2_limit_theoretical(100000, 3, 0.99)
         assert limit == pytest.approx(stats.chi2.ppf(0.99, 3), rel=0.01)
 
@@ -125,3 +131,76 @@ class TestControlLimits:
         model = PCAModel(n_components=2).fit(data)
         with pytest.raises(ConfigurationError):
             ControlLimits.for_t2(model, np.ones(50), (0.99,), "bogus")
+
+
+class TestQuantilesMatchScipyStats:
+    """The limits take their quantiles from ``scipy.special`` instead of
+    ``scipy.stats`` (whose import costs most of a process's start-up).  At
+    scipy 1.17.1 the two agree bit for bit on every argument below, which
+    covers the real calls (calibration sizes from a smoke campaign to the
+    paper's, every component count of the 53 TE variables, the configured
+    confidence levels); other scipy versions must agree within 1e-12."""
+
+    EXACT = scipy.__version__ == "1.17.1"
+    CONFIDENCES = (0.5, 0.9, 0.95, 0.975, 0.99, 0.995, 0.999, 0.9999)
+
+    def assert_agrees(self, new, old):
+        if self.EXACT:
+            assert type(new) is type(old)
+            assert new == old
+        else:
+            assert new == pytest.approx(old, rel=1e-12)
+
+    @pytest.mark.parametrize("n_samples", [60, 240, 1260, 9000, 72000, 4320000])
+    def test_t2_limit(self, n_samples):
+        for n_components in range(1, 54):
+            if n_components >= n_samples:
+                continue
+            a = float(n_components)
+            n = float(n_samples)
+            for confidence in self.CONFIDENCES:
+                old = (
+                    a * (n ** 2 - 1.0) / (n * (n - a))
+                    * stats.f.ppf(confidence, a, n - a)
+                )
+                self.assert_agrees(
+                    t2_limit_theoretical(n_samples, n_components, confidence), old
+                )
+
+    def test_spe_limit(self):
+        rng = np.random.default_rng(7)
+        for n_residual in range(1, 53):
+            for scale in (1e-6, 1e-2, 1.0, 40.0):
+                eigenvalues = scale * rng.gamma(0.5 + n_residual / 8.0, size=n_residual)
+                theta1 = float(eigenvalues.sum())
+                theta2 = float((eigenvalues ** 2).sum())
+                g = theta2 / theta1
+                h = theta1 ** 2 / theta2
+                for confidence in self.CONFIDENCES:
+                    self.assert_agrees(
+                        spe_limit_theoretical(eigenvalues, confidence),
+                        g * stats.chi2.ppf(confidence, h),
+                    )
+
+    def test_univariate_baseline_limits(self):
+        values = np.random.default_rng(3).normal(size=(200, 4))
+        mean = values.mean(axis=0)
+        std = values.std(axis=0, ddof=1)
+        for confidence in np.linspace(0.001, 0.999, 999):
+            monitor = UnivariateShewhartMonitor(confidence=confidence).fit(values)
+            z = stats.norm.ppf(0.5 + confidence / 2.0)
+            for i, (lower, upper) in enumerate(monitor.limits().values()):
+                self.assert_agrees(lower, float(mean[i] - z * std[i]))
+                self.assert_agrees(upper, float(mean[i] + z * std[i]))
+
+    def test_importing_the_api_leaves_scipy_stats_unloaded(self):
+        source = Path(__file__).resolve().parent.parent / "src"
+        code = "import sys, repro.api; print('scipy.stats' in sys.modules)"
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(source)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert completed.stdout.strip() == "False"
