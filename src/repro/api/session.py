@@ -328,7 +328,8 @@ class Session:
                         )
                     else:
                         # Live runs score against the fitted models while
-                        # they simulate: calibrate first, pack only them.
+                        # they simulate, so calibration cannot share their
+                        # plan.
                         self._calibrated(seed, keep_results=not streaming)
                         records = evaluation.evaluate_all_live(
                             scenarios,
