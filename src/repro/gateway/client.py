@@ -47,10 +47,6 @@ class _StreamConnection:
 
     def __init__(self, host: str, port: int, timeout: float):
         self._socket = socket.create_connection((host, port), timeout=timeout)
-        # Every op is a small line the caller waits on (a sync's reply, the
-        # next sample): with Nagle's algorithm each such write would sit
-        # out the server's delayed ACK, ~40 ms per window.
-        self._socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._reader = self._socket.makefile("rb")
         self._writer = self._socket.makefile("wb")
 

@@ -90,9 +90,6 @@ class _OpsHandler(JsonHandler):
 
     # Bound by GatewayServer when the handler class is created.
     gateway: "GatewayServer"
-    # Replies are small lines the client waits on; without TCP_NODELAY each
-    # would sit out the client's delayed ACK.
-    disable_nagle_algorithm = True
 
     max_body_bytes = _MAX_BODY_BYTES
     errors = ((StreamRejectedError, 409), (UnknownStreamError, 404), (GatewayError, 400))
@@ -224,9 +221,6 @@ class _IngestHandler(socketserver.StreamRequestHandler):
 
     # Bound by GatewayServer when the handler class is created.
     gateway: "GatewayServer"
-    # Replies are small lines the client waits on; without TCP_NODELAY each
-    # would sit out the client's delayed ACK.
-    disable_nagle_algorithm = True
 
     def handle(self) -> None:
         pool = self.gateway.pool

@@ -22,8 +22,8 @@ from repro.common.exceptions import (
     UnknownStreamError,
 )
 from repro.gateway.pool import MonitorPool
-from repro.gateway.server import GatewayServer, _IngestHandler
-from repro.gateway.client import StreamClient, _StreamConnection
+from repro.gateway.server import GatewayServer
+from repro.gateway.client import StreamClient
 from repro.live.monitor import LiveMonitor
 from repro._version import __version__
 
@@ -190,20 +190,6 @@ class TestTCPIngest:
         status = client.status(good)
         assert status["n_samples"] + status["n_pending"] == 5
         client.close_stream(good)
-
-    def test_ingest_connections_disable_nagle(self, server):
-        """Both ends send small lines the other waits on; with Nagle's
-        algorithm each would sit out a delayed ACK (~40 ms a window)."""
-        assert _IngestHandler.disable_nagle_algorithm is True
-        host, port = server.ingest_address
-        connection = _StreamConnection(host, port, timeout=10.0)
-        try:
-            nodelay = connection._socket.getsockopt(
-                socket.IPPROTO_TCP, socket.TCP_NODELAY
-            )
-        finally:
-            connection.close()
-        assert nodelay != 0
 
     def test_oversized_ingest_line_is_rejected_bounded(self, server):
         host, port = server.ingest_address
