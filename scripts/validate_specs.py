@@ -10,20 +10,15 @@ For every ``.toml`` / ``.json`` spec under the given paths (default:
    (calibration and every expanded scenario run), i.e. serialization can
    never silently change what a campaign computes.
 
-``--check-deprecations`` additionally verifies the deprecation shims warn
-exactly once per process — the contract that keeps campaign logs readable.
-
 Run with::
 
     PYTHONPATH=src python scripts/validate_specs.py
-    PYTHONPATH=src python scripts/validate_specs.py --check-deprecations
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from pathlib import Path
 
 from repro import api
@@ -78,37 +73,6 @@ def collect_spec_files(paths) -> list:
     return files
 
 
-def check_deprecations() -> list:
-    """Verify every deprecation shim warns exactly once per process."""
-    from repro.common.deprecation import reset_deprecation_warnings
-    from repro.experiments.scenarios import Scenario, ScenarioKind
-
-    problems = []
-    shims = [
-        (
-            "Scenario(kind=...)",
-            lambda: Scenario(
-                "legacy", "legacy", ScenarioKind.DISTURBANCE, disturbance_index=6
-            ),
-        ),
-    ]
-    for name, trigger in shims:
-        reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            trigger()
-            trigger()
-        emitted = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        if len(emitted) != 1:
-            problems.append(
-                f"shim {name}: expected exactly 1 DeprecationWarning over two "
-                f"calls, got {len(emitted)}"
-            )
-    return problems
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -116,11 +80,6 @@ def main(argv=None) -> int:
         nargs="*",
         default=[DEFAULT_SPEC_DIR],
         help=f"spec files or directories (default: {DEFAULT_SPEC_DIR})",
-    )
-    parser.add_argument(
-        "--check-deprecations",
-        action="store_true",
-        help="also verify the deprecation shims warn exactly once",
     )
     arguments = parser.parse_args(argv)
 
@@ -133,14 +92,6 @@ def main(argv=None) -> int:
         problems = validate_file(path)
         status = "ok" if not problems else "FAIL"
         print(f"{status:>4}  {path}")
-        for problem in problems:
-            print(f"      - {problem}")
-        failures += bool(problems)
-
-    if arguments.check_deprecations:
-        problems = check_deprecations()
-        status = "ok" if not problems else "FAIL"
-        print(f"{status:>4}  deprecation shims warn exactly once")
         for problem in problems:
             print(f"      - {problem}")
         failures += bool(problems)

@@ -17,10 +17,8 @@ enum-plus-fields record but a **composition of injection primitives**
 compositions, and arbitrary multi-stage anomalies (a disturbance masked by a
 replayed sensor, a drift plus a DoS, …) are expressed by listing several
 injections — in code or in a TOML/JSON campaign spec.  The historical
-``kind`` / ``disturbance_index`` / ``target_*`` constructor keeps working as
-a deprecation shim and is normalized into the equivalent injection
-composition, so old and new construction paths produce identical scenarios
-(and identical campaign cache keys).
+``kind`` / ``disturbance_index`` / ``target_*`` fields remain as a view
+derived from the composition, for reports and run metadata.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.common.deprecation import warn_once
 from repro.common.exceptions import ConfigurationError
 from repro.experiments.injections import (
     ChannelInjection,
@@ -58,10 +55,9 @@ GROUND_TRUTHS = ("normal", "disturbance", "attack")
 class ScenarioKind(enum.Enum):
     """The nature of the anomaly injected in a scenario.
 
-    Kinds are *derived* from the injection composition nowadays; the enum is
-    kept for reporting and for the legacy constructor shim.  Compositions
-    that do not match one of the historical single-injection patterns are
-    :attr:`COMPOSITE`.
+    Kinds are *derived* from the injection composition, for reporting.
+    Compositions that do not match one of the historical single-injection
+    patterns are :attr:`COMPOSITE`.
     """
 
     NORMAL = "normal"
@@ -117,50 +113,6 @@ def _derive_legacy_view(
     return view
 
 
-def _injections_from_legacy(
-    kind: ScenarioKind,
-    disturbance_index: Optional[int],
-    target_xmeas: Optional[int],
-    target_xmv: Optional[int],
-    injected_value: Optional[float],
-) -> Tuple[Injection, ...]:
-    """The injection composition equivalent to a legacy field set."""
-    if kind is ScenarioKind.NORMAL:
-        return ()
-    if kind is ScenarioKind.DISTURBANCE:
-        if disturbance_index is None:
-            raise ConfigurationError("disturbance scenarios need a disturbance_index")
-        return (DisturbanceInjection(disturbance_index),)
-    if kind is ScenarioKind.INTEGRITY_SENSOR:
-        if target_xmeas is None:
-            raise ConfigurationError("sensor integrity attacks need target_xmeas")
-        return (
-            IntegrityInjection(
-                "sensor",
-                target_xmeas,
-                0.0 if injected_value is None else float(injected_value),
-            ),
-        )
-    if kind is ScenarioKind.INTEGRITY_ACTUATOR:
-        if target_xmv is None:
-            raise ConfigurationError("actuator attacks need target_xmv")
-        return (
-            IntegrityInjection(
-                "actuator",
-                target_xmv,
-                0.0 if injected_value is None else float(injected_value),
-            ),
-        )
-    if kind is ScenarioKind.DOS_ACTUATOR:
-        if target_xmv is None:
-            raise ConfigurationError("actuator attacks need target_xmv")
-        return (DoSInjection("actuator", target_xmv),)
-    raise ConfigurationError(
-        "the legacy constructor cannot express composite scenarios; "
-        "pass injections=[...] instead"
-    )
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One evaluation scenario: a named composition of injections.
@@ -172,11 +124,6 @@ class Scenario:
     title:
         Human-readable title used in reports and figure captions (defaults
         to ``name``).
-    kind:
-        Derived :class:`ScenarioKind`.  Passing it explicitly (together
-        with the ``disturbance_index`` / ``target_*`` / ``injected_value``
-        fields) is the **deprecated** pre-redesign constructor; it still
-        works, warns once, and is normalized into ``injections``.
     expected_ground_truth:
         ``"disturbance"``, ``"attack"`` or ``"normal"`` — used by the
         distinguishability benchmarks.  Derived from the composition when
@@ -185,43 +132,25 @@ class Scenario:
         The anomaly primitives of this scenario, applied together
         (see :mod:`repro.experiments.injections`).  Mappings (e.g. parsed
         from a spec file) are accepted and built into primitives.
+    kind / disturbance_index / target_xmeas / target_xmv / injected_value:
+        The historical single-injection view, derived from ``injections``
+        (:class:`ScenarioKind`, plus the IDV index, the targeted entry and
+        the forged value where they apply); not constructor arguments.
     """
 
     name: str
     title: str = ""
-    kind: Optional[ScenarioKind] = None
-    disturbance_index: Optional[int] = None
-    target_xmeas: Optional[int] = None
-    target_xmv: Optional[int] = None
-    injected_value: Optional[float] = None
     expected_ground_truth: Optional[str] = None
     injections: Tuple[Injection, ...] = field(default=())
+    kind: ScenarioKind = field(init=False)
+    disturbance_index: Optional[int] = field(init=False)
+    target_xmeas: Optional[int] = field(init=False)
+    target_xmv: Optional[int] = field(init=False)
+    injected_value: Optional[float] = field(init=False)
 
     def __post_init__(self) -> None:
         injections = injections_from_mappings(self.injections)
-        if self.kind is not None:
-            if injections:
-                raise ConfigurationError(
-                    "pass either the legacy kind fields or injections, not both"
-                )
-            warn_once(
-                "Scenario(kind=...)",
-                "constructing Scenario from kind/disturbance_index/target_* "
-                "fields is deprecated; compose injection primitives instead "
-                "(see repro.experiments.injections)",
-                stacklevel=4,
-            )
-            injections = _injections_from_legacy(
-                self.kind,
-                self.disturbance_index,
-                self.target_xmeas,
-                self.target_xmv,
-                self.injected_value,
-            )
         object.__setattr__(self, "injections", injections)
-        # Canonicalize the legacy view from the composition, whichever
-        # constructor ran: both paths then yield field-identical scenarios
-        # (and identical campaign cache keys).
         for key, value in _derive_legacy_view(injections).items():
             object.__setattr__(self, key, value)
         object.__setattr__(self, "title", str(self.title) or self.name)

@@ -1,10 +1,7 @@
 """Tests for the scenario registry and legacy/DSL scenario equivalence."""
 
-import warnings
-
 import pytest
 
-from repro.common.deprecation import reset_deprecation_warnings, warn_once
 from repro.common.exceptions import ConfigurationError
 from repro.experiments.injections import (
     DisturbanceInjection,
@@ -190,50 +187,3 @@ class TestScenarioComposition:
     def test_mapping_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError, match="unknown key"):
             Scenario.from_mapping({"name": "x", "kind": "normal"})
-
-
-class TestLegacyShim:
-    def test_legacy_equals_dsl(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = Scenario(
-                "idv6",
-                "Disturbance IDV(6): A feed loss",
-                ScenarioKind.DISTURBANCE,
-                disturbance_index=6,
-                expected_ground_truth="disturbance",
-            )
-        assert legacy == disturbance_idv6_scenario()
-
-    def test_legacy_constructor_warns_exactly_once(self):
-        reset_deprecation_warnings()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                Scenario("a", "a", ScenarioKind.DOS_ACTUATOR, target_xmv=3)
-                Scenario("b", "b", ScenarioKind.DOS_ACTUATOR, target_xmv=4)
-            deprecations = [
-                w for w in caught if issubclass(w.category, DeprecationWarning)
-            ]
-            assert len(deprecations) == 1
-        finally:
-            reset_deprecation_warnings()
-
-    def test_kind_and_injections_together_rejected(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            Scenario(
-                name="x",
-                kind=ScenarioKind.NORMAL,
-                injections=(DisturbanceInjection(1),),
-            )
-
-    def test_warn_once_helper(self):
-        reset_deprecation_warnings()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                assert warn_once("k", "message") is True
-                assert warn_once("k", "message") is False
-            assert len(caught) == 1
-        finally:
-            reset_deprecation_warnings()

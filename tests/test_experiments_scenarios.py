@@ -1,12 +1,7 @@
 """Tests for the scenario definitions and their wiring into channels/schedules."""
 
-import pytest
-
-from repro.common.exceptions import ConfigurationError
 from repro.experiments.runner import build_channels, build_disturbance_schedule
 from repro.experiments.scenarios import (
-    Scenario,
-    ScenarioKind,
     disturbance_idv6_scenario,
     dos_attack_on_xmv3_scenario,
     integrity_attack_on_xmeas1_scenario,
@@ -35,14 +30,6 @@ class TestScenarioDefinitions:
         assert integrity_attack_on_xmeas1_scenario().is_attack
         assert dos_attack_on_xmv3_scenario().is_attack
         assert not normal_scenario().is_anomalous
-
-    def test_invalid_scenarios_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Scenario("bad", "bad", ScenarioKind.DISTURBANCE)
-        with pytest.raises(ConfigurationError):
-            Scenario("bad", "bad", ScenarioKind.INTEGRITY_SENSOR)
-        with pytest.raises(ConfigurationError):
-            Scenario("bad", "bad", ScenarioKind.DOS_ACTUATOR)
 
 
 class TestWiring:
