@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.common.codec import Mapped
 from repro.common.config import MSPCConfig
 from repro.common.exceptions import DataShapeError, NotFittedError
 from repro.datasets.dataset import ProcessDataset
@@ -156,12 +157,15 @@ class DualLevelDiagnosis(_VerdictMixin):
 
 
 @dataclass
-class DiagnosisSummary(_VerdictMixin):
+class DiagnosisSummary(_VerdictMixin, Mapped, label="diagnosis"):
     """The reducer-facing slice of a :class:`DualLevelDiagnosis`.
 
     Shares attribute names with :class:`DualLevelDiagnosis` (minus the
     per-observation ``controller_result`` / ``process_result`` charts), so
-    aggregation code accepts either interchangeably.
+    aggregation code accepts either interchangeably.  Its mapping form
+    writes every key (absent diagnoses as ``None``), so two summaries of
+    the same verdict produce byte-identical JSON — the streaming gateway
+    pins that stability.
     """
 
     controller_omeda: Optional[OmedaResult]
@@ -174,59 +178,6 @@ class DiagnosisSummary(_VerdictMixin):
     def summarize(self) -> "DiagnosisSummary":
         """A summary is already its own summary (idempotent)."""
         return self
-
-    def to_mapping(self) -> Dict[str, Any]:
-        """A plain, JSON-safe mapping of this verdict.
-
-        Every key is always present (absent diagnoses serialize as
-        ``None``), so two summaries of the same verdict produce
-        byte-identical JSON — the streaming gateway pins that stability.
-        """
-        return {
-            "controller_omeda": (
-                None
-                if self.controller_omeda is None
-                else self.controller_omeda.to_mapping()
-            ),
-            "process_omeda": (
-                None if self.process_omeda is None else self.process_omeda.to_mapping()
-            ),
-            "similarity": (
-                None if self.similarity is None else float(self.similarity)
-            ),
-            "classification": self.classification.value,
-            "detection_time_hours": (
-                None
-                if self.detection_time_hours is None
-                else float(self.detection_time_hours)
-            ),
-            "metadata": dict(self.metadata),
-        }
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "DiagnosisSummary":
-        """Rebuild a verdict from its :meth:`to_mapping` form."""
-        controller_omeda = mapping.get("controller_omeda")
-        process_omeda = mapping.get("process_omeda")
-        similarity = mapping.get("similarity")
-        detection_time = mapping.get("detection_time_hours")
-        return cls(
-            controller_omeda=(
-                None
-                if controller_omeda is None
-                else OmedaResult.from_mapping(controller_omeda)
-            ),
-            process_omeda=(
-                None if process_omeda is None else OmedaResult.from_mapping(process_omeda)
-            ),
-            similarity=None if similarity is None else float(similarity),
-            classification=AnomalyClass(mapping["classification"]),
-            detection_time_hours=(
-                None if detection_time is None else float(detection_time)
-            ),
-            metadata=dict(mapping.get("metadata", {})),
-        )
-
 
 class DualLevelAnalyzer:
     """Fits and applies one MSPC model per data view.

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.api.spec import CampaignSpec, load_spec
+from repro.common.codec import check_keys, decode_value
 from repro.common.exceptions import ConfigurationError
 from repro.experiments.analysis import (
     ScenarioSummary,
@@ -137,11 +138,19 @@ class CampaignResult:
     @classmethod
     def from_mapping(cls, mapping: Dict[str, object]) -> "CampaignResult":
         """Rebuild a result from its :meth:`to_mapping` form."""
+        check_keys(mapping, ("spec", "per_seed"), "campaign_result")
+        if "spec" not in mapping:
+            raise ConfigurationError(
+                "campaign_result is missing required key(s) ['spec']"
+            )
+        label = "campaign_result.per_seed"
         per_seed: Dict[int, Dict[str, Any]] = {}
-        for seed, results in dict(mapping.get("per_seed", {})).items():
-            per_seed[int(seed)] = {
-                str(name): ScenarioSummary.from_mapping(record)
-                for name, record in dict(results).items()
+        for seed, results in decode_value(
+            Dict[str, Dict[str, Any]], mapping.get("per_seed", {}), label
+        ).items():
+            per_seed[decode_value(int, seed, f"{label}.{seed}")] = {
+                name: ScenarioSummary.from_mapping(record)
+                for name, record in results.items()
             }
         return cls(
             spec=CampaignSpec.from_mapping(mapping["spec"]),

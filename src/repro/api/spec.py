@@ -41,7 +41,6 @@ which the test suite pins property-style.
 
 from __future__ import annotations
 
-import difflib
 import json
 from dataclasses import dataclass, field, replace
 
@@ -56,15 +55,20 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.api._toml import dumps_toml
+from repro.common.codec import (
+    Mapped,
+    as_bool,
+    as_int,
+    as_sequence,
+    check_keys,
+    encode,
+)
 from repro.common.config import (
     ExperimentConfig,
     GatewayConfig,
     LiveConfig,
     ObsConfig,
     ServiceConfig,
-    _as_bool,
-    _as_int,
-    _as_sequence,
 )
 from repro.common.exceptions import ConfigurationError
 from repro.experiments.registry import REGISTRY, ScenarioRegistry
@@ -89,25 +93,8 @@ _TABLES = ("arl", "classification")
 _FORMATS = ("toml", "json")
 
 
-def _check_keys(mapping: Mapping[str, Any], allowed: Tuple[str, ...], label: str):
-    if not isinstance(mapping, Mapping):
-        raise ConfigurationError(f"{label} must be a table/mapping, got {mapping!r}")
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        hints = []
-        for key in unknown:
-            close = difflib.get_close_matches(key, allowed, n=1)
-            if close:
-                hints.append(f"{key!r} -> did you mean {close[0]!r}?")
-        hint = f" ({'; '.join(hints)})" if hints else ""
-        raise ConfigurationError(
-            f"unknown key(s) {unknown} in {label} "
-            f"(allowed: {sorted(allowed)}){hint}"
-        )
-
-
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Mapped, label="sweep"):
     """Grids expanding a campaign into a sweep.
 
     Attributes
@@ -128,7 +115,7 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "seeds", tuple(_as_int(seed) for seed in self.seeds)
+            self, "seeds", tuple(as_int(seed) for seed in self.seeds)
         )
         try:
             magnitudes = tuple(float(m) for m in self.magnitudes)
@@ -172,26 +159,12 @@ class SweepSpec:
         return tuple(expanded)
 
     def to_mapping(self) -> Dict[str, Any]:
-        mapping: Dict[str, Any] = {}
-        if self.seeds:
-            mapping["seeds"] = list(self.seeds)
-        if self.magnitudes:
-            mapping["magnitudes"] = list(self.magnitudes)
-        return mapping
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "SweepSpec":
-        _check_keys(mapping, ("seeds", "magnitudes"), "sweep")
-        return cls(
-            seeds=_as_sequence(mapping.get("seeds", ()), "sweep.seeds"),
-            magnitudes=_as_sequence(
-                mapping.get("magnitudes", ()), "sweep.magnitudes"
-            ),
-        )
+        """The non-empty grids only (an empty sweep maps to ``{}``)."""
+        return {key: grid for key, grid in encode(self).items() if grid}
 
 
 @dataclass(frozen=True)
-class AnalysisSpec:
+class AnalysisSpec(Mapped, label="analysis", omit_none=True):
     """How campaign results are consumed.
 
     Attributes
@@ -211,14 +184,15 @@ class AnalysisSpec:
     """
 
     streaming: bool = False
-    chunk_size: Optional[int] = None
     tables: Tuple[str, ...] = _TABLES
+    # Last, so an emitted [analysis] table keeps its historical key order.
+    chunk_size: Optional[int] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "streaming", _as_bool(self.streaming))
+        object.__setattr__(self, "streaming", as_bool(self.streaming))
         object.__setattr__(self, "tables", tuple(self.tables))
         if self.chunk_size is not None:
-            object.__setattr__(self, "chunk_size", _as_int(self.chunk_size))
+            object.__setattr__(self, "chunk_size", as_int(self.chunk_size))
             if self.chunk_size < 1:
                 raise ConfigurationError("chunk_size must be >= 1 or None")
         for table in self.tables:
@@ -226,24 +200,6 @@ class AnalysisSpec:
                 raise ConfigurationError(
                     f"unknown table {table!r} (available: {_TABLES})"
                 )
-
-    def to_mapping(self) -> Dict[str, Any]:
-        mapping: Dict[str, Any] = {
-            "streaming": self.streaming,
-            "tables": list(self.tables),
-        }
-        if self.chunk_size is not None:
-            mapping["chunk_size"] = self.chunk_size
-        return mapping
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "AnalysisSpec":
-        _check_keys(mapping, ("streaming", "chunk_size", "tables"), "analysis")
-        return cls(
-            streaming=_as_bool(mapping.get("streaming", False)),
-            chunk_size=mapping.get("chunk_size"),
-            tables=_as_sequence(mapping.get("tables", _TABLES), "analysis.tables"),
-        )
 
 
 @dataclass(frozen=True)
@@ -266,7 +222,7 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         if not str(self.name):
             raise ConfigurationError("a campaign spec needs a non-empty name")
-        object.__setattr__(self, "version", _as_int(self.version))
+        object.__setattr__(self, "version", as_int(self.version))
         if self.version != SPEC_VERSION:
             raise ConfigurationError(
                 f"unsupported spec version {self.version} "
@@ -364,7 +320,7 @@ class CampaignSpec:
         registry: Optional[ScenarioRegistry] = None,
     ) -> "CampaignSpec":
         """Build and validate a spec from its mapping form."""
-        _check_keys(
+        check_keys(
             mapping,
             ("version", "name", "description", "experiment", "scenarios",
              "sweep", "analysis", "live", "service", "gateway", "response",
@@ -374,19 +330,15 @@ class CampaignSpec:
         registry = registry or REGISTRY
         if "name" not in mapping:
             raise ConfigurationError("a campaign spec needs a 'name'")
-        raw_scenarios = mapping.get("scenarios", ())
-        if isinstance(raw_scenarios, (str, Mapping)) or not hasattr(
-            raw_scenarios, "__iter__"
-        ):
-            raise ConfigurationError(
-                "'scenarios' must be a list of scenario tables/references"
-            )
         return cls(
             name=str(mapping["name"]),
             description=str(mapping.get("description", "")),
             version=mapping.get("version", SPEC_VERSION),
             experiment=ExperimentConfig.from_mapping(mapping.get("experiment", {})),
-            scenarios=tuple(registry.resolve(ref) for ref in raw_scenarios),
+            scenarios=tuple(
+                registry.resolve(ref)
+                for ref in as_sequence(mapping.get("scenarios", ()), "scenarios")
+            ),
             sweep=SweepSpec.from_mapping(mapping.get("sweep", {})),
             analysis=AnalysisSpec.from_mapping(mapping.get("analysis", {})),
             live=LiveConfig.from_mapping(mapping.get("live", {})),

@@ -15,11 +15,11 @@ pipeline:
 
 from __future__ import annotations
 
-import difflib
 import os
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, ClassVar, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import ClassVar, Optional, Tuple
 
+from repro.common.codec import Mapped
 from repro.common.exceptions import ConfigurationError
 
 __all__ = [
@@ -35,105 +35,8 @@ __all__ = [
 ]
 
 
-# ----------------------------------------------------------------------
-# Mapping (de)serialization helpers — the campaign-spec layer sits on these
-# ----------------------------------------------------------------------
-def _opt(coerce: Callable[[Any], Any]) -> Callable[[Any], Any]:
-    """A coercer accepting ``None`` (for optional fields)."""
-    return lambda value: None if value is None else coerce(value)
-
-
-def _as_int(value: Any) -> int:
-    """Coerce to int, rejecting bools and fractional floats."""
-    if isinstance(value, bool):
-        raise ConfigurationError(f"expected an integer, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigurationError(f"expected an integer, got {value!r}")
-    if isinstance(value, str):
-        raise ConfigurationError(f"expected an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as error:
-        raise ConfigurationError(f"expected an integer, got {value!r}") from error
-
-
-def _as_bool(value: Any) -> bool:
-    """Require an actual boolean — ``bool("false")`` is ``True``, a classic
-    spec-file footgun, so strings are rejected rather than coerced."""
-    if not isinstance(value, bool):
-        raise ConfigurationError(f"expected a boolean, got {value!r}")
-    return value
-
-
-def _as_sequence(value: Any, label: str) -> Tuple[Any, ...]:
-    """Require a real sequence (a string would iterate per character)."""
-    if isinstance(value, (str, bytes, Mapping)) or not hasattr(value, "__iter__"):
-        raise ConfigurationError(f"{label} must be a list, got {value!r}")
-    return tuple(value)
-
-
-def _as_float_tuple(value: Any) -> Tuple[float, ...]:
-    return tuple(float(item) for item in _as_sequence(value, "a numeric list"))
-
-
-def _build_from_mapping(
-    cls: type,
-    mapping: Mapping[str, Any],
-    coercers: Mapping[str, Callable[[Any], Any]],
-    label: str,
-):
-    """Build a config dataclass from a mapping with typo and type safety.
-
-    Unknown keys raise (a misspelled option in a spec file must not be
-    silently ignored); values are coerced to the field's canonical scalar
-    type so that e.g. a TOML ``10`` and ``10.0`` produce byte-identical
-    configurations — and therefore identical campaign cache keys.
-    """
-    if not isinstance(mapping, Mapping):
-        raise ConfigurationError(f"{label} must be a table/mapping, got {mapping!r}")
-    unknown = sorted(set(mapping) - set(coercers))
-    if unknown:
-        hints = []
-        for key in unknown:
-            close = difflib.get_close_matches(key, list(coercers), n=1)
-            if close:
-                hints.append(f"{key!r} -> did you mean {close[0]!r}?")
-        hint = f" ({'; '.join(hints)})" if hints else ""
-        raise ConfigurationError(
-            f"unknown key(s) {unknown} in {label} "
-            f"(allowed: {sorted(coercers)}){hint}"
-        )
-    kwargs = {}
-    for key, value in mapping.items():
-        try:
-            kwargs[key] = coercers[key](value)
-        except (TypeError, ValueError, OverflowError) as error:
-            raise ConfigurationError(f"invalid {label}.{key}: {error}") from error
-    return cls(**kwargs)
-
-
-def _mapping_of(config: Any, floats: Tuple[str, ...] = ()) -> Dict[str, Any]:
-    """Shallow field mapping of a config, omitting ``None`` values.
-
-    ``None`` is omitted because TOML has no null; absent means "default".
-    Fields named in ``floats`` are emitted as floats so integral values
-    (``10`` for a 10-hour onset) keep their canonical float type.
-    """
-    mapping: Dict[str, Any] = {}
-    for spec in fields(config):
-        value = getattr(config, spec.name)
-        if value is None:
-            continue
-        if spec.name in floats:
-            value = float(value)
-        if isinstance(value, tuple):
-            value = list(value)
-        mapping[spec.name] = value
-    return mapping
-
-
 @dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(Mapped, label="simulation", omit_none=True):
     """Parameters of a single Tennessee-Eastman simulation run.
 
     Attributes
@@ -202,26 +105,6 @@ class SimulationConfig:
         """Return a copy of this configuration with a different duration."""
         return replace(self, duration_hours=float(duration_hours))
 
-    def to_mapping(self) -> Dict[str, Any]:
-        """A plain, JSON/TOML-ready mapping of this configuration."""
-        return _mapping_of(self, floats=("duration_hours",))
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "SimulationConfig":
-        """Build from a mapping, rejecting unknown keys and coercing types."""
-        return _build_from_mapping(
-            cls,
-            mapping,
-            {
-                "duration_hours": float,
-                "samples_per_hour": _as_int,
-                "integration_steps_per_sample": _as_int,
-                "seed": _as_int,
-                "enable_noise": _as_bool,
-                "enable_safety": _as_bool,
-            },
-            "simulation",
-        )
 
     @classmethod
     def paper_settings(cls, seed: int = 0) -> "SimulationConfig":
@@ -235,7 +118,7 @@ class SimulationConfig:
 
 
 @dataclass(frozen=True)
-class MSPCConfig:
+class MSPCConfig(Mapped, label="mspc", omit_none=True):
     """Parameters of the PCA-based MSPC monitoring model.
 
     Attributes
@@ -290,28 +173,6 @@ class MSPCConfig:
                 "limit_method must be 'theoretical' or 'percentile'"
             )
 
-    def to_mapping(self) -> Dict[str, Any]:
-        """A plain, JSON/TOML-ready mapping of this configuration."""
-        return _mapping_of(
-            self, floats=("variance_to_explain", "detection_confidence")
-        )
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "MSPCConfig":
-        """Build from a mapping, rejecting unknown keys and coercing types."""
-        return _build_from_mapping(
-            cls,
-            mapping,
-            {
-                "n_components": _opt(_as_int),
-                "variance_to_explain": float,
-                "confidence_levels": _as_float_tuple,
-                "detection_confidence": float,
-                "consecutive_violations": _as_int,
-                "limit_method": str,
-            },
-            "mspc",
-        )
 
     @classmethod
     def paper_settings(cls) -> "MSPCConfig":
@@ -320,7 +181,7 @@ class MSPCConfig:
 
 
 @dataclass(frozen=True)
-class ParallelConfig:
+class ParallelConfig(Mapped, label="parallel", omit_none=True):
     """How a multi-run campaign is executed.
 
     Attributes
@@ -459,28 +320,6 @@ class ParallelConfig:
         """Return a copy of this configuration with a different cache directory."""
         return replace(self, cache_dir=None if cache_dir is None else str(cache_dir))
 
-    def to_mapping(self) -> Dict[str, Any]:
-        """A plain, JSON/TOML-ready mapping of this configuration."""
-        return _mapping_of(self, floats=("cache_max_age",))
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "ParallelConfig":
-        """Build from a mapping, rejecting unknown keys and coercing types."""
-        return _build_from_mapping(
-            cls,
-            mapping,
-            {
-                "n_workers": _opt(_as_int),
-                "backend": str,
-                "cache_dir": _opt(str),
-                "cache_enabled": _as_bool,
-                "cache_max_bytes": _opt(_as_int),
-                "cache_max_age": _opt(float),
-                "chunk_size": _opt(_as_int),
-                "batch_size": _opt(_as_int),
-            },
-            "parallel",
-        )
 
     @classmethod
     def serial(cls, cache_dir: Optional[str] = None) -> "ParallelConfig":
@@ -489,7 +328,7 @@ class ParallelConfig:
 
 
 @dataclass(frozen=True)
-class EarlyStopPolicy:
+class EarlyStopPolicy(Mapped, label="early_stop", omit_none=True):
     """When a live-monitored run may stop simulating.
 
     A run with this policy attached terminates ``grace_samples`` samples
@@ -518,23 +357,10 @@ class EarlyStopPolicy:
         if self.min_samples < 0:
             raise ConfigurationError("min_samples must be >= 0")
 
-    def to_mapping(self) -> Dict[str, Any]:
-        """A plain, JSON/TOML-ready mapping of this policy."""
-        return _mapping_of(self)
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "EarlyStopPolicy":
-        """Build from a mapping, rejecting unknown keys and coercing types."""
-        return _build_from_mapping(
-            cls,
-            mapping,
-            {"grace_samples": _as_int, "min_samples": _as_int},
-            "early_stop",
-        )
 
 
 @dataclass(frozen=True)
-class LiveConfig:
+class LiveConfig(Mapped, label="live", omit_none=True):
     """The ``[live]`` section of a campaign spec: online co-simulation
     monitoring.
 
@@ -580,28 +406,10 @@ class LiveConfig:
         """Whether this section matches the defaults (and can be omitted)."""
         return self == LiveConfig()
 
-    def to_mapping(self) -> Dict[str, Any]:
-        """A plain, JSON/TOML-ready mapping of this configuration."""
-        return _mapping_of(self)
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "LiveConfig":
-        """Build from a mapping, rejecting unknown keys and coercing types."""
-        return _build_from_mapping(
-            cls,
-            mapping,
-            {
-                "enabled": _as_bool,
-                "early_stop": _as_bool,
-                "grace_samples": _as_int,
-                "min_samples": _as_int,
-            },
-            "live",
-        )
 
 
 @dataclass(frozen=True)
-class ServiceConfig:
+class ServiceConfig(Mapped, label="service", omit_none=True):
     """The ``[service]`` section of a campaign spec: distributed execution.
 
     Configures how a campaign is executed through the
@@ -676,33 +484,10 @@ class ServiceConfig:
             return int(self.chunk_size)
         return parallel.resolved_simulation_chunk_size
 
-    def to_mapping(self) -> Dict[str, Any]:
-        """A plain, JSON/TOML-ready mapping of this configuration."""
-        return _mapping_of(
-            self,
-            floats=("lease_seconds", "heartbeat_seconds", "poll_seconds"),
-        )
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "ServiceConfig":
-        """Build from a mapping, rejecting unknown keys and coercing types."""
-        return _build_from_mapping(
-            cls,
-            mapping,
-            {
-                "host": str,
-                "port": _as_int,
-                "lease_seconds": float,
-                "heartbeat_seconds": float,
-                "poll_seconds": float,
-                "chunk_size": _opt(_as_int),
-            },
-            "service",
-        )
 
 
 @dataclass(frozen=True)
-class GatewayConfig:
+class GatewayConfig(Mapped, label="gateway", omit_none=True):
     """The ``[gateway]`` section of a campaign spec: streaming detection.
 
     Configures the :mod:`repro.gateway` server — the multi-tenant
@@ -787,35 +572,10 @@ class GatewayConfig:
         """Whether this section matches the defaults (and can be omitted)."""
         return self == GatewayConfig()
 
-    def to_mapping(self) -> Dict[str, Any]:
-        """A plain, JSON/TOML-ready mapping of this configuration."""
-        return _mapping_of(
-            self,
-            floats=("flush_interval_seconds", "idle_timeout_seconds"),
-        )
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "GatewayConfig":
-        """Build from a mapping, rejecting unknown keys and coercing types."""
-        return _build_from_mapping(
-            cls,
-            mapping,
-            {
-                "host": str,
-                "port": _as_int,
-                "ingest_port": _as_int,
-                "max_streams": _as_int,
-                "scoring_batch_size": _as_int,
-                "flush_interval_seconds": float,
-                "idle_timeout_seconds": float,
-                "max_pending_samples": _as_int,
-            },
-            "gateway",
-        )
 
 
 @dataclass(frozen=True)
-class ObsConfig:
+class ObsConfig(Mapped, label="obs", omit_none=True):
     """The ``[obs]`` section of a campaign spec: observability.
 
     Configures the :mod:`repro.obs` subsystem — span tracing, shared
@@ -879,29 +639,10 @@ class ObsConfig:
             trace_path=None if trace_path is None else str(trace_path),
         )
 
-    def to_mapping(self) -> Dict[str, Any]:
-        """A plain, JSON/TOML-ready mapping of this configuration."""
-        return _mapping_of(self)
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "ObsConfig":
-        """Build from a mapping, rejecting unknown keys and coercing types."""
-        return _build_from_mapping(
-            cls,
-            mapping,
-            {
-                "enabled": _as_bool,
-                "trace": _as_bool,
-                "trace_path": _opt(str),
-                "log_level": str,
-                "log_path": _opt(str),
-            },
-            "obs",
-        )
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Mapped, label="experiment", omit_none=True):
     """Parameters of an evaluation campaign.
 
     Attributes
@@ -954,35 +695,6 @@ class ExperimentConfig:
         """Return a copy of this configuration with a different root seed."""
         return replace(self, seed=int(seed))
 
-    def to_mapping(self) -> Dict[str, Any]:
-        """A plain, JSON/TOML-ready nested mapping of the whole campaign."""
-        return {
-            "n_calibration_runs": self.n_calibration_runs,
-            "n_runs_per_scenario": self.n_runs_per_scenario,
-            "anomaly_start_hour": float(self.anomaly_start_hour),
-            "seed": self.seed,
-            "simulation": self.simulation.to_mapping(),
-            "mspc": self.mspc.to_mapping(),
-            "parallel": self.parallel.to_mapping(),
-        }
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "ExperimentConfig":
-        """Build from a nested mapping, rejecting unknown keys at every level."""
-        return _build_from_mapping(
-            cls,
-            mapping,
-            {
-                "n_calibration_runs": _as_int,
-                "n_runs_per_scenario": _as_int,
-                "anomaly_start_hour": float,
-                "seed": _as_int,
-                "simulation": SimulationConfig.from_mapping,
-                "mspc": MSPCConfig.from_mapping,
-                "parallel": ParallelConfig.from_mapping,
-            },
-            "experiment",
-        )
 
     @classmethod
     def paper_settings(cls, seed: int = 0) -> "ExperimentConfig":

@@ -42,12 +42,19 @@ import os
 import threading
 import zlib
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Type, TypeVar
 
 from repro import faults
-from repro.common.exceptions import ConfigurationError, JournalCorruptedError
+from repro.common.codec import decode
+from repro.common.exceptions import (
+    ConfigurationError,
+    JournalCorruptedError,
+    JournalError,
+)
 
-__all__ = ["Journal", "encode_record", "decode_line"]
+__all__ = ["Journal", "encode_record", "decode_line", "decode_record"]
+
+T = TypeVar("T")
 
 _FSYNC_POLICIES = ("always", "never")
 _SEPARATOR = "\t"
@@ -88,6 +95,21 @@ def decode_line(line: bytes) -> Dict[str, Any]:
     if not isinstance(record, dict):
         raise ValueError("record is not a JSON object")
     return record
+
+
+def decode_record(cls: Type[T], record: Mapping[str, Any], path, number: int) -> T:
+    """Decode committed record ``number`` (1-based) of the journal at
+    ``path`` through :mod:`repro.common.codec`.
+
+    A record whose checksum holds but whose fields are missing or malformed
+    raises :class:`~repro.common.exceptions.JournalError` naming the record.
+    """
+    try:
+        return decode(cls, record, "record")
+    except ConfigurationError as error:
+        raise JournalError(
+            f"journal {path} record {number} is malformed: {error}"
+        ) from error
 
 
 class Journal:

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Type
+from typing import Any, Callable, List, Optional, Tuple, Type
 
 import numpy as np
 
+from repro.common.codec import Mapped
 from repro.common.exceptions import ConfigurationError, RetryExhaustedError
 
 __all__ = ["Attempt", "RetryPolicy", "DEFAULT_RETRY_POLICY"]
@@ -53,7 +54,7 @@ class Attempt:
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(Mapped, label="retry_policy"):
     """Exponential backoff with deterministic jitter and a sleep budget.
 
     The delay before retry *n* (1-based) is
@@ -158,50 +159,6 @@ class RetryPolicy:
             factor = 1.0 + self.jitter * (2.0 * float(rng.random()) - 1.0)
             delay *= factor
         return delay
-
-    # -- serialization ---------------------------------------------------
-
-    def to_mapping(self) -> Dict[str, Any]:
-        return {
-            "max_attempts": self.max_attempts,
-            "base_delay_seconds": self.base_delay_seconds,
-            "multiplier": self.multiplier,
-            "max_delay_seconds": self.max_delay_seconds,
-            "jitter": self.jitter,
-            "budget_seconds": self.budget_seconds,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "RetryPolicy":
-        known = {
-            "max_attempts",
-            "base_delay_seconds",
-            "multiplier",
-            "max_delay_seconds",
-            "jitter",
-            "budget_seconds",
-            "seed",
-        }
-        unknown = sorted(set(mapping) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown retry policy key(s): {', '.join(unknown)}"
-            )
-        kwargs = dict(mapping)
-        for key in ("max_attempts", "seed"):
-            if key in kwargs:
-                kwargs[key] = int(kwargs[key])
-        for key in (
-            "base_delay_seconds",
-            "multiplier",
-            "max_delay_seconds",
-            "jitter",
-            "budget_seconds",
-        ):
-            if key in kwargs:
-                kwargs[key] = float(kwargs[key])
-        return cls(**kwargs)
 
 
 #: Defaults tuned for LAN coordinators: ~5 tries over at most ~30 s.

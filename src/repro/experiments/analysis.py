@@ -37,6 +37,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterable,
@@ -57,6 +58,7 @@ from repro.anomaly.diagnosis import (
     DualLevelAnalyzer,
     DualLevelDiagnosis,
 )
+from repro.common.codec import check_keys, decode_value
 from repro.common.config import EarlyStopPolicy, ExperimentConfig, ParallelConfig
 from repro.common.exceptions import ConfigurationError
 from repro.datasets.io import peek_result_npz
@@ -548,30 +550,42 @@ class ScenarioSummary:
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, object]) -> "ScenarioSummary":
         """Rebuild a summary from its :meth:`to_mapping` form."""
-        omeda_means = {
-            str(view): (
-                tuple(str(name) for name in entry["names"]),
-                np.asarray(entry["values"], dtype=float),
+        label = "scenario_summary"
+        check_keys(mapping, _SUMMARY_KEYS, label)
+        if "scenario" not in mapping:
+            raise ConfigurationError(f"{label} is missing required key(s) ['scenario']")
+
+        def value(key: str, hint: Any, default: Any) -> Any:
+            return decode_value(hint, mapping.get(key, default), f"{label}.{key}")
+
+        omeda_means = {}
+        for view, entry in value("omeda_means", Dict[str, Any], {}).items():
+            where = f"{label}.omeda_means.{view}"
+            check_keys(entry, ("names", "values"), where)
+            omeda_means[view] = (
+                decode_value(Tuple[str, ...], entry.get("names", ()), f"{where}.names"),
+                decode_value(np.ndarray, entry.get("values", ()), f"{where}.values"),
             )
-            for view, entry in dict(mapping.get("omeda_means", {})).items()
-        }
         return cls(
             scenario=Scenario.from_mapping(mapping["scenario"]),
-            run_lengths=[
-                None if length is None else float(length)
-                for length in mapping.get("run_lengths", [])
-            ],
-            counts={
-                str(key): int(value)
-                for key, value in dict(mapping.get("counts", {})).items()
-            },
-            false_alarm_count=int(mapping.get("false_alarm_count", 0)),
-            shutdown_times_hours=[
-                None if value is None else float(value)
-                for value in mapping.get("shutdown_times_hours", [])
-            ],
+            run_lengths=value("run_lengths", List[Optional[float]], []),
+            counts=value("counts", Dict[str, int], {}),
+            false_alarm_count=value("false_alarm_count", int, 0),
+            shutdown_times_hours=value(
+                "shutdown_times_hours", List[Optional[float]], []
+            ),
             omeda_means=omeda_means,
         )
+
+
+_SUMMARY_KEYS = (
+    "scenario",
+    "run_lengths",
+    "counts",
+    "false_alarm_count",
+    "shutdown_times_hours",
+    "omeda_means",
+)
 
 
 # ----------------------------------------------------------------------

@@ -16,17 +16,19 @@ influence on the closed loop.  Two families exist:
 Every primitive carries an optional ``start_hour`` / ``end_hour`` window;
 ``start_hour=None`` means "the campaign's anomaly onset", so the same
 scenario definition works at any :class:`~repro.common.config.ExperimentConfig`
-onset.  Injections serialize to/from plain mappings (:meth:`Injection.
-to_mapping` / :func:`injection_from_mapping`), which is what makes whole
+onset.  Injections serialize to/from plain mappings through
+:mod:`repro.common.codec` (:meth:`Injection.to_mapping` /
+:func:`injection_from_mapping`): the ``type`` tag first, then every field
+that is not ``None`` (TOML has no null).  That is what makes whole
 scenarios expressible in a TOML/JSON campaign spec with no library code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple, Type
 
-from repro.common.config import _as_sequence
+from repro.common.codec import Mapped, as_mapping, as_sequence
 from repro.common.exceptions import ConfigurationError
 from repro.network.attacks import (
     Attack,
@@ -77,7 +79,7 @@ def _coerce(value: Any, kind: type) -> Any:
 
 
 @dataclass(frozen=True)
-class Injection:
+class Injection(Mapped, label="injection", omit_none=True, tag="type"):
     """Base of all injection primitives.
 
     Attributes
@@ -124,20 +126,6 @@ class Injection:
         """
         del magnitude
         return self
-
-    def to_mapping(self) -> Dict[str, Any]:
-        """A plain, JSON/TOML-ready mapping describing this injection.
-
-        ``None``-valued fields are omitted (TOML has no null), so the
-        mapping shape is canonical: both the DSL constructors and the spec
-        parser produce identical mappings for identical injections.
-        """
-        mapping: Dict[str, Any] = {"type": self.type}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if value is not None:
-                mapping[spec.name] = value
-        return mapping
 
 
 @dataclass(frozen=True)
@@ -357,30 +345,22 @@ INJECTION_TYPES: Dict[str, Type[Injection]] = {
 def injection_from_mapping(mapping: Mapping[str, Any]) -> Injection:
     """Build an injection from its :meth:`Injection.to_mapping` form.
 
-    Unknown ``type`` tags and unknown keys raise
+    The ``type`` tag picks the primitive.  Unknown tags, unknown keys and
+    values that cannot be coerced raise
     :class:`~repro.common.exceptions.ConfigurationError` — a misspelled
     field in a spec file must fail loudly, not silently drop an anomaly.
     """
-    if "type" not in mapping:
+    tag = as_mapping(mapping, "injection").get("type")
+    if tag is None:
         raise ConfigurationError(
             f"injection mapping needs a 'type' key "
             f"(one of {sorted(INJECTION_TYPES)}), got {dict(mapping)!r}"
         )
-    tag = mapping["type"]
-    if tag not in INJECTION_TYPES:
+    if not isinstance(tag, str) or tag not in INJECTION_TYPES:
         raise ConfigurationError(
             f"unknown injection type {tag!r} (known: {sorted(INJECTION_TYPES)})"
         )
-    cls = INJECTION_TYPES[tag]
-    allowed = {spec.name for spec in fields(cls)}
-    arguments = {key: value for key, value in mapping.items() if key != "type"}
-    unknown = sorted(set(arguments) - allowed)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown key(s) {unknown} for injection type {tag!r} "
-            f"(allowed: {sorted(allowed)})"
-        )
-    return cls(**arguments)
+    return INJECTION_TYPES[tag].from_mapping(mapping)
 
 
 def injections_from_mappings(
@@ -388,7 +368,7 @@ def injections_from_mappings(
 ) -> Tuple[Injection, ...]:
     """Build a tuple of injections, passing through already-built ones."""
     built = []
-    for item in _as_sequence(mappings, "a scenario's injections"):
+    for item in as_sequence(mappings, "a scenario's injections"):
         if isinstance(item, Injection):
             built.append(item)
         elif isinstance(item, Mapping):

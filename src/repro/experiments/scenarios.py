@@ -27,6 +27,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro.common.codec import check_keys
 from repro.common.exceptions import ConfigurationError
 from repro.experiments.injections import (
     ChannelInjection,
@@ -223,13 +224,7 @@ class Scenario:
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Any]) -> "Scenario":
         """Build a scenario from its :meth:`to_mapping` form."""
-        allowed = {"name", "title", "ground_truth", "injections"}
-        unknown = sorted(set(mapping) - allowed)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown key(s) {unknown} in scenario mapping "
-                f"(allowed: {sorted(allowed)})"
-            )
+        check_keys(mapping, ("name", "title", "ground_truth", "injections"), "scenario")
         if "name" not in mapping:
             raise ConfigurationError("a scenario mapping needs a 'name'")
         return cls(

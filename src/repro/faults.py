@@ -55,11 +55,16 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Type, TypeVar
 
 import numpy as np
 
-from repro.common.exceptions import FaultInjectionError, InjectedFault
+from repro.common.codec import Mapped, decode, encode
+from repro.common.exceptions import (
+    ConfigurationError,
+    FaultInjectionError,
+    InjectedFault,
+)
 
 __all__ = [
     "ACTIONS",
@@ -91,32 +96,15 @@ ACTIONS = (
     "skew",
 )
 
-_RULE_KEYS = {
-    "site",
-    "action",
-    "times",
-    "after",
-    "probability",
-    "message",
-    "delay_seconds",
-    "path",
-    "nbytes",
-    "bit_offset",
-    "skew_seconds",
-}
+T = TypeVar("T")
 
 
-def _check_keys(mapping: Mapping[str, Any], known: set, context: str) -> None:
-    unknown = sorted(set(mapping) - known)
-    if not unknown:
-        return
-    hints = []
-    for key in unknown:
-        close = difflib.get_close_matches(key, sorted(known), n=1)
-        hints.append(f"{key!r}" + (f" (did you mean {close[0]!r}?)" if close else ""))
-    raise FaultInjectionError(
-        f"unknown key(s) in {context}: {', '.join(hints)}"
-    )
+def _decode(cls: Type[T], mapping: Any) -> T:
+    """The codec's decode, failing with :class:`FaultInjectionError`."""
+    try:
+        return decode(cls, mapping)
+    except ConfigurationError as error:
+        raise FaultInjectionError(str(error)) from error
 
 
 # -- file damage helpers (also used by chaos scripts directly) -----------
@@ -198,7 +186,7 @@ class SkewedClock:
 
 
 @dataclass(frozen=True)
-class FaultRule:
+class FaultRule(Mapped, label="[[faults.rules]]"):
     """One declarative fault: where, what, and how often."""
 
     site: str
@@ -239,33 +227,21 @@ class FaultRule:
             )
 
     def to_mapping(self) -> Dict[str, Any]:
-        mapping: Dict[str, Any] = {"site": self.site, "action": self.action}
-        defaults = FaultRule(site=self.site, action=self.action)
-        for key in sorted(_RULE_KEYS - {"site", "action"}):
-            value = getattr(self, key)
-            if value != getattr(defaults, key):
-                mapping[key] = value
-        return mapping
+        """``site``, ``action`` and every setting that is not its default."""
+        defaults = encode(FaultRule(site=self.site, action=self.action))
+        return {
+            key: value
+            for key, value in encode(self).items()
+            if key in ("site", "action") or value != defaults[key]
+        }
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Any]) -> "FaultRule":
-        _check_keys(mapping, _RULE_KEYS, "[[faults.rules]]")
-        if "site" not in mapping or "action" not in mapping:
-            raise FaultInjectionError(
-                "every fault rule needs 'site' and 'action'"
-            )
-        kwargs = dict(mapping)
-        for key in ("times", "after", "nbytes", "bit_offset"):
-            if key in kwargs:
-                kwargs[key] = int(kwargs[key])
-        for key in ("probability", "delay_seconds", "skew_seconds"):
-            if key in kwargs:
-                kwargs[key] = float(kwargs[key])
-        return cls(**kwargs)
+        return _decode(cls, mapping)
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Mapped, label="[faults]"):
     """A seedable collection of :class:`FaultRule` entries."""
 
     rules: Tuple[FaultRule, ...] = ()
@@ -283,12 +259,7 @@ class FaultPlan:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Any]) -> "FaultPlan":
-        _check_keys(mapping, {"seed", "rules"}, "[faults]")
-        rules_raw = mapping.get("rules", [])
-        if not isinstance(rules_raw, Sequence) or isinstance(rules_raw, (str, bytes)):
-            raise FaultInjectionError("[faults].rules must be an array of tables")
-        rules = tuple(FaultRule.from_mapping(rule) for rule in rules_raw)
-        return cls(rules=rules, seed=int(mapping.get("seed", 0)))
+        return _decode(cls, mapping)
 
     @classmethod
     def loads(cls, text: str, format: str = "toml") -> "FaultPlan":
@@ -304,13 +275,19 @@ class FaultPlan:
                         "(tomllib) or the tomli package; JSON plans work "
                         "everywhere"
                     ) from None
-            document = tomllib.loads(text)
+            parse = tomllib.loads
         elif format == "json":
-            document = json.loads(text)
+            parse = json.loads
         else:
             raise FaultInjectionError(
                 f"unknown fault plan format {format!r} (toml or json)"
             )
+        try:
+            document = parse(text)
+        except ValueError as error:  # TOMLDecodeError and JSONDecodeError
+            raise FaultInjectionError(
+                f"malformed {format} fault plan: {error}"
+            ) from error
         if not isinstance(document, Mapping):
             raise FaultInjectionError("fault plan document must be a table")
         # Accept both a bare plan and a spec-style {"faults": {...}} wrapper.

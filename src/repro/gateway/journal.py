@@ -21,15 +21,40 @@ Replay semantics:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
-from repro.common.journal import Journal
+from repro.common.codec import encode
+from repro.common.journal import Journal, decode_record
 
 __all__ = ["AlarmJournal"]
 
 #: Bump when the record shapes below change incompatibly.
 SCHEMA_VERSION = 1
+
+
+@dataclass(frozen=True)
+class _StreamRecord:
+    """An ``open`` or ``close`` lifecycle marker."""
+
+    v: int
+    event: str
+    stream_id: str
+
+
+@dataclass(frozen=True)
+class _AlarmRecord:
+    """One confirmed alarm transition of one view of a stream."""
+
+    v: int
+    event: str
+    stream_id: str
+    view: str
+    alarm: Dict[str, Any]
+
+
+_RECORD_TYPES = {"open": _StreamRecord, "close": _StreamRecord, "alarm": _AlarmRecord}
 
 
 class AlarmJournal:
@@ -65,13 +90,7 @@ class AlarmJournal:
     # ------------------------------------------------------------------
     def record_open(self, stream_id: str) -> None:
         """A stream was admitted to the pool."""
-        self.journal.append(
-            {
-                "v": SCHEMA_VERSION,
-                "event": "open",
-                "stream_id": str(stream_id),
-            }
-        )
+        self.journal.append(encode(_StreamRecord(SCHEMA_VERSION, "open", stream_id)))
 
     def record_alarm(
         self, stream_id: str, view: str, alarm: Dict[str, Any]
@@ -84,24 +103,12 @@ class AlarmJournal:
         before the crash.
         """
         self.journal.append(
-            {
-                "v": SCHEMA_VERSION,
-                "event": "alarm",
-                "stream_id": str(stream_id),
-                "view": str(view),
-                "alarm": dict(alarm),
-            }
+            encode(_AlarmRecord(SCHEMA_VERSION, "alarm", stream_id, view, alarm))
         )
 
     def record_close(self, stream_id: str) -> None:
         """A stream closed cleanly; its history is complete and dropped."""
-        self.journal.append(
-            {
-                "v": SCHEMA_VERSION,
-                "event": "close",
-                "stream_id": str(stream_id),
-            }
-        )
+        self.journal.append(encode(_StreamRecord(SCHEMA_VERSION, "close", stream_id)))
 
     # ------------------------------------------------------------------
     # Replay
@@ -111,19 +118,24 @@ class AlarmJournal:
 
         Returns ``{stream_id: {view: [alarm mapping, ...]}}`` for every
         stream that was open (or dropped uncleanly) when the journal
-        ended.  Cleanly closed streams are absent.
+        ended.  Cleanly closed streams are absent.  Every record of a known
+        event is decoded through its record type, so one whose checksum
+        holds but whose fields are missing or malformed raises
+        :class:`~repro.common.exceptions.JournalError` naming it; records
+        of unknown events are skipped (forward schemas).
         """
         history: Dict[str, Dict[str, List[Dict[str, Any]]]] = {}
-        for record in self.journal.replay():
-            event = record.get("event")
-            stream_id = str(record.get("stream_id"))
+        for number, raw in enumerate(self.journal.replay(), start=1):
+            event = raw.get("event")
+            kind = _RECORD_TYPES.get(event) if isinstance(event, str) else None
+            if kind is None:
+                continue
+            record = decode_record(kind, raw, self.path, number)
             if event == "alarm":
-                views = history.setdefault(stream_id, {})
-                views.setdefault(str(record["view"]), []).append(
-                    dict(record["alarm"])
-                )
+                views = history.setdefault(record.stream_id, {})
+                views.setdefault(record.view, []).append(encode(record)["alarm"])
             elif event == "close":
-                history.pop(stream_id, None)
+                history.pop(record.stream_id, None)
             # "open" is a lifecycle marker: nothing to apply.
         return history
 

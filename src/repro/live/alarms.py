@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import List, Optional, Tuple
 
+from repro.common.codec import Mapped
 from repro.common.exceptions import ConfigurationError
 
 __all__ = ["ViolationStreak", "AlarmState", "AlarmEvent", "AlarmManager"]
@@ -53,8 +54,12 @@ class AlarmState(enum.Enum):
 
 
 @dataclass(frozen=True)
-class AlarmEvent:
+class AlarmEvent(Mapped, label="alarm_event"):
     """One alarm transition.
+
+    Its mapping form (:mod:`repro.common.codec`) writes floats as Python
+    floats, whose shortest round-trip repr ``json.dumps`` emits, so a
+    transition that crosses the wire is rebuilt bit-for-bit.
 
     Attributes
     ----------
@@ -82,35 +87,6 @@ class AlarmEvent:
     def raised(self) -> bool:
         """Whether this event raised (vs. cleared) an alarm."""
         return self.kind == "raised"
-
-    def to_mapping(self) -> Dict[str, Any]:
-        """A plain, JSON-safe mapping of this event.
-
-        Floats are emitted as Python floats (``json.dumps`` writes their
-        shortest round-trip repr), so a transition that crosses the wire is
-        rebuilt bit-for-bit by :meth:`from_mapping`.
-        """
-        return {
-            "kind": self.kind,
-            "index": int(self.index),
-            "time_hours": float(self.time_hours),
-            "chart": self.chart,
-            "statistic_value": float(self.statistic_value),
-            "limit": float(self.limit),
-        }
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "AlarmEvent":
-        """Rebuild an event from its :meth:`to_mapping` form."""
-        return cls(
-            kind=str(mapping["kind"]),
-            index=int(mapping["index"]),
-            time_hours=float(mapping["time_hours"]),
-            chart=str(mapping["chart"]),
-            statistic_value=float(mapping["statistic_value"]),
-            limit=float(mapping["limit"]),
-        )
-
 
 class AlarmManager:
     """Consecutive-violation alarm state machine over the D and Q charts.

@@ -22,11 +22,12 @@ window — because diagnosis and classification literally run through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.anomaly.diagnosis import DiagnosisSummary, DualLevelAnalyzer, DualLevelDiagnosis
+from repro.common.codec import Mapped
 from repro.common.config import EarlyStopPolicy
 from repro.common.exceptions import NotFittedError
 from repro.datasets.dataset import ProcessDataset
@@ -261,7 +262,7 @@ class LiveViewMonitor:
 
 
 @dataclass
-class LiveRunReport:
+class LiveRunReport(Mapped, label="live_report"):
     """What one live-monitored run produced, beyond the simulation data.
 
     Attributes
@@ -287,6 +288,11 @@ class LiveRunReport:
         Per-view alarm transitions (``"controller"`` / ``"process"``).
     stopped_early / stop_index / stop_time_hours:
         Whether, where and when the early-stop policy truncated the run.
+
+    The mapping form writes every key (``None`` where a field is unset), so
+    two reports that compare equal serialize to the same bytes under
+    ``json.dumps(..., sort_keys=True)``; floats survive the wire
+    bit-for-bit via their shortest round-trip repr.
     """
 
     n_samples: int
@@ -307,75 +313,6 @@ class LiveRunReport:
     def detected(self) -> bool:
         """Whether a detection was confirmed at/after the anomaly onset."""
         return self.detection_index is not None
-
-    def to_mapping(self) -> Dict[str, Any]:
-        """A plain, JSON-safe mapping of this report.
-
-        Every key is always present (``None`` where the field is unset), so
-        two reports that compare equal serialize to the same bytes under
-        ``json.dumps(..., sort_keys=True)``.  Floats survive the wire
-        bit-for-bit via their shortest round-trip repr.
-        """
-        return {
-            "n_samples": int(self.n_samples),
-            "detection_index": (
-                None if self.detection_index is None else int(self.detection_index)
-            ),
-            "detection_time_hours": _opt_float(self.detection_time_hours),
-            "detection_latency_hours": _opt_float(self.detection_latency_hours),
-            "false_alarm_time_hours": _opt_float(self.false_alarm_time_hours),
-            "snapshot": None if self.snapshot is None else self.snapshot.to_mapping(),
-            "snapshot_time_hours": _opt_float(self.snapshot_time_hours),
-            "time_to_diagnosis_hours": _opt_float(self.time_to_diagnosis_hours),
-            "diagnosis": (
-                None if self.diagnosis is None else self.diagnosis.to_mapping()
-            ),
-            "alarm_events": {
-                name: [event.to_mapping() for event in events]
-                for name, events in sorted(self.alarm_events.items())
-            },
-            "stopped_early": bool(self.stopped_early),
-            "stop_index": None if self.stop_index is None else int(self.stop_index),
-            "stop_time_hours": _opt_float(self.stop_time_hours),
-        }
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "LiveRunReport":
-        """Rebuild a report from its :meth:`to_mapping` form."""
-        snapshot = mapping.get("snapshot")
-        diagnosis = mapping.get("diagnosis")
-        return cls(
-            n_samples=int(mapping["n_samples"]),
-            detection_index=(
-                None
-                if mapping["detection_index"] is None
-                else int(mapping["detection_index"])
-            ),
-            detection_time_hours=_opt_float(mapping["detection_time_hours"]),
-            detection_latency_hours=_opt_float(mapping["detection_latency_hours"]),
-            false_alarm_time_hours=_opt_float(mapping["false_alarm_time_hours"]),
-            snapshot=(
-                None if snapshot is None else DiagnosisSummary.from_mapping(snapshot)
-            ),
-            snapshot_time_hours=_opt_float(mapping["snapshot_time_hours"]),
-            time_to_diagnosis_hours=_opt_float(mapping["time_to_diagnosis_hours"]),
-            diagnosis=(
-                None if diagnosis is None else DiagnosisSummary.from_mapping(diagnosis)
-            ),
-            alarm_events={
-                str(name): tuple(AlarmEvent.from_mapping(event) for event in events)
-                for name, events in mapping["alarm_events"].items()
-            },
-            stopped_early=bool(mapping["stopped_early"]),
-            stop_index=(
-                None if mapping["stop_index"] is None else int(mapping["stop_index"])
-            ),
-            stop_time_hours=_opt_float(mapping["stop_time_hours"]),
-        )
-
-
-def _opt_float(value: Optional[float]) -> Optional[float]:
-    return None if value is None else float(value)
 
 
 class LiveMonitor:

@@ -17,10 +17,11 @@ paper uses them:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.common.codec import Mapped
 from repro.common.config import MSPCConfig
 from repro.common.exceptions import DataShapeError, NotFittedError
 from repro.datasets.dataset import ProcessDataset
@@ -46,7 +47,7 @@ def _values_and_names(data: _DataLike) -> Tuple[np.ndarray, Optional[Tuple[str, 
 
 
 @dataclass
-class OmedaResult:
+class OmedaResult(Mapped, label="omeda"):
     """Per-variable oMEDA contributions for a group of observations."""
 
     variable_names: Tuple[str, ...]
@@ -80,24 +81,6 @@ class OmedaResult:
         if magnitudes.size < 2 or magnitudes[1] == 0:
             return float("inf") if magnitudes[0] > 0 else 1.0
         return float(magnitudes[0] / magnitudes[1])
-
-    def to_mapping(self) -> Dict[str, Any]:
-        """A plain, JSON-safe mapping of this diagnosis vector."""
-        return {
-            "variable_names": list(self.variable_names),
-            "contributions": [float(value) for value in self.contributions],
-            "observation_indices": [int(i) for i in self.observation_indices],
-        }
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "OmedaResult":
-        """Rebuild a diagnosis vector from its :meth:`to_mapping` form."""
-        return cls(
-            variable_names=tuple(str(name) for name in mapping["variable_names"]),
-            contributions=np.asarray(mapping["contributions"], dtype=float),
-            observation_indices=tuple(int(i) for i in mapping["observation_indices"]),
-        )
-
 
 @dataclass
 class MonitoringResult:

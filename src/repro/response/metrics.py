@@ -12,8 +12,9 @@ trip-avoidance rate, residual alarm rate) printed by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.common.codec import Mapped
 from repro.experiments.scenarios import Scenario
 from repro.response.verify import ResponseReport
 
@@ -25,7 +26,7 @@ def _mean(values: Tuple[float, ...]) -> Optional[float]:
 
 
 @dataclass(frozen=True)
-class ResponseSummary:
+class ResponseSummary(Mapped, label="response_summary"):
     """Aggregated response outcome of one scenario's runs.
 
     ``recovery_rate`` and ``trip_avoidance_rate`` are taken over the runs
@@ -67,49 +68,6 @@ class ResponseSummary:
     def mean_residual_alarm_rate(self) -> Optional[float]:
         """Mean post-action alarm rate, over responded runs."""
         return _mean(self.residual_alarm_rates)
-
-    def to_mapping(self) -> Dict[str, Any]:
-        """A plain, JSON-safe mapping of this summary."""
-        return {
-            "scenario_name": self.scenario_name,
-            "title": self.title,
-            "n_runs": int(self.n_runs),
-            "n_detected": int(self.n_detected),
-            "n_responded": int(self.n_responded),
-            "n_actions": int(self.n_actions),
-            "n_recovered": int(self.n_recovered),
-            "n_trips": int(self.n_trips),
-            "n_trips_avoided": int(self.n_trips_avoided),
-            "times_to_recovery_hours": [
-                float(value) for value in self.times_to_recovery_hours
-            ],
-            "residual_alarm_rates": [
-                float(value) for value in self.residual_alarm_rates
-            ],
-        }
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "ResponseSummary":
-        """Rebuild a summary from its :meth:`to_mapping` form."""
-        return cls(
-            scenario_name=str(mapping["scenario_name"]),
-            title=str(mapping.get("title", mapping["scenario_name"])),
-            n_runs=int(mapping.get("n_runs", 0)),
-            n_detected=int(mapping.get("n_detected", 0)),
-            n_responded=int(mapping.get("n_responded", 0)),
-            n_actions=int(mapping.get("n_actions", 0)),
-            n_recovered=int(mapping.get("n_recovered", 0)),
-            n_trips=int(mapping.get("n_trips", 0)),
-            n_trips_avoided=int(mapping.get("n_trips_avoided", 0)),
-            times_to_recovery_hours=tuple(
-                float(value)
-                for value in mapping.get("times_to_recovery_hours", ())
-            ),
-            residual_alarm_rates=tuple(
-                float(value)
-                for value in mapping.get("residual_alarm_rates", ())
-            ),
-        )
 
 
 class ResponseReducer:

@@ -32,17 +32,10 @@ section the policy round-trips through TOML/JSON mappings bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.anomaly.diagnosis import AnomalyClass, DiagnosisSummary
-from repro.common.config import (
-    _as_bool,
-    _as_int,
-    _as_sequence,
-    _build_from_mapping,
-    _mapping_of,
-    _opt,
-)
+from repro.common.codec import Mapped, encode
 from repro.common.exceptions import ConfigurationError
 from repro.live.alarms import AlarmEvent
 
@@ -63,7 +56,7 @@ _CLASSIFICATIONS = tuple(kind.value for kind in AnomalyClass)
 
 
 @dataclass(frozen=True)
-class ActionSpec:
+class ActionSpec(Mapped, label="response_rule", omit_none=True):
     """One declarative response rule: match criteria plus an action.
 
     Attributes
@@ -182,36 +175,9 @@ class ActionSpec:
                 return False
         return True
 
-    def to_mapping(self) -> Dict[str, Any]:
-        """A plain, JSON/TOML-ready mapping of this rule."""
-        return _mapping_of(self, floats=("gain_factor", "limit_factor"))
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "ActionSpec":
-        """Build from a mapping, rejecting unknown keys and coercing types."""
-        return _build_from_mapping(
-            cls,
-            mapping,
-            {
-                "action": str,
-                "view": _opt(str),
-                "chart": _opt(str),
-                "classification": _opt(str),
-                "variables": lambda value: tuple(
-                    str(name) for name in _as_sequence(value, "rule variables")
-                ),
-                "gain_factor": float,
-                "limit_factor": float,
-                "channel": str,
-                "sensor": _opt(str),
-                "cooldown_samples": _opt(_as_int),
-            },
-            "response rule",
-        )
-
 
 @dataclass(frozen=True)
-class ResponsePolicy:
+class ResponsePolicy(Mapped, label="response"):
     """The ``[response]`` section of a campaign spec: closed-loop response.
 
     Attributes
@@ -288,34 +254,9 @@ class ResponsePolicy:
         return int(self.cooldown_samples)
 
     def to_mapping(self) -> Dict[str, Any]:
-        """A plain, JSON/TOML-ready mapping of this policy."""
-        mapping: Dict[str, Any] = {
-            "enabled": self.enabled,
-            "cooldown_samples": int(self.cooldown_samples),
-            "max_actions": int(self.max_actions),
-            "hold_samples": int(self.hold_samples),
-            "match_top_variables": int(self.match_top_variables),
-        }
-        if self.rules:
-            mapping["rules"] = [rule.to_mapping() for rule in self.rules]
+        """A plain, JSON/TOML-ready mapping of this policy (``rules`` only
+        when there are any)."""
+        mapping = encode(self)
+        if not self.rules:
+            del mapping["rules"]
         return mapping
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "ResponsePolicy":
-        """Build from a mapping, rejecting unknown keys and coercing types."""
-        return _build_from_mapping(
-            cls,
-            mapping,
-            {
-                "enabled": _as_bool,
-                "rules": lambda value: tuple(
-                    ActionSpec.from_mapping(item)
-                    for item in _as_sequence(value, "response.rules")
-                ),
-                "cooldown_samples": _as_int,
-                "max_actions": _as_int,
-                "hold_samples": _as_int,
-                "match_top_variables": _as_int,
-            },
-            "response",
-        )

@@ -7,16 +7,17 @@ for ``hold_samples`` consecutive samples.  :class:`ResponseReport` is the
 per-run verdict: the underlying
 :class:`~repro.live.monitor.LiveRunReport` plus the actions taken,
 time-to-recovery, trip-avoided and residual-alarm-rate metrics — JSON-safe
-and rebuildable bit-for-bit via ``to_mapping`` / ``from_mapping`` like
-every other result object.
+and rebuildable bit-for-bit via ``to_mapping`` / ``from_mapping``
+(:mod:`repro.common.codec`) like every other result object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.live.monitor import LiveMonitor, LiveRunReport, _opt_float
+from repro.common.codec import Mapped
+from repro.live.monitor import LiveMonitor, LiveRunReport
 
 __all__ = [
     "ActionRecord",
@@ -27,7 +28,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ActionRecord:
+class ActionRecord(Mapped, label="action_record"):
     """One action the runner applied, pinned to its sample.
 
     Attributes
@@ -53,31 +54,6 @@ class ActionRecord:
     view: str
     chart: str
     detail: str = ""
-
-    def to_mapping(self) -> Dict[str, Any]:
-        """A plain, JSON-safe mapping of this record."""
-        return {
-            "index": int(self.index),
-            "time_hours": float(self.time_hours),
-            "action": self.action,
-            "rule_index": int(self.rule_index),
-            "view": self.view,
-            "chart": self.chart,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "ActionRecord":
-        """Rebuild a record from its :meth:`to_mapping` form."""
-        return cls(
-            index=int(mapping["index"]),
-            time_hours=float(mapping["time_hours"]),
-            action=str(mapping["action"]),
-            rule_index=int(mapping["rule_index"]),
-            view=str(mapping["view"]),
-            chart=str(mapping["chart"]),
-            detail=str(mapping.get("detail", "")),
-        )
 
 
 class RecoveryTracker:
@@ -136,7 +112,7 @@ class RecoveryTracker:
 
 
 @dataclass(frozen=True)
-class ResponseReport:
+class ResponseReport(Mapped, label="response_report"):
     """Everything one response-enabled run produced.
 
     Extends the live monitor's :class:`~repro.live.monitor.LiveRunReport`
@@ -179,72 +155,6 @@ class ResponseReport:
     def detected(self) -> bool:
         """Whether the underlying live monitor confirmed a detection."""
         return self.live.detected
-
-    def to_mapping(self) -> Dict[str, Any]:
-        """A plain, JSON-safe mapping; every key is always present."""
-        return {
-            "live": self.live.to_mapping(),
-            "policy_enabled": bool(self.policy_enabled),
-            "hold_samples": int(self.hold_samples),
-            "actions": [record.to_mapping() for record in self.actions],
-            "first_action_index": (
-                None
-                if self.first_action_index is None
-                else int(self.first_action_index)
-            ),
-            "first_action_time_hours": _opt_float(self.first_action_time_hours),
-            "recovered": bool(self.recovered),
-            "recovery_index": (
-                None if self.recovery_index is None else int(self.recovery_index)
-            ),
-            "recovery_time_hours": _opt_float(self.recovery_time_hours),
-            "time_to_recovery_hours": _opt_float(self.time_to_recovery_hours),
-            "residual_alarms": int(self.residual_alarms),
-            "residual_alarm_rate": _opt_float(self.residual_alarm_rate),
-            "trip_avoided": self.trip_avoided,
-            "shutdown_time_hours": _opt_float(self.shutdown_time_hours),
-            "shutdown_reason": self.shutdown_reason,
-        }
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "ResponseReport":
-        """Rebuild a report from its :meth:`to_mapping` form."""
-        trip_avoided = mapping.get("trip_avoided")
-        shutdown_reason = mapping.get("shutdown_reason")
-        return cls(
-            live=LiveRunReport.from_mapping(mapping["live"]),
-            policy_enabled=bool(mapping.get("policy_enabled", False)),
-            hold_samples=int(mapping.get("hold_samples", 1)),
-            actions=tuple(
-                ActionRecord.from_mapping(item)
-                for item in mapping.get("actions", ())
-            ),
-            first_action_index=(
-                None
-                if mapping.get("first_action_index") is None
-                else int(mapping["first_action_index"])
-            ),
-            first_action_time_hours=_opt_float(
-                mapping.get("first_action_time_hours")
-            ),
-            recovered=bool(mapping.get("recovered", False)),
-            recovery_index=(
-                None
-                if mapping.get("recovery_index") is None
-                else int(mapping["recovery_index"])
-            ),
-            recovery_time_hours=_opt_float(mapping.get("recovery_time_hours")),
-            time_to_recovery_hours=_opt_float(
-                mapping.get("time_to_recovery_hours")
-            ),
-            residual_alarms=int(mapping.get("residual_alarms", 0)),
-            residual_alarm_rate=_opt_float(mapping.get("residual_alarm_rate")),
-            trip_avoided=None if trip_avoided is None else bool(trip_avoided),
-            shutdown_time_hours=_opt_float(mapping.get("shutdown_time_hours")),
-            shutdown_reason=(
-                None if shutdown_reason is None else str(shutdown_reason)
-            ),
-        )
 
 
 def build_response_report(

@@ -32,9 +32,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional
+from typing import List, Optional
 
 from repro.api.spec import CampaignSpec
+from repro.common.codec import Mapped
 from repro.common.exceptions import ConfigurationError
 from repro.experiments.parallel import (
     RunSpec,
@@ -82,12 +83,15 @@ def campaign_fingerprint(spec: CampaignSpec) -> str:
 
 
 @dataclass(frozen=True)
-class WorkChunk:
+class WorkChunk(
+    Mapped, label="chunk", ignore_keys=("campaign_id", "lease_seconds")
+):
     """One claimable slice of a campaign's flattened run-spec list.
 
     The wire form carries only indices plus the campaign fingerprint; the
     worker re-derives the actual :class:`RunSpec` objects from the spec
-    document and takes ``specs[start:stop]``.
+    document and takes ``specs[start:stop]``.  A claim reply is that form
+    plus the campaign id and the lease length, which decoding skips.
     """
 
     chunk_id: str
@@ -126,25 +130,6 @@ class WorkChunk:
                 f"campaign only has {len(specs)} runs"
             )
         return specs[self.start : self.stop]
-
-    def to_mapping(self) -> Dict[str, Any]:
-        """The JSON-safe wire form of this chunk."""
-        return {
-            "chunk_id": self.chunk_id,
-            "start": self.start,
-            "stop": self.stop,
-            "fingerprint": self.fingerprint,
-        }
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "WorkChunk":
-        """Rebuild a chunk from its wire form."""
-        return cls(
-            chunk_id=str(mapping["chunk_id"]),
-            start=int(mapping["start"]),
-            stop=int(mapping["stop"]),
-            fingerprint=str(mapping["fingerprint"]),
-        )
 
 
 def shard_campaign(

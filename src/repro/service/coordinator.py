@@ -35,7 +35,7 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro._version import __version__
 from repro.api.session import CampaignResult, Session
@@ -43,6 +43,7 @@ from repro.api.spec import CampaignSpec
 from repro.common.exceptions import (
     CampaignIncompleteError,
     ConfigurationError,
+    JournalError,
     ServiceError,
 )
 from repro.experiments.parallel import ResultCache
@@ -55,7 +56,7 @@ from repro.service.chunks import (
     campaign_run_specs,
     shard_campaign,
 )
-from repro.service.journal import CoordinatorJournal
+from repro.service.journal import CampaignEvent, ChunkState, CoordinatorJournal
 
 __all__ = [
     "ChunkRecord",
@@ -575,8 +576,9 @@ class CampaignCoordinator:
             records = self.journal.replay()
             with self._lock:
                 skipped = 0
-                for record in records:
-                    skipped += 0 if self._apply_replayed_locked(record) else 1
+                for number, record in enumerate(records, start=1):
+                    applied = self._apply_replayed_locked(record, number)
+                    skipped += 0 if applied else 1
                 revived = 0
                 for campaign in self._campaigns.values():
                     for chunk_record in campaign.chunks:
@@ -601,70 +603,78 @@ class CampaignCoordinator:
                 f"returned to pending, {skipped} records skipped"
             )
 
-    def _apply_replayed_locked(self, record: Dict[str, Any]) -> bool:
-        """Apply one journal record; returns False when it was skipped."""
-        event = record.get("event")
-        if event in ("submit", "snapshot"):
-            spec = CampaignSpec.from_mapping(record["spec"])
-            campaign_id = record["campaign_id"]
-            campaign = self._campaigns.get(campaign_id)
+    def _apply_replayed_locked(self, record: Dict[str, Any], number: int) -> bool:
+        """Apply journal record ``number``; returns False when it was skipped.
+
+        A known event whose fields (or spec) are missing or malformed
+        raises :class:`JournalError` naming the record.
+        """
+        event = self.journal.decode(record, number)
+        if event is None:
+            return False  # unknown event type: tolerate forward schemas
+        if isinstance(event, CampaignEvent):
+            try:
+                spec = CampaignSpec.from_mapping(event.spec)
+            except ConfigurationError as error:
+                raise JournalError(
+                    f"journal {self.journal.path} record {number} holds an "
+                    f"invalid spec: {error}"
+                ) from error
+            campaign = self._campaigns.get(event.campaign_id)
             if campaign is None:
-                campaign = self._register_locked(campaign_id, spec)
-            if event == "snapshot":
-                self._apply_snapshot_locked(campaign, record)
+                campaign = self._register_locked(event.campaign_id, spec)
+            self._apply_snapshot_locked(campaign, event.chunks)
             return True
-        campaign = self._campaigns.get(record.get("campaign_id"))
+        campaign = self._campaigns.get(event.campaign_id)
         if campaign is None:
             return False
-        if event == "heartbeat":
+        if event.event == "heartbeat":
             return True  # only extended a dead process's deadline
         try:
-            chunk_record = self._chunk(campaign, record.get("chunk_id"))
+            chunk_record = self._chunk(campaign, event.chunk_id)
         except ServiceError:
             return False
-        if event == "claim":
+        if event.event == "claim":
             chunk_record.state = LEASED
-            chunk_record.worker_id = record.get("worker_id")
+            chunk_record.worker_id = event.worker_id
             chunk_record.lease_deadline = None
             chunk_record.attempts += 1
             return True
-        if event == "ack":
-            if record.get("accepted"):
+        if event.event == "ack":
+            if event.accepted:
                 chunk_record.state = DONE
-                chunk_record.worker_id = record.get("worker_id")
+                chunk_record.worker_id = event.worker_id
                 chunk_record.lease_deadline = None
-                chunk_record.n_simulated = int(record.get("n_simulated", 0))
-                chunk_record.n_cache_hits = int(record.get("n_cache_hits", 0))
+                chunk_record.n_simulated = event.n_simulated
+                chunk_record.n_cache_hits = event.n_cache_hits
             else:
                 chunk_record.state = PENDING
                 chunk_record.worker_id = None
                 chunk_record.lease_deadline = None
             return True
-        if event == "reap":
-            if chunk_record.state == LEASED:
-                chunk_record.state = PENDING
-                chunk_record.worker_id = None
-                chunk_record.lease_deadline = None
-            return True
-        return False  # unknown event type: tolerate forward schemas
+        # reap
+        if chunk_record.state == LEASED:
+            chunk_record.state = PENDING
+            chunk_record.worker_id = None
+            chunk_record.lease_deadline = None
+        return True
 
     def _apply_snapshot_locked(
-        self, campaign: CampaignRecord, record: Dict[str, Any]
+        self, campaign: CampaignRecord, chunks: Tuple[ChunkState, ...]
     ) -> None:
         by_id = {c.chunk.chunk_id: c for c in campaign.chunks}
-        for entry in record.get("chunks", []):
-            chunk_record = by_id.get(entry.get("chunk_id"))
+        for entry in chunks:
+            chunk_record = by_id.get(entry.chunk_id)
             if chunk_record is None:
                 continue
-            state = entry.get("state", PENDING)
-            chunk_record.state = DONE if state == DONE else PENDING
+            chunk_record.state = DONE if entry.state == DONE else PENDING
             chunk_record.worker_id = (
-                entry.get("worker_id") if state == DONE else None
+                entry.worker_id if entry.state == DONE else None
             )
             chunk_record.lease_deadline = None
-            chunk_record.attempts = int(entry.get("attempts", 0))
-            chunk_record.n_simulated = int(entry.get("n_simulated", 0))
-            chunk_record.n_cache_hits = int(entry.get("n_cache_hits", 0))
+            chunk_record.attempts = entry.attempts
+            chunk_record.n_simulated = entry.n_simulated
+            chunk_record.n_cache_hits = entry.n_cache_hits
 
     def _compact_journal_locked(self) -> None:
         """Rewrite the journal as one snapshot record per campaign."""

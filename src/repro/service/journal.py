@@ -29,15 +29,67 @@ proportional to live state, not to campaign history.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.common.journal import Journal
+from repro.common.journal import Journal, decode_record
 
-__all__ = ["CoordinatorJournal"]
+__all__ = ["CampaignEvent", "ChunkEvent", "ChunkState", "CoordinatorJournal"]
 
 #: Journal record schema version; bump when record shapes change.
 SCHEMA_VERSION = 1
+
+
+@dataclass(frozen=True)
+class ChunkState:
+    """One chunk's scheduling state inside a ``snapshot`` record (the
+    coordinator's ``ChunkRecord.to_mapping`` form)."""
+
+    chunk_id: str
+    start: int = 0
+    stop: int = 0
+    fingerprint: str = ""
+    state: str = "pending"
+    worker_id: Optional[str] = None
+    attempts: int = 0
+    n_simulated: int = 0
+    n_cache_hits: int = 0
+
+
+@dataclass(frozen=True)
+class CampaignEvent:
+    """A replayed ``submit`` or ``snapshot`` record."""
+
+    v: int
+    event: str
+    campaign_id: str
+    spec: Dict[str, Any]
+    chunks: Tuple[ChunkState, ...] = ()
+
+
+@dataclass(frozen=True)
+class ChunkEvent:
+    """A replayed ``claim``, ``heartbeat``, ``ack`` or ``reap`` record."""
+
+    v: int
+    event: str
+    campaign_id: str
+    chunk_id: str
+    worker_id: Optional[str] = None
+    accepted: bool = False
+    n_simulated: int = 0
+    n_cache_hits: int = 0
+
+
+_RECORD_TYPES = {
+    "submit": CampaignEvent,
+    "snapshot": CampaignEvent,
+    "claim": ChunkEvent,
+    "heartbeat": ChunkEvent,
+    "ack": ChunkEvent,
+    "reap": ChunkEvent,
+}
 
 
 class CoordinatorJournal:
@@ -168,6 +220,21 @@ class CoordinatorJournal:
     def replay(self) -> List[Dict[str, Any]]:
         """Committed records oldest-first (torn tail healed in place)."""
         return self._journal.replay()
+
+    def decode(
+        self, record: Mapping[str, Any], number: int
+    ) -> Union[CampaignEvent, ChunkEvent, None]:
+        """Replayed record ``number`` (1-based) as its typed event.
+
+        ``None`` for an unknown event type (tolerated: forward schemas).  A
+        known event whose fields are missing or malformed raises
+        :class:`~repro.common.exceptions.JournalError` naming the record.
+        """
+        event = record.get("event")
+        kind = _RECORD_TYPES.get(event) if isinstance(event, str) else None
+        if kind is None:
+            return None
+        return decode_record(kind, record, self.path, number)
 
     def compact(self, records: List[Dict[str, Any]]) -> int:
         return self._journal.compact(records)
