@@ -1,10 +1,12 @@
 """Run the paper's evaluation campaign through the parallel engine.
 
-The CLI front end of :class:`repro.experiments.evaluation.Evaluation`:
-calibrates the dual-level MSPC models, fans the scenario runs out over a
-process pool, and prints the ARL and classification tables.  Simulation
-results are cached on disk (``--cache-dir``, default ``.repro-cache``), so a
-re-run with unchanged settings only replays the analysis.
+The CLI front end of :class:`repro.api.Session`: builds a campaign spec
+from the flags (or loads ``--spec``), simulates the calibration runs in the
+same packed plan as the first scenario runs, fits the dual-level MSPC
+models, fans the runs out over a process pool, and prints the ARL and
+classification tables.  Simulation results are cached on disk
+(``--cache-dir``, default ``.repro-cache``), so a re-run with unchanged
+settings only replays the analysis.
 
 Examples
 --------
@@ -86,10 +88,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro import api
-from repro.common.config import ExperimentConfig, ParallelConfig
+from repro.common.config import ExperimentConfig, LiveConfig, ParallelConfig
 from repro.common.exceptions import ConfigurationError
-from repro.experiments.evaluation import Evaluation
-from repro.experiments.parallel import ResultCache
+from repro.experiments.parallel import CampaignEngine, CampaignStats, ResultCache
 from repro.experiments.registry import (
     get_scenario,
     paper_scenario_names,
@@ -266,10 +267,44 @@ def apply_spec_overrides(
     return spec.with_experiment(spec.experiment.with_parallel(parallel))
 
 
+def build_spec(arguments: argparse.Namespace) -> "api.CampaignSpec":
+    """The campaign the flags describe when no ``--spec`` is given.
+
+    ``--scale``, ``--seed``, ``--calibration-runs``, ``--runs-per-scenario``
+    and ``--scenarios`` fill the experiment and scenario list; ``--analyze``
+    sets ``[analysis] streaming`` and ``--live`` sets ``[live] enabled``.
+    """
+    return api.CampaignSpec(
+        name=f"cli-{arguments.scale}",
+        experiment=build_config(arguments),
+        scenarios=tuple(select_scenarios(arguments.scenarios)),
+        analysis=api.AnalysisSpec(streaming=arguments.analyze),
+        live=LiveConfig(enabled=arguments.live),
+    )
+
+
+class TallyEngine(CampaignEngine):
+    """A campaign engine that also totals every engine call's stats."""
+
+    def __init__(self, config: ParallelConfig):
+        super().__init__(config)
+        self.total = CampaignStats()
+
+    def iter_run(self, *args, **kwargs):
+        try:
+            yield from super().iter_run(*args, **kwargs)
+        finally:
+            self.total.absorb(self.last_stats)
+
+
 def run_spec(arguments: argparse.Namespace) -> int:
-    """Execute a declarative campaign spec through the ``repro.api`` facade."""
+    """Execute a campaign spec — ``--spec FILE`` or one built from the
+    flags — through the ``repro.api`` facade."""
     try:
-        spec = apply_spec_overrides(api.load_spec(arguments.spec), arguments)
+        if arguments.spec is not None:
+            spec = apply_spec_overrides(api.load_spec(arguments.spec), arguments)
+        else:
+            spec = build_spec(arguments)
     except ConfigurationError as error:
         raise SystemExit(f"invalid spec: {error}")
     experiment = spec.experiment
@@ -290,7 +325,8 @@ def run_spec(arguments: argparse.Namespace) -> int:
         )
         if len(spec.seeds()) > 1:
             print(f"sweep: seeds {', '.join(str(seed) for seed in spec.seeds())}")
-        mode = "streaming" if (streaming or spec.analysis.streaming) else "eager"
+        streams = streaming or spec.analysis.streaming
+        mode = "streaming sharded analysis" if streams else "eager"
         if arguments.live:
             mode += ", live early-stop"
         if arguments.respond:
@@ -302,7 +338,8 @@ def run_spec(arguments: argparse.Namespace) -> int:
             f" analysis={mode}\n"
         )
     on_run = make_run_printer(arguments.progress)
-    session = api.Session(spec)
+    engine = TallyEngine(experiment.parallel)
+    session = api.Session(spec, engine=engine)
     try:
         if arguments.respond:
             result = session.run_response(
@@ -314,6 +351,12 @@ def run_spec(arguments: argparse.Namespace) -> int:
             result = session.run(streaming=streaming, on_run=on_run)
     except ConfigurationError as error:
         raise SystemExit(f"cannot run spec: {error}")
+    if not arguments.quiet:
+        total = engine.total
+        print(
+            f"  {total.n_simulated} simulated, {total.n_cache_hits} cached, "
+            f"{total.wall_seconds:.1f} s\n"
+        )
     print_tables(result.tables())
     return 0
 
@@ -716,85 +759,7 @@ def _dispatch(arguments: argparse.Namespace) -> int:
             "--respond needs --spec FILE with an enabled [response] section"
         )
 
-    if arguments.spec is not None:
-        return run_spec(arguments)
-
-    try:
-        config = build_config(arguments)
-    except ConfigurationError as error:
-        raise SystemExit(f"invalid configuration: {error}")
-    scenarios = select_scenarios(arguments.scenarios)
-    quiet = arguments.quiet
-    if not quiet:
-        print(
-            f"campaign: {config.n_calibration_runs} calibration runs, "
-            f"{config.n_runs_per_scenario} runs per scenario, "
-            f"{config.simulation.duration_hours:g} h per run"
-        )
-        print(
-            f"engine: backend={config.parallel.backend} "
-            f"workers={config.parallel.resolved_workers} "
-            f"cache={'off' if not config.parallel.caching else config.parallel.cache_dir}"
-        )
-
-    evaluation = Evaluation(config)
-    if not quiet:
-        print("\ncalibrating...")
-    # The streaming path drops per-run calibration results once the
-    # concatenated matrices are built, keeping peak memory O(chunk).
-    evaluation.calibrate(keep_results=not arguments.analyze)
-    stats = evaluation.engine.last_stats
-    if not quiet:
-        print(
-            f"  {stats.n_simulated} simulated, {stats.n_cache_hits} cached, "
-            f"{stats.wall_seconds:.1f} s"
-        )
-
-    on_run = make_run_printer(arguments.progress)
-    if arguments.live:
-        if not quiet:
-            print("evaluating scenarios (live monitoring, early stop)...")
-        results = evaluation.evaluate_all_live(
-            scenarios,
-            streaming=arguments.analyze,
-            chunk_size=arguments.chunk_size,
-            on_run=on_run,
-        )
-        pipeline = evaluation.last_pipeline
-        arl_rows = pipeline.arl_table(results)
-        classification_rows = pipeline.classification_table(results)
-    elif arguments.analyze:
-        if not quiet:
-            print("evaluating scenarios (streaming sharded analysis)...")
-        summaries = evaluation.evaluate_all_streaming(
-            scenarios, chunk_size=arguments.chunk_size, on_run=on_run
-        )
-        pipeline = evaluation.last_pipeline
-        arl_rows = pipeline.arl_table(summaries)
-        classification_rows = pipeline.classification_table(summaries)
-    else:
-        if not quiet:
-            print("evaluating scenarios...")
-        evaluation.evaluate_all(scenarios, on_run=on_run)
-        pipeline = evaluation.last_pipeline
-        arl_rows = evaluation.arl_table()
-        classification_rows = evaluation.classification_table()
-    simulation = pipeline.simulation_stats
-    analysis = pipeline.analysis_stats
-    if not quiet:
-        print(
-            f"  {simulation.n_simulated} simulated, {simulation.n_cache_hits} cached, "
-            f"{simulation.wall_seconds:.1f} s"
-        )
-        print(
-            f"  analysis: {analysis.n_runs} runs scored "
-            f"({analysis.backend}, {analysis.n_workers} workers)\n"
-        )
-
-    print_tables(
-        {"arl": arl_rows, "classification": classification_rows}
-    )
-    return 0
+    return run_spec(arguments)
 
 
 if __name__ == "__main__":
