@@ -408,7 +408,7 @@ def load_spec(
     resolved = _format_of(path, format)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         raise ConfigurationError(f"cannot read spec {path}: {error}") from error
     try:
         return loads_spec(text, format=resolved, registry=registry)

@@ -35,7 +35,8 @@ import enum
 import functools
 import types
 import typing
-from typing import Any, Callable, ClassVar, Dict, Iterable, Mapping, Optional, Tuple, Type, TypeVar
+from collections.abc import Mapping
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Type, TypeVar
 
 import numpy as np
 
@@ -104,10 +105,10 @@ def check_keys(mapping: Any, allowed: Iterable[str], label: str) -> None:
     allowed keys and suggests the closest one.
     """
     as_mapping(mapping, label)
-    allowed = list(allowed)
-    unknown = sorted(set(mapping) - set(allowed), key=str)
+    unknown = sorted(set(mapping).difference(allowed), key=str)
     if not unknown:
         return
+    allowed = sorted(allowed)
     hints = []
     for key in unknown:
         close = difflib.get_close_matches(str(key), allowed, n=1)
@@ -115,7 +116,7 @@ def check_keys(mapping: Any, allowed: Iterable[str], label: str) -> None:
             hints.append(f"{key!r} -> did you mean {close[0]!r}?")
     hint = f" ({'; '.join(hints)})" if hints else ""
     raise ConfigurationError(
-        f"unknown key(s) {unknown} in {label} (allowed: {sorted(allowed)}){hint}"
+        f"unknown key(s) {unknown} in {label} (allowed: {allowed}){hint}"
     )
 
 
@@ -246,7 +247,8 @@ class _Plan:
     """How one dataclass maps: its options and one codec per field."""
 
     __slots__ = (
-        "label", "omit_none", "tag", "ignored", "encoders", "decoders", "required"
+        "label", "omit_none", "tag", "ignored", "encoders", "decoders", "required",
+        "allowed",
     )
 
     def __init__(self, cls: type):
@@ -270,6 +272,9 @@ class _Plan:
             ):
                 required.append(spec.name)
         self.required: Tuple[str, ...] = tuple(required)
+        self.allowed = frozenset(
+            [*self.decoders, *self.ignored, *([self.tag] if self.tag else [])]
+        )
 
 
 @functools.lru_cache(maxsize=None)
@@ -302,10 +307,7 @@ def decode(cls: Type[T], mapping: Any, label: Optional[str] = None) -> T:
     """
     plan = _plan_of(cls)
     label = label or plan.label
-    allowed = [*plan.decoders, *plan.ignored]
-    if plan.tag is not None:
-        allowed.insert(0, plan.tag)
-    check_keys(mapping, allowed, label)
+    check_keys(mapping, plan.allowed, label)
     missing = [name for name in plan.required if name not in mapping]
     if missing:
         raise ConfigurationError(f"{label} is missing required key(s) {missing}")
@@ -345,10 +347,12 @@ class Mapped:
     them.
     """
 
-    _codec_label: ClassVar[Optional[str]] = None
-    _codec_omit_none: ClassVar[bool] = False
-    _codec_tag: ClassVar[Optional[str]] = None
-    _codec_ignore_keys: ClassVar[Tuple[str, ...]] = ()
+    # Unannotated, so the type hints resolved for every subclass stay its
+    # fields alone.
+    _codec_label = None
+    _codec_omit_none = False
+    _codec_tag = None
+    _codec_ignore_keys = ()
 
     def __init_subclass__(
         cls,

@@ -551,7 +551,12 @@ class ScenarioSummary:
     def from_mapping(cls, mapping: Mapping[str, object]) -> "ScenarioSummary":
         """Rebuild a summary from its :meth:`to_mapping` form."""
         label = "scenario_summary"
-        check_keys(mapping, _SUMMARY_KEYS, label)
+        check_keys(
+            mapping,
+            ("scenario", "run_lengths", "counts", "false_alarm_count",
+             "shutdown_times_hours", "omeda_means"),
+            label,
+        )
         if "scenario" not in mapping:
             raise ConfigurationError(f"{label} is missing required key(s) ['scenario']")
 
@@ -576,16 +581,6 @@ class ScenarioSummary:
             ),
             omeda_means=omeda_means,
         )
-
-
-_SUMMARY_KEYS = (
-    "scenario",
-    "run_lengths",
-    "counts",
-    "false_alarm_count",
-    "shutdown_times_hours",
-    "omeda_means",
-)
 
 
 # ----------------------------------------------------------------------

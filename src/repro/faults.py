@@ -300,7 +300,11 @@ class FaultPlan(Mapped, label="[faults]"):
     def load(cls, path) -> "FaultPlan":
         path = Path(path)
         format = "json" if path.suffix.lower() == ".json" else "toml"
-        return cls.loads(path.read_text(encoding="utf-8"), format)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as error:
+            raise FaultInjectionError(f"cannot read fault plan {path}: {error}") from error
+        return cls.loads(text, format)
 
 
 # -- the injector --------------------------------------------------------

@@ -325,6 +325,16 @@ class TestPinnedLeaks:
         with pytest.raises(ConfigurationError, match="missing required key"):
             cls.from_mapping({})
 
+    def test_unreadable_spec_and_fault_plan_files(self, tmp_path):
+        binary = tmp_path / "binary.toml"
+        binary.write_bytes(b"\xff\xfe name = 1")
+        with pytest.raises(ConfigurationError, match="cannot read spec"):
+            api.load_spec(binary)
+        with pytest.raises(FaultInjectionError, match="cannot read fault plan"):
+            FaultPlan.load(binary)
+        with pytest.raises(FaultInjectionError, match="cannot read fault plan"):
+            FaultPlan.load(tmp_path / "missing.toml")
+
     def test_retry_policy_with_a_list_for_an_int(self):
         with pytest.raises(ConfigurationError, match=r"retry_policy\.max_attempts"):
             RetryPolicy.from_mapping({"max_attempts": [1]})
