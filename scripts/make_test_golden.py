@@ -19,9 +19,16 @@ timestamps and the shutdown time), the same digest per retained run keyed
 ``scenario/index`` (so a mismatch names the run), a sha256 of the
 calibration matrices the models were fitted on (values and timestamps of
 both views), the step count, and the numpy, scipy and Python versions the
-digests hold on.  ``tests/test_golden_campaign.py`` repeats the same
-measurement and compares.  Regenerate only when a change is meant to alter
-these values.
+digests hold on.
+
+A second session runs ``examples/specs/response_paper.toml`` at the same
+smoke shape and root seed through ``run_response()``, without a result
+cache.  Its ``response`` entry holds the sha256 of the recovery table and
+one sha256 per run report (canonical JSON of ``ResponseReport.to_mapping``),
+keyed ``scenario/index``.
+
+``tests/test_golden_campaign.py`` repeats the same measurement and compares.
+Regenerate only when a change is meant to alter these values.
 
     PYTHONPATH=src python scripts/make_test_golden.py
 """
@@ -35,7 +42,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, Iterator
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 import scipy
@@ -58,9 +65,8 @@ def versions() -> Dict[str, str]:
     }
 
 
-def golden_spec(cache_dir: Path) -> api.CampaignSpec:
-    """The smoke-shaped batch campaign, armed with the live section."""
-    spec = api.load_spec(SPECS / "batch_paper.toml")
+def smoke_shaped(spec: api.CampaignSpec, cache_dir: Optional[Path]) -> api.CampaignSpec:
+    """``spec`` at the smoke shape and root seed, on one worker."""
     smoke = ExperimentConfig.smoke(seed=ROOT_SEED)
     experiment = replace(
         spec.experiment,
@@ -74,12 +80,25 @@ def golden_spec(cache_dir: Path) -> api.CampaignSpec:
             seed=smoke.simulation.seed,
         ),
         parallel=replace(
-            spec.experiment.parallel, n_workers=1, cache_dir=str(cache_dir)
+            spec.experiment.parallel,
+            n_workers=1,
+            cache_dir=None if cache_dir is None else str(cache_dir),
         ),
         seed=smoke.seed,
     )
+    return spec.with_experiment(experiment)
+
+
+def golden_spec(cache_dir: Path) -> api.CampaignSpec:
+    """The smoke-shaped batch campaign, armed with the live section."""
+    spec = smoke_shaped(api.load_spec(SPECS / "batch_paper.toml"), cache_dir)
     live = api.load_spec(SPECS / "live_paper.toml").live
-    return replace(spec.with_experiment(experiment), live=live)
+    return replace(spec, live=live)
+
+
+def response_spec() -> api.CampaignSpec:
+    """The smoke-shaped response campaign, without a result cache."""
+    return smoke_shaped(api.load_spec(SPECS / "response_paper.toml"), None)
 
 
 def table_digest(tables) -> str:
@@ -135,6 +154,17 @@ def calibration_digest(session: api.Session) -> str:
     return digest.hexdigest()
 
 
+def measure_response() -> Dict[str, object]:
+    """Run the response campaign; digest its table and every run report."""
+    result = api.Session(response_spec()).run_response()
+    reports: Dict[str, str] = {}
+    for records in result.per_seed.values():
+        for name, record in records.items():
+            for index, report in enumerate(record.reports):
+                reports[f"{name}/{index}"] = table_digest(report.to_mapping())
+    return {"tables": table_digest(result.tables()), "reports": reports}
+
+
 @contextmanager
 def counted_steps() -> Iterator[Dict[str, int]]:
     """Count ``BatchTEPlant.step_batch`` calls while the block runs."""
@@ -172,6 +202,7 @@ def measure(cache_dir: Path) -> Dict[str, object]:
         "trajectories": trajectory_digest(eager),
         "runs": run_digests(eager),
         "calibration": calibration_digest(session),
+        "response": measure_response(),
     }
 
 

@@ -12,7 +12,9 @@ other; these tests compare the campaign's outputs with values frozen in
   run;
 * the calibration matrices both models are fitted on;
 * the number of lockstep batch steps the fresh-cache campaign takes, which
-  depends only on how runs are packed into batches.
+  depends only on how runs are packed into batches;
+* the smoke response campaign's recovery table and every run's response
+  report, one digest per run keyed ``scenario/index``.
 
 Floating-point results may legitimately differ under other library builds,
 so the module is skipped unless numpy, scipy and Python match the versions
@@ -75,3 +77,21 @@ def test_lockstep_step_count_matches_golden(measured):
     only when batch packing changes, and then must be regenerated on
     purpose."""
     assert measured["step_batch_calls"] == GOLDEN["step_batch_calls"]
+
+
+def test_response_table_matches_golden(measured):
+    assert measured["response"]["tables"] == GOLDEN["response"]["tables"]
+
+
+def test_response_reports_match_golden_keys(measured):
+    assert sorted(measured["response"]["reports"]) == sorted(
+        GOLDEN["response"]["reports"]
+    )
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN["response"]["reports"]))
+def test_response_report_matches_golden(measured, run):
+    assert (
+        measured["response"]["reports"].get(run)
+        == GOLDEN["response"]["reports"][run]
+    )
