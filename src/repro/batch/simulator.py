@@ -17,20 +17,33 @@ Rows that finish early (safety trip or confirmed live detection) are
 *compacted out* of the batch: every batched component drops the finished
 rows' state, so the remaining rows keep stepping through dense arrays with
 no masking overhead.
+
+Observers that need the simulator itself — the closed-loop response runner
+— come from per-spec observer factories, as with
+:func:`~repro.experiments.runner.run_scenario`; each factory receives a
+:class:`BatchRow`, which offers the serial simulator's mutation seams for
+that one row.  At every sample, the live monitors of all remaining rows
+that share one analyzer are scored with one
+:meth:`~repro.mspc.model.MSPCMonitor.statistics` call per view and fed
+through :meth:`~repro.live.observer.LiveRunObserver.on_scored_sample`,
+bit for bit what each monitor would have computed alone.  A caller that
+only needs its observers (``trajectories=False``) gets no trajectory slabs
+and no :class:`SimulationResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.common.config import ParallelConfig, SimulationConfig
 from repro.common.exceptions import ConfigurationError
 from repro.control.batch import BatchDecentralizedController
+from repro.control.te_controller import TEDecentralizedController
 from repro.datasets.dataset import ProcessDataset
-from repro.network.channel import BatchChannel
+from repro.network.channel import BatchChannel, Channel
 from repro.process.disturbances import BatchDisturbanceView
 from repro.process.interfaces import StepObserver, StepSample
 from repro.process.safety import BatchSafetyMonitor
@@ -38,7 +51,10 @@ from repro.process.simulator import SimulationResult
 from repro.te.batch import BatchTEPlant
 from repro.te.safety import DEFAULT_SAFETY_LIMITS
 
-__all__ = ["BatchSimulator", "run_specs_batched", "DEFAULT_BATCH_SIZE"]
+__all__ = ["BatchSimulator", "BatchRow", "run_specs_batched", "DEFAULT_BATCH_SIZE"]
+
+#: Builds further observers of one run from its :class:`BatchRow`.
+ObserverFactory = Callable[["BatchRow"], Sequence[StepObserver]]
 
 #: Default number of runs stepped together per vectorized batch.  Large
 #: enough to amortize the per-step interpreter cost, small enough that the
@@ -55,6 +71,7 @@ class _Row:
     spec: object  # the RunSpec (typed loosely to avoid a layering import)
     metadata: Dict[str, object]
     observers: List[StepObserver] = field(default_factory=list)
+    live: List[StepObserver] = field(default_factory=list)  # scored in bulk
     n_recorded: int = 0
     shutdown_time_hours: Optional[float] = None
     shutdown_reason: Optional[str] = None
@@ -66,6 +83,181 @@ class _Row:
 def _group_key(config: SimulationConfig) -> SimulationConfig:
     """Runs sharing everything but the seed can advance in lockstep."""
     return replace(config, seed=0)
+
+
+class _Lockstep:
+    """The batched components of one running batch, and its remaining rows."""
+
+    def __init__(self, specs: Sequence) -> None:
+        from repro.experiments.runner import (
+            build_channels,
+            build_disturbance_schedule,
+        )
+
+        n_rows = len(specs)
+        self.plant = BatchTEPlant(seeds=[spec.simulation.seed for spec in specs])
+        self.controller = BatchDecentralizedController(None, n_rows)
+        sensor_channels, actuator_channels, schedules = [], [], []
+        for spec in specs:
+            sensor, actuator = build_channels(spec.scenario, spec.anomaly_start_hour)
+            sensor_channels.append(sensor)
+            actuator_channels.append(actuator)
+            schedules.append(
+                build_disturbance_schedule(spec.scenario, spec.anomaly_start_hour)
+            )
+        self.sensor_channel = BatchChannel(sensor_channels)
+        self.actuator_channel = BatchChannel(actuator_channels)
+        self.disturbances = BatchDisturbanceView(schedules)
+        self.safety = BatchSafetyMonitor(
+            DEFAULT_SAFETY_LIMITS, n_rows, enabled=specs[0].simulation.enable_safety
+        )
+        # Batch-local position -> original row index (ascending).
+        self.alive = np.arange(n_rows)
+
+    def compact(self, keep_mask: np.ndarray) -> np.ndarray:
+        """Drop the rows outside ``keep_mask``; return the kept positions."""
+        keep = np.flatnonzero(keep_mask)
+        for component in (
+            self.plant,
+            self.controller,
+            self.sensor_channel,
+            self.actuator_channel,
+            self.disturbances,
+            self.safety,
+        ):
+            component.take(keep)
+        self.alive = self.alive[keep]
+        return keep
+
+    def local(self, batch_index: int) -> int:
+        """The current position of row ``batch_index``."""
+        local = int(np.searchsorted(self.alive, batch_index))
+        if local == self.alive.size or self.alive[local] != batch_index:
+            raise ConfigurationError(
+                f"batch row {batch_index} has already left its batch"
+            )
+        return local
+
+
+def _tuning_without_gains(controller: TEDecentralizedController) -> tuple:
+    """Everything of a serial controller's tuning except its loop gains."""
+    return (
+        tuple(replace(loop.definition, kc=0.0) for loop in controller.loops),
+        controller.pressure_override_start_kpa,
+        controller.pressure_override_gain,
+        controller.level_override_start_percent,
+        controller.level_override_gain,
+        controller.override_filter_hours,
+        controller._constant_xmv,
+    )
+
+
+class BatchRow:
+    """One run of a lockstep batch, seen through the serial simulator's seams.
+
+    Observer factories of :meth:`BatchSimulator.run_specs` receive one of
+    these where :func:`~repro.experiments.runner.run_scenario` hands them the
+    :class:`~repro.process.simulator.ClosedLoopSimulator`, so the response
+    actions (:func:`repro.response.runner.apply_action`) have one body for
+    both kernels:
+
+    * ``controller`` reads as a serial
+      :class:`~repro.control.te_controller.TEDecentralizedController` with
+      the row's current loop gains.  Assigning one whose loops differ only
+      in ``kc`` gives the row those gains and a fresh controller state
+      (:meth:`BatchDecentralizedController.fallback_row`), exactly what
+      swapping in a new controller does to a serial run.
+    * ``sensor_channel`` / ``actuator_channel`` are the row's own
+      :class:`~repro.network.channel.Channel` objects
+      (:meth:`BatchChannel.channel`).
+
+    Rows that trip or stop move the others within the batch; the handle
+    looks up its row's current position on every access.
+    """
+
+    def __init__(self, lockstep: _Lockstep, batch_index: int) -> None:
+        self._lockstep = lockstep
+        self._batch_index = batch_index
+        self._controller: Optional[TEDecentralizedController] = None
+
+    @property
+    def controller(self) -> TEDecentralizedController:
+        """A serial controller carrying the row's current loop gains."""
+        if self._controller is None:
+            self._controller = TEDecentralizedController()
+        return self._controller
+
+    @controller.setter
+    def controller(self, controller: TEDecentralizedController) -> None:
+        if _tuning_without_gains(controller) != _tuning_without_gains(
+            self.controller
+        ):
+            raise ConfigurationError(
+                "a batch row can only take a controller that differs from "
+                "its current one in the loop gains"
+            )
+        self._lockstep.controller.fallback_row(
+            self._lockstep.local(self._batch_index),
+            [loop.definition.kc for loop in controller.loops],
+        )
+        self._controller = controller
+
+    @property
+    def sensor_channel(self) -> Channel:
+        """The row's sensor channel."""
+        return self._lockstep.sensor_channel.channel(
+            self._lockstep.local(self._batch_index)
+        )
+
+    @property
+    def actuator_channel(self) -> Channel:
+        """The row's actuator channel."""
+        return self._lockstep.actuator_channel.channel(
+            self._lockstep.local(self._batch_index)
+        )
+
+
+def _live_groups(rows: Sequence[_Row], alive: np.ndarray) -> list:
+    """The remaining rows' live observers, grouped by shared analyzer.
+
+    Returns ``[(analyzer, positions, observers)]``: the batch positions
+    whose samples one ``statistics`` call per view scores, and the observer
+    each scored row goes to.
+    """
+    groups: Dict[int, tuple] = {}
+    for local, batch_index in enumerate(alive):
+        for observer in rows[batch_index].live:
+            analyzer = observer.monitor.analyzer
+            _, positions, observers = groups.setdefault(
+                id(analyzer), (analyzer, [], [])
+            )
+            positions.append(local)
+            observers.append(observer)
+    return [
+        (analyzer, np.array(positions, dtype=np.intp), observers)
+        for analyzer, positions, observers in groups.values()
+    ]
+
+
+def _score_live(
+    groups: list, controller_values: np.ndarray, process_values: np.ndarray
+) -> Dict[int, tuple]:
+    """One statistics call per view and analyzer; the ``(t2, spe)`` pair
+    per view of every live observer, keyed by ``id(observer)``."""
+    scores: Dict[int, tuple] = {}
+    for analyzer, positions, observers in groups:
+        controller_t2, controller_spe = analyzer.controller_monitor.statistics(
+            controller_values[positions]
+        )
+        process_t2, process_spe = analyzer.process_monitor.statistics(
+            process_values[positions]
+        )
+        for i, observer in enumerate(observers):
+            scores[id(observer)] = (
+                (controller_t2[i], controller_spe[i]),
+                (process_t2[i], process_spe[i]),
+            )
+    return scores
 
 
 class BatchSimulator:
@@ -90,15 +282,34 @@ class BatchSimulator:
         self.live_analyzer = live_analyzer
 
     # ------------------------------------------------------------------
-    def run_specs(self, specs: Sequence) -> List[SimulationResult]:
+    def run_specs(
+        self,
+        specs: Sequence,
+        observer_factories: Optional[Sequence[Sequence[ObserverFactory]]] = None,
+        trajectories: bool = True,
+    ) -> List[SimulationResult]:
         """Execute every spec and return results in spec order.
 
         Specs are grouped by lockstep compatibility (identical simulation
         settings apart from the seed), each group is split into batches of
         at most :attr:`batch_size` rows, and each batch advances through
         one vectorized loop.
+
+        ``observer_factories`` holds one sequence of factories per spec.
+        Each factory is called with the run's :class:`BatchRow` and returns
+        further observers, appended after the early-stop stack — the
+        ``observer_factories`` contract of
+        :func:`~repro.experiments.runner.run_scenario`.  With
+        ``trajectories=False`` the runs are stepped for their observers
+        only: nothing is recorded and the call returns an empty list.
         """
         specs = list(specs)
+        if observer_factories is None:
+            observer_factories = [()] * len(specs)
+        elif len(observer_factories) != len(specs):
+            raise ConfigurationError(
+                "observer_factories needs one sequence of factories per spec"
+            )
         groups: Dict[SimulationConfig, List[int]] = {}
         for position, spec in enumerate(specs):
             groups.setdefault(_group_key(spec.simulation), []).append(position)
@@ -107,19 +318,31 @@ class BatchSimulator:
         for positions in groups.values():
             for offset in range(0, len(positions), self.batch_size):
                 chunk = positions[offset : offset + self.batch_size]
-                for position, result in zip(
-                    chunk, self._run_batch([specs[i] for i in chunk], chunk)
-                ):
+                batch_results = self._run_batch(
+                    [specs[i] for i in chunk],
+                    chunk,
+                    [observer_factories[i] for i in chunk],
+                    trajectories,
+                )
+                for position, result in zip(chunk, batch_results):
                     results[position] = result
-        return results  # type: ignore[return-value]
+        return results if trajectories else []  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
-    def _build_row(self, position: int, batch_index: int, spec) -> _Row:
+    def _build_row(
+        self,
+        position: int,
+        batch_index: int,
+        spec,
+        lockstep: _Lockstep,
+        factories: Sequence[ObserverFactory],
+    ) -> _Row:
         """Mirror of :func:`repro.experiments.runner.run_scenario` assembly."""
         from repro.experiments.runner import (
             build_live_observers,
             scenario_run_metadata,
         )
+        from repro.live.observer import LiveRunObserver
 
         scenario = spec.scenario
         simulation = spec.simulation
@@ -132,48 +355,42 @@ class BatchSimulator:
             raise ConfigurationError(
                 "anomaly_start_hour must fall inside the simulation horizon"
             )
+        observers = build_live_observers(
+            scenario, spec.anomaly_start_hour, spec.early_stop, self.live_analyzer
+        )
+        if factories:
+            handle = BatchRow(lockstep, batch_index)
+            for factory in factories:
+                observers.extend(factory(handle))
         return _Row(
             position=position,
             batch_index=batch_index,
             spec=spec,
             metadata=scenario_run_metadata(scenario, spec.anomaly_start_hour),
-            observers=build_live_observers(
-                scenario, spec.anomaly_start_hour, spec.early_stop, self.live_analyzer
-            ),
+            observers=observers,
+            live=[o for o in observers if isinstance(o, LiveRunObserver)],
         )
 
     def _run_batch(
-        self, specs: Sequence, positions: Sequence[int]
+        self,
+        specs: Sequence,
+        positions: Sequence[int],
+        factories: Sequence[Sequence[ObserverFactory]],
+        trajectories: bool,
     ) -> List[SimulationResult]:
         """Advance one lockstep batch to completion and build its results."""
-        from repro.experiments.runner import (
-            build_channels,
-            build_disturbance_schedule,
-        )
-
+        batch = _Lockstep(specs)
         rows = [
-            self._build_row(position, batch_index, spec)
-            for batch_index, (position, spec) in enumerate(zip(positions, specs))
+            self._build_row(position, batch_index, spec, batch, row_factories)
+            for batch_index, (position, spec, row_factories) in enumerate(
+                zip(positions, specs, factories)
+            )
         ]
         config = specs[0].simulation  # lockstep fields are shared by the group
         n_rows = len(rows)
-
-        plant = BatchTEPlant(seeds=[spec.simulation.seed for spec in specs])
-        controller = BatchDecentralizedController(None, n_rows)
-        sensor_channels, actuator_channels, schedules = [], [], []
-        for spec in specs:
-            sensor, actuator = build_channels(spec.scenario, spec.anomaly_start_hour)
-            sensor_channels.append(sensor)
-            actuator_channels.append(actuator)
-            schedules.append(
-                build_disturbance_schedule(spec.scenario, spec.anomaly_start_hour)
-            )
-        sensor_channel = BatchChannel(sensor_channels)
-        actuator_channel = BatchChannel(actuator_channels)
-        disturbances = BatchDisturbanceView(schedules)
-        safety = BatchSafetyMonitor(
-            DEFAULT_SAFETY_LIMITS, n_rows, enabled=config.enable_safety
-        )
+        plant, controller = batch.plant, batch.controller
+        sensor_channel, actuator_channel = batch.sensor_channel, batch.actuator_channel
+        disturbances, safety = batch.disturbances, batch.safety
 
         names = list(plant.measured_variables.names) + list(
             plant.manipulated_variables.names
@@ -183,39 +400,30 @@ class BatchSimulator:
         dt = config.integration_step_hours
         n_columns = len(names)
 
-        # Preallocated per-run trajectories; the lockstep clock is one scalar
-        # sequence, so a single times vector serves every row's prefix.
-        controller_slab = np.empty((n_rows, total_samples, n_columns))
-        process_slab = np.empty((n_rows, total_samples, n_columns))
-        times = np.empty(total_samples)
+        if trajectories:
+            # Preallocated per-run trajectories; the lockstep clock is one
+            # scalar sequence, so a single times vector serves every row's
+            # prefix.
+            controller_slab = np.empty((n_rows, total_samples, n_columns))
+            process_slab = np.empty((n_rows, total_samples, n_columns))
+            times = np.empty(total_samples)
 
         for row in rows:
             for observer in row.observers:
                 observer.on_run_start(names, row.spec.simulation, dict(row.metadata))
 
-        # ``alive`` maps batch-local position -> original batch index (the
-        # slab row); components are compacted whenever rows finish early.
-        # ``recorded_through`` is the shared count of fully recorded samples
-        # (rows advance in lockstep, so one scalar serves every alive row);
-        # a row's own n_recorded is stamped only when it leaves the batch.
-        alive = np.arange(n_rows)
+        # ``batch.alive`` maps batch-local position -> original batch index
+        # (the slab row); components are compacted whenever rows finish
+        # early.  ``recorded_through`` is the shared count of fully recorded
+        # samples (rows advance in lockstep, so one scalar serves every
+        # alive row); a row's own n_recorded is stamped only when it leaves
+        # the batch.
         recorded_through = 0
         any_observers = any(row.observers for row in rows)
-
-        def compact(keep_mask: np.ndarray, arrays: Sequence[np.ndarray] = ()):
-            nonlocal alive
-            keep = np.flatnonzero(keep_mask)
-            plant.take(keep)
-            controller.take(keep)
-            sensor_channel.take(keep)
-            actuator_channel.take(keep)
-            disturbances.take(keep)
-            safety.take(keep)
-            alive = alive[keep]
-            return [array[keep] for array in arrays]
+        live_groups = _live_groups(rows, batch.alive)
 
         for sample_index in range(total_samples):
-            if alive.size == 0:
+            if batch.alive.size == 0:
                 break
             batch_ended = False
             for _ in range(steps_per_sample):
@@ -233,47 +441,47 @@ class BatchSimulator:
                 if tripped.any():
                     trip_time = plant.time_hours
                     tripped_locals = np.flatnonzero(tripped)
-                    if recorded_through == 0:
+                    if recorded_through == 0 and trajectories:
                         # The plant tripped before its first sample could be
                         # stored; mirror the serial fallback of recording the
                         # (noiseless) state at t = 0 with nominal commands.
                         xmeas = plant.measure(noisy=False)
                         xmv = plant.manipulated_variables.nominal_values()
                         for local in tripped_locals:
-                            rows[alive[local]].fallback_sample = np.concatenate(
+                            rows[batch.alive[local]].fallback_sample = np.concatenate(
                                 [xmeas[local], xmv]
                             )
                     for local in tripped_locals:
-                        row = rows[alive[local]]
+                        row = rows[batch.alive[local]]
                         row.n_recorded = recorded_through
                         row.shutdown_time_hours = trip_time
                         row.shutdown_reason = reasons[local]
-                    (
-                        true_xmeas,
-                        received_xmeas,
-                        commanded_xmv,
-                        applied_xmv,
-                    ) = compact(
-                        ~tripped,
-                        (true_xmeas, received_xmeas, commanded_xmv, applied_xmv),
-                    )
-                    if alive.size == 0:
+                    keep = batch.compact(~tripped)
+                    true_xmeas = true_xmeas[keep]
+                    received_xmeas = received_xmeas[keep]
+                    commanded_xmv = commanded_xmv[keep]
+                    applied_xmv = applied_xmv[keep]
+                    live_groups = _live_groups(rows, batch.alive)
+                    if batch.alive.size == 0:
                         batch_ended = True
                         break
             if batch_ended:
                 break
 
+            alive = batch.alive
             sample_time = plant.time_hours
             controller_values = np.concatenate(
                 [received_xmeas, commanded_xmv], axis=1
             )
             process_values = np.concatenate([true_xmeas, applied_xmv], axis=1)
-            controller_slab[alive, sample_index] = controller_values
-            process_slab[alive, sample_index] = process_values
-            times[sample_index] = sample_time
+            if trajectories:
+                controller_slab[alive, sample_index] = controller_values
+                process_slab[alive, sample_index] = process_values
+                times[sample_index] = sample_time
             recorded_through = sample_index + 1
 
             if any_observers:
+                scores = _score_live(live_groups, controller_values, process_values)
                 stopping = np.zeros(alive.size, dtype=bool)
                 for local in range(alive.size):
                     row = rows[alive[local]]
@@ -287,7 +495,12 @@ class BatchSimulator:
                     )
                     stop_requested = False
                     for observer in row.observers:
-                        if observer.on_sample(sample):
+                        stats = scores.get(id(observer))
+                        if stats is None:
+                            stop = observer.on_sample(sample)
+                        else:
+                            stop = observer.on_scored_sample(sample, *stats)
+                        if stop:
                             stop_requested = True
                             if row.early_stop_reason is None:
                                 row.early_stop_reason = observer.stop_reason
@@ -296,16 +509,19 @@ class BatchSimulator:
                         row.early_stop_time_hours = float(sample_time)
                         stopping[local] = True
                 if stopping.any():
-                    compact(~stopping)
-                    if alive.size == 0:
+                    batch.compact(~stopping)
+                    live_groups = _live_groups(rows, batch.alive)
+                    if batch.alive.size == 0:
                         break
 
-        for local in range(alive.size):
-            rows[alive[local]].n_recorded = recorded_through
+        for local in range(batch.alive.size):
+            rows[batch.alive[local]].n_recorded = recorded_through
         for row in rows:
             for observer in row.observers:
                 observer.on_run_end(row.shutdown_time_hours, row.shutdown_reason)
 
+        if not trajectories:
+            return []
         return [
             self._finalize(row, names, controller_slab, process_slab, times)
             for row in rows

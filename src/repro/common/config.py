@@ -202,10 +202,12 @@ class ParallelConfig(Mapped, label="parallel", omit_none=True):
         macOS), scripts that trigger campaigns at import time need the
         usual ``if __name__ == "__main__":`` guard — or ``n_workers=1``.
     batch_size:
-        Runs stepped together per vectorized batch of the ``"batch"``
-        backend (ignored by the other backends).  ``None`` uses the
-        backend's default.  Larger batches amortize more interpreter
-        overhead but hold more in-flight trajectory memory.
+        Runs stepped together per vectorized batch: by the ``"batch"``
+        backend, and by response campaigns on every backend (their runs
+        always step in-process on the batch kernel).  ``None`` uses the
+        default.  Larger batches amortize more interpreter overhead but
+        hold more in-flight memory: trajectories on the ``"batch"``
+        backend, each run's live-monitor window in a response campaign.
     cache_dir:
         Directory of the on-disk result cache.  ``None`` disables caching.
         Cache entries are keyed by (scenario, simulation config, seed,
@@ -275,7 +277,7 @@ class ParallelConfig(Mapped, label="parallel", omit_none=True):
 
     @property
     def resolved_batch_size(self) -> int:
-        """The effective rows-per-batch of the ``"batch"`` backend."""
+        """The effective rows per batch (``"batch"`` backend, response campaigns)."""
         if self.batch_size is not None:
             return int(self.batch_size)
         return self.DEFAULT_BATCH_SIZE

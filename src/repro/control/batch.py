@@ -13,11 +13,16 @@ batched command matrix is bitwise-identical to the serial controller fed row
 
 Only the configuration space the serial campaign controller actually uses is
 supported: PI loops (no derivative action) with a positive update interval.
+
+Gains are shared by every row until :meth:`BatchDecentralizedController.\
+fallback_row` gives one row its own: the gain vectors then become ``(B, L)``
+matrices, and the fallen-back row restarts from a fresh controller state, as
+a newly built serial controller would.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -65,7 +70,10 @@ class BatchDecentralizedController:
 
         self._setpoint = vector(d.setpoint for d in definitions)
         self._direction = vector(d.direction for d in definitions)
+        # ``(L,)`` while every row shares the template's gains, ``(B, L)``
+        # once a row falls back to its own (see :meth:`fallback_row`).
         self._kc = vector(d.kc for d in definitions)
+        self._ti = vector(d.ti_hours for d in definitions)
         # The serial PID's increment is ``kc / ti * error * dt``, evaluated
         # left to right, so ``kc / ti`` is one constant per loop.
         self._kc_over_ti = vector(d.kc / d.ti_hours for d in definitions)
@@ -120,13 +128,49 @@ class BatchDecentralizedController:
         self._output[:, self._constant_columns] = self._constant_values
         self._filtered = np.zeros((self._n_rows, 2))
         self._filters_initialized = False
+        # Rows whose override filter restarts at the next update (a
+        # ``(B,)`` mask), or ``None`` when no row has fallen back.
+        self._unfiltered: Optional[np.ndarray] = None
 
     def take(self, indices: np.ndarray) -> None:
         """Keep only the given rows (compaction after trips / early stops)."""
         self._integral = self._integral[indices]
         self._output = self._output[indices]
         self._filtered = self._filtered[indices]
+        if self._kc.ndim == 2:
+            self._kc = self._kc[indices]
+            self._kc_over_ti = self._kc_over_ti[indices]
+        if self._unfiltered is not None:
+            self._unfiltered = self._unfiltered[indices]
         self._n_rows = int(np.asarray(indices).size)
+
+    def fallback_row(self, row: int, kc: Sequence[float]) -> None:
+        """Give row ``row`` its own loop gains and a fresh controller state.
+
+        ``kc`` holds one proportional gain per loop, in loop order.  The
+        row's integrals restart at zero, its output at the nominal valve
+        positions, and its override filter from the next measurement — so
+        from the next :meth:`update` on the row matches a serial controller
+        newly built with those gains, bit for bit.  The other rows keep
+        their gains and state.
+        """
+        kc = np.asarray(kc, dtype=float)
+        if kc.shape != self._ti.shape:
+            raise ConfigurationError(
+                f"expected {self._ti.size} loop gains, got shape {kc.shape}"
+            )
+        if self._kc.ndim == 1:
+            self._kc = np.tile(self._kc, (self._n_rows, 1))
+            self._kc_over_ti = np.tile(self._kc_over_ti, (self._n_rows, 1))
+        self._kc[row] = kc
+        self._kc_over_ti[row] = kc / self._ti
+        self._integral[row] = 0.0
+        self._output[row] = self._nominal_output
+        self._output[row, self._constant_columns] = self._constant_values
+        self._filtered[row] = 0.0
+        if self._unfiltered is None:
+            self._unfiltered = np.zeros(self._n_rows, dtype=bool)
+        self._unfiltered[row] = True
 
     def _setpoints(self) -> np.ndarray:
         """Per-loop setpoints: ``(L,)``, or ``(B, L)`` while an override acts.
@@ -171,7 +215,10 @@ class BatchDecentralizedController:
         else:
             alpha = min(dt_hours / self.override_filter_hours, 1.0)
             self._filtered = self._filtered + alpha * (signals - self._filtered)
+            if self._unfiltered is not None:
+                self._filtered[self._unfiltered] = signals[self._unfiltered]
         self._filters_initialized = True
+        self._unfiltered = None
 
         error = self._direction * (
             self._setpoints() - measurements[:, self._xmeas_columns]

@@ -5,12 +5,14 @@
 :meth:`~repro.process.simulator.ClosedLoopSimulator.run` call, it forwards
 every recorded sample's network-channel observations (both data views, after
 the attack/injection stack) to the live monitor, and relays the monitor's
-early-stop decision back to the simulator.
+early-stop decision back to the simulator.  A simulator that scores many
+runs' samples in one call hands the precomputed statistics to
+:meth:`LiveRunObserver.on_scored_sample` instead.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.common.exceptions import DataShapeError
 from repro.live.monitor import LiveMonitor, LiveRunReport
@@ -46,6 +48,27 @@ class LiveRunObserver(StepObserver):
         self.monitor.observe(
             sample.controller_values, sample.process_values, sample.time_hours
         )
+        return self._should_stop(sample)
+
+    def on_scored_sample(
+        self,
+        sample: StepSample,
+        controller_stats: Tuple[float, float],
+        process_stats: Tuple[float, float],
+    ) -> bool:
+        """:meth:`on_sample` for a sample whose ``(t2, spe)`` pair per view
+        was already computed (bitwise-equal, see
+        :meth:`LiveMonitor.ingest_scored`)."""
+        self.monitor.ingest_scored(
+            sample.controller_values,
+            sample.process_values,
+            sample.time_hours,
+            controller_stats,
+            process_stats,
+        )
+        return self._should_stop(sample)
+
+    def _should_stop(self, sample: StepSample) -> bool:
         if self.monitor.should_stop():
             self.monitor.mark_stopped(sample.index, sample.time_hours)
             self._stop_reason = (

@@ -107,7 +107,9 @@ class BatchChannel:
     backend applies exactly the serial tampering semantics per row.  Rows
     whose channel carries no attack take a vectorized pass-through: the
     delivered matrix starts as one copy of the transmitted matrix and only
-    compromised rows are rewritten through their channel.
+    compromised rows are rewritten through their channel.  A row's channel
+    may change mid-run (see :meth:`channel`); the compromised rows are then
+    worked out again before the next transmission.
 
     Parameters
     ----------
@@ -130,6 +132,7 @@ class BatchChannel:
         self._compromised_rows = [
             row for row, channel in enumerate(self._channels) if channel.compromised
         ]
+        self._stale = False
 
     @property
     def n_rows(self) -> int:
@@ -146,8 +149,19 @@ class BatchChannel:
         self._channels = [self._channels[int(i)] for i in np.asarray(indices)]
         self._refresh_compromised()
 
+    def channel(self, row: int) -> Channel:
+        """Row ``row``'s own :class:`Channel`, open to change in place.
+
+        Attacks added to or cleared from it take effect from the next
+        :meth:`transmit` on, which works out the compromised rows again.
+        """
+        self._stale = True
+        return self._channels[row]
+
     def transmit(self, values: np.ndarray, time_hours: float) -> np.ndarray:
         """Deliver a ``(B, n_entries)`` matrix, tampering compromised rows."""
+        if self._stale:
+            self._refresh_compromised()
         delivered = values.copy()
         for row in self._compromised_rows:
             delivered[row] = self._channels[row].transmit(values[row], time_hours)

@@ -5,19 +5,25 @@ that rides *behind* a :class:`~repro.live.observer.LiveRunObserver` feeding
 the same :class:`~repro.live.monitor.LiveMonitor`.  Each sample it checks
 the monitor's alarm managers for newly raised alarms, matches them against
 its :class:`~repro.response.policy.ResponsePolicy`, and applies the first
-matching rule's action through the simulator's existing mutation seams —
-the :class:`~repro.process.simulator.ClosedLoopSimulator` re-reads its
-controller, channels and safety monitor freshly at every integration
-sub-step, so a swap made in ``on_sample`` takes effect at the next sample.
+matching rule's action through the simulator's mutation seams: its
+``controller`` (swapped for one with scaled loop gains), ``sensor_channel``
+and ``actuator_channel``.  :func:`apply_action` has one body for both
+kernels.  On the serial kernel the seams belong to the
+:class:`~repro.process.simulator.ClosedLoopSimulator`, which re-reads its
+controller and channels at every integration sub-step.  On the batch
+kernel they belong to a :class:`~repro.batch.simulator.BatchRow`, which
+applies the change to its own row only.  Either way, a change made in
+``on_sample`` takes effect at the next sample.
 
 Everything is deterministic: the same seed produces the same alarms, hence
-the same actions at the same step indices.  With a disabled (or rule-less)
-policy the runner never mutates anything and the run is bitwise-identical
-to one without it.
+the same actions at the same step indices, on either kernel.  With a
+disabled (or rule-less) policy the runner never mutates anything and the
+run is bitwise-identical to one without it.
 
 The runner needs the simulator it rides in; :meth:`ResponseRunner.bind` is
 shaped as an observer factory for
-:func:`~repro.experiments.runner.run_scenario`::
+:func:`~repro.experiments.runner.run_scenario` (and, per spec, for
+:meth:`~repro.batch.simulator.BatchSimulator.run_specs`)::
 
     runner = ResponseRunner(monitor, policy)
     run_scenario(scenario, simulation,
@@ -59,9 +65,12 @@ def apply_action(
 ) -> str:
     """Apply one rule's action through the simulator/monitor seams.
 
-    Returns a human-readable description of what changed.  The mutation is
-    visible from the next integration sub-step on — the sample that
-    triggered the action is already recorded.
+    ``simulator`` is a serial simulator or a batch row
+    (:class:`~repro.batch.simulator.BatchRow`): anything with a
+    ``controller`` and the two channels.  Returns a human-readable
+    description of what changed.  The mutation is visible from the next
+    integration sub-step on — the sample that triggered the action is
+    already recorded.
     """
     if rule.action == "fallback_gains":
         controller = simulator.controller
@@ -137,7 +146,8 @@ class ResponseRunner(StepObserver):
         self._shutdown_reason: Optional[str] = None
 
     def bind(self, simulator: ClosedLoopSimulator) -> Tuple["ResponseRunner"]:
-        """Attach the simulator; usable as a ``run_scenario`` observer factory."""
+        """Attach the simulator (or batch row); usable as an observer
+        factory of ``run_scenario`` and ``BatchSimulator.run_specs``."""
         self.simulator = simulator
         return (self,)
 
