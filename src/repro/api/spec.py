@@ -61,6 +61,7 @@ from repro.common.codec import (
     as_int,
     as_sequence,
     check_keys,
+    decode_value,
     encode,
 )
 from repro.common.config import (
@@ -331,8 +332,10 @@ class CampaignSpec:
         if "name" not in mapping:
             raise ConfigurationError("a campaign spec needs a 'name'")
         return cls(
-            name=str(mapping["name"]),
-            description=str(mapping.get("description", "")),
+            name=decode_value(str, mapping["name"], "campaign spec.name"),
+            description=decode_value(
+                str, mapping.get("description", ""), "campaign spec.description"
+            ),
             version=mapping.get("version", SPEC_VERSION),
             experiment=ExperimentConfig.from_mapping(mapping.get("experiment", {})),
             scenarios=tuple(

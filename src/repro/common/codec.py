@@ -19,7 +19,8 @@ missing required fields and values that cannot be coerced, each with a
 :class:`~repro.common.exceptions.ConfigurationError` naming ``label.key``.
 The coercion rules are one set for every class: integers go through
 :func:`as_int`, booleans through :func:`as_bool`, sequences through
-:func:`as_sequence`, floats through ``float`` and strings through ``str``.
+:func:`as_sequence`, floats through ``float`` and strings through
+:func:`as_str`.
 
 Whether ``None``-valued fields are left out is fixed per class: the
 TOML-facing spec sections leave them out (TOML has no null, so absent means
@@ -48,6 +49,7 @@ __all__ = [
     "as_int",
     "as_mapping",
     "as_sequence",
+    "as_str",
     "check_keys",
     "decode",
     "decode_value",
@@ -82,6 +84,15 @@ def as_bool(value: Any) -> bool:
     if not isinstance(value, bool):
         raise ConfigurationError(f"expected a boolean, got {value!r}")
     return value
+
+
+def as_str(value: Any) -> str:
+    """Require an actual string — ``str(None)`` is ``"None"`` and
+    ``str([1, 2])`` is ``"[1, 2]"``, so other values are rejected rather
+    than coerced."""
+    if not isinstance(value, str):
+        raise ConfigurationError(f"expected a string, got {value!r}")
+    return str(value)
 
 
 def as_sequence(value: Any, label: str) -> Tuple[Any, ...]:
@@ -145,7 +156,7 @@ _SCALARS: Dict[Any, Tuple[Encoder, Decoder]] = {
     int: (int, _scalar(as_int)),
     float: (float, _scalar(float)),
     bool: (bool, _scalar(as_bool)),
-    str: (str, _scalar(str)),
+    str: (str, _scalar(as_str)),
 }
 _as_float = _SCALARS[float][1]
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple, Type
 
-from repro.common.codec import Mapped, as_mapping, as_sequence
+from repro.common.codec import Mapped, as_mapping, as_sequence, decode_value
 from repro.common.exceptions import ConfigurationError
 from repro.network.attacks import (
     Attack,
@@ -60,22 +60,18 @@ ACTUATOR = "actuator"
 _CHANNELS = (SENSOR, ACTUATOR)
 
 
-def _coerce(value: Any, kind: type) -> Any:
-    """Coerce a mapping/constructor value to its canonical scalar type.
+def _coerce(injection: Any, name: str, hint: Any) -> None:
+    """Coerce one constructor field, in place, to its canonical type.
 
     Specs arrive from TOML/JSON where ``10`` and ``10.0`` are different
     tokens; canonicalizing here keeps cache keys independent of how the
-    author spelled a number.
+    author spelled a number.  The rule is the mapping codec's
+    (:func:`~repro.common.codec.as_int` for ints, ``float`` for floats), so
+    a constructor accepts and rejects exactly what
+    :func:`injection_from_mapping` does, with the same typed error.
     """
-    if value is None:
-        return None
-    if kind is float:
-        return float(value)
-    if kind is int:
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigurationError(f"expected an integer, got {value!r}")
-        return int(value)
-    return value
+    value = decode_value(hint, getattr(injection, name), f"injection.{name}")
+    object.__setattr__(injection, name, value)
 
 
 @dataclass(frozen=True)
@@ -99,8 +95,8 @@ class Injection(Mapped, label="injection", omit_none=True, tag="type"):
     end_hour: Optional[float] = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "start_hour", _coerce(self.start_hour, float))
-        object.__setattr__(self, "end_hour", _coerce(self.end_hour, float))
+        _coerce(self, "start_hour", Optional[float])
+        _coerce(self, "end_hour", Optional[float])
         if self.start_hour is not None and self.start_hour < 0:
             raise ConfigurationError("start_hour must be >= 0")
         if (
@@ -139,8 +135,8 @@ class DisturbanceInjection(Injection):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(self, "index", _coerce(self.index, int))
-        object.__setattr__(self, "magnitude", _coerce(self.magnitude, float))
+        _coerce(self, "index", int)
+        _coerce(self, "magnitude", float)
         if not 1 <= self.index <= N_IDV:
             raise ConfigurationError(
                 f"disturbance index is IDV(1)-IDV({N_IDV}), got {self.index}"
@@ -170,7 +166,7 @@ class ChannelInjection(Injection):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(self, "target", _coerce(self.target, int))
+        _coerce(self, "target", int)
         if self.channel not in _CHANNELS:
             raise ConfigurationError(
                 f"channel must be one of {_CHANNELS}, got {self.channel!r}"
@@ -197,7 +193,7 @@ class IntegrityInjection(ChannelInjection):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(self, "value", _coerce(self.value, float))
+        _coerce(self, "value", float)
 
     def build_attack(self, default_start_hour: float) -> Attack:
         return IntegrityAttack(
@@ -232,7 +228,7 @@ class BiasInjection(ChannelInjection):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(self, "offset", _coerce(self.offset, float))
+        _coerce(self, "offset", float)
 
     def scaled(self, magnitude: float) -> "BiasInjection":
         return replace(self, offset=self.offset * float(magnitude))
@@ -256,9 +252,7 @@ class DriftInjection(ChannelInjection):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(
-            self, "rate_per_hour", _coerce(self.rate_per_hour, float)
-        )
+        _coerce(self, "rate_per_hour", float)
 
     def scaled(self, magnitude: float) -> "DriftInjection":
         return replace(self, rate_per_hour=self.rate_per_hour * float(magnitude))
@@ -287,7 +281,7 @@ class StuckAtInjection(ChannelInjection):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(self, "value", _coerce(self.value, float))
+        _coerce(self, "value", Optional[float])
 
     def build_attack(self, default_start_hour: float) -> Attack:
         if self.value is None:
@@ -314,7 +308,7 @@ class ReplayInjection(ChannelInjection):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(self, "record_hours", _coerce(self.record_hours, float))
+        _coerce(self, "record_hours", float)
         if self.record_hours <= 0:
             raise ConfigurationError("record_hours must be positive")
 

@@ -27,7 +27,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.common.codec import check_keys
+from repro.common.codec import check_keys, decode_value
 from repro.common.exceptions import ConfigurationError
 from repro.experiments.injections import (
     ChannelInjection,
@@ -228,8 +228,8 @@ class Scenario:
         if "name" not in mapping:
             raise ConfigurationError("a scenario mapping needs a 'name'")
         return cls(
-            name=str(mapping["name"]),
-            title=str(mapping.get("title", "")),
+            name=decode_value(str, mapping["name"], "scenario.name"),
+            title=decode_value(str, mapping.get("title", ""), "scenario.title"),
             expected_ground_truth=mapping.get("ground_truth"),
             injections=injections_from_mappings(mapping.get("injections", ())),
         )

@@ -362,6 +362,36 @@ class TestPinnedLeaks:
             CampaignCoordinator(tmp_path / "shared", journal=path)
 
 
+class TestStrictStrings:
+    """A string field takes a string only: ``str(None)`` is ``"None"``."""
+
+    @pytest.mark.parametrize("value", [None, [1, 2], 3, 2.5, True, {"a": 1}])
+    def test_service_host_takes_only_a_string(self, value):
+        with pytest.raises(
+            ConfigurationError,
+            match=r"invalid service\.host: expected a string",
+        ):
+            ServiceConfig.from_mapping({"host": value})
+
+    def test_alarm_event_kind_null_is_rejected(self):
+        mapping = AlarmEvent(
+            kind="raised", index=3, time_hours=0.1, chart="D",
+            statistic_value=1.0, limit=0.5,
+        ).to_mapping()
+        with pytest.raises(ConfigurationError, match=r"alarm_event\.kind"):
+            AlarmEvent.from_mapping(dict(mapping, kind=None))
+
+    def test_names_of_specs_and_scenarios_take_only_a_string(self):
+        with pytest.raises(ConfigurationError, match=r"campaign spec\.name"):
+            api.CampaignSpec.from_mapping({"name": None, "scenarios": ["normal"]})
+        with pytest.raises(ConfigurationError, match=r"scenario\.title"):
+            Scenario.from_mapping({"name": "x", "title": [1, 2]})
+
+    def test_strings_still_decode(self):
+        assert ServiceConfig.from_mapping({"host": "10.0.0.1"}).host == "10.0.0.1"
+        assert codec.as_str("x") == "x"
+
+
 class TestCodec:
     def test_unknown_key_names_the_closest_field(self):
         with pytest.raises(ConfigurationError, match=r"did you mean 'seed'"):

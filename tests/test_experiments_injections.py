@@ -61,6 +61,27 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             DoSInjection("actuator", 1.5)
 
+    @pytest.mark.parametrize("index", [True, None, [6], "six", 6.5])
+    def test_constructor_rejects_what_the_mapping_rejects(self, index):
+        # ``int(True)`` is 1: a bare ``int()`` coercion would build IDV(1).
+        with pytest.raises(ConfigurationError, match=r"injection\.index") as mapped:
+            injection_from_mapping({"type": "disturbance", "index": index})
+        with pytest.raises(ConfigurationError) as built:
+            DisturbanceInjection(index)
+        assert str(built.value) == str(mapped.value)
+
+    @pytest.mark.parametrize("index", [6, 6.0, "6"])
+    def test_constructor_accepts_what_the_mapping_accepts(self, index):
+        mapped = injection_from_mapping({"type": "disturbance", "index": index})
+        assert DisturbanceInjection(index) == mapped
+        assert mapped.index == 6
+
+    def test_optional_hours_stay_optional(self):
+        injection = StuckAtInjection("sensor", 1, start_hour=None)
+        assert injection.value is None and injection.start_hour is None
+        with pytest.raises(ConfigurationError, match=r"injection\.start_hour"):
+            StuckAtInjection("sensor", 1, start_hour="soon")
+
 
 class TestOnsetAndScaling:
     def test_default_onset_defers_to_campaign(self):
