@@ -366,10 +366,12 @@ class Session:
         simulates in-process (response actions mutate the trajectory, so the
         campaign cache is bypassed) with a
         :class:`~repro.response.runner.ResponseRunner` riding behind the
-        live monitor; per-run seeds match the engine's derivation, so a run
-        in which no action fires is bitwise-identical to its :meth:`run`
-        counterpart.  ``on_report`` is called with
-        ``(scenario_name, run_index, report)`` as each run completes.
+        live monitor, in lockstep batches of ``parallel.batch_size`` runs on
+        the batch kernel whatever the backend; per-run seeds match the
+        engine's derivation, so a run in which no action fires is
+        bitwise-identical to its :meth:`run` counterpart.  ``on_report`` is
+        called with ``(scenario_name, run_index, report)`` in plan order as
+        each batch completes.
         """
         # Imported lazily: repro.response reaches into the live/experiments
         # stack; keep the session importable without it fully loaded.

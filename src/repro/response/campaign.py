@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.batch.simulator import BatchSimulator
 from repro.experiments.evaluation import Evaluation
 from repro.experiments.parallel import scenario_specs
 from repro.experiments.scenarios import Scenario
@@ -112,6 +111,10 @@ def evaluate_all_response(
     ``on_report`` is called with ``(scenario_name, run_index, report)`` in
     plan order, as each batch completes.
     """
+    # Imported lazily, so importing repro.api does not load the batch
+    # kernel for callers that never run it.
+    from repro.batch.simulator import BatchSimulator
+
     if not evaluation.is_calibrated:
         evaluation.calibrate(keep_results=False)
     config = evaluation.config
