@@ -112,7 +112,9 @@ class BatchDecentralizedController:
             [index - 1 for index in constant_xmv], dtype=np.intp
         )
         self._constant_values = vector(constant_xmv.values())
-        self._nominal_output = np.array(template._output, dtype=float, copy=True)
+        # A fresh row's output: nominal valve positions, constants held.
+        self._initial_output = np.array(template._output, dtype=float, copy=True)
+        self._initial_output[self._constant_columns] = self._constant_values
         self._n_rows = int(n_rows)
         self.reset()
 
@@ -124,8 +126,7 @@ class BatchDecentralizedController:
     def reset(self) -> None:
         """Clear every row's controller memory."""
         self._integral = np.zeros((self._n_rows, self._setpoint.size))
-        self._output = np.tile(self._nominal_output, (self._n_rows, 1))
-        self._output[:, self._constant_columns] = self._constant_values
+        self._output = np.tile(self._initial_output, (self._n_rows, 1))
         self._filtered = np.zeros((self._n_rows, 2))
         self._filters_initialized = False
         # Rows whose override filter restarts at the next update (a
@@ -165,8 +166,7 @@ class BatchDecentralizedController:
         self._kc[row] = kc
         self._kc_over_ti[row] = kc / self._ti
         self._integral[row] = 0.0
-        self._output[row] = self._nominal_output
-        self._output[row, self._constant_columns] = self._constant_values
+        self._output[row] = self._initial_output
         self._filtered[row] = 0.0
         if self._unfiltered is None:
             self._unfiltered = np.zeros(self._n_rows, dtype=bool)
