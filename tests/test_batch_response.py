@@ -368,9 +368,14 @@ def test_handle_rejects_a_controller_that_differs_beyond_its_gains(
 def test_handle_of_a_row_that_left_its_batch_is_refused(small_evaluation):
     # The unanswered attack trips the run, which then leaves the batch.
     kept = []
+
+    def keep(handle):
+        kept.append(_Keep(handle))
+        return kept
+
     results = BatchSimulator().run_specs(
         [attack_spec(small_evaluation)],
-        observer_factories=[(lambda handle: kept.append(_Keep(handle)) or kept,)],
+        observer_factories=[(keep,)],
         trajectories=False,
     )
     assert results == []
