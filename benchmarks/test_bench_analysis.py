@@ -94,14 +94,14 @@ def test_sharded_analysis_speedup(benchmark, tmp_path):
     serial_seconds = time.perf_counter() - started
 
     with AnalysisEngine(
-        analyzer, ParallelConfig(n_workers=n_workers, backend="process")
+        analyzer, ParallelConfig(n_workers=n_workers)
     ) as sharded_engine:
         sharded_verdicts = benchmark.pedantic(
             lambda: list(sharded_engine.map(paths)), rounds=1, iterations=1
         )
         sharded_seconds = sharded_engine.last_stats.wall_seconds
 
-    # Identical verdicts whichever backend scored the campaign.
+    # Identical verdicts whichever engine scored the campaign.
     _assert_verdicts_identical(serial_verdicts, sharded_verdicts)
 
     speedup = serial_seconds / sharded_seconds if sharded_seconds > 0 else 1.0

@@ -1,18 +1,18 @@
 """Batched vectorized simulation — the wall-clock case for ``repro.batch``.
 
 Runs the simulation stage of the paper's five-scenario campaign twice on a
-single core: once through the serial backend (one interpreter pass per run)
-and once through the batch backend (the whole campaign stepped as lockstep
-``(B, ...)`` arrays).  Asserts the per-run results are bitwise-identical and
-records the measured speedup.  The speedup is always reported
+single core: once through the serial kernel, run by run (``run_scenario``,
+one interpreter pass per run), and once through the campaign engine (the
+whole campaign stepped as lockstep ``(B, ...)`` arrays).  Asserts the
+per-run results are bitwise-identical and records the measured speedup.  The speedup is always reported
 (``extra_info`` and ``BENCH_batch.json``); it becomes a hard >= 3x gate only
 when ``REPRO_BENCH_STRICT=1`` (the CI bench jobs).
 
 Unlike the figure benchmarks this one sizes its own campaign: the batch
-backend's win grows with the rows it can step together, so the run counts
+kernel's win grows with the rows it can step together, so the run counts
 are floored to fill one default-sized batch even at smoke scale.
 
-Campaigns do not run that shape: they hand the batch kernel 2-3 rows per
+Not every call fills a batch: a lone pending run steps as a one-row
 batch.  So the test also reports the narrow regime, the CPU cost per step
 of one short run on the serial kernel and on the batch kernel at B=1 and
 B=2 (``serial_step_seconds``, ``batch_b1_step_seconds``,
@@ -53,12 +53,12 @@ def campaign_specs(bench_config):
 
     Calibration and per-scenario repeats are floored so the campaign holds
     at least one default batch worth of runs even at smoke scale — the
-    regime the backend is built for.
+    regime the kernel is built for.
     """
     config = replace(
         bench_config,
         # 6 calibration runs + 5 scenarios x 2 = 16 runs: one full default
-        # batch, the regime the backend is built for.
+        # batch, the regime the kernel is built for.
         n_calibration_runs=max(bench_config.n_calibration_runs, 6),
         n_runs_per_scenario=max(bench_config.n_runs_per_scenario, 2),
     )
@@ -99,18 +99,22 @@ def narrow_batch_step_seconds(rounds: int = 3):
 def test_batch_backend_speedup(benchmark, bench_config, emit_bench_json):
     specs = campaign_specs(bench_config)
 
-    serial_engine = CampaignEngine(ParallelConfig.serial())
     started = time.perf_counter()
-    serial_results = serial_engine.run(specs)
+    serial_results = [
+        run_scenario(
+            spec.scenario, spec.simulation, anomaly_start_hour=spec.anomaly_start_hour
+        )
+        for spec in specs
+    ]
     serial_seconds = time.perf_counter() - started
 
-    batch_engine = CampaignEngine(ParallelConfig(n_workers=1, backend="batch"))
+    batch_engine = CampaignEngine(ParallelConfig.serial())
     batch_results = benchmark.pedantic(
         batch_engine.run, args=(specs,), rounds=1, iterations=1
     )
     batch_seconds = benchmark.stats.stats.mean
 
-    # Equivalence anchor: per-run results identical across backends — data
+    # Equivalence anchor: per-run results identical across kernels — data
     # views, timestamps, shutdown truncation, metadata.
     assert len(serial_results) == len(batch_results)
     for serial_run, batch_run in zip(serial_results, batch_results):
@@ -144,9 +148,9 @@ def test_batch_backend_speedup(benchmark, bench_config, emit_bench_json):
 
     print()
     print("Batched vectorized campaign (five paper scenarios, single core)")
-    print(f"  serial backend {serial_seconds:7.2f} s   ({len(specs)} runs)")
-    print(f"  batch backend  {batch_seconds:7.2f} s   speedup {speedup:.2f}x")
-    print("CPU per step of one short run (narrow batches, as campaigns run them)")
+    print(f"  serial kernel  {serial_seconds:7.2f} s   ({len(specs)} runs)")
+    print(f"  batch engine   {batch_seconds:7.2f} s   speedup {speedup:.2f}x")
+    print("CPU per step of one short run (narrow batches, as a lone run steps)")
     print(f"  serial kernel  {step_seconds['serial_step_seconds'] * 1e3:7.3f} ms")
     print(
         f"  batch B=1      {step_seconds['batch_b1_step_seconds'] * 1e3:7.3f} ms"

@@ -7,9 +7,10 @@ detection).  Asserts the detection verdicts — run lengths, ARL, detection
 counts — are identical, and records the measured speedup.  The speedup is
 always reported (``extra_info``); it becomes a hard >= 1.3x gate only when
 ``REPRO_BENCH_STRICT=1`` (the CI bench-smoke job).  Both campaigns run on
-the serial backend: under a wide process pool the wall-clock of either path
-degenerates to the one full-horizon normal run, which measures the pool,
-not the early stop.
+one worker at ``batch_size = 1``, one run per lockstep batch: in a packed
+batch the full-horizon rows set its length, and under a wide process pool
+the wall-clock of either path degenerates to the one full-horizon normal
+run, so either would measure the packing or the pool, not the early stop.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def five_paper_scenarios():
 
 @pytest.mark.benchmark(group="live-campaign")
 def test_live_early_stop_speedup(benchmark, bench_config):
-    config = bench_config.with_parallel(ParallelConfig.serial())
+    config = bench_config.with_parallel(ParallelConfig(n_workers=1, batch_size=1))
     evaluation = Evaluation(config)
     evaluation.calibrate(keep_results=False)
     scenarios = five_paper_scenarios()
@@ -83,7 +84,7 @@ def test_live_early_stop_speedup(benchmark, bench_config):
     benchmark.extra_info["n_truncated_runs"] = truncated
 
     print()
-    print("Live early-stop campaign (five paper scenarios, serial backend)")
+    print("Live early-stop campaign (five paper scenarios, one run per batch)")
     print(f"  batch {batch_seconds:7.2f} s")
     print(f"  live  {live_seconds:7.2f} s   speedup {speedup:.2f}x   "
           f"{truncated} runs truncated")

@@ -37,11 +37,11 @@ def load_metrics(path: Path) -> Dict[str, tuple]:
 
     Returns ``name -> (value, higher_is_better, unit)``.  Besides each
     benchmark's mean time, numeric ``extra_info`` columns are compared too:
-    the backend benchmarks record per-backend wall clocks (keys ending in
+    the kernel benchmarks record per-path wall clocks (keys ending in
     ``_seconds``, lower is better), measured ``speedup`` columns (higher
     is better) and relative-cost columns (keys ending in ``_fraction``,
     lower is better — e.g. the response runner's no-alarm overhead), so a
-    backend that silently loses its edge flags a regression even when the
+    path that silently loses its edge flags a regression even when the
     overall mean stays flat.
     """
     with open(path, encoding="utf-8") as handle:

@@ -171,7 +171,6 @@ def config_entries() -> Dict[str, Any]:
         "parallel/default": ParallelConfig(),
         "parallel/set": ParallelConfig(
             n_workers=2,
-            backend="batch",
             cache_dir="cache",
             cache_enabled=False,
             cache_max_bytes=1024,

@@ -7,8 +7,9 @@ guesses:
   :class:`~repro.process.simulator.ClosedLoopSimulator` (the per-step
   Python costs: plant flows, PID updates, channel transmits, recording);
 * **one campaign chunk** — a batch of runs through the
-  :class:`~repro.experiments.parallel.CampaignEngine` on a selectable
-  backend, which is what a worker process actually executes.
+  :class:`~repro.experiments.parallel.CampaignEngine` with one worker, so
+  its lockstep batches step in this process (what a worker process
+  executes).
 
 Each report prints the top-N functions by cumulative time (default 20).
 
@@ -18,9 +19,9 @@ Profile the default smoke-scale workloads::
 
     PYTHONPATH=src python scripts/profile_campaign.py
 
-Profile a chunk on the batched backend, top 30 functions::
+Profile a chunk in lockstep batches of 4, top 30 functions::
 
-    PYTHONPATH=src python scripts/profile_campaign.py --backend batch --top 30
+    PYTHONPATH=src python scripts/profile_campaign.py --batch-size 4 --top 30
 
 Profile only the single serial run, at higher fidelity::
 
@@ -123,28 +124,23 @@ def profile_single_run(arguments: argparse.Namespace) -> None:
 
 
 def profile_campaign_chunk(arguments: argparse.Namespace) -> None:
-    """One engine chunk of the five-scenario campaign on a backend."""
+    """One engine chunk of the five-scenario campaign, in-process."""
     config = ExperimentConfig.smoke(seed=arguments.seed)
     specs = list(calibration_specs(config))
     for scenario in [normal_scenario(), *paper_scenarios()]:
         specs.extend(scenario_specs(config, scenario))
     engine = CampaignEngine(
-        ParallelConfig(
-            n_workers=1,
-            backend=arguments.backend,
-            batch_size=arguments.batch_size,
-        )
+        ParallelConfig(n_workers=1, batch_size=arguments.batch_size)
     )
+    batch_size = engine.config.resolved_batch_size
     profiler = cProfile.Profile()
-    with span(
-        "profile.chunk", n_runs=len(specs), backend=arguments.backend
-    ):
+    with span("profile.chunk", n_runs=len(specs), batch_size=batch_size):
         profiler.enable()
         engine.run(specs)
         profiler.disable()
     _absorb_pstats(profiler, arguments.top, lane="chunk")
     _report(
-        f"one campaign chunk ({len(specs)} runs, backend={arguments.backend})",
+        f"one campaign chunk ({len(specs)} runs, batch_size={batch_size})",
         profiler,
         arguments.top,
     )
@@ -161,14 +157,11 @@ def main(argv=None) -> int:
         help="profile only one of the two workloads",
     )
     parser.add_argument(
-        "--backend",
-        choices=("serial", "batch"),
-        default="serial",
-        help="engine backend for the campaign-chunk workload "
-        "(default: serial; process pools cannot be cProfiled from the parent)",
-    )
-    parser.add_argument(
-        "--batch-size", type=int, default=None, help="batch backend rows per batch"
+        "--batch-size",
+        type=int,
+        default=None,
+        help="rows per lockstep batch of the campaign-chunk workload "
+        "(default: 16)",
     )
     parser.add_argument(
         "--scenario", default="idv6", help="scenario of the single-run workload"

@@ -3,7 +3,8 @@
 The CLI front end of :class:`repro.api.Session`: builds a campaign spec
 from the flags (or loads ``--spec``), simulates the calibration runs in the
 same packed plan as the first scenario runs, fits the dual-level MSPC
-models, fans the runs out over a process pool, and prints the ARL and
+models, steps the runs in lockstep batches (fanned out over a process pool
+when they fill more than one batch), and prints the ARL and
 classification tables.  Simulation results are cached on disk
 (``--cache-dir``, default ``.repro-cache``), so a re-run with unchanged
 settings only replays the analysis.
@@ -18,16 +19,16 @@ Paper-fidelity campaign on 8 workers::
 
     PYTHONPATH=src python scripts/run_campaign.py --scale paper --workers 8
 
-Serial, cache-less run of two scenarios::
+In-process, cache-less run of two scenarios::
 
     PYTHONPATH=src python scripts/run_campaign.py --workers 1 --no-cache \
         --scenarios idv6 dos_xmv3
 
-Batched vectorized simulation — each worker steps a whole chunk of runs in
-one lockstep loop (bitwise-identical results, several times faster per
-core, multiplicative with the process fan-out)::
+Narrower lockstep batches — every worker steps up to ``B`` runs in one
+vectorized loop (bitwise-identical results whatever ``B``; a batch holds
+``B`` runs' trajectories, so keep it at 4-8 at paper fidelity)::
 
-    PYTHONPATH=src python scripts/run_campaign.py --backend batch --batch-size 16
+    PYTHONPATH=src python scripts/run_campaign.py --scale paper --batch-size 8
 
 Streaming sharded analysis (peak memory O(chunk), not O(campaign))::
 
@@ -113,7 +114,6 @@ def build_config(arguments: argparse.Namespace) -> ExperimentConfig:
         config = replace(config, n_runs_per_scenario=arguments.runs_per_scenario)
     parallel = ParallelConfig(
         n_workers=arguments.workers,
-        backend=arguments.backend or "process",
         cache_dir=(
             None
             if arguments.no_cache
@@ -248,8 +248,6 @@ def apply_spec_overrides(
     parallel = spec.experiment.parallel
     if arguments.workers is not None:
         parallel = replace(parallel, n_workers=arguments.workers)
-    if arguments.backend is not None:
-        parallel = replace(parallel, backend=arguments.backend)
     if arguments.no_cache:
         parallel = replace(parallel, cache_dir=None)
     elif arguments.cache_dir is not None:
@@ -332,8 +330,8 @@ def run_spec(arguments: argparse.Namespace) -> int:
         if arguments.respond:
             mode = "closed-loop response (in-process, cache bypassed)"
         print(
-            f"engine: backend={experiment.parallel.backend} "
-            f"workers={experiment.parallel.resolved_workers} "
+            f"engine: workers={experiment.parallel.resolved_workers} "
+            f"batch_size={experiment.parallel.resolved_batch_size} "
             f"cache={'off' if not experiment.parallel.caching else experiment.parallel.cache_dir}"
             f" analysis={mode}\n"
         )
@@ -519,7 +517,7 @@ def main(argv=None) -> int:
         metavar="FILE",
         help="declarative campaign spec (TOML/JSON); scenario selection, "
         "sweeps and analysis options come from the file, and only "
-        "operational flags (--workers, --backend, --no-cache, --cache-dir, "
+        "operational flags (--workers, --batch-size, --no-cache, --cache-dir, "
         "--chunk-size, --cache-max-*, --analyze) override it",
     )
     parser.add_argument(
@@ -533,23 +531,15 @@ def main(argv=None) -> int:
         "--workers",
         type=int,
         default=None,
-        help="worker processes (default: all CPUs; 1 forces serial)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("process", "serial", "batch"),
-        default=None,
-        help="execution backend (default: process; 'batch' steps whole "
-        "chunks of runs through the vectorized lockstep simulator, "
-        "multiplicative with the process fan-out)",
+        help="worker processes (default: all CPUs; 1 runs every batch "
+        "in-process)",
     )
     parser.add_argument(
         "--batch-size",
         type=int,
         default=None,
         metavar="B",
-        help="runs stepped together per vectorized batch of the batch "
-        "backend (default: 16)",
+        help="runs stepped together per lockstep batch (default: 16)",
     )
     parser.add_argument(
         "--calibration-runs", type=int, default=None, help="override calibration runs"

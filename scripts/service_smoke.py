@@ -34,6 +34,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -98,7 +99,12 @@ def main(argv=None) -> int:
 
     spec = api.load_spec(arguments.spec)
     if arguments.scale == "smoke":
-        spec = spec.with_experiment(SMOKE_EXPERIMENT)
+        # Two runs per chunk, so every worker gets some: the default chunk,
+        # one full lockstep batch, holds the whole smoke campaign.
+        spec = replace(
+            spec.with_experiment(SMOKE_EXPERIMENT),
+            service=replace(spec.service, chunk_size=2),
+        )
 
     log_lines = []
 
@@ -170,7 +176,6 @@ def main(argv=None) -> int:
             # run is actually re-simulated by the local path.
             local_parallel = ParallelConfig(
                 n_workers=spec.experiment.parallel.n_workers,
-                backend=spec.experiment.parallel.backend,
                 cache_dir=str(Path(shared) / "local"),
             )
             local_spec = spec.with_experiment(

@@ -366,8 +366,8 @@ class Session:
         simulates in-process (response actions mutate the trajectory, so the
         campaign cache is bypassed) with a
         :class:`~repro.response.runner.ResponseRunner` riding behind the
-        live monitor, in lockstep batches of ``parallel.batch_size`` runs on
-        the batch kernel whatever the backend; per-run seeds match the
+        live monitor, in lockstep batches of ``parallel.batch_size`` runs,
+        the same kernel every campaign steps on; per-run seeds match the
         engine's derivation, so a run in which no action fires is
         bitwise-identical to its :meth:`run` counterpart.  ``on_report`` is
         called with ``(scenario_name, run_index, report)`` in plan order as

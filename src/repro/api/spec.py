@@ -178,8 +178,7 @@ class AnalysisSpec(Mapped, label="analysis", omit_none=True):
     chunk_size:
         Runs per streaming chunk (``None``:
         :attr:`~repro.common.config.ParallelConfig.resolved_simulation_chunk_size`,
-        one full batch per worker on the ``"batch"`` backend, else 2x the
-        worker count).
+        one full lockstep batch per worker, at least 2x the worker count).
     tables:
         Which result tables :meth:`CampaignResult.tables` produces.
     """

@@ -1,4 +1,4 @@
-"""Batched vectorized simulation backend.
+"""Batched vectorized simulation kernel.
 
 Steps whole campaigns instead of single runs: ``B`` closed-loop runs advance
 in lockstep through one set of vectorized plant/controller/channel updates

@@ -583,6 +583,6 @@ def run_specs_batched(
     batch_size: Optional[int] = None,
     live_analyzer=None,
 ) -> List[SimulationResult]:
-    """Execute campaign specs through the batched backend, in spec order."""
+    """Execute campaign specs through the batch kernel, in spec order."""
     simulator = BatchSimulator(batch_size=batch_size, live_analyzer=live_analyzer)
     return simulator.run_specs(specs)

@@ -184,30 +184,29 @@ class MSPCConfig(Mapped, label="mspc", omit_none=True):
 class ParallelConfig(Mapped, label="parallel", omit_none=True):
     """How a multi-run campaign is executed.
 
+    Every campaign path steps its pending runs through the vectorized
+    lockstep kernel (:mod:`repro.batch`), ``batch_size`` runs per loop.
+    Per-run seeds are derived before dispatch, so results are
+    bitwise-identical whatever the worker count, batch size or chunking.
+
     Attributes
     ----------
     n_workers:
-        Number of worker processes used to fan runs out.  ``None`` uses
-        ``os.cpu_count()``.  A value of 1 forces serial execution.
-    backend:
-        ``"process"`` executes runs one-per-task on a
-        :class:`concurrent.futures.ProcessPoolExecutor`; ``"serial"``
-        executes them in-process, in order; ``"batch"`` executes them
-        through the vectorized lockstep simulator (:mod:`repro.batch`),
-        stepping up to ``batch_size`` runs at once per worker — and still
-        fans batches out over the process pool when ``n_workers`` allows,
-        so the two speedups multiply.  All backends derive per-run seeds
-        before dispatch and produce bitwise-identical results.  On
-        platforms whose multiprocessing start method is ``spawn`` (Windows,
-        macOS), scripts that trigger campaigns at import time need the
-        usual ``if __name__ == "__main__":`` guard — or ``n_workers=1``.
+        Number of worker processes.  ``None`` uses ``os.cpu_count()``.
+        Pending runs that fill more than one batch fan out as whole batches
+        over a process pool of this size; a chunk that fits one batch, and
+        every chunk at ``n_workers = 1``, runs in-process.  On platforms
+        whose multiprocessing start method is ``spawn`` (Windows, macOS),
+        scripts that trigger campaigns at import time need the usual
+        ``if __name__ == "__main__":`` guard — or ``n_workers = 1``.
     batch_size:
-        Runs stepped together per vectorized batch: by the ``"batch"``
-        backend, and by response campaigns on every backend (their runs
-        always step in-process on the batch kernel).  ``None`` uses the
-        default.  Larger batches amortize more interpreter overhead but
-        hold more in-flight memory: trajectories on the ``"batch"``
-        backend, each run's live-monitor window in a response campaign.
+        Runs stepped together per lockstep batch, in every campaign:
+        calibration, scenario, live and response runs.  ``None`` uses the
+        default.  Larger batches amortize more interpreter overhead but hold
+        more in-flight memory: a worker holds ``batch_size`` runs'
+        trajectories (about 122 MB each at 72 h x 2000 samples/h), and a
+        response campaign each run's live-monitor window, so set 4-8 at
+        that fidelity.
     cache_dir:
         Directory of the on-disk result cache.  ``None`` disables caching.
         Cache entries are keyed by (scenario, simulation config, seed,
@@ -225,16 +224,14 @@ class ParallelConfig(Mapped, label="parallel", omit_none=True):
         Number of runs loaded/simulated and analyzed per chunk of a
         streaming campaign.  Peak memory of a streaming campaign is
         proportional to this value, not to the campaign size.  ``None``
-        picks :attr:`resolved_simulation_chunk_size`: one full vectorized
-        batch per worker on the ``"batch"`` backend, ``2 *
-        resolved_workers`` on the others, so every worker stays busy.
+        picks :attr:`resolved_simulation_chunk_size`: one full batch per
+        worker, so every worker stays busy.
     """
 
-    #: Default rows per vectorized batch of the ``"batch"`` backend.
+    #: Default rows per lockstep batch.
     DEFAULT_BATCH_SIZE: ClassVar[int] = 16
 
     n_workers: Optional[int] = None
-    backend: str = "process"
     cache_dir: Optional[str] = None
     cache_enabled: bool = True
     cache_max_bytes: Optional[int] = None
@@ -245,10 +242,6 @@ class ParallelConfig(Mapped, label="parallel", omit_none=True):
     def __post_init__(self) -> None:
         if self.n_workers is not None and self.n_workers < 1:
             raise ConfigurationError("n_workers must be >= 1 or None")
-        if self.backend not in ("process", "serial", "batch"):
-            raise ConfigurationError(
-                "backend must be 'process', 'serial' or 'batch'"
-            )
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1 or None")
         if self.cache_max_bytes is not None and self.cache_max_bytes < 0:
@@ -277,14 +270,14 @@ class ParallelConfig(Mapped, label="parallel", omit_none=True):
 
     @property
     def resolved_batch_size(self) -> int:
-        """The effective rows per batch (``"batch"`` backend, response campaigns)."""
+        """The effective rows per lockstep batch."""
         if self.batch_size is not None:
             return int(self.batch_size)
         return self.DEFAULT_BATCH_SIZE
 
     @property
     def resolved_chunk_size(self) -> int:
-        """``chunk_size``, or 2x workers whatever the backend.
+        """``chunk_size``, or 2x workers.
 
         The default scoring chunk of a bare
         :meth:`~repro.experiments.analysis.AnalysisEngine.map` call.
@@ -300,19 +293,16 @@ class ParallelConfig(Mapped, label="parallel", omit_none=True):
         """Specs per chunk of a streaming campaign and of the engine's
         fan-out.
 
-        Same as :attr:`resolved_chunk_size`, except that on the ``"batch"``
-        backend an auto-sized chunk is floored to one full vectorized batch
-        per worker — otherwise the streaming granularity would cap the
-        lockstep batch at two rows and erase the backend's speedup.
+        ``chunk_size``, or one full lockstep batch per worker (at least two
+        runs per worker) — a smaller chunk would cap the lockstep batch
+        below ``batch_size`` and erase the kernel's per-row saving.
         """
         if self.chunk_size is not None:
             return int(self.chunk_size)
-        if self.backend == "batch":
-            return max(
-                2 * self.resolved_workers,
-                self.resolved_batch_size * self.resolved_workers,
-            )
-        return 2 * self.resolved_workers
+        return max(
+            2 * self.resolved_workers,
+            self.resolved_batch_size * self.resolved_workers,
+        )
 
     def with_workers(self, n_workers: Optional[int]) -> "ParallelConfig":
         """Return a copy of this configuration with a different worker count."""
@@ -325,8 +315,8 @@ class ParallelConfig(Mapped, label="parallel", omit_none=True):
 
     @classmethod
     def serial(cls, cache_dir: Optional[str] = None) -> "ParallelConfig":
-        """In-process, ordered execution (the pre-engine behaviour)."""
-        return cls(n_workers=1, backend="serial", cache_dir=cache_dir)
+        """One worker: every chunk steps in-process."""
+        return cls(n_workers=1, cache_dir=cache_dir)
 
 
 @dataclass(frozen=True)
@@ -439,8 +429,7 @@ class ServiceConfig(Mapped, label="service", omit_none=True):
     chunk_size:
         Runs per claimable chunk.  ``None`` uses the execution plan's
         batch-aware :attr:`ParallelConfig.resolved_simulation_chunk_size`,
-        so a ``"batch"`` backend worker always claims whole vectorized
-        batches.
+        so a worker always claims whole lockstep batches.
     """
 
     host: str = "127.0.0.1"
@@ -662,7 +651,8 @@ class ExperimentConfig(Mapped, label="experiment", omit_none=True):
     mspc:
         The monitoring-model configuration.
     parallel:
-        How the campaign's runs are executed (worker count, backend, cache).
+        How the campaign's runs are executed (worker count, batch size,
+        cache).
         The default is a parallel, cache-less engine; results do not depend
         on this setting.
     seed:

@@ -85,7 +85,7 @@ class BlockedStandardNormal:
     sequence whether standard normals are requested one at a time or in
     batches, so pre-drawing a block and slicing it out is stream-equivalent
     to the per-call pattern — while paying the Python-call overhead once per
-    block instead of once per draw.  The batched simulation backend leans on
+    block instead of once per draw.  The batch simulation kernel leans on
     this to keep every run's noise draws bitwise-identical to the serial
     path at a fraction of the interpreter cost.
 

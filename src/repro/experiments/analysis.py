@@ -8,8 +8,8 @@ in one loop with bounded memory:
   chunk by chunk, headed by the calibration runs when it also calibrates;
   per chunk it peeks the NPZ
   :class:`~repro.experiments.parallel.ResultCache`, simulates the misses in
-  one engine call (so the batch backend steps calibration and scenario runs
-  in the same lockstep batches) and scores the chunk.  When streaming,
+  one engine call (so calibration and scenario runs step in the same
+  lockstep batches) and scores the chunk.  When streaming,
   cached runs are handed to the scoring workers *as paths*, so the NPZ
   decompression itself is sharded and the parent process never
   materializes the run arrays;
@@ -181,15 +181,12 @@ class AnalysisStats:
 
     n_runs: int = 0
     n_workers: int = 1
-    backend: str = "serial"
     wall_seconds: float = 0.0
 
     def absorb(self, other: "AnalysisStats") -> "AnalysisStats":
         """Fold another stream's stats into this one (multi-scenario sweeps)."""
         self.n_runs += other.n_runs
         self.n_workers = max(self.n_workers, other.n_workers)
-        if other.backend in ("process", "batch"):
-            self.backend = other.backend
         self.wall_seconds += other.wall_seconds
         return self
 
@@ -264,7 +261,7 @@ class AnalysisEngine:
         )
         if size < 1:
             raise ConfigurationError("chunk_size must be >= 1")
-        stats = AnalysisStats(backend="serial", n_workers=1)
+        stats = AnalysisStats(n_workers=1)
         # Numeric scalars (incl. numpy scalar types, which register with
         # numbers.Number) and None are a single start for the whole stream;
         # anything else — list, tuple, ndarray, range — is one per source.
@@ -299,11 +296,8 @@ class AnalysisEngine:
                 # iterator may include simulation (the engine's stream), and
                 # the consumer's reducer work happens between yields.
                 scoring_started = time.perf_counter()
-                with obs_span(
-                    "analysis.score_chunk", n_runs=len(chunk)
-                ) as score_span:
+                with obs_span("analysis.score_chunk", n_runs=len(chunk)):
                     scored = self._score_chunk(chunk, summarize, stats)
-                    score_span.annotate(backend=stats.backend)
                 stats.wall_seconds += time.perf_counter() - scoring_started
                 yield from scored
             if starts is not None:
@@ -323,14 +317,7 @@ class AnalysisEngine:
         stats: AnalysisStats,
     ) -> List[ScoredRun]:
         n_workers = min(self.config.resolved_workers, len(chunk))
-        # The batch backend vectorizes *simulation*; scoring still fans out
-        # over the process pool whenever workers allow.
-        use_pool = (
-            self.config.backend in ("process", "batch")
-            and n_workers > 1
-            and len(chunk) > 1
-        )
-        if not use_pool:
+        if n_workers == 1:
             return [
                 _analyze_one((self.analyzer, source, start, summarize))
                 for source, start in chunk
@@ -356,7 +343,6 @@ class AnalysisEngine:
         scored: List[Optional[ScoredRun]] = [None] * len(chunk)
         for future in as_completed(futures):
             scored[futures[future]] = future.result()
-        stats.backend = "process"
         stats.n_workers = max(stats.n_workers, n_workers)
         return scored  # type: ignore[return-value]
 
@@ -611,7 +597,7 @@ class AnalysisPipeline:
         Runs per chunk.  With ``retain`` the whole plan is one chunk unless
         this is set; when streaming it defaults to
         :attr:`ParallelConfig.resolved_simulation_chunk_size` (one full
-        vectorized batch per worker on the ``"batch"`` backend).  Chunks
+        lockstep batch per worker).  Chunks
         are cut from the flat plan, so one may span several scenarios.
     retain:
         ``True`` keeps everything: cache hits are loaded in this process
@@ -706,7 +692,7 @@ class AnalysisPipeline:
         Every yielded record is final, so the caller can fold it into
         reducers and drop it.  Per-run seeds make the outcome
         bitwise-identical whatever the chunking, retention, worker count or
-        backend.  The cache eviction policy runs once, when the loop ends:
+        batch size.  The cache eviction policy runs once, when the loop ends:
         streaming hands cache paths to the scoring workers, so it must not
         delete entries mid-campaign.
 

@@ -273,7 +273,7 @@ class Evaluation:
         The runs of *all* scenarios are submitted to the engine as one batch,
         so the simulation fan-out spans the whole sweep rather than one
         scenario at a time; per-run seeds make the outcome bitwise-identical
-        whatever the batching, chunking, worker count or backend.  Every
+        whatever the batch size, chunking or worker count.  Every
         result and diagnosis is retained.  ``on_run`` is called with every
         :class:`~repro.experiments.analysis.AnalyzedRun` as it completes
         (progress reporting).
@@ -342,8 +342,8 @@ class Evaluation:
         """Evaluate every scenario, calibrating first in the same plan.
 
         On an evaluation that is not calibrated yet, the calibration runs
-        head the campaign plan: they simulate in the same engine calls (on
-        the ``"batch"`` backend, the same lockstep batches) as the first
+        head the campaign plan: they simulate in the same engine calls (and
+        the same lockstep batches) as the first
         scenario runs, and both models are fitted once the last of them is
         in, before any scenario run is scored.  Calibration runs are never
         scored and never reach ``on_run``.  Afterwards :attr:`calibration`

@@ -2,9 +2,10 @@
 
 The paper's evaluation (Section V) is a large batch of independent closed-loop
 simulations: a calibration campaign plus repeated runs of every anomalous
-scenario.  :class:`CampaignEngine` executes such a batch over a
-``ProcessPoolExecutor`` while guaranteeing that parallel and serial execution
-produce **bitwise-identical** results:
+scenario.  :class:`CampaignEngine` steps such a batch through the vectorized
+lockstep kernel (:mod:`repro.batch`), in-process or as whole batches fanned
+out over a ``ProcessPoolExecutor``, while guaranteeing that every worker
+count, batch size and chunking produces **bitwise-identical** results:
 
 * every run is fully described by an immutable :class:`RunSpec` whose seed is
   derived *before* dispatch, so no run depends on execution order or on
@@ -77,15 +78,15 @@ class RunSpec:
     """An immutable, self-contained description of one closed-loop run.
 
     A spec carries everything a worker process needs — scenario, simulation
-    configuration (including the derived per-run seed), anomaly onset and
-    safety switch — so runs can execute in any order, in any process, and
-    still produce exactly the result a serial loop would have produced.
+    configuration (including the derived per-run seed and the safety
+    switch) and anomaly onset — so runs can execute in any order, in any
+    process, and still produce exactly the result a serial loop would have
+    produced.
     """
 
     scenario: Scenario
     simulation: SimulationConfig
     anomaly_start_hour: float = 10.0
-    enable_safety: bool = True
     #: Optional live early-stop policy: the run is monitored while it
     #: simulates and truncated once a detection is confirmed.  Executing
     #: such a spec needs a fitted analyzer installed on the engine
@@ -112,7 +113,7 @@ class RunSpec:
             "scenario": self.scenario.to_mapping(),
             "simulation": asdict(self.simulation),
             "anomaly_start_hour": float(self.anomaly_start_hour),
-            "enable_safety": bool(self.enable_safety),
+            "enable_safety": bool(self.simulation.enable_safety),
         }
         if self.early_stop is not None:
             token["live"] = {
@@ -139,7 +140,6 @@ def calibration_specs(
                 calibration_run_seed(config.seed, run_index)
             ),
             anomaly_start_hour=config.anomaly_start_hour,
-            enable_safety=True,
         )
         for run_index in range(config.n_calibration_runs)
     ]
@@ -159,7 +159,6 @@ def scenario_specs(
                 scenario_run_seed(config.seed, run_index)
             ),
             anomaly_start_hour=config.anomaly_start_hour,
-            enable_safety=True,
         )
         for run_index in range(n_runs)
     ]
@@ -187,8 +186,8 @@ def _unlink_quietly(path: Path) -> bool:
 
 
 # The fitted dual-level analyzer live early-stop runs score against,
-# installed once per worker by the pool initializer (or in-process on the
-# serial path) so it is pickled per *worker*, not per task.
+# installed once per worker by the pool initializer (or in-process) so it is
+# pickled per *worker*, not per task.
 _LIVE_ANALYZER = None
 
 
@@ -198,36 +197,14 @@ def _install_live_analyzer(analyzer) -> None:
     _LIVE_ANALYZER = analyzer
 
 
-def _execute_spec(spec: RunSpec) -> SimulationResult:
-    """Execute one spec (top-level so it is picklable by worker pools)."""
-    from repro.experiments.runner import run_scenario
-
-    live_analyzer = None
-    if spec.early_stop is not None:
-        live_analyzer = _LIVE_ANALYZER
-        if live_analyzer is None:
-            raise ConfigurationError(
-                "the spec requests live early stopping but no fitted analyzer "
-                "is installed; call CampaignEngine.set_live_analyzer first"
-            )
-    return run_scenario(
-        spec.scenario,
-        spec.simulation,
-        anomaly_start_hour=spec.anomaly_start_hour,
-        enable_safety=spec.enable_safety,
-        early_stop=spec.early_stop,
-        live_analyzer=live_analyzer,
-    )
-
-
 def _execute_specs_batch(
-    specs: Sequence[RunSpec], batch_size: Optional[int]
+    specs: Sequence[RunSpec], batch_size: int
 ) -> List[SimulationResult]:
-    """Execute a group of specs through the vectorized lockstep backend.
+    """Step a group of specs through the vectorized lockstep kernel.
 
     Top-level so worker pools can pickle it; each pool task steps one whole
-    batch of runs in a single vectorized loop, which is what makes the
-    batch backend's speedup multiplicative with the process fan-out.
+    batch of runs in a single vectorized loop, so the per-row saving of the
+    kernel multiplies with the process fan-out.
     """
     from repro.batch import run_specs_batched
 
@@ -427,7 +404,6 @@ class CampaignStats:
     n_cache_hits: int = 0
     n_simulated: int = 0
     n_workers: int = 1
-    backend: str = "serial"
     wall_seconds: float = 0.0
 
     @property
@@ -443,8 +419,6 @@ class CampaignStats:
         self.n_cache_hits += other.n_cache_hits
         self.n_simulated += other.n_simulated
         self.n_workers = max(self.n_workers, other.n_workers)
-        if other.backend in ("process", "batch"):
-            self.backend = other.backend
         self.wall_seconds += other.wall_seconds
         return self
 
@@ -455,14 +429,16 @@ class CampaignEngine:
     Parameters
     ----------
     config:
-        Execution plan (worker count, backend, cache directory).  The
+        Execution plan (worker count, batch size, cache directory).  The
         default fans out over all CPUs with no cache.
 
     Notes
     -----
-    Results are bitwise-identical across backends and worker counts because
-    every run is seeded in its spec and returned in spec order.  The pool is
-    only spun up when more than one run actually needs simulating.
+    Every chunk's pending runs step through the vectorized lockstep kernel,
+    ``batch_size`` runs per loop.  Results are bitwise-identical across
+    worker counts, batch sizes and chunkings because every run is seeded in
+    its spec and returned in spec order.  The pool is only spun up when a
+    chunk's pending runs fill more than one batch and ``n_workers > 1``.
     """
 
     def __init__(self, config: Optional[ParallelConfig] = None):
@@ -477,7 +453,7 @@ class CampaignEngine:
         """Install the fitted analyzer live early-stop specs score against.
 
         The analyzer is shipped once per worker process when the next pool
-        spins up (and installed in-process for the serial path).  Specs
+        spins up (and installed in-process otherwise).  Specs
         without an :attr:`RunSpec.early_stop` policy ignore it entirely.
         """
         self._live_analyzer = analyzer
@@ -509,10 +485,12 @@ class CampaignEngine:
         The streaming counterpart of :meth:`run`: at most ``chunk_size``
         results (default :attr:`ParallelConfig.resolved_simulation_chunk_size`)
         are alive at once, so peak memory is O(chunk) instead of O(campaign).
-        Cached entries are loaded lazily, chunk by chunk; pending runs of a
-        chunk fan out over a worker pool that persists across chunks, and
-        results are cached as they complete, so an interrupted campaign
-        resumes from the runs that already finished.  Results are
+        Cached entries are loaded lazily, chunk by chunk.  The pending runs
+        of a chunk step in lockstep batches of ``batch_size``: in-process,
+        or, when they fill more than one batch and ``n_workers > 1``, as
+        whole batches fanned out over a worker pool that persists across
+        chunks.  Results are cached as they complete, so an interrupted
+        campaign resumes from the runs that already finished.  Results are
         bitwise-identical to :meth:`run` for the same specs.
 
         :attr:`last_stats` covers the chunks actually consumed and is
@@ -526,7 +504,7 @@ class CampaignEngine:
         )
         if size < 1:
             raise ConfigurationError("chunk_size must be >= 1")
-        stats = CampaignStats(backend="serial", n_workers=1)
+        stats = CampaignStats(n_workers=1)
         pool: Optional[ProcessPoolExecutor] = None
         try:
             for offset in range(0, len(specs), size):
@@ -561,87 +539,57 @@ class CampaignEngine:
                             self.cache.store(chunk[index], result)
 
                     n_workers = self.config.resolved_workers
-                    batching = self.config.backend == "batch"
-                    use_pool = (
-                        self.config.backend in ("process", "batch")
-                        and n_workers > 1
-                        and len(pending) > 1
-                    )
-                    if batching and not use_pool:
-                        # In-process vectorized execution: one lockstep loop
-                        # steps the whole pending chunk.  Install the analyzer
-                        # unconditionally (including None), as the serial path
-                        # does, so no stale calibration can linger.
-                        _install_live_analyzer(self._live_analyzer)
-                        batch_results = _execute_specs_batch(
-                            [chunk[index] for index in pending],
-                            self.config.batch_size,
-                        )
-                        for index, result in zip(pending, batch_results):
-                            book(index, result)
-                        stats.backend = "batch"
-                    elif use_pool:
+                    batch_size = self.config.resolved_batch_size
+                    if n_workers > 1 and len(pending) > batch_size:
                         if pool is None:
                             # A chunk can never hold more than ``size`` pending
-                            # runs, so a larger pool would only idle.
+                            # runs, i.e. ceil(size / batch) tasks, so a larger
+                            # pool would only idle.
                             initializer, initargs = None, ()
                             if self._live_analyzer is not None:
                                 initializer = _install_live_analyzer
                                 initargs = (self._live_analyzer,)
                             pool = ProcessPoolExecutor(
-                                max_workers=min(n_workers, size),
+                                max_workers=min(n_workers, -(-size // batch_size)),
                                 initializer=initializer,
                                 initargs=initargs,
                             )
-                        if batching:
-                            # Fan whole batches out: every task advances up to
-                            # ``batch_size`` runs in one vectorized loop, so the
-                            # batch speedup multiplies with the process fan-out.
-                            group_size = self.config.resolved_batch_size
-                            futures = {}
-                            for start in range(0, len(pending), group_size):
-                                group = pending[start : start + group_size]
-                                future = pool.submit(
-                                    _execute_specs_batch,
-                                    [chunk[index] for index in group],
-                                    self.config.batch_size,
-                                )
-                                futures[future] = group
-                            for future in as_completed(futures):
-                                group = futures[future]
-                                for index, result in zip(group, future.result()):
-                                    book(index, result)
-                            stats.backend = "batch"
-                            # Batching submits one task per batch, so that —
-                            # not the pending-run count — bounds the workers
-                            # actually busy.
-                            stats.n_workers = max(
-                                stats.n_workers, min(n_workers, len(futures))
+                        # Fan whole batches out: every task advances up to
+                        # ``batch_size`` runs in one vectorized loop.
+                        futures = {}
+                        for start in range(0, len(pending), batch_size):
+                            group = pending[start : start + batch_size]
+                            future = pool.submit(
+                                _execute_specs_batch,
+                                [chunk[index] for index in group],
+                                batch_size,
                             )
-                        else:
-                            futures = {
-                                pool.submit(_execute_spec, chunk[index]): index
-                                for index in pending
-                            }
-                            for future in as_completed(futures):
-                                book(futures[future], future.result())
-                            stats.backend = "process"
-                            stats.n_workers = max(
-                                stats.n_workers, min(n_workers, len(pending))
-                            )
-                    else:
+                            futures[future] = group
+                        for future in as_completed(futures):
+                            group = futures[future]
+                            for index, result in zip(group, future.result()):
+                                book(index, result)
+                        # One task per batch, so that — not the pending-run
+                        # count — bounds the workers actually busy.
+                        stats.n_workers = max(
+                            stats.n_workers, min(n_workers, len(futures))
+                        )
+                    elif pending:
                         # Install unconditionally — including None: a previous
                         # campaign's analyzer must not linger in the module
                         # global, or an engine that was never given one would
                         # silently score live specs against a stale calibration
                         # instead of raising.
                         _install_live_analyzer(self._live_analyzer)
-                        for index in pending:
-                            book(index, _execute_spec(chunk[index]))
+                        batch_results = _execute_specs_batch(
+                            [chunk[index] for index in pending],
+                            batch_size,
+                        )
+                        for index, result in zip(pending, batch_results):
+                            book(index, result)
                     stats.n_simulated += len(pending)
                     stats.wall_seconds += time.perf_counter() - chunk_started
                     chunk_span.annotate(
-                        backend=stats.backend,
                         n_cache_hits=len(chunk) - len(pending),
                         n_simulated=len(pending),
                     )
@@ -652,7 +600,6 @@ class CampaignEngine:
                             "n_runs": len(chunk),
                             "n_cache_hits": len(chunk) - len(pending),
                             "n_simulated": len(pending),
-                            "backend": stats.backend,
                         },
                     )
                 yield from results  # type: ignore[misc]

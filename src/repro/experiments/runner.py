@@ -42,7 +42,7 @@ __all__ = [
 
 
 def scenario_run_metadata(scenario: Scenario, anomaly_start_hour: float) -> dict:
-    """The run-level metadata both simulation backends attach to results."""
+    """The run-level metadata both simulation kernels attach to results."""
     return {
         "scenario": scenario.name,
         "scenario_title": scenario.title,
@@ -58,7 +58,7 @@ def build_live_observers(
     early_stop,
     live_analyzer,
 ) -> list:
-    """The early-stop observer stack of one run (shared by both backends).
+    """The early-stop observer stack of one run (shared by both kernels).
 
     Returns an empty list when no :class:`~repro.common.config.\
 EarlyStopPolicy` is requested; otherwise a single
@@ -140,7 +140,6 @@ def run_scenario(
     scenario: Scenario,
     simulation: SimulationConfig,
     anomaly_start_hour: float = 10.0,
-    enable_safety: bool = True,
     observers: Sequence = (),
     early_stop=None,
     live_analyzer=None,
@@ -171,7 +170,7 @@ def run_scenario(
     controller = make_controller()
     sensor_channel, actuator_channel = build_channels(scenario, anomaly_start_hour)
     disturbances = build_disturbance_schedule(scenario, anomaly_start_hour)
-    safety = default_safety_monitor(enabled=enable_safety)
+    safety = default_safety_monitor()
 
     simulator = ClosedLoopSimulator(
         plant=plant,
@@ -266,7 +265,7 @@ def run_calibration_campaign(
     :class:`~repro.experiments.parallel.CampaignEngine` built from
     ``config.parallel`` (or the explicitly provided ``engine``) in chunks;
     per-run seeds are derived up front, so the resulting datasets are
-    identical whichever backend, worker count or chunking executes them.
+    identical whichever batch size, worker count or chunking executes them.
     Model fitting needs the concatenation of every run, so the concatenated
     matrices are inherently O(campaign); ``keep_results=False`` at least
     drops the per-run :class:`SimulationResult` objects once their arrays

@@ -103,8 +103,8 @@ class BatchChannel:
     """Row-wise view over the per-run channels of a lockstep batch.
 
     Each run keeps its own :class:`Channel` (and therefore its own stateful
-    attack instances — DoS freezes, replay recordings), so the batched
-    backend applies exactly the serial tampering semantics per row.  Rows
+    attack instances — DoS freezes, replay recordings), so the batch
+    kernel applies exactly the serial tampering semantics per row.  Rows
     whose channel carries no attack take a vectorized pass-through: the
     delivered matrix starts as one copy of the transmitted matrix and only
     compromised rows are rewritten through their channel.  A row's channel

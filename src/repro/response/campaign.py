@@ -3,8 +3,8 @@
 Response actions mutate the trajectory mid-run, so response-enabled runs
 must never share NPZ cache entries with plain campaign runs.  This module
 therefore executes them in-process, bypassing the result cache, whatever
-the spec's backend.  Every response run of a root seed forms one ordered
-plan (scenario, then run index), taking each run's settings from the
+the spec's worker count.  Every response run of a root seed forms one
+ordered plan (scenario, then run index), taking each run's settings from the
 engine's own :func:`~repro.experiments.parallel.scenario_specs`; the plan
 steps through :meth:`~repro.batch.simulator.BatchSimulator.run_specs` in
 lockstep batches of ``parallel.resolved_batch_size`` rows.  Each row
@@ -106,8 +106,10 @@ def evaluate_all_response(
     """Run every scenario response-enabled; results keyed by scenario name.
 
     ``evaluation`` must be calibrated (it is calibrated on demand
-    otherwise).  Every run of every scenario steps in one ordered plan, in
-    lockstep batches of ``parallel.resolved_batch_size`` rows.
+    otherwise, through the campaign engine, whose calibration runs step in
+    the same lockstep batches).  Every run of every scenario steps in one
+    ordered plan, in lockstep batches of ``parallel.resolved_batch_size``
+    rows.
     ``on_report`` is called with ``(scenario_name, run_index, report)`` in
     plan order, as each batch completes.
     """

@@ -12,7 +12,7 @@ over the wire:
   with lazy expiry reaping, cache-verified acks, and reduction of the
   finished campaign into the same tables single-host ``api.run`` produces.
 * :mod:`repro.service.worker` — :class:`ChunkWorker`: claim → simulate via
-  the normal :class:`CampaignEngine` (batch backend included) → publish
+  the normal :class:`CampaignEngine` (lockstep batches included) → publish
   into the shared NPZ cache → ack, with a lease heartbeat thread.
 * :mod:`repro.service.rest` — :class:`CoordinatorServer`: the stdlib
   ``http.server`` control surface (submit, poll, claim, ack, tables,

@@ -13,8 +13,8 @@ slice of a campaign is derivable, deterministically, from the spec itself:
 * :func:`shard_campaign` splits that list into :class:`WorkChunk` slices
   sized by the batch-aware
   :attr:`~repro.common.config.ParallelConfig.resolved_simulation_chunk_size`
-  (or the ``[service]`` section's explicit ``chunk_size``), so a ``"batch"``
-  backend worker always claims whole vectorized batches.
+  (or the ``[service]`` section's explicit ``chunk_size``), so a worker
+  always claims whole lockstep batches.
 * :func:`campaign_fingerprint` hashes the spec's canonical mapping; it is
   both the campaign id (submitting the same spec twice is idempotent) and
   the wire-level guard that a worker and its coordinator agree on what a
@@ -140,8 +140,8 @@ def shard_campaign(
     ``chunk_size`` defaults to the ``[service]`` section's setting, which
     itself falls back to the execution plan's batch-aware
     :attr:`~repro.common.config.ParallelConfig.resolved_simulation_chunk_size`
-    — so on the ``"batch"`` backend every chunk holds whole vectorized
-    batches and the lockstep speedup survives distribution.
+    — so every chunk holds whole lockstep batches and the kernel's per-row
+    saving survives distribution.
     """
     if chunk_size is None:
         chunk_size = spec.service.resolved_chunk_size(spec.experiment.parallel)

@@ -9,11 +9,13 @@ tests and single-host fan-out, or a
 
 Executing a chunk is just handing its :class:`RunSpec` slice to a normal
 :class:`~repro.experiments.parallel.CampaignEngine` whose cache points at
-the shared store: the batch backend (``run_specs_batched`` under the hood),
-per-run derived seeds and atomic NPZ publication are all inherited, so a
-distributed run is bitwise-identical to a local one and every completed
-run is durable the moment it is written — a worker dying mid-chunk loses
-at most the runs it had not yet finished.
+the shared store: lockstep batches of ``batch_size`` runs
+(``run_specs_batched`` under the hood, in-process unless the chunk fills
+more than one batch and the plan has several workers), per-run derived
+seeds and atomic NPZ publication are all inherited, so a distributed run
+is bitwise-identical to a local one and every completed batch is durable
+the moment it is written — a worker dying mid-chunk loses at most the
+batches it had not yet finished.
 
 While a chunk simulates, a daemon heartbeat thread renews the lease every
 ``[service] heartbeat_seconds``; if the coordinator refuses a renewal (the

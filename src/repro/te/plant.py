@@ -257,8 +257,8 @@ class TEPlant(PlantModel):
         pressure_ratio = separator_pressure / self._sep_pressure_nominal
 
         # np.power, not ``**``: CPython's float pow (libm) disagrees with the
-        # ufunc's x*x fast path by 1 ulp on some inputs, and the batched
-        # backend evaluates this expression through the ufunc row-wise.
+        # ufunc's x*x fast path by 1 ulp on some inputs, and the batch
+        # kernel evaluates this expression through the ufunc row-wise.
         purge_total = self._purge_per_percent * effective[5] * np.power(pressure_ratio, 2)
         recycle_target = (
             self._recycle_nominal
@@ -477,8 +477,8 @@ class TEPlant(PlantModel):
             INTERNAL["condenser_cw_inlet_nominal"]
         )
         cooling_ratio = max(effective[10] / self._xmv_nominal[10], 0.05)
-        # np.power instead of ``**``: the ufunc loop is what the batched
-        # backend evaluates row-wise, and np.float64.__pow__ does not take
+        # np.power instead of ``**``: the ufunc loop is what the batch
+        # kernel evaluates row-wise, and np.float64.__pow__ does not take
         # that loop — routing both paths through the same ufunc is what keeps
         # serial and batched runs bitwise-identical (same shape-stable
         # discipline as the einsum PCA projections).

@@ -177,7 +177,7 @@ class BatchTEState:
     single scalar because batched runs advance in lockstep.  Each derived
     quantity applies exactly the arithmetic of the corresponding
     :class:`TEState` property as elementwise ufuncs, which is what anchors
-    the batched backend's bitwise equivalence to the serial simulator.
+    the batch kernel's bitwise equivalence to the serial simulator.
     """
 
     reactor_vapor: np.ndarray

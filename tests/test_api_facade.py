@@ -154,7 +154,7 @@ FOLD_EXPERIMENT = ExperimentConfig(
     n_runs_per_scenario=2,
     anomaly_start_hour=2.0,
     simulation=SimulationConfig(duration_hours=4.0, samples_per_hour=20, seed=21),
-    parallel=ParallelConfig(n_workers=1, backend="batch", batch_size=8),
+    parallel=ParallelConfig(n_workers=1, batch_size=8),
     seed=21,
 )
 
@@ -237,20 +237,47 @@ class TestCalibrationInThePlan:
             for index in range(FOLD_EXPERIMENT.n_runs_per_scenario)
         ]
 
-    def test_streaming_batches_are_full_width(self, monkeypatch):
-        """13 runs cut at one full batch per worker: 8, then the other 5."""
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        """The rows of every ``BatchSimulator.run_specs`` call, in order."""
         from repro.batch.simulator import BatchSimulator
 
-        widths = []
+        seen = []
         original = BatchSimulator.run_specs
 
-        def run_specs(self, specs):
-            widths.append(len(specs))
-            return original(self, specs)
+        def run_specs(self, specs, *args, **kwargs):
+            seen.append(len(specs))
+            return original(self, specs, *args, **kwargs)
 
         monkeypatch.setattr(BatchSimulator, "run_specs", run_specs)
+        return seen
+
+    def test_streaming_batches_are_full_width(self, widths):
+        """13 runs cut at one full batch per worker: 8, then the other 5."""
         api.Session(fold_spec(streaming=True)).run()
         assert widths == [8, 5]
+
+    def test_calibrations_outside_a_plan_step_as_one_batch(self, widths):
+        """A response campaign calibrates its 3 runs in one lockstep batch,
+        then steps its 10 response runs; so does a gateway's calibration."""
+        smoke = replace(ExperimentConfig.smoke(), parallel=ParallelConfig.serial())
+        response = api.load_spec(SPEC_DIR / "response_paper.toml")
+        api.Session(response.with_experiment(smoke)).run_response()
+        assert widths == [3, 10]
+
+        del widths[:]
+        gateway = api.load_spec(SPEC_DIR / "gateway_paper.toml")
+        gateway = replace(
+            gateway.with_experiment(smoke),
+            gateway=replace(gateway.gateway, port=0, ingest_port=0),
+        )
+        server = api.Session(gateway).serve_gateway()
+        try:
+            assert widths == [3]
+        finally:
+            # Built, never started: release the two bound listeners.
+            server._ops.server_close()
+            server._ingest.server_close()
 
     def test_warm_cache_loads_calibration_and_reruns_only_scenarios(
         self, tmp_path

@@ -118,7 +118,6 @@ class TestConfigMappings:
             ParallelConfig(),
             ParallelConfig(
                 n_workers=2,
-                backend="serial",
                 cache_dir="/tmp/c",
                 cache_max_bytes=1024,
                 cache_max_age=60.0,
@@ -177,6 +176,18 @@ class TestSchemaValidation:
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigurationError, match="unknown key"):
             api.loads_spec('name = "x"\nscenario = "idv6"\n')
+
+    def test_backend_key_rejected(self):
+        # Every campaign steps lockstep batches, so there is no execution
+        # backend to pick: a spec that names one fails to load.
+        with pytest.raises(
+            ConfigurationError,
+            match=r"unknown key\(s\) \['backend'\] in experiment\.parallel",
+        ):
+            api.loads_spec(
+                'name = "x"\n[experiment.parallel]\nbackend = "batch"\n'
+                '[[scenarios]]\nuse = "idv6"\n'
+            )
 
     def test_unknown_scenario_reference(self):
         with pytest.raises(ConfigurationError, match="unknown scenario"):

@@ -1,10 +1,10 @@
-"""Batch-vs-serial determinism: seeds, backends, batch sizes, caching.
+"""Batch-vs-serial determinism: seeds, kernels, batch sizes, caching.
 
-The batched backend must be a pure execution detail: per-run derived seeds,
+The batch kernel must be a pure execution detail: per-run derived seeds,
 noise draws and injection windows are fixed by the
 :class:`~repro.experiments.parallel.RunSpec` before dispatch, so whichever
-backend or batch size executes a campaign, every run — and every cache key —
-comes out identical.
+batch size executes a campaign, every run — and every cache key — comes out
+identical to the serial kernel's (:func:`run_scenario`).
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ from repro.batch import run_specs_batched
 from repro.common.config import ExperimentConfig, ParallelConfig, SimulationConfig
 from repro.experiments.parallel import (
     CampaignEngine,
+    ResultCache,
     RunSpec,
     calibration_specs,
     scenario_specs,
@@ -46,6 +47,16 @@ def tiny_specs(n_runs=13):
     ]
 
 
+def run_serially(specs):
+    """The serial kernel's results of ``specs``, run by run."""
+    return [
+        run_scenario(
+            spec.scenario, spec.simulation, anomaly_start_hour=spec.anomaly_start_hour
+        )
+        for spec in specs
+    ]
+
+
 def values_of(results):
     return [
         (result.controller_data.values, result.process_data.values)
@@ -63,8 +74,8 @@ def assert_same_runs(a, b):
 class TestBackendDeterminism:
     def test_engine_backends_bitwise_identical(self):
         specs = tiny_specs()
-        serial = CampaignEngine(ParallelConfig.serial()).run(specs)
-        batch = CampaignEngine(ParallelConfig(n_workers=1, backend="batch")).run(specs)
+        serial = run_serially(specs)
+        batch = CampaignEngine(ParallelConfig.serial()).run(specs)
         assert_same_runs(serial, batch)
         for serial_run, batch_run in zip(serial, batch):
             assert serial_run.metadata == batch_run.metadata
@@ -103,7 +114,7 @@ class TestBackendDeterminism:
             config, get_scenario("idv6")
         )
         # Specs (and therefore derived seeds and cache keys) are built
-        # before dispatch; the backend never enters the derivation.
+        # before dispatch; the execution plan never enters the derivation.
         seeds = [spec.simulation.seed for spec in specs]
         keys = [spec.cache_key() for spec in specs]
         assert len(set(seeds)) == len(seeds)
@@ -114,7 +125,7 @@ class TestBackendDeterminism:
         assert [spec.cache_key() for spec in again] == keys
 
     def test_noise_draws_and_windows_identical_across_backends(self):
-        # An attack window boundary falls between samples; both backends
+        # An attack window boundary falls between samples; both kernels
         # must flip the tampered entry at exactly the same sample.
         spec = RunSpec(
             scenario=get_scenario("attack_xmeas1"),
@@ -138,15 +149,12 @@ class TestBackendDeterminism:
 class TestCacheInterop:
     def test_serial_cache_entries_hit_from_batch_backend(self, tmp_path):
         specs = tiny_specs(6)
-        serial_engine = CampaignEngine(
-            ParallelConfig.serial(cache_dir=str(tmp_path))
-        )
-        serial = serial_engine.run(specs)
-        assert serial_engine.last_stats.n_simulated == len(specs)
+        serial = run_serially(specs)
+        cache = ResultCache(tmp_path)
+        for spec, result in zip(specs, serial):
+            cache.store(spec, result)
 
-        batch_engine = CampaignEngine(
-            ParallelConfig(n_workers=1, backend="batch", cache_dir=str(tmp_path))
-        )
+        batch_engine = CampaignEngine(ParallelConfig.serial(cache_dir=str(tmp_path)))
         batch = batch_engine.run(specs)
         assert batch_engine.last_stats.n_cache_hits == len(specs)
         assert batch_engine.last_stats.n_simulated == 0
@@ -154,23 +162,18 @@ class TestCacheInterop:
 
     def test_batch_cache_entries_hit_from_serial_backend(self, tmp_path):
         specs = tiny_specs(6)
-        batch_engine = CampaignEngine(
-            ParallelConfig(n_workers=1, backend="batch", cache_dir=str(tmp_path))
-        )
+        batch_engine = CampaignEngine(ParallelConfig.serial(cache_dir=str(tmp_path)))
         batch_engine.run(specs)
-        assert batch_engine.last_stats.backend == "batch"
-        serial_engine = CampaignEngine(
-            ParallelConfig.serial(cache_dir=str(tmp_path))
-        )
-        serial_engine.run(specs)
-        assert serial_engine.last_stats.n_cache_hits == len(specs)
+        assert batch_engine.last_stats.n_simulated == len(specs)
+        cache = ResultCache(tmp_path)
+        assert_same_runs(run_serially(specs), [cache.load(spec) for spec in specs])
 
 
 class TestParallelConfigBatchFields:
-    def test_backend_batch_round_trips(self):
-        config = ParallelConfig(backend="batch", batch_size=8)
+    def test_batch_size_round_trips(self):
+        config = ParallelConfig(batch_size=8)
         mapping = config.to_mapping()
-        assert mapping["backend"] == "batch"
+        assert "backend" not in mapping
         assert mapping["batch_size"] == 8
         assert ParallelConfig.from_mapping(mapping) == config
 
@@ -179,11 +182,12 @@ class TestParallelConfigBatchFields:
             ParallelConfig(batch_size=0)
 
     def test_simulation_chunk_covers_batches_analysis_chunk_stays_small(self):
-        config = ParallelConfig(n_workers=2, backend="batch", batch_size=8)
-        assert config.resolved_simulation_chunk_size >= 16
-        # The analysis stage's O(chunk) memory bound is backend-independent.
+        config = ParallelConfig(n_workers=2, batch_size=8)
+        assert config.resolved_simulation_chunk_size == 16
+        # The analysis stage's O(chunk) memory bound ignores the batch size.
         assert config.resolved_chunk_size == 4
-        assert ParallelConfig(n_workers=2).resolved_simulation_chunk_size == 4
-        explicit = ParallelConfig(n_workers=2, backend="batch", chunk_size=5)
+        assert ParallelConfig(n_workers=2).resolved_simulation_chunk_size == 32
+        assert ParallelConfig(n_workers=3, batch_size=1).resolved_simulation_chunk_size == 6
+        explicit = ParallelConfig(n_workers=2, chunk_size=5)
         assert explicit.resolved_simulation_chunk_size == 5
         assert explicit.resolved_chunk_size == 5

@@ -1,4 +1,4 @@
-"""Strict equivalence pins: the batched backend vs the serial simulator.
+"""Strict equivalence pins: the batch kernel vs the serial simulator.
 
 The batched lockstep simulator (:mod:`repro.batch`) must produce per-run
 results **bitwise-identical** to :func:`repro.experiments.runner.run_scenario`
@@ -60,7 +60,6 @@ def run_serial(spec: RunSpec, live_analyzer=None):
         spec.scenario,
         spec.simulation,
         anomaly_start_hour=spec.anomaly_start_hour,
-        enable_safety=spec.enable_safety,
         early_stop=spec.early_stop,
         live_analyzer=live_analyzer,
     )

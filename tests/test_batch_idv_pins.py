@@ -78,7 +78,6 @@ def test_every_row_bitwise_equal_to_serial(specs, batched):
             spec.scenario,
             spec.simulation,
             anomaly_start_hour=spec.anomaly_start_hour,
-            enable_safety=spec.enable_safety,
         )
         label = spec.scenario.name
         for view in ("controller_data", "process_data"):

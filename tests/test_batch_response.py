@@ -96,7 +96,6 @@ def serial_reports(evaluation, policy):
                 scenario,
                 spec.simulation,
                 anomaly_start_hour=spec.anomaly_start_hour,
-                enable_safety=spec.enable_safety,
                 observers=[LiveRunObserver(monitor)],
                 observer_factories=[runner.bind],
             )
@@ -135,7 +134,7 @@ def narrow_evaluation(small_evaluation):
     """
     config = replace(
         small_evaluation.config,
-        parallel=ParallelConfig(n_workers=1, backend="serial", batch_size=4),
+        parallel=ParallelConfig(n_workers=1, batch_size=4),
     )
     evaluation = Evaluation(config)
     evaluation.calibrate(keep_results=False)

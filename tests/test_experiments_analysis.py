@@ -1,7 +1,7 @@
 """Tests for the streaming, sharded analysis pipeline.
 
 The pipeline's contract mirrors the campaign engine's: whatever the chunk
-size, worker count, backend or cache state, the streaming path must produce
+size, worker count, batch size or cache state, the streaming path must produce
 tables bitwise-identical to the eager :class:`Evaluation` path, while never
 holding more than one chunk of results in the parent process.
 """
@@ -55,7 +55,7 @@ def assert_tables_identical(first_eval, second_tables):
 @pytest.fixture(scope="module")
 def eager_reference():
     """An eager serial evaluation used as the ground truth for every mode."""
-    evaluation = Evaluation(tiny_config(n_workers=1, backend="serial"))
+    evaluation = Evaluation(tiny_config(n_workers=1))
     evaluation.calibrate()
     evaluation.evaluate_all()
     return evaluation
@@ -150,7 +150,7 @@ class TestScenarioReducer:
 class TestAnalysisEngine:
     @pytest.fixture(scope="class")
     def fitted(self):
-        evaluation = Evaluation(tiny_config(n_workers=1, backend="serial"))
+        evaluation = Evaluation(tiny_config(n_workers=1))
         evaluation.calibrate()
         scenario = disturbance_idv6_scenario()
         specs = scenario_specs(evaluation.config, scenario, 2)
@@ -181,10 +181,9 @@ class TestAnalysisEngine:
             )
         )
         with AnalysisEngine(
-            evaluation.analyzer, ParallelConfig(n_workers=2, backend="process")
+            evaluation.analyzer, ParallelConfig(n_workers=2)
         ) as engine:
             parallel = list(engine.map(results, anomaly_start_hour=1.0))
-            assert engine.last_stats.backend == "process"
             assert engine.last_stats.n_workers == 2
         for a, b in zip(serial, parallel):
             assert a.diagnosis.classification is b.diagnosis.classification
@@ -241,7 +240,7 @@ class TestStreamingEquivalence:
         return pipeline.arl_table(summaries), pipeline.classification_table(summaries)
 
     def test_streaming_matches_eager_tables(self, eager_reference):
-        evaluation = Evaluation(tiny_config(n_workers=1, backend="serial"))
+        evaluation = Evaluation(tiny_config(n_workers=1))
         evaluation.calibrate()
         summaries = evaluation.evaluate_all_streaming()
         assert_tables_identical(eager_reference, self._tables(evaluation, summaries))
@@ -249,7 +248,7 @@ class TestStreamingEquivalence:
     @pytest.mark.parametrize("chunk_size", [1, 3, 8])
     def test_chunk_size_does_not_change_results(self, eager_reference, chunk_size):
         evaluation = Evaluation(
-            tiny_config(n_workers=1, backend="serial", chunk_size=chunk_size)
+            tiny_config(n_workers=1, chunk_size=chunk_size)
         )
         evaluation.calibrate()
         summaries = evaluation.evaluate_all_streaming(chunk_size=chunk_size)
@@ -257,13 +256,13 @@ class TestStreamingEquivalence:
 
     def test_cached_streaming_simulates_nothing(self, eager_reference, tmp_path):
         warm = Evaluation(
-            tiny_config(n_workers=1, backend="serial", cache_dir=str(tmp_path))
+            tiny_config(n_workers=1, cache_dir=str(tmp_path))
         )
         warm.calibrate()
         warm.evaluate_all()
 
         streaming = Evaluation(
-            tiny_config(n_workers=1, backend="serial", cache_dir=str(tmp_path))
+            tiny_config(n_workers=1, cache_dir=str(tmp_path))
         )
         streaming.calibrate()
         summaries = streaming.evaluate_all_streaming(chunk_size=2)
@@ -273,7 +272,7 @@ class TestStreamingEquivalence:
         assert_tables_identical(eager_reference, self._tables(streaming, summaries))
 
     def test_streaming_summary_matches_eager_details(self, eager_reference):
-        evaluation = Evaluation(tiny_config(n_workers=1, backend="serial"))
+        evaluation = Evaluation(tiny_config(n_workers=1))
         evaluation.calibrate()
         summaries = evaluation.evaluate_all_streaming()
         for name, summary in summaries.items():
@@ -288,7 +287,7 @@ class TestStreamingEquivalence:
                 assert np.array_equal(mean_a, mean_b)
 
     def test_corrupt_cache_entry_is_resimulated(self, eager_reference, tmp_path):
-        config = tiny_config(n_workers=1, backend="serial", cache_dir=str(tmp_path))
+        config = tiny_config(n_workers=1, cache_dir=str(tmp_path))
         warm = Evaluation(config)
         warm.calibrate()
         warm.evaluate_all()
@@ -315,7 +314,7 @@ class TestStreamingEquivalence:
         """
         scenario = disturbance_idv6_scenario()
         warm = Evaluation(
-            tiny_config(n_workers=1, backend="serial", cache_dir=str(tmp_path))
+            tiny_config(n_workers=1, cache_dir=str(tmp_path))
         )
         warm.calibrate()
         warm.evaluate_scenario(scenario, n_runs=1)  # caches run 0 only
@@ -324,7 +323,6 @@ class TestStreamingEquivalence:
         streaming = Evaluation(
             tiny_config(
                 n_workers=1,
-                backend="serial",
                 cache_dir=str(tmp_path),
                 cache_max_bytes=entry_bytes,
             )
@@ -343,7 +341,8 @@ class TestStreamingEquivalence:
 
     def test_parallel_streaming_matches_serial(self, eager_reference, tmp_path):
         evaluation = Evaluation(
-            tiny_config(n_workers=2, backend="process", cache_dir=str(tmp_path))
+            # One-run batches, so simulation fans out over the pool too.
+            tiny_config(n_workers=2, batch_size=1, cache_dir=str(tmp_path))
         )
         evaluation.calibrate()
         summaries = evaluation.evaluate_all_streaming()
@@ -354,7 +353,7 @@ class TestStreamingEquivalence:
         # call with per-run anomaly starts; a normal scenario (no anomaly)
         # must not inherit its neighbours' start hour.
         sweep = [normal_scenario(), disturbance_idv6_scenario()]
-        evaluation = Evaluation(tiny_config(n_workers=1, backend="serial"))
+        evaluation = Evaluation(tiny_config(n_workers=1))
         evaluation.calibrate()
         results = evaluation.evaluate_all(sweep)
         # Normal runs never get a run length, whatever their classification.
@@ -365,7 +364,7 @@ class TestStreamingEquivalence:
             eager.classification_counts()
         )
         # And the streaming path agrees with the eager sweep on both.
-        streaming = Evaluation(tiny_config(n_workers=1, backend="serial"))
+        streaming = Evaluation(tiny_config(n_workers=1))
         streaming.calibrate()
         summaries = streaming.evaluate_all_streaming(sweep)
         for name in ("normal", "idv6"):
@@ -377,7 +376,7 @@ class TestStreamingEquivalence:
     def test_calibration_keep_results_false_drops_runs(self):
         from repro.experiments.runner import run_calibration_campaign
 
-        config = tiny_config(n_workers=1, backend="serial")
+        config = tiny_config(n_workers=1)
         lean = run_calibration_campaign(config, keep_results=False)
         assert lean.results == []
         assert lean.n_runs == config.n_calibration_runs
@@ -388,7 +387,7 @@ class TestStreamingEquivalence:
         )
 
     def test_evaluate_scenario_still_eager(self, eager_reference):
-        evaluation = Evaluation(tiny_config(n_workers=1, backend="serial"))
+        evaluation = Evaluation(tiny_config(n_workers=1))
         evaluation.calibrate()
         result = evaluation.evaluate_scenario(disturbance_idv6_scenario())
         eager = eager_reference.scenario_results["idv6"]
@@ -418,9 +417,7 @@ class TestStreamingMemory:
                 duration_hours=2.5, samples_per_hour=120, seed=11
             ),
             mspc=MSPCConfig(),
-            parallel=ParallelConfig(
-                n_workers=1, backend="serial", cache_dir=str(tmp_path)
-            ),
+            parallel=ParallelConfig(n_workers=1, cache_dir=str(tmp_path)),
             seed=11,
         )
         scenarios = [disturbance_idv6_scenario()]
@@ -473,8 +470,6 @@ class TestCampaignCLI:
             "smoke",
             "--workers",
             "1",
-            "--backend",
-            "serial",
             "--calibration-runs",
             "1",
             "--runs-per-scenario",

@@ -1,11 +1,14 @@
 """Tests for the parallel campaign engine and its result cache.
 
-The engine's contract is strong: whatever the backend, worker count or cache
-state, a campaign must yield bitwise-identical datasets.  These tests pin
+The engine's contract is strong: whatever the worker count, batch size or
+cache state, a campaign must yield bitwise-identical datasets, equal run by
+run to the serial kernel (``run_scenario``).  These tests pin
 that contract down with small (seconds-long) closed-loop simulations.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,17 +69,13 @@ def assert_results_identical(first, second):
 class TestParallelConfig:
     def test_defaults(self):
         config = ParallelConfig()
-        assert config.backend == "process"
+        assert config.resolved_batch_size == ParallelConfig.DEFAULT_BATCH_SIZE
         assert config.resolved_workers >= 1
         assert not config.caching
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ConfigurationError):
             ParallelConfig(n_workers=0)
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ParallelConfig(backend="threads")
 
     def test_caching_needs_directory(self, tmp_path):
         assert not ParallelConfig(cache_enabled=True).caching
@@ -86,7 +85,7 @@ class TestParallelConfig:
     def test_serial_preset(self):
         config = ParallelConfig.serial()
         assert config.n_workers == 1
-        assert config.backend == "serial"
+        assert config.resolved_workers == 1
 
     def test_with_helpers(self, tmp_path):
         config = ParallelConfig().with_workers(3).with_cache_dir(tmp_path)
@@ -95,7 +94,7 @@ class TestParallelConfig:
 
     def test_experiment_config_with_parallel(self):
         config = tiny_config().with_parallel(ParallelConfig.serial())
-        assert config.parallel.backend == "serial"
+        assert config.parallel.n_workers == 1
 
 
 # ----------------------------------------------------------------------
@@ -142,10 +141,20 @@ class TestRunSpecs:
             RunSpec(base.scenario, base.simulation.with_duration(3.0), 1.0),
             RunSpec(disturbance_idv6_scenario(), base.simulation, 1.0),
             RunSpec(base.scenario, base.simulation, 1.5),
-            RunSpec(base.scenario, base.simulation, 1.0, enable_safety=False),
+            RunSpec(base.scenario, replace(base.simulation, enable_safety=False), 1.0),
         ]
         keys.update(variant.cache_key() for variant in variants)
         assert len(keys) == 1 + len(variants)
+
+
+def run_serially(specs):
+    """The serial kernel's results of ``specs``, run by run."""
+    return [
+        run_scenario(
+            spec.scenario, spec.simulation, anomaly_start_hour=spec.anomaly_start_hour
+        )
+        for spec in specs
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -155,11 +164,14 @@ class TestDeterministicFanOut:
     def test_parallel_engine_matches_serial(self):
         config = tiny_config()
         specs = calibration_specs(config)
-        serial = CampaignEngine(ParallelConfig.serial()).run(specs)
-        parallel = CampaignEngine(ParallelConfig(n_workers=2, backend="process")).run(
+        in_process = CampaignEngine(ParallelConfig.serial()).run(specs)
+        # One-run batches, so the two runs fan out over the pool.
+        parallel = CampaignEngine(ParallelConfig(n_workers=2, batch_size=1)).run(
             specs
         )
-        assert_results_identical(serial, parallel)
+        reference = run_serially(specs)
+        assert_results_identical(reference, in_process)
+        assert_results_identical(reference, parallel)
 
     def test_engine_matches_direct_run_scenario(self):
         config = tiny_config()
@@ -171,22 +183,21 @@ class TestDeterministicFanOut:
         assert_results_identical([engine_result], [direct])
 
     def test_calibration_campaign_parallel_matches_serial(self):
-        serial = run_calibration_campaign(
-            tiny_config(n_workers=1, backend="serial")
-        )
-        parallel = run_calibration_campaign(
-            tiny_config(n_workers=2, backend="process")
-        )
+        serial = run_calibration_campaign(tiny_config(n_workers=1))
+        parallel = run_calibration_campaign(tiny_config(n_workers=2, batch_size=1))
         assert serial.controller_data == parallel.controller_data
         assert serial.process_data == parallel.process_data
         assert_results_identical(serial.results, parallel.results)
+        assert_results_identical(
+            run_serially(calibration_specs(tiny_config())), serial.results
+        )
 
     def test_evaluation_parallel_matches_serial(self):
         scenario = disturbance_idv6_scenario()
         outcomes = {}
         for label, kwargs in (
-            ("serial", dict(n_workers=1, backend="serial")),
-            ("parallel", dict(n_workers=2, backend="process")),
+            ("serial", dict(n_workers=1)),
+            ("parallel", dict(n_workers=2, batch_size=1)),
         ):
             evaluation = Evaluation(tiny_config(**kwargs))
             evaluation.calibrate()
@@ -196,12 +207,11 @@ class TestDeterministicFanOut:
         assert serial.run_lengths == parallel.run_lengths
         assert serial.classification_counts() == parallel.classification_counts()
 
-    def test_stats_reflect_backend(self):
+    def test_stats_reflect_workers(self):
         config = tiny_config()
         specs = calibration_specs(config)
-        engine = CampaignEngine(ParallelConfig(n_workers=2, backend="process"))
+        engine = CampaignEngine(ParallelConfig(n_workers=2, batch_size=1))
         engine.run(specs)
-        assert engine.last_stats.backend == "process"
         assert engine.last_stats.n_workers == 2
         assert engine.last_stats.n_simulated == len(specs)
         assert engine.last_stats.wall_seconds > 0
@@ -209,9 +219,19 @@ class TestDeterministicFanOut:
     def test_single_pending_run_stays_in_process(self):
         config = tiny_config()
         specs = calibration_specs(config)[:1]
-        engine = CampaignEngine(ParallelConfig(n_workers=4, backend="process"))
+        engine = CampaignEngine(ParallelConfig(n_workers=4))
         engine.run(specs)
-        assert engine.last_stats.backend == "serial"
+        assert engine.last_stats.n_workers == 1
+
+    @pytest.mark.parametrize("batch_size, n_workers", [(2, 1), (1, 2)])
+    def test_pool_only_when_pending_runs_fill_more_than_one_batch(
+        self, batch_size, n_workers
+    ):
+        specs = calibration_specs(tiny_config())
+        engine = CampaignEngine(ParallelConfig(n_workers=2, batch_size=batch_size))
+        results = engine.run(specs)
+        assert engine.last_stats.n_workers == n_workers
+        assert_results_identical(run_serially(specs), results)
 
 
 # ----------------------------------------------------------------------

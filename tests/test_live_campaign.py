@@ -22,6 +22,7 @@ from repro.common.config import (
 from repro.common.exceptions import ConfigurationError
 from repro.experiments.evaluation import Evaluation
 from repro.experiments.parallel import CampaignEngine, RunSpec
+from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import (
     disturbance_idv6_scenario,
     integrity_attack_on_xmv3_scenario,
@@ -150,17 +151,26 @@ class TestEngineExecution:
         assert result.controller_data.n_observations < TINY.simulation.total_samples
 
     def test_process_pool_ships_the_analyzer(self, calibrated):
-        engine = CampaignEngine(ParallelConfig(n_workers=2, backend="process"))
+        # One-run batches, so the two runs fan out over the pool.
+        engine = CampaignEngine(ParallelConfig(n_workers=2, batch_size=1))
         engine.set_live_analyzer(calibrated.analyzer)
         specs = live_scenario_specs(
             TINY, integrity_attack_on_xmv3_scenario(), POLICY, n_runs=2
         )
         results = engine.run(specs)
+        assert engine.last_stats.n_workers == 2
         assert all(result.stopped_early for result in results)
 
-        serial_engine = CampaignEngine(ParallelConfig.serial())
-        serial_engine.set_live_analyzer(calibrated.analyzer)
-        serial_results = serial_engine.run(specs)
+        serial_results = [
+            run_scenario(
+                spec.scenario,
+                spec.simulation,
+                anomaly_start_hour=spec.anomaly_start_hour,
+                early_stop=spec.early_stop,
+                live_analyzer=calibrated.analyzer,
+            )
+            for spec in specs
+        ]
         for parallel_result, serial_result in zip(results, serial_results):
             assert np.array_equal(
                 parallel_result.controller_data.values,

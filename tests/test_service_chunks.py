@@ -135,7 +135,7 @@ class TestShardCampaign:
         assert chunks[0].n_runs == min(expected, 4)
 
     def test_batch_backend_chunks_hold_whole_batches(self):
-        parallel = ParallelConfig(backend="batch", batch_size=3, n_workers=1)
+        parallel = ParallelConfig(batch_size=3, n_workers=1)
         spec = small_spec(sweep=SweepSpec(seeds=(1, 2, 3))).with_experiment(
             SMALL_EXPERIMENT.with_parallel(parallel)
         )

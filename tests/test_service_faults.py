@@ -14,6 +14,7 @@ from repro.api.spec import CampaignSpec
 from repro.common.config import (
     ExperimentConfig,
     ParallelConfig,
+    ServiceConfig,
     SimulationConfig,
 )
 from repro.common.exceptions import ServiceUnavailableError
@@ -38,9 +39,13 @@ SMALL_EXPERIMENT = ExperimentConfig(
 )
 
 
+# Two runs per chunk, so the campaign spans several chunks: the default
+# chunk, one full lockstep batch, would hold it whole.
 def small_spec() -> CampaignSpec:
     return CampaignSpec(
-        name="faults", scenarios=["idv6", "attack_xmv3"]
+        name="faults",
+        scenarios=["idv6", "attack_xmv3"],
+        service=ServiceConfig(chunk_size=2),
     ).with_experiment(SMALL_EXPERIMENT)
 
 
