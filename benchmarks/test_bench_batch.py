@@ -12,8 +12,9 @@ Unlike the figure benchmarks this one sizes its own campaign: the batch
 kernel's win grows with the rows it can step together, so the run counts
 are floored to fill one default-sized batch even at smoke scale.
 
-Not every call fills a batch: a lone pending run steps as a one-row
-batch.  So the test also reports the narrow regime, the CPU cost per step
+Not every batch is full: the last batch of a split group, or of a partly
+warm cache, can hold one or two rows (a lone pending run takes the serial
+kernel).  So the test also reports the narrow regime, the CPU cost per step
 of one short run on the serial kernel and on the batch kernel at B=1 and
 B=2 (``serial_step_seconds``, ``batch_b1_step_seconds``,
 ``batch_b2_step_seconds``).  Under ``REPRO_BENCH_STRICT=1`` a B=1 step
@@ -150,7 +151,7 @@ def test_batch_backend_speedup(benchmark, bench_config, emit_bench_json):
     print("Batched vectorized campaign (five paper scenarios, single core)")
     print(f"  serial kernel  {serial_seconds:7.2f} s   ({len(specs)} runs)")
     print(f"  batch engine   {batch_seconds:7.2f} s   speedup {speedup:.2f}x")
-    print("CPU per step of one short run (narrow batches, as a lone run steps)")
+    print("CPU per step of one short run (narrow batches)")
     print(f"  serial kernel  {step_seconds['serial_step_seconds'] * 1e3:7.3f} ms")
     print(
         f"  batch B=1      {step_seconds['batch_b1_step_seconds'] * 1e3:7.3f} ms"

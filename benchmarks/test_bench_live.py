@@ -7,10 +7,11 @@ detection).  Asserts the detection verdicts — run lengths, ARL, detection
 counts — are identical, and records the measured speedup.  The speedup is
 always reported (``extra_info``); it becomes a hard >= 1.3x gate only when
 ``REPRO_BENCH_STRICT=1`` (the CI bench-smoke job).  Both campaigns run on
-one worker at ``batch_size = 1``, one run per lockstep batch: in a packed
-batch the full-horizon rows set its length, and under a wide process pool
-the wall-clock of either path degenerates to the one full-horizon normal
-run, so either would measure the packing or the pool, not the early stop.
+one worker at ``batch_size = 1``, one run at a time on the serial kernel:
+in a packed batch the full-horizon rows set its length, and under a wide
+process pool the wall-clock of either path degenerates to the one
+full-horizon normal run, so either would measure the packing or the pool,
+not the early stop.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def test_live_early_stop_speedup(benchmark, bench_config):
     benchmark.extra_info["n_truncated_runs"] = truncated
 
     print()
-    print("Live early-stop campaign (five paper scenarios, one run per batch)")
+    print("Live early-stop campaign (five paper scenarios, one run at a time)")
     print(f"  batch {batch_seconds:7.2f} s")
     print(f"  live  {live_seconds:7.2f} s   speedup {speedup:.2f}x   "
           f"{truncated} runs truncated")

@@ -144,16 +144,13 @@ def campaign_spec(port: int) -> "api.CampaignSpec":
         scenarios=("idv6", "dos_xmv3", "attack_xmv3"),
     ).with_experiment(experiment)
     # Short leases so the dead worker's chunk is reassigned in seconds,
-    # a fast poll so workers drain without long idle sleeps, and two runs
-    # per chunk so the campaign spans enough chunks to be killed mid-flight
-    # (the default chunk is one full lockstep batch: the whole campaign).
+    # and a fast poll so workers drain without long idle sleeps.
     service = ServiceConfig(
         host="127.0.0.1",
         port=port,
         lease_seconds=8.0,
         heartbeat_seconds=2.0,
         poll_seconds=0.2,
-        chunk_size=2,
     )
     return replace(spec, service=service)
 

@@ -132,7 +132,7 @@ def profile_campaign_chunk(arguments: argparse.Namespace) -> None:
     engine = CampaignEngine(
         ParallelConfig(n_workers=1, batch_size=arguments.batch_size)
     )
-    batch_size = engine.config.resolved_batch_size
+    batch_size = engine.config.batch_width(config.simulation)
     profiler = cProfile.Profile()
     with span("profile.chunk", n_runs=len(specs), batch_size=batch_size):
         profiler.enable()

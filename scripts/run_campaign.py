@@ -24,9 +24,10 @@ In-process, cache-less run of two scenarios::
     PYTHONPATH=src python scripts/run_campaign.py --workers 1 --no-cache \
         --scenarios idv6 dos_xmv3
 
-Narrower lockstep batches — every worker steps up to ``B`` runs in one
+Wider lockstep batches — every worker steps up to ``B`` runs in one
 vectorized loop (bitwise-identical results whatever ``B``; a batch holds
-``B`` runs' trajectories, so keep it at 4-8 at paper fidelity)::
+``B`` runs' trajectories, about 122 MB each at paper fidelity, where the
+default narrows to 4)::
 
     PYTHONPATH=src python scripts/run_campaign.py --scale paper --batch-size 8
 
@@ -331,7 +332,7 @@ def run_spec(arguments: argparse.Namespace) -> int:
             mode = "closed-loop response (in-process, cache bypassed)"
         print(
             f"engine: workers={experiment.parallel.resolved_workers} "
-            f"batch_size={experiment.parallel.resolved_batch_size} "
+            f"batch_size={experiment.parallel.batch_width(experiment.simulation)} "
             f"cache={'off' if not experiment.parallel.caching else experiment.parallel.cache_dir}"
             f" analysis={mode}\n"
         )

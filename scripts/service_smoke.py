@@ -34,7 +34,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -99,12 +98,7 @@ def main(argv=None) -> int:
 
     spec = api.load_spec(arguments.spec)
     if arguments.scale == "smoke":
-        # Two runs per chunk, so every worker gets some: the default chunk,
-        # one full lockstep batch, holds the whole smoke campaign.
-        spec = replace(
-            spec.with_experiment(SMOKE_EXPERIMENT),
-            service=replace(spec.service, chunk_size=2),
-        )
+        spec = spec.with_experiment(SMOKE_EXPERIMENT)
 
     log_lines = []
 

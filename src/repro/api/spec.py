@@ -177,7 +177,7 @@ class AnalysisSpec(Mapped, label="analysis", omit_none=True):
         only :class:`~repro.experiments.analysis.ScenarioSummary` records.
     chunk_size:
         Runs per streaming chunk (``None``:
-        :attr:`~repro.common.config.ParallelConfig.resolved_simulation_chunk_size`,
+        :meth:`~repro.common.config.ParallelConfig.simulation_chunk_size`,
         one full lockstep batch per worker, at least 2x the worker count).
     tables:
         Which result tables :meth:`CampaignResult.tables` produces.

@@ -387,7 +387,6 @@ class BatchSimulator:
             )
         ]
         config = specs[0].simulation  # lockstep fields are shared by the group
-        n_rows = len(rows)
         plant, controller = batch.plant, batch.controller
         sensor_channel, actuator_channel = batch.sensor_channel, batch.actuator_channel
         disturbances, safety = batch.disturbances, batch.safety
@@ -401,11 +400,12 @@ class BatchSimulator:
         n_columns = len(names)
 
         if trajectories:
-            # Preallocated per-run trajectories; the lockstep clock is one
-            # scalar sequence, so a single times vector serves every row's
-            # prefix.
-            controller_slab = np.empty((n_rows, total_samples, n_columns))
-            process_slab = np.empty((n_rows, total_samples, n_columns))
+            # Preallocated per-run trajectories, one array per row, so a
+            # full-horizon run's result takes its arrays without a copy; the
+            # lockstep clock is one scalar sequence, so a single times vector
+            # serves every row's prefix.
+            controller_rows = [np.empty((total_samples, n_columns)) for _ in rows]
+            process_rows = [np.empty((total_samples, n_columns)) for _ in rows]
             times = np.empty(total_samples)
 
         for row in rows:
@@ -475,8 +475,9 @@ class BatchSimulator:
             )
             process_values = np.concatenate([true_xmeas, applied_xmv], axis=1)
             if trajectories:
-                controller_slab[alive, sample_index] = controller_values
-                process_slab[alive, sample_index] = process_values
+                for local, index in enumerate(alive):
+                    controller_rows[index][sample_index] = controller_values[local]
+                    process_rows[index][sample_index] = process_values[local]
                 times[sample_index] = sample_time
             recorded_through = sample_index + 1
 
@@ -523,7 +524,7 @@ class BatchSimulator:
         if not trajectories:
             return []
         return [
-            self._finalize(row, names, controller_slab, process_slab, times)
+            self._finalize(row, names, controller_rows, process_rows, times)
             for row in rows
         ]
 
@@ -532,8 +533,8 @@ class BatchSimulator:
         self,
         row: _Row,
         names: Sequence[str],
-        controller_slab: np.ndarray,
-        process_slab: np.ndarray,
+        controller_rows: Sequence[np.ndarray],
+        process_rows: Sequence[np.ndarray],
         times: np.ndarray,
     ) -> SimulationResult:
         """Assemble one row's :class:`SimulationResult` (serial-identical)."""
@@ -559,8 +560,11 @@ class BatchSimulator:
             process_values = row.fallback_sample[None, :].copy()
             row_times = np.array([0.0])
         else:
-            controller_values = controller_slab[row.batch_index, : row.n_recorded].copy()
-            process_values = process_slab[row.batch_index, : row.n_recorded].copy()
+            controller_values = controller_rows[row.batch_index]
+            process_values = process_rows[row.batch_index]
+            if row.n_recorded < len(times):
+                controller_values = controller_values[: row.n_recorded].copy()
+                process_values = process_values[: row.n_recorded].copy()
             row_times = times[: row.n_recorded].copy()
 
         def dataset(values: np.ndarray, view: str) -> ProcessDataset:

@@ -193,20 +193,23 @@ class ParallelConfig(Mapped, label="parallel", omit_none=True):
     ----------
     n_workers:
         Number of worker processes.  ``None`` uses ``os.cpu_count()``.
-        Pending runs that fill more than one batch fan out as whole batches
-        over a process pool of this size; a chunk that fits one batch, and
+        A chunk's pending runs are split evenly over a process pool of this
+        size, in batches of at most the batch width; one pending run, and
         every chunk at ``n_workers = 1``, runs in-process.  On platforms
         whose multiprocessing start method is ``spawn`` (Windows, macOS),
         scripts that trigger campaigns at import time need the usual
         ``if __name__ == "__main__":`` guard — or ``n_workers = 1``.
     batch_size:
-        Runs stepped together per lockstep batch, in every campaign:
-        calibration, scenario, live and response runs.  ``None`` uses the
-        default.  Larger batches amortize more interpreter overhead but hold
-        more in-flight memory: a worker holds ``batch_size`` runs'
-        trajectories (about 122 MB each at 72 h x 2000 samples/h), and a
-        response campaign each run's live-monitor window, so set 4-8 at
-        that fidelity.
+        Most runs stepped together per lockstep batch, in every campaign:
+        calibration, scenario, live and response runs.  Larger batches
+        amortize more interpreter overhead but hold more in-flight memory:
+        a worker holds a batch's trajectories, about 122 MB per run at
+        72 h x 2000 samples/h, and a response campaign each run's
+        live-monitor window.  ``None`` uses :attr:`DEFAULT_BATCH_SIZE`,
+        narrowed for long runs so a batch holds at most
+        :attr:`DEFAULT_BATCH_SAMPLES` samples per view (see
+        :meth:`batch_width`): 4 runs at that fidelity, 16 at the lighter
+        presets.
     cache_dir:
         Directory of the on-disk result cache.  ``None`` disables caching.
         Cache entries are keyed by (scenario, simulation config, seed,
@@ -224,12 +227,16 @@ class ParallelConfig(Mapped, label="parallel", omit_none=True):
         Number of runs loaded/simulated and analyzed per chunk of a
         streaming campaign.  Peak memory of a streaming campaign is
         proportional to this value, not to the campaign size.  ``None``
-        picks :attr:`resolved_simulation_chunk_size`: one full batch per
-        worker, so every worker stays busy.
+        picks :meth:`simulation_chunk_size`: one full batch per worker, so
+        every worker stays busy.
     """
 
     #: Default rows per lockstep batch.
     DEFAULT_BATCH_SIZE: ClassVar[int] = 16
+    #: Most samples per view one batch of the default width holds: 4 runs
+    #: at the paper's 72 h x 2000 samples/h, about 490 MB of float64
+    #: trajectories (two views of 53 columns).
+    DEFAULT_BATCH_SAMPLES: ClassVar[int] = 4 * 72 * 2000
 
     n_workers: Optional[int] = None
     cache_dir: Optional[str] = None
@@ -268,12 +275,21 @@ class ParallelConfig(Mapped, label="parallel", omit_none=True):
         """Whether any cache eviction policy (size or age) is configured."""
         return self.cache_max_bytes is not None or self.cache_max_age is not None
 
-    @property
-    def resolved_batch_size(self) -> int:
-        """The effective rows per lockstep batch."""
+    def batch_width(self, simulation: Optional["SimulationConfig"] = None) -> int:
+        """Rows per lockstep batch of ``simulation``'s runs.
+
+        ``batch_size`` when set.  Otherwise :attr:`DEFAULT_BATCH_SIZE`,
+        narrowed (to no fewer than one run) so the batch holds at most
+        :attr:`DEFAULT_BATCH_SAMPLES` samples per view — of trajectories,
+        or of a response run's live-monitor window; ``None`` stands for runs
+        short enough for the full default width.
+        """
         if self.batch_size is not None:
             return int(self.batch_size)
-        return self.DEFAULT_BATCH_SIZE
+        if simulation is None:
+            return self.DEFAULT_BATCH_SIZE
+        fit = self.DEFAULT_BATCH_SAMPLES // max(1, simulation.total_samples)
+        return max(1, min(self.DEFAULT_BATCH_SIZE, fit))
 
     @property
     def resolved_chunk_size(self) -> int:
@@ -282,27 +298,25 @@ class ParallelConfig(Mapped, label="parallel", omit_none=True):
         The default scoring chunk of a bare
         :meth:`~repro.experiments.analysis.AnalysisEngine.map` call.
         Campaigns simulate and score in chunks of
-        :attr:`resolved_simulation_chunk_size` instead.
+        :meth:`simulation_chunk_size` instead.
         """
         if self.chunk_size is not None:
             return int(self.chunk_size)
         return 2 * self.resolved_workers
 
-    @property
-    def resolved_simulation_chunk_size(self) -> int:
-        """Specs per chunk of a streaming campaign and of the engine's
-        fan-out.
+    def simulation_chunk_size(
+        self, simulation: Optional["SimulationConfig"] = None
+    ) -> int:
+        """Specs per chunk of a streaming campaign of ``simulation``'s runs
+        and of the engine's fan-out.
 
-        ``chunk_size``, or one full lockstep batch per worker (at least two
-        runs per worker) — a smaller chunk would cap the lockstep batch
-        below ``batch_size`` and erase the kernel's per-row saving.
+        ``chunk_size``, or one full batch of :meth:`batch_width` per worker
+        (at least two runs per worker) — a smaller chunk would narrow the
+        lockstep batches and erase the kernel's per-row saving.
         """
         if self.chunk_size is not None:
             return int(self.chunk_size)
-        return max(
-            2 * self.resolved_workers,
-            self.resolved_batch_size * self.resolved_workers,
-        )
+        return max(2, self.batch_width(simulation)) * self.resolved_workers
 
     def with_workers(self, n_workers: Optional[int]) -> "ParallelConfig":
         """Return a copy of this configuration with a different worker count."""
@@ -428,8 +442,10 @@ class ServiceConfig(Mapped, label="service", omit_none=True):
         requests to the coordinator.
     chunk_size:
         Runs per claimable chunk.  ``None`` uses the execution plan's
-        batch-aware :attr:`ParallelConfig.resolved_simulation_chunk_size`,
-        so a worker always claims whole lockstep batches.
+        ``chunk_size``; without one, a batch of the plan's ``batch_size``
+        per worker when it sets one, so a worker claims whole lockstep
+        batches, and two runs per worker otherwise, so a campaign spreads
+        over several service workers whatever the default batch width.
     """
 
     host: str = "127.0.0.1"
@@ -473,7 +489,9 @@ class ServiceConfig(Mapped, label="service", omit_none=True):
         """Runs per claimable chunk under a given execution plan."""
         if self.chunk_size is not None:
             return int(self.chunk_size)
-        return parallel.resolved_simulation_chunk_size
+        if parallel.chunk_size is not None:
+            return int(parallel.chunk_size)
+        return max(2, parallel.batch_size or 2) * parallel.resolved_workers
 
 
 

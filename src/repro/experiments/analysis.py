@@ -596,8 +596,8 @@ class AnalysisPipeline:
     chunk_size:
         Runs per chunk.  With ``retain`` the whole plan is one chunk unless
         this is set; when streaming it defaults to
-        :attr:`ParallelConfig.resolved_simulation_chunk_size` (one full
-        lockstep batch per worker).  Chunks
+        :meth:`ParallelConfig.simulation_chunk_size` (one full lockstep
+        batch per worker).  Chunks
         are cut from the flat plan, so one may span several scenarios.
     retain:
         ``True`` keeps everything: cache hits are loaded in this process
@@ -674,7 +674,7 @@ class AnalysisPipeline:
         elif self.retain:
             size = max(1, len(plan))
         else:
-            size = self.config.parallel.resolved_simulation_chunk_size
+            size = self.config.parallel.simulation_chunk_size(self.config.simulation)
         if size < 1:
             raise ConfigurationError("chunk_size must be >= 1")
         for offset in range(0, len(plan), size):

@@ -4,8 +4,10 @@ The paper's evaluation (Section V) is a large batch of independent closed-loop
 simulations: a calibration campaign plus repeated runs of every anomalous
 scenario.  :class:`CampaignEngine` steps such a batch through the vectorized
 lockstep kernel (:mod:`repro.batch`), in-process or as whole batches fanned
-out over a ``ProcessPoolExecutor``, while guaranteeing that every worker
-count, batch size and chunking produces **bitwise-identical** results:
+out over a ``ProcessPoolExecutor`` (a run that would step alone takes the
+serial kernel, which is faster for one row), while guaranteeing that every
+worker count, batch size and chunking produces **bitwise-identical**
+results:
 
 * every run is fully described by an immutable :class:`RunSpec` whose seed is
   derived *before* dispatch, so no run depends on execution order or on
@@ -197,16 +199,18 @@ def _install_live_analyzer(analyzer) -> None:
     _LIVE_ANALYZER = analyzer
 
 
-def _execute_specs_batch(
-    specs: Sequence[RunSpec], batch_size: int
-) -> List[SimulationResult]:
-    """Step a group of specs through the vectorized lockstep kernel.
+def _execute_group(specs: Sequence[RunSpec], width: int) -> List[SimulationResult]:
+    """Step a group of specs in lockstep batches of ``width`` rows.
 
     Top-level so worker pools can pickle it; each pool task steps one whole
     batch of runs in a single vectorized loop, so the per-row saving of the
-    kernel multiplies with the process fan-out.
+    kernel multiplies with the process fan-out.  Runs that would step alone
+    (a one-spec group, or ``width = 1``) take the serial kernel instead: a
+    one-row lockstep step costs about 1.8x a serial one, and the two are
+    pinned bitwise-identical.
     """
     from repro.batch import run_specs_batched
+    from repro.experiments.runner import run_scenario
 
     live_analyzer = None
     if any(spec.early_stop is not None for spec in specs):
@@ -217,12 +221,24 @@ def _execute_specs_batch(
                 "is installed; call CampaignEngine.set_live_analyzer first"
             )
     with obs_span("engine.batch", n_runs=len(specs)):
-        results = run_specs_batched(
-            specs, batch_size=batch_size, live_analyzer=live_analyzer
-        )
+        if min(width, len(specs)) == 1:
+            results = [
+                run_scenario(
+                    spec.scenario,
+                    spec.simulation,
+                    anomaly_start_hour=spec.anomaly_start_hour,
+                    early_stop=spec.early_stop,
+                    live_analyzer=live_analyzer,
+                )
+                for spec in specs
+            ]
+        else:
+            results = run_specs_batched(
+                specs, batch_size=width, live_analyzer=live_analyzer
+            )
     _LOG.debug(
         "batch executed",
-        extra={"n_runs": len(specs), "batch_size": batch_size},
+        extra={"n_runs": len(specs), "batch_size": width},
     )
     return results
 
@@ -435,10 +451,11 @@ class CampaignEngine:
     Notes
     -----
     Every chunk's pending runs step through the vectorized lockstep kernel,
-    ``batch_size`` runs per loop.  Results are bitwise-identical across
-    worker counts, batch sizes and chunkings because every run is seeded in
-    its spec and returned in spec order.  The pool is only spun up when a
-    chunk's pending runs fill more than one batch and ``n_workers > 1``.
+    at most :meth:`ParallelConfig.batch_width` runs per loop.  Results are
+    bitwise-identical across worker counts, batch sizes and chunkings
+    because every run is seeded in its spec and returned in spec order.
+    The pool is only spun up when ``n_workers > 1`` and more than one run
+    of a chunk needs simulating.
     """
 
     def __init__(self, config: Optional[ParallelConfig] = None):
@@ -483,24 +500,33 @@ class CampaignEngine:
         """Execute specs in chunks, yielding results in spec order.
 
         The streaming counterpart of :meth:`run`: at most ``chunk_size``
-        results (default :attr:`ParallelConfig.resolved_simulation_chunk_size`)
-        are alive at once, so peak memory is O(chunk) instead of O(campaign).
-        Cached entries are loaded lazily, chunk by chunk.  The pending runs
-        of a chunk step in lockstep batches of ``batch_size``: in-process,
-        or, when they fill more than one batch and ``n_workers > 1``, as
-        whole batches fanned out over a worker pool that persists across
-        chunks.  Results are cached as they complete, so an interrupted
-        campaign resumes from the runs that already finished.  Results are
-        bitwise-identical to :meth:`run` for the same specs.
+        results (default :meth:`ParallelConfig.simulation_chunk_size` of the
+        longest spec) are alive at once, so peak memory is O(chunk) instead
+        of O(campaign).  Cached entries are loaded lazily, chunk by chunk.
+        The pending runs of a chunk step in lockstep batches of at most
+        :meth:`ParallelConfig.batch_width` rows: in-process at
+        ``n_workers = 1`` or for a lone pending run, otherwise split evenly
+        over a worker pool that persists across chunks.  Results are cached
+        as they complete, so an interrupted campaign resumes from the runs
+        that already finished.  Results are bitwise-identical to :meth:`run`
+        for the same specs.
 
         :attr:`last_stats` covers the chunks actually consumed and is
         finalized when the generator is exhausted or closed.
         """
         specs = list(specs)
+        # The longest run sets the width, so no batch outgrows the
+        # trajectory budget of the default width.
+        longest = max(
+            (spec.simulation for spec in specs),
+            key=lambda simulation: simulation.total_samples,
+            default=None,
+        )
+        width = self.config.batch_width(longest)
         size = (
             int(chunk_size)
             if chunk_size is not None
-            else self.config.resolved_simulation_chunk_size
+            else self.config.simulation_chunk_size(longest)
         )
         if size < 1:
             raise ConfigurationError("chunk_size must be >= 1")
@@ -539,37 +565,37 @@ class CampaignEngine:
                             self.cache.store(chunk[index], result)
 
                     n_workers = self.config.resolved_workers
-                    batch_size = self.config.resolved_batch_size
-                    if n_workers > 1 and len(pending) > batch_size:
+                    if n_workers > 1 and len(pending) > 1:
                         if pool is None:
                             # A chunk can never hold more than ``size`` pending
-                            # runs, i.e. ceil(size / batch) tasks, so a larger
-                            # pool would only idle.
+                            # runs, so a larger pool would only idle.
                             initializer, initargs = None, ()
                             if self._live_analyzer is not None:
                                 initializer = _install_live_analyzer
                                 initargs = (self._live_analyzer,)
                             pool = ProcessPoolExecutor(
-                                max_workers=min(n_workers, -(-size // batch_size)),
+                                max_workers=min(n_workers, size),
                                 initializer=initializer,
                                 initargs=initargs,
                             )
-                        # Fan whole batches out: every task advances up to
-                        # ``batch_size`` runs in one vectorized loop.
+                        # Split the pending runs evenly over the workers, in
+                        # groups of at most one batch: every task advances
+                        # its group in one vectorized loop.
+                        group_size = min(width, -(-len(pending) // n_workers))
                         futures = {}
-                        for start in range(0, len(pending), batch_size):
-                            group = pending[start : start + batch_size]
+                        for start in range(0, len(pending), group_size):
+                            group = pending[start : start + group_size]
                             future = pool.submit(
-                                _execute_specs_batch,
+                                _execute_group,
                                 [chunk[index] for index in group],
-                                batch_size,
+                                width,
                             )
                             futures[future] = group
                         for future in as_completed(futures):
                             group = futures[future]
                             for index, result in zip(group, future.result()):
                                 book(index, result)
-                        # One task per batch, so that — not the pending-run
+                        # One task per group, so that — not the pending-run
                         # count — bounds the workers actually busy.
                         stats.n_workers = max(
                             stats.n_workers, min(n_workers, len(futures))
@@ -581,11 +607,10 @@ class CampaignEngine:
                         # silently score live specs against a stale calibration
                         # instead of raising.
                         _install_live_analyzer(self._live_analyzer)
-                        batch_results = _execute_specs_batch(
-                            [chunk[index] for index in pending],
-                            batch_size,
+                        group_results = _execute_group(
+                            [chunk[index] for index in pending], width
                         )
-                        for index, result in zip(pending, batch_results):
+                        for index, result in zip(pending, group_results):
                             book(index, result)
                     stats.n_simulated += len(pending)
                     stats.wall_seconds += time.perf_counter() - chunk_started

@@ -7,7 +7,7 @@ the spec's worker count.  Every response run of a root seed forms one
 ordered plan (scenario, then run index), taking each run's settings from the
 engine's own :func:`~repro.experiments.parallel.scenario_specs`; the plan
 steps through :meth:`~repro.batch.simulator.BatchSimulator.run_specs` in
-lockstep batches of ``parallel.resolved_batch_size`` rows.  Each row
+lockstep batches of ``parallel.batch_width(simulation)`` rows.  Each row
 carries its own :class:`~repro.live.monitor.LiveMonitor`,
 :class:`~repro.live.observer.LiveRunObserver` and
 :class:`~repro.response.runner.ResponseRunner`, and no trajectory is kept:
@@ -108,8 +108,8 @@ def evaluate_all_response(
     ``evaluation`` must be calibrated (it is calibrated on demand
     otherwise, through the campaign engine, whose calibration runs step in
     the same lockstep batches).  Every run of every scenario steps in one
-    ordered plan, in lockstep batches of ``parallel.resolved_batch_size``
-    rows.
+    ordered plan, in lockstep batches of ``parallel.batch_width`` rows for
+    the campaign's simulation.
     ``on_report`` is called with ``(scenario_name, run_index, report)`` in
     plan order, as each batch completes.
     """
@@ -127,7 +127,7 @@ def evaluate_all_response(
         for position, scenario in enumerate(scenarios)
         for run_index, spec in enumerate(scenario_specs(config, scenario, n_runs))
     ]
-    batch_size = config.parallel.resolved_batch_size
+    batch_size = config.parallel.batch_width(config.simulation)
     simulator = BatchSimulator(batch_size=batch_size)
     for offset in range(0, len(plan), batch_size):
         chunk = plan[offset : offset + batch_size]

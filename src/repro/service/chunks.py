@@ -11,10 +11,10 @@ slice of a campaign is derivable, deterministically, from the spec itself:
   seed.  Coordinator and workers derive the same list independently, so a
   chunk on the wire is just an index range.
 * :func:`shard_campaign` splits that list into :class:`WorkChunk` slices
-  sized by the batch-aware
-  :attr:`~repro.common.config.ParallelConfig.resolved_simulation_chunk_size`
-  (or the ``[service]`` section's explicit ``chunk_size``), so a worker
-  always claims whole lockstep batches.
+  sized by :meth:`~repro.common.config.ServiceConfig.resolved_chunk_size`:
+  the ``[service]`` section's ``chunk_size``, or the plan's, or a batch of
+  the plan's ``batch_size`` per worker, or two runs per worker, so a
+  campaign spreads over several service workers.
 * :func:`campaign_fingerprint` hashes the spec's canonical mapping; it is
   both the campaign id (submitting the same spec twice is idempotent) and
   the wire-level guard that a worker and its coordinator agree on what a
@@ -138,10 +138,10 @@ def shard_campaign(
     """Split a campaign into claimable chunks.
 
     ``chunk_size`` defaults to the ``[service]`` section's setting, which
-    itself falls back to the execution plan's batch-aware
-    :attr:`~repro.common.config.ParallelConfig.resolved_simulation_chunk_size`
-    — so every chunk holds whole lockstep batches and the kernel's per-row
-    saving survives distribution.
+    itself falls back to the execution plan
+    (:meth:`~repro.common.config.ServiceConfig.resolved_chunk_size`): whole
+    lockstep batches of the plan's ``batch_size`` when it sets one, two
+    runs per worker otherwise.
     """
     if chunk_size is None:
         chunk_size = spec.service.resolved_chunk_size(spec.experiment.parallel)

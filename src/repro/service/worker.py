@@ -9,9 +9,9 @@ tests and single-host fan-out, or a
 
 Executing a chunk is just handing its :class:`RunSpec` slice to a normal
 :class:`~repro.experiments.parallel.CampaignEngine` whose cache points at
-the shared store: lockstep batches of ``batch_size`` runs
-(``run_specs_batched`` under the hood, in-process unless the chunk fills
-more than one batch and the plan has several workers), per-run derived
+the shared store: lockstep batches of at most ``batch_size`` runs
+(``run_specs_batched`` under the hood, in-process unless the plan has
+several workers and the chunk more than one pending run), per-run derived
 seeds and atomic NPZ publication are all inherited, so a distributed run
 is bitwise-identical to a local one and every completed batch is durable
 the moment it is written — a worker dying mid-chunk loses at most the

@@ -183,11 +183,54 @@ class TestParallelConfigBatchFields:
 
     def test_simulation_chunk_covers_batches_analysis_chunk_stays_small(self):
         config = ParallelConfig(n_workers=2, batch_size=8)
-        assert config.resolved_simulation_chunk_size == 16
+        assert config.simulation_chunk_size() == 16
         # The analysis stage's O(chunk) memory bound ignores the batch size.
         assert config.resolved_chunk_size == 4
-        assert ParallelConfig(n_workers=2).resolved_simulation_chunk_size == 32
-        assert ParallelConfig(n_workers=3, batch_size=1).resolved_simulation_chunk_size == 6
+        assert ParallelConfig(n_workers=2).simulation_chunk_size() == 32
+        assert ParallelConfig(n_workers=3, batch_size=1).simulation_chunk_size() == 6
         explicit = ParallelConfig(n_workers=2, chunk_size=5)
-        assert explicit.resolved_simulation_chunk_size == 5
+        assert explicit.simulation_chunk_size() == 5
         assert explicit.resolved_chunk_size == 5
+
+    def test_default_width_follows_the_trajectory_size(self):
+        paper = SimulationConfig.paper_settings()
+        config = ParallelConfig(n_workers=2)
+        # 4 x 122 MB of trajectories at the paper's 72 h x 2000 samples/h.
+        assert config.batch_width(paper) == 4
+        assert config.simulation_chunk_size(paper) == 8
+        assert config.batch_width(SimulationConfig.fast()) == 16
+        assert config.batch_width(paper.with_duration(1000.0)) == 1
+        assert config.simulation_chunk_size(paper.with_duration(1000.0)) == 4
+        # An explicit batch size is taken as given.
+        assert ParallelConfig(batch_size=8).batch_width(paper) == 8
+
+
+class TestBatchMemory:
+    def test_full_horizon_results_take_their_arrays_without_a_copy(self):
+        import tracemalloc
+
+        simulation = SimulationConfig(
+            duration_hours=2.5,
+            samples_per_hour=200,
+            integration_steps_per_sample=1,
+            seed=0,
+        )
+        specs = [
+            RunSpec(get_scenario("normal"), simulation.with_seed(seed), 1.0)
+            for seed in range(4)
+        ]
+        # Two 53-column float64 views per run.
+        trajectory_bytes = len(specs) * 2 * simulation.total_samples * 53 * 8
+        tracemalloc.start()
+        try:
+            results = run_specs_batched(specs, batch_size=len(specs))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(
+            result.controller_data.n_observations == simulation.total_samples
+            for result in results
+        )
+        # One copy of the trajectories, not a batch slab plus per-run
+        # copies (which would peak above twice this).
+        assert peak < 1.6 * trajectory_bytes

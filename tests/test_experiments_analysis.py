@@ -341,8 +341,7 @@ class TestStreamingEquivalence:
 
     def test_parallel_streaming_matches_serial(self, eager_reference, tmp_path):
         evaluation = Evaluation(
-            # One-run batches, so simulation fans out over the pool too.
-            tiny_config(n_workers=2, batch_size=1, cache_dir=str(tmp_path))
+            tiny_config(n_workers=2, cache_dir=str(tmp_path))
         )
         evaluation.calibrate()
         summaries = evaluation.evaluate_all_streaming()

@@ -69,7 +69,7 @@ def assert_results_identical(first, second):
 class TestParallelConfig:
     def test_defaults(self):
         config = ParallelConfig()
-        assert config.resolved_batch_size == ParallelConfig.DEFAULT_BATCH_SIZE
+        assert config.batch_width() == ParallelConfig.DEFAULT_BATCH_SIZE
         assert config.resolved_workers >= 1
         assert not config.caching
 
@@ -165,10 +165,7 @@ class TestDeterministicFanOut:
         config = tiny_config()
         specs = calibration_specs(config)
         in_process = CampaignEngine(ParallelConfig.serial()).run(specs)
-        # One-run batches, so the two runs fan out over the pool.
-        parallel = CampaignEngine(ParallelConfig(n_workers=2, batch_size=1)).run(
-            specs
-        )
+        parallel = CampaignEngine(ParallelConfig(n_workers=2)).run(specs)
         reference = run_serially(specs)
         assert_results_identical(reference, in_process)
         assert_results_identical(reference, parallel)
@@ -184,7 +181,7 @@ class TestDeterministicFanOut:
 
     def test_calibration_campaign_parallel_matches_serial(self):
         serial = run_calibration_campaign(tiny_config(n_workers=1))
-        parallel = run_calibration_campaign(tiny_config(n_workers=2, batch_size=1))
+        parallel = run_calibration_campaign(tiny_config(n_workers=2))
         assert serial.controller_data == parallel.controller_data
         assert serial.process_data == parallel.process_data
         assert_results_identical(serial.results, parallel.results)
@@ -197,7 +194,7 @@ class TestDeterministicFanOut:
         outcomes = {}
         for label, kwargs in (
             ("serial", dict(n_workers=1)),
-            ("parallel", dict(n_workers=2, batch_size=1)),
+            ("parallel", dict(n_workers=2)),
         ):
             evaluation = Evaluation(tiny_config(**kwargs))
             evaluation.calibrate()
@@ -210,7 +207,7 @@ class TestDeterministicFanOut:
     def test_stats_reflect_workers(self):
         config = tiny_config()
         specs = calibration_specs(config)
-        engine = CampaignEngine(ParallelConfig(n_workers=2, batch_size=1))
+        engine = CampaignEngine(ParallelConfig(n_workers=2))
         engine.run(specs)
         assert engine.last_stats.n_workers == 2
         assert engine.last_stats.n_simulated == len(specs)
@@ -223,14 +220,53 @@ class TestDeterministicFanOut:
         engine.run(specs)
         assert engine.last_stats.n_workers == 1
 
-    @pytest.mark.parametrize("batch_size, n_workers", [(2, 1), (1, 2)])
-    def test_pool_only_when_pending_runs_fill_more_than_one_batch(
-        self, batch_size, n_workers
-    ):
-        specs = calibration_specs(tiny_config())
-        engine = CampaignEngine(ParallelConfig(n_workers=2, batch_size=batch_size))
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_pending_runs_split_evenly_over_the_pool(self, n_workers):
+        # Three runs at the default width: one batch in-process, or groups
+        # of ceil(3 / workers) runs, one task each.
+        specs = scenario_specs(tiny_config(), disturbance_idv6_scenario(), n_runs=3)
+        engine = CampaignEngine(ParallelConfig(n_workers=n_workers))
         results = engine.run(specs)
-        assert engine.last_stats.n_workers == n_workers
+        assert engine.last_stats.n_workers == {1: 1, 2: 2, 3: 3}[n_workers]
+        assert_results_identical(run_serially(specs), results)
+
+    @pytest.mark.parametrize("n_specs, batch_size", [(1, None), (3, 1)])
+    def test_lone_runs_take_the_serial_kernel(
+        self, monkeypatch, n_specs, batch_size
+    ):
+        from repro.batch.simulator import BatchSimulator
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a lone run stepped as a one-row batch")
+
+        monkeypatch.setattr(BatchSimulator, "run_specs", refuse)
+        specs = scenario_specs(
+            tiny_config(), disturbance_idv6_scenario(), n_runs=n_specs
+        )
+        engine = CampaignEngine(ParallelConfig(n_workers=1, batch_size=batch_size))
+        assert_results_identical(run_serially(specs), engine.run(specs))
+
+    def test_default_width_keeps_the_trajectory_budget(self, monkeypatch):
+        from repro.batch.simulator import BatchSimulator
+
+        widths = []
+        original = BatchSimulator._run_batch
+
+        def run_batch(self, specs, *args, **kwargs):
+            widths.append(len(specs))
+            return original(self, specs, *args, **kwargs)
+
+        monkeypatch.setattr(BatchSimulator, "_run_batch", run_batch)
+        config = tiny_config()
+        # A budget of two runs' samples: every batch holds at most two rows.
+        monkeypatch.setattr(
+            ParallelConfig,
+            "DEFAULT_BATCH_SAMPLES",
+            2 * config.simulation.total_samples,
+        )
+        specs = scenario_specs(config, disturbance_idv6_scenario(), n_runs=5)
+        results = CampaignEngine(ParallelConfig(n_workers=1)).run(specs)
+        assert widths == [2, 2, 1]
         assert_results_identical(run_serially(specs), results)
 
 

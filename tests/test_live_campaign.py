@@ -151,8 +151,7 @@ class TestEngineExecution:
         assert result.controller_data.n_observations < TINY.simulation.total_samples
 
     def test_process_pool_ships_the_analyzer(self, calibrated):
-        # One-run batches, so the two runs fan out over the pool.
-        engine = CampaignEngine(ParallelConfig(n_workers=2, batch_size=1))
+        engine = CampaignEngine(ParallelConfig(n_workers=2))
         engine.set_live_analyzer(calibrated.analyzer)
         specs = live_scenario_specs(
             TINY, integrity_attack_on_xmv3_scenario(), POLICY, n_runs=2

@@ -183,7 +183,10 @@ class TestServiceConfigSection:
     def test_resolved_chunk_size_prefers_explicit_setting(self):
         parallel = ParallelConfig.serial()
         assert ServiceConfig(chunk_size=7).resolved_chunk_size(parallel) == 7
+        # Two runs per worker when neither the section nor the plan sets a
+        # chunk or a batch size, whatever the default batch width.
+        assert ServiceConfig().resolved_chunk_size(parallel) == 2
+        assert ServiceConfig().resolved_chunk_size(parallel.with_workers(3)) == 6
         assert (
-            ServiceConfig().resolved_chunk_size(parallel)
-            == parallel.resolved_simulation_chunk_size
+            ServiceConfig().resolved_chunk_size(ParallelConfig(chunk_size=5)) == 5
         )

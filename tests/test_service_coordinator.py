@@ -8,7 +8,6 @@ from repro.common.config import (
     ExperimentConfig,
     LiveConfig,
     ParallelConfig,
-    ServiceConfig,
     SimulationConfig,
 )
 from repro.common.exceptions import ConfigurationError, ServiceError
@@ -25,14 +24,8 @@ SMALL_EXPERIMENT = ExperimentConfig(
 )
 
 
-# Two runs per chunk, so the campaign spans several chunks: the default
-# chunk, one full lockstep batch, would hold it whole.
 def small_spec(**kwargs) -> CampaignSpec:
-    defaults = dict(
-        name="coord",
-        scenarios=["idv6", "attack_xmv3"],
-        service=ServiceConfig(chunk_size=2),
-    )
+    defaults = dict(name="coord", scenarios=["idv6", "attack_xmv3"])
     defaults.update(kwargs)
     return CampaignSpec(**defaults).with_experiment(SMALL_EXPERIMENT)
 
@@ -136,6 +129,8 @@ class TestLeases:
         assert not coordinator.heartbeat(campaign_id, chunk["chunk_id"], "worker-a")
 
     def test_spec_service_section_sets_the_lease(self, tmp_path, clock):
+        from repro.common.config import ServiceConfig
+
         coordinator = CampaignCoordinator(tmp_path / "s", clock=clock)
         spec = small_spec(service=ServiceConfig(lease_seconds=5.0,
                                                 heartbeat_seconds=2.5))

@@ -14,7 +14,6 @@ from repro.api.spec import CampaignSpec
 from repro.common.config import (
     ExperimentConfig,
     ParallelConfig,
-    ServiceConfig,
     SimulationConfig,
 )
 from repro.common.exceptions import JournalCorruptedError
@@ -31,13 +30,9 @@ SMALL_EXPERIMENT = ExperimentConfig(
 )
 
 
-# Two runs per chunk, so the campaign spans several chunks: the default
-# chunk, one full lockstep batch, would hold it whole.
 def small_spec() -> CampaignSpec:
     return CampaignSpec(
-        name="journal",
-        scenarios=["idv6", "attack_xmv3"],
-        service=ServiceConfig(chunk_size=2),
+        name="journal", scenarios=["idv6", "attack_xmv3"]
     ).with_experiment(SMALL_EXPERIMENT)
 
 
