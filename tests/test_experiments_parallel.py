@@ -227,7 +227,7 @@ class TestDeterministicFanOut:
         specs = scenario_specs(tiny_config(), disturbance_idv6_scenario(), n_runs=3)
         engine = CampaignEngine(ParallelConfig(n_workers=n_workers))
         results = engine.run(specs)
-        assert engine.last_stats.n_workers == {1: 1, 2: 2, 3: 3}[n_workers]
+        assert engine.last_stats.n_workers == n_workers
         assert_results_identical(run_serially(specs), results)
 
     @pytest.mark.parametrize("n_specs, batch_size", [(1, None), (3, 1)])
