@@ -14,11 +14,12 @@ are floored to fill one default-sized batch even at smoke scale.
 
 Not every batch is full: the last batch of a split group, or of a partly
 warm cache, can hold one or two rows (a lone pending run takes the serial
-kernel).  So the test also reports the narrow regime, the CPU cost per step
-of one short run on the serial kernel and on the batch kernel at B=1 and
-B=2 (``serial_step_seconds``, ``batch_b1_step_seconds``,
-``batch_b2_step_seconds``).  Under ``REPRO_BENCH_STRICT=1`` a B=1 step
-must cost at most 2.5x a serial one.
+kernel).  So the test also reports the CPU cost per step of one short run
+on the serial kernel and on the batch kernel at B=1 and B=2 (the narrow
+regime: ``serial_step_seconds``, ``batch_b1_step_seconds``,
+``batch_b2_step_seconds``) and at B=8, the width campaigns step at
+(``batch_b8_step_seconds``, no gate).  Under ``REPRO_BENCH_STRICT=1`` a B=1
+step must cost at most 2.5x a serial one.
 """
 
 from __future__ import annotations
@@ -69,22 +70,23 @@ def campaign_specs(bench_config):
     return specs
 
 
-def narrow_batch_step_seconds(rounds: int = 3):
+def batch_step_seconds(rounds: int = 3):
     """CPU seconds per step of one short normal run: serial kernel, batch
-    kernel at B=1 and at B=2 (one step advances both rows).
+    kernel at B=1, B=2 and B=8 (one step advances every row).
 
-    The three runs are interleaved and each keeps its minimum over
-    ``rounds``, so a slow spell of the host hits all three alike.
+    The four runs are interleaved and each keeps its minimum over
+    ``rounds``, so a slow spell of the host hits all of them alike.
     """
     scenario = normal_scenario()
     specs = [
         RunSpec(scenario=scenario, simulation=NARROW_RUN.with_seed(seed))
-        for seed in (1, 2)
+        for seed in range(1, 9)
     ]
     runs = {
         "serial_step_seconds": lambda: run_scenario(scenario, specs[0].simulation),
         "batch_b1_step_seconds": lambda: run_specs_batched(specs[:1]),
-        "batch_b2_step_seconds": lambda: run_specs_batched(specs),
+        "batch_b2_step_seconds": lambda: run_specs_batched(specs[:2]),
+        "batch_b8_step_seconds": lambda: run_specs_batched(specs),
     }
     best = dict.fromkeys(runs, math.inf)
     for _ in range(rounds):
@@ -137,7 +139,7 @@ def test_batch_backend_speedup(benchmark, bench_config, emit_bench_json):
     assert any(run.shutdown_time_hours is not None for run in serial_results)
 
     speedup = serial_seconds / batch_seconds if batch_seconds > 0 else 1.0
-    step_seconds = narrow_batch_step_seconds()
+    step_seconds = batch_step_seconds()
     b1_ratio = step_seconds["batch_b1_step_seconds"] / step_seconds["serial_step_seconds"]
     benchmark.extra_info["n_runs"] = len(specs)
     benchmark.extra_info["serial_seconds"] = round(serial_seconds, 3)
@@ -151,13 +153,14 @@ def test_batch_backend_speedup(benchmark, bench_config, emit_bench_json):
     print("Batched vectorized campaign (five paper scenarios, single core)")
     print(f"  serial kernel  {serial_seconds:7.2f} s   ({len(specs)} runs)")
     print(f"  batch engine   {batch_seconds:7.2f} s   speedup {speedup:.2f}x")
-    print("CPU per step of one short run (narrow batches)")
+    print("CPU per step of one short run")
     print(f"  serial kernel  {step_seconds['serial_step_seconds'] * 1e3:7.3f} ms")
     print(
         f"  batch B=1      {step_seconds['batch_b1_step_seconds'] * 1e3:7.3f} ms"
         f"   {b1_ratio:.2f}x serial"
     )
     print(f"  batch B=2      {step_seconds['batch_b2_step_seconds'] * 1e3:7.3f} ms")
+    print(f"  batch B=8      {step_seconds['batch_b8_step_seconds'] * 1e3:7.3f} ms")
 
     if os.environ.get("REPRO_BENCH_STRICT") == "1":
         assert speedup >= MIN_SPEEDUP, (

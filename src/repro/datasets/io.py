@@ -65,11 +65,14 @@ def load_npz(path: _PathLike) -> ProcessDataset:
 
 
 def save_result_npz(result: "SimulationResult", path: _PathLike) -> Path:
-    """Save a complete simulation result to one compressed ``.npz`` file.
+    """Save a complete simulation result to one ``.npz`` file.
 
     The file holds both data views, the simulation configuration, the
     shutdown state and the run metadata, so :func:`load_result_npz` can
     reconstruct a result indistinguishable from the freshly simulated one.
+    Members are stored, not deflated: noisy trajectories shrink by about a
+    tenth under zlib, which costs more to write and read than the bytes it
+    saves.  :func:`load_result_npz` reads either layout.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -94,7 +97,7 @@ def save_result_npz(result: "SimulationResult", path: _PathLike) -> Path:
         )
     )
     payload["metadata"] = np.array(json.dumps(result.metadata, default=str))
-    np.savez_compressed(path, **payload)
+    np.savez(path, **payload)
     return path
 
 
@@ -128,9 +131,9 @@ def load_result_npz(path: _PathLike) -> "SimulationResult":
 def peek_result_npz(path: _PathLike) -> dict:
     """Read a result file's config, shutdown state and metadata — cheaply.
 
-    ``np.load`` on an NPZ is lazy: member arrays decompress only on access,
-    so reading just the JSON members costs a few kilobytes however large the
-    data views are.  The streaming analysis tooling uses this to inspect and
+    ``np.load`` on an NPZ is lazy: member arrays are read (and, in a
+    compressed file, inflated) only on access, so reading just the JSON
+    members costs a few kilobytes however large the data views are.  The streaming analysis tooling uses this to inspect and
     prune :class:`~repro.experiments.parallel.ResultCache` entries without
     pulling whole campaigns into memory.
     """

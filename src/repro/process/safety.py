@@ -187,6 +187,8 @@ class BatchSafetyMonitor:
         )[:, None]
         self._grace = np.array([limit.grace_hours for limit in self._limits])[:, None]
         self._start = np.full((len(self._quantities), self._n_rows), np.nan)
+        #: Every violation start is NaN (no violation is pending).
+        self._quiet = True
 
     def check(
         self, time_hours: float, quantities: Dict[str, np.ndarray]
@@ -212,6 +214,10 @@ class BatchSafetyMonitor:
             rows = [np.full(self._n_rows, np.nan) if row is None else row for row in rows]
         values = np.array(rows, dtype=float)[self._group]
         violated = (values < self._low) | (values > self._high)
+        if self._quiet and not violated.any():
+            # Nothing violated and no violation pending: the full
+            # evaluation below would leave every start NaN and trip nothing.
+            return tripped, reasons
 
         start = self._start[self._group]
         if self._earlier is not None:
@@ -223,6 +229,7 @@ class BatchSafetyMonitor:
         if any(missing):
             kept[missing] = self._start[missing]
         self._start = kept
+        self._quiet = bool(np.isnan(kept).all())
 
         if self.enabled:
             trips = violated & (time_hours - start >= self._grace)
@@ -242,3 +249,4 @@ class BatchSafetyMonitor:
         """Keep only the given rows (compaction after trips / early stops)."""
         self._start = self._start[:, indices]
         self._n_rows = int(np.asarray(indices).size)
+        self._quiet = bool(np.isnan(self._start).all())

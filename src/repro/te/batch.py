@@ -1,17 +1,22 @@
 """Batched Tennessee-Eastman plant: advance ``B`` independent runs at once.
 
-:class:`BatchTEPlant` holds the state of ``B`` plants as ``(B, ...)`` arrays
+:class:`BatchTEPlant` holds the state of ``B`` plants as stacked arrays
 (:class:`~repro.te.state.BatchTEState`) and evaluates the flow network,
 kinetics, balances and measurement map of :class:`~repro.te.plant.TEPlant`
-row-wise with one set of ufunc calls per step instead of one Python
-interpreter pass per run.  Every expression is a line-by-line transcription
-of the serial plant — same operations, same order, same ufuncs — so row
-``i`` of a batched run is **bitwise-identical** to the serial run with the
-same seed (NumPy's elementwise ufuncs produce identical results regardless
-of array shape; reductions over the trailing axis of a C-contiguous array
-use the same pairwise algorithm as their 1-D counterparts; and
-``np.random.Generator`` streams are invariant to draw granularity, which is
-what lets the per-row noise streams be served from pre-drawn blocks).
+for every row with one set of ufunc calls per step instead of one Python
+interpreter pass per run.  Row ``i`` of a batched run is
+**bitwise-identical** to the serial run with the same seed, because every
+element sees the serial plant's exact operation sequence and operands: the
+same ufuncs in the same order.  The batch code may run several serial
+expressions as one call, but only in ways that keep that invariant:
+
+* it stacks rows along a new leading axis (NumPy's elementwise ufuncs give
+  the same result for an element whatever the array's shape);
+* it reduces only over a trailing contiguous axis, which takes the same
+  pairwise summation as the serial 1-D sum;
+* it pads a shorter product with ``* 1.0``, which changes no bit;
+* it never uses ``@``, ``einsum`` or ``dot``, and never swaps ``.clip``
+  for ``minimum``/``maximum`` (they differ on ``-0.0``).
 
 The branches of a disturbance that no row can have active at this step
 (see :meth:`~repro.process.disturbances.BatchIdv.may_be_active`) are
@@ -20,20 +25,21 @@ skipped: there the serial plant only applies identity operations (``x *
 every row), so skipping them changes no bit.
 
 Randomness keeps the serial seed-derivation scheme: each row owns the two
-``RandomStream`` children a serial :class:`TEPlant` would derive from its
-seed (``te-plant/measurement-noise`` and ``te-plant/ambient``) — only the
-draws are batched through
-:class:`~repro.common.randomness.BlockedStandardNormal`.
+generators a serial :class:`TEPlant` would derive from its seed
+(``te-plant/measurement-noise`` and ``te-plant/ambient``).  A generator's
+stream does not depend on how its draws are grouped, so each row's draws
+are fetched a block at a time into one ``(B, ...)`` buffer per stream, and
+the rows, which draw in lockstep, read one slice of it per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.common.randomness import BlockedStandardNormal, RandomStream
+from repro.common.randomness import RandomStream
 from repro.process.disturbances import BatchIdv
 from repro.te.constants import COMPONENTS, INTERNAL
 from repro.te.plant import _HEAVY_MASK, _IDX, _LIGHT_MASK, TEPlant
@@ -41,24 +47,227 @@ from repro.te.state import BatchTEState
 
 __all__ = ["BatchTEPlant"]
 
-_HEAVY = _HEAVY_MASK > 0
+#: Light (A-C) and heavy (D-H) components, as slices of a component
+#: vector (the zeros and ones of ``_LIGHT_MASK`` and ``_HEAVY_MASK``).
+_LIGHTS = slice(0, 3)
+_HEAVIES = slice(3, len(COMPONENTS))
+
+#: Rows of the flow table's ``(9, B, 8)`` stream stack.
+STREAM_ROWS = (
+    "feed1",
+    "feed2",
+    "feed3",
+    "feed4",
+    "effluent",
+    "f10",
+    "f11",
+    "reactor_in",
+    "vapor_fraction",
+)
+_EFFLUENT, _F10, _F11, _REACTOR_IN, _VAPOR_FRACTION = 4, 5, 6, 7, 8
+
+#: Vapour and liquid masks of the reactor's two inventories.
+_REACTOR_MASKS = np.array([_LIGHT_MASK, _HEAVY_MASK])[:, None, :]
+#: Per inventory row, the mask its balance increment is multiplied by
+#: (the reactor's shared change splits into vapour and liquid; the other
+#: rows are padded with ``* 1.0``).
+_BALANCE_MASKS = np.array(
+    [_LIGHT_MASK, np.ones(len(COMPONENTS)), _HEAVY_MASK, *np.ones((2, len(COMPONENTS)))]
+)[:, None, :]
+
+_CONDENSATION_COOLING_GAIN = float(INTERNAL["condensation_cooling_gain"])
+_STRIPPING_STEAM_GAIN = float(INTERNAL["stripping_steam_gain"])
+_STEAM_NOMINAL = float(INTERNAL["steam_nominal"])
+_REACTOR_TEMP_NOMINAL = float(INTERNAL["reactor_temp_nominal"])
+_SEPARATOR_TEMP_NOMINAL = float(INTERNAL["separator_temp_nominal"])
+_STRIPPER_TEMP_NOMINAL = float(INTERNAL["stripper_temp_nominal"])
+_REACTOR_HEAT_GAIN = float(INTERNAL["reactor_heat_gain"])
+_REACTOR_COOLING_GAIN = float(INTERNAL["reactor_cooling_gain"])
+
+#: Ambient random walks: step standard deviation, mean reversion and clip
+#: bounds of the feed-1 pressure factor, feed-4 composition shift and
+#: cooling-water inlet shift.
+_WALK_STDS = np.array(
+    [
+        [float(INTERNAL["feed1_pressure_walk_std"])],
+        [float(INTERNAL["feed4_composition_walk_std"])],
+        [float(INTERNAL["cw_inlet_walk_std"])],
+    ]
+)
+_WALK_REVERSION = np.array([[0.2], [0.3]])  # the two shifts; feed 1 uses 0.15
+_WALK_LOWER = np.array([[0.7], [-0.06], [-4.0]])
+_WALK_UPPER = np.array([[1.3], [0.06], [4.0]])
+
+#: Time constants of the recycle flow and the three vessel temperatures
+#: (:attr:`BatchTEState.lags` rows 0-3), and of both cooling-water outlets.
+_LAG_TAUS = np.array(
+    [
+        [float(INTERNAL["recycle_tau"])],
+        [float(INTERNAL["reactor_temp_tau"])],
+        [float(INTERNAL["separator_temp_tau"])],
+        [float(INTERNAL["stripper_temp_tau"])],
+    ]
+)
+_CW_OUTLET_TAU = float(INTERNAL["cw_outlet_tau"])
+#: Reactor and condenser cooling water: nominal inlet temperature, nominal
+#: vessel-to-inlet driving difference and nominal outlet rise.
+_CW_INLETS = np.array(
+    [
+        [float(INTERNAL["reactor_cw_inlet_nominal"])],
+        [float(INTERNAL["condenser_cw_inlet_nominal"])],
+    ]
+)
+_CW_DRIVING = np.array(
+    [
+        [float(INTERNAL["reactor_temp_nominal"]) - float(INTERNAL["reactor_cw_inlet_nominal"])],
+        [
+            float(INTERNAL["separator_temp_nominal"])
+            - float(INTERNAL["condenser_cw_inlet_nominal"])
+        ],
+    ]
+)
+_CW_RISE = np.array(
+    [
+        [
+            float(INTERNAL["reactor_cw_outlet_nominal"])
+            - float(INTERNAL["reactor_cw_inlet_nominal"])
+        ],
+        [
+            float(INTERNAL["separator_cw_outlet_nominal"])
+            - float(INTERNAL["condenser_cw_inlet_nominal"])
+        ],
+    ]
+)
+
+#: XMEAS columns of the nine flow readings ``gain * total / nominal``, in
+#: the order :meth:`BatchTEPlant.measure` stacks their totals: feeds 1-4,
+#: streams 10 and 11, reactor feed, recycle, purge.
+_METERED_COLUMNS = np.array([0, 1, 2, 3, 13, 16, 5, 4, 9])
+_METERED_GAINS = np.array(
+    [0.25052, 3664.0, 4509.3, 9.3477, 25.160, 22.949, 42.339, 26.902, 0.33712]
+)[:, None]
+#: XMEAS columns copied from the state: the pressures and levels
+#: (:attr:`BatchTEState.quantities`), the five temperatures, the steam flow.
+_COPIED_COLUMNS = np.array([6, 12, 7, 11, 14, 8, 10, 17, 20, 21, 18])
+
+
+class _NoiseBlock:
+    """One scaled standard-normal vector per row and step, a block at a time.
+
+    A refill draws ``block`` vectors from each row's own generator, in the
+    order that one ``standard_normal(width)`` call per step draws them, into
+    a ``(block, B, width)`` buffer, and multiplies them by ``scale`` (the
+    serial noise model's ``draw * std``, done per block).  Every row draws
+    one vector per noisy measurement, so one shared cursor reads one
+    contiguous ``(B, width)`` slice per step.
+    """
+
+    def __init__(
+        self,
+        generators: Sequence[np.random.Generator],
+        scale: np.ndarray,
+        block: int,
+    ):
+        self._generators = list(generators)
+        self._scale = scale
+        self._buffer = np.empty((max(int(block), 1), len(self._generators), len(scale)))
+        self._cursor = len(self._buffer)
+
+    def next(self) -> np.ndarray:
+        """Every row's next scaled draw, ``(B, width)``."""
+        if self._cursor == len(self._buffer):
+            shape = (len(self._buffer), len(self._scale))
+            for row, generator in enumerate(self._generators):
+                self._buffer[:, row] = generator.standard_normal(shape)
+            self._buffer *= self._scale
+            self._cursor = 0
+        draws = self._buffer[self._cursor]
+        self._cursor += 1
+        return draws
+
+    def take(self, indices: Sequence[int]) -> None:
+        """Keep only the given rows."""
+        self._generators = [self._generators[i] for i in indices]
+        self._buffer = self._buffer[:, indices]
+
+
+class _WalkBlock:
+    """Each row's ambient random-walk draws, fetched a block at a time.
+
+    While every row takes just its three base draws per step, the rows read
+    the ``(W, B)`` buffer in lockstep through one shared cursor.  On a step
+    where some row takes more (IDV 9, 10 or 13), :meth:`per_row` serves
+    each row in its own stream order and leaves every row with the same
+    number of buffered draws, so the shared cursor holds again.
+    """
+
+    def __init__(self, generators: Sequence[np.random.Generator], block: int):
+        self._generators = list(generators)
+        self._block = max(int(block), 1)
+        self._buffer = np.empty((0, len(self._generators)))
+        self._cursor = 0
+
+    def base(self) -> np.ndarray:
+        """The three base draws of every row, ``(3, B)``."""
+        cursor = self._cursor
+        if cursor + 3 > len(self._buffer):
+            # Leftover draws come before fresh ones: the stream is linear.
+            tail = self._buffer[cursor:]
+            fresh = max(self._block, 3 - len(tail))
+            self._buffer = np.concatenate(
+                (tail, np.array([g.standard_normal(fresh) for g in self._generators]).T)
+            )
+            cursor = 0
+        self._cursor = cursor + 3
+        return self._buffer[cursor : cursor + 3]
+
+    def per_row(self, counts: np.ndarray) -> List[np.ndarray]:
+        """``counts[i]`` draws of row ``i`` (at least 3), one array per row."""
+        tail = self._buffer[self._cursor :]
+        buffer = np.empty((self._block, len(self._generators)))
+        draws = []
+        for row, (generator, count) in enumerate(zip(self._generators, counts)):
+            fresh = generator.standard_normal(self._block + int(count) - len(tail))
+            values = np.concatenate((tail[:, row], fresh))
+            draws.append(values[:count])
+            buffer[:, row] = values[count:]
+        self._buffer, self._cursor = buffer, 0
+        return draws
+
+    def take(self, indices: Sequence[int]) -> None:
+        """Keep only the given rows."""
+        self._generators = [self._generators[i] for i in indices]
+        self._buffer = self._buffer[:, indices]
 
 
 @dataclass
 class _AmbientDraws:
-    """One step's ambient random-walk draws for every row, ``(B,)`` each.
+    """One step's ambient random-walk draws for every row.
 
-    Rows whose disturbance flags skip a draw keep a zero placeholder; the
-    placeholder is never consumed (the update selects the no-draw branch),
-    so the underlying streams advance exactly as the serial plant's would.
+    ``base`` holds the three base walks, ``(3, B)``.  The IDV(13) kinetics
+    walk and the IDV(9)/IDV(10) temperature shocks are ``(B,)`` arrays
+    whose inactive rows hold a zero placeholder, or ``None`` on a step
+    where no row can have those disturbances active; a placeholder is never
+    consumed (the update selects the no-draw branch), so the underlying
+    streams advance exactly as the serial plant's would.
     """
 
-    walk: np.ndarray
-    composition: np.ndarray
-    cooling: np.ndarray
-    kinetics: np.ndarray
-    reactor_9: np.ndarray
-    reactor_10: np.ndarray
+    base: np.ndarray
+    kinetics: Optional[np.ndarray] = None
+    reactor_9: Optional[np.ndarray] = None
+    reactor_10: Optional[np.ndarray] = None
+
+
+def _stream_totals(flows: Dict[str, np.ndarray]) -> np.ndarray:
+    """The molar total of every stream of a flow table, ``(9, B)``.
+
+    The temperature update and the next measurement both read them, so
+    they are summed once per flow table.
+    """
+    totals = flows.get("totals")
+    if totals is None:
+        totals = flows["totals"] = np.add.reduce(flows["streams"], axis=2)
+    return totals
 
 
 class BatchTEPlant(TEPlant):
@@ -71,7 +280,8 @@ class BatchTEPlant(TEPlant):
     enable_process_variation / noise_scale:
         As for :class:`TEPlant`; shared by every row.
     rng_block:
-        Draws pre-fetched per refill of each row's random streams.
+        Steps of measurement noise, and ambient draws, fetched per refill
+        of each row's random streams.
     """
 
     def __init__(
@@ -92,6 +302,60 @@ class BatchTEPlant(TEPlant):
             noise_scale=noise_scale,
         )
 
+    def _calibrate(self) -> None:
+        super()._calibrate()
+        self._reactor_driving, self._separator_driving = (
+            float(driving) for driving in _CW_DRIVING[:, 0]
+        )
+        #: The constants of stacked calls, each with a length-1 row axis
+        #: (axis 1), widened to the batch by _fit_width.
+        self._row_constants = {
+            "reactor_masks": _REACTOR_MASKS,
+            "balance_masks": _BALANCE_MASKS,
+            "walk_stds": _WALK_STDS,
+            "walk_reversion": _WALK_REVERSION,
+            "walk_lower": _WALK_LOWER,
+            "walk_upper": _WALK_UPPER,
+            "lag_taus": _LAG_TAUS,
+            "cw_inlets": _CW_INLETS,
+            "cw_driving": _CW_DRIVING,
+            "cw_rise": _CW_RISE,
+            "cw_xmv_nominal": self._xmv_nominal[9:11, None],
+            "level_flow_per_percent": np.array(
+                [[self._f10_per_percent], [self._f11_per_percent]]
+            ),
+            "metered_gains": _METERED_GAINS,
+            "metered_nominals": np.array(
+                [
+                    float(INTERNAL["feed1_nominal"]),
+                    float(INTERNAL["feed2_nominal"]),
+                    float(INTERNAL["feed3_nominal"]),
+                    float(INTERNAL["feed4_nominal"]),
+                    self._f10_nominal,
+                    self._f11_nominal,
+                    self._reactor_feed_nominal,
+                    self._recycle_nominal,
+                    self._purge_nominal,
+                ]
+            )[:, None],
+            "gas_analyser_scales": np.array(
+                [self._stream6_scale, self._purge_scale]
+            )[:, None, :],
+        }
+
+    def _fit_width(self, n_rows: int) -> None:
+        """Widen the stacked calls' constants to ``n_rows`` rows.
+
+        A ufunc call whose operands share one shape skips NumPy's
+        broadcasting set-up, which costs more than the arithmetic at a
+        batch's sizes; a constant repeated along the row axis gives every
+        element the same operand, so no bit changes.
+        """
+        self._wide = {
+            name: np.repeat(constant, n_rows, axis=1)
+            for name, constant in self._row_constants.items()
+        }
+
     # ------------------------------------------------------------------
     @property
     def n_rows(self) -> int:
@@ -107,30 +371,22 @@ class BatchTEPlant(TEPlant):
         del seed  # rows keep their construction-time seeds
         n_rows = len(self._batch_seeds)
         self.state = BatchTEState.nominal(n_rows)
-        self.state.recycle_flow = np.full(n_rows, self._recycle_nominal)
-        self.state.separator_liquid = np.tile(
-            self._initial_separator_liquid, (n_rows, 1)
+        self.state.recycle_flow = self._recycle_nominal
+        self.state.separator_liquid = self._initial_separator_liquid
+        self.state.stripper_liquid = self._initial_stripper_liquid
+        roots = [RandomStream(row_seed, "te-plant") for row_seed in self._batch_seeds]
+        self._noise_draws = _NoiseBlock(
+            [root.child("measurement-noise").generator for root in roots],
+            scale=self._xmeas_registry.noise_stds() * self._noise_scale,
+            block=self._rng_block,
         )
-        self.state.stripper_liquid = np.tile(
-            self._initial_stripper_liquid, (n_rows, 1)
+        self._ambient_draws = _WalkBlock(
+            [root.child("ambient").generator for root in roots], block=self._rng_block
         )
-        self._noise_stds = self._xmeas_registry.noise_stds() * self._noise_scale
-        self._noise_streams = []
-        self._ambient_streams = []
-        for row_seed in self._batch_seeds:
-            root = RandomStream(row_seed, "te-plant")
-            self._noise_streams.append(
-                BlockedStandardNormal(
-                    root.child("measurement-noise"),
-                    width=len(self._xmeas_registry),
-                    block=self._rng_block,
-                )
-            )
-            self._ambient_streams.append(
-                BlockedStandardNormal(root.child("ambient"), block=self._rng_block)
-            )
         self._stuck_reactor_cw_rows = np.full(n_rows, np.nan)
         self._stuck_condenser_cw_rows = np.full(n_rows, np.nan)
+        self._xmeas = np.empty((n_rows, len(self._xmeas_registry)))
+        self._fit_width(n_rows)
         self._last_flows = self._compute_flows_batch(
             np.tile(self._xmv_nominal, (n_rows, 1)),
             self.state,
@@ -142,25 +398,29 @@ class BatchTEPlant(TEPlant):
         self.state.take(indices)
         index_list = [int(i) for i in np.asarray(indices)]
         self._batch_seeds = [self._batch_seeds[i] for i in index_list]
-        self._noise_streams = [self._noise_streams[i] for i in index_list]
-        self._ambient_streams = [self._ambient_streams[i] for i in index_list]
+        self._noise_draws.take(index_list)
+        self._ambient_draws.take(index_list)
         self._stuck_reactor_cw_rows = self._stuck_reactor_cw_rows[indices]
         self._stuck_condenser_cw_rows = self._stuck_condenser_cw_rows[indices]
+        self._xmeas = self._xmeas[indices]
+        self._fit_width(len(index_list))
         self._last_flows = {
-            key: value[indices] for key, value in self._last_flows.items()
+            key: value[:, indices] if key in ("streams", "totals") else value[indices]
+            for key, value in self._last_flows.items()
         }
 
     def safety_quantities(self) -> Dict[str, np.ndarray]:
         """Per-row ``(B,)`` arrays of the monitored quantities."""
+        quantities = self.state.quantities
         return {
-            "reactor_pressure": self.state.reactor_pressure_kpa,
-            "reactor_level": self.state.reactor_level_percent,
-            "separator_level": self.state.separator_level_percent,
-            "stripper_level": self.state.stripper_level_percent,
+            "reactor_pressure": quantities[0],
+            "reactor_level": quantities[2],
+            "separator_level": quantities[3],
+            "stripper_level": quantities[4],
         }
 
     # ------------------------------------------------------------------
-    # Flow network (row-wise transcription of TEPlant._compute_flows)
+    # Flow network (row-wise mirror of TEPlant._compute_flows)
     # ------------------------------------------------------------------
     def _effective_xmv_batch(self, xmv: np.ndarray, idv: BatchIdv) -> np.ndarray:
         """Row-wise valve sticking, mirroring :meth:`TEPlant._effective_xmv`."""
@@ -191,8 +451,8 @@ class BatchTEPlant(TEPlant):
         if idv.may_be_active(1):
             shift = np.where(idv.active(1), shift + -0.05 * idv.value(1), shift)
         a, b, c = _IDX["A"], _IDX["B"], _IDX["C"]
-        composition[:, a] = np.maximum(composition[:, a] + shift, 0.01)
-        composition[:, c] = np.maximum(composition[:, c] - shift, 0.01)
+        composition[:, a] = np.maximum(self._feed4_comp_base[a] + shift, 0.01)
+        composition[:, c] = np.maximum(self._feed4_comp_base[c] - shift, 0.01)
         if idv.may_be_active(2):
             active2 = idv.active(2)
             extra_b = 0.025 * idv.value(2)
@@ -216,11 +476,15 @@ class BatchTEPlant(TEPlant):
     ) -> Dict[str, np.ndarray]:
         """Row-wise stream table, mirroring :meth:`TEPlant._compute_flows`.
 
-        Per-row scalars of the serial path become ``(B,)`` arrays and
-        component vectors become ``(B, 8)`` arrays; every expression keeps
-        the serial operand order so each row stays bitwise-identical.
+        Per-row scalars of the serial path become ``(B,)`` arrays; the
+        component vectors of the nine streams in :data:`STREAM_ROWS` are
+        written into one ``(9, B, 8)`` stack, ``flows["streams"]``.  Every
+        expression keeps the serial operand order so each row stays
+        bitwise-identical.
         """
         effective = self._effective_xmv_batch(xmv, idv)
+        streams = np.empty((len(STREAM_ROWS), state.n_rows, len(COMPONENTS)))
+        feed1, feed2, feed3, feed4, effluent, f10, _, reactor_in, vapor_fraction = streams
 
         feed1_total = np.minimum(
             self._feed1_per_percent * effective[:, 2], self._feed1_capacity
@@ -228,20 +492,22 @@ class BatchTEPlant(TEPlant):
         if idv.may_be_active(6):
             feed1_total = feed1_total * np.where(idv.active(6), 0.0, 1.0)
         feed1_total = feed1_total * state.feed1_pressure_factor
-        feed1 = feed1_total[:, None] * self._feed1_comp
+        np.multiply(feed1_total[:, None], self._feed1_comp, out=feed1)
 
-        n_rows = state.n_rows
-        feed2 = np.zeros((n_rows, len(COMPONENTS)))
+        # Feeds 2 and 3 carry only D and E respectively.
+        streams[1:3] = 0.0
         feed2[:, _IDX["D"]] = self._feed2_per_percent * effective[:, 0]
-        feed3 = np.zeros((n_rows, len(COMPONENTS)))
         feed3[:, _IDX["E"]] = self._feed3_per_percent * effective[:, 1]
         feed4_total = self._feed4_per_percent * effective[:, 3]
         if idv.may_be_active(7):
             feed4_total = feed4_total * np.where(idv.active(7), 0.8, 1.0)
-        feed4 = feed4_total[:, None] * self._feed4_composition_batch(idv, state)
+        np.multiply(
+            feed4_total[:, None], self._feed4_composition_batch(idv, state), out=feed4
+        )
 
-        reactor_pressure = state.reactor_pressure_kpa
-        separator_pressure = state.separator_pressure_kpa
+        totals, quantities = state.inventory_totals, state.quantities
+        reactor_pressure = quantities[0]
+        separator_pressure = quantities[1]
         pressure_ratio = separator_pressure / self._sep_pressure_nominal
 
         purge_total = self._purge_per_percent * effective[:, 5] * pressure_ratio ** 2
@@ -251,88 +517,71 @@ class BatchTEPlant(TEPlant):
             * (1.0 + 0.4 * (self._xmv_nominal[4] - effective[:, 4]) / 100.0)
         )
 
-        vapor_inventory = state.separator_vapor
-        vapor_total = np.maximum(np.add.reduce(vapor_inventory, axis=1), 1e-9)
-        vapor_fraction = vapor_inventory / vapor_total[:, None]
+        # Separator vapour and reactor, separator and stripper liquid totals.
+        floored = np.maximum(totals[1:5], 1e-9)
+        np.divide(state.separator_vapor, floored[0, :, None], out=vapor_fraction)
 
+        # Effluent: k * (vapour * LIGHT * pressure_factor + liquid * HEAVY).
         pressure_factor = np.maximum(reactor_pressure, 0.0) / self._pressure_nominal
-        effluent = self._k_reactor * (
-            state.reactor_vapor * _LIGHT_MASK * pressure_factor[:, None]
-            + state.reactor_liquid * _HEAVY_MASK
-        )
+        masked = state.inventory[0:3:2] * self._wide["reactor_masks"]
+        np.multiply(masked[0], pressure_factor[:, None], out=masked[0])
+        np.add(masked[0], masked[1], out=effluent)
+        np.multiply(self._k_reactor, effluent, out=effluent)
 
         condenser_shift = (
-            float(INTERNAL["condensation_cooling_gain"])
-            * (effective[:, 10] - self._xmv_nominal[10])
-            / 100.0
-            + 0.004 * (float(INTERNAL["separator_temp_nominal"]) - state.separator_temp)
+            _CONDENSATION_COOLING_GAIN * (effective[:, 10] - self._xmv_nominal[10]) / 100.0
+            + 0.004 * (_SEPARATOR_TEMP_NOMINAL - state.separator_temp)
         )
-        cond = np.where(
-            _HEAVY,
-            (self._cond_base + condenser_shift[:, None]).clip(0.02, 0.98),
-            self._cond_base,
+        # The condenser shift moves only the heavy components' fractions.
+        cond = np.empty((state.n_rows, len(COMPONENTS)))
+        cond[:, _LIGHTS] = self._cond_base[_LIGHTS]
+        (self._cond_base[_HEAVIES] + condenser_shift[:, None]).clip(
+            0.02, 0.98, out=cond[:, _HEAVIES]
         )
 
-        separator_level = np.maximum(state.separator_level_percent, 0.0)
-        f10_total = (
-            self._f10_per_percent
-            * effective[:, 6]
-            * np.sqrt(separator_level / 50.0)
+        # Streams 10 and 11 leave the separator and the stripper at a rate
+        # set by the valve and the square root of the vessel's level.
+        levels = np.maximum(quantities[3:5], 0.0)
+        level_flows = (
+            self._wide["level_flow_per_percent"]
+            * effective[:, 6:8].T
+            * np.sqrt(levels / 50.0)
         )
-        liquid_inventory = state.separator_liquid
-        liquid_total = np.maximum(np.add.reduce(liquid_inventory, axis=1), 1e-9)
-        f10 = f10_total[:, None] * liquid_inventory / liquid_total[:, None]
+        np.divide(
+            level_flows[:, :, None] * state.inventory[3:5],
+            floored[2:4, :, None],
+            out=streams[_F10 : _F11 + 1],
+        )
 
         steam = self._steam_per_percent * effective[:, 8]
-        steam_factor = 1.0 + float(INTERNAL["stripping_steam_gain"]) * (
-            steam / float(INTERNAL["steam_nominal"]) - 1.0
-        )
+        steam_factor = 1.0 + _STRIPPING_STEAM_GAIN * (steam / _STEAM_NOMINAL - 1.0)
         strip = (self._strip_base * steam_factor[:, None]).clip(0.0, 0.995)
         overhead = strip * f10
 
-        stripper_level = np.maximum(state.stripper_level_percent, 0.0)
-        f11_total = (
-            self._f11_per_percent
-            * effective[:, 7]
-            * np.sqrt(stripper_level / 50.0)
-        )
-        stripper_inventory = state.stripper_liquid
-        stripper_total = np.maximum(np.add.reduce(stripper_inventory, axis=1), 1e-9)
-        f11 = f11_total[:, None] * stripper_inventory / stripper_total[:, None]
-
-        reactor_in = (
+        np.add(
             feed1
             + feed2
             + feed3
             + feed4
-            + state.recycle_flow[:, None] * vapor_fraction
-            + overhead
+            + state.recycle_flow[:, None] * vapor_fraction,
+            overhead,
+            out=reactor_in,
         )
 
         return {
             "xmv_effective": effective,
-            "feed1": feed1,
-            "feed2": feed2,
-            "feed3": feed3,
-            "feed4": feed4,
-            "reactor_in": reactor_in,
-            "effluent": effluent,
+            "streams": streams,
             "condensation": cond,
+            "overhead": overhead,
             "purge_total": purge_total,
             "recycle_target": recycle_target,
-            "vapor_fraction": vapor_fraction,
-            "f10": f10,
-            "f11": f11,
-            "overhead": overhead,
             "steam": steam,
-            "reactor_pressure": reactor_pressure,
-            "separator_pressure": separator_pressure,
         }
 
     # ------------------------------------------------------------------
     # Dynamics
     # ------------------------------------------------------------------
-    def _draw_ambient(self, idv: BatchIdv) -> _AmbientDraws:
+    def _draw_ambient(self, idv: BatchIdv) -> Optional[_AmbientDraws]:
         """Consume each row's ambient draws for one step, in serial order.
 
         The serial plant draws, per step and in this order: the three base
@@ -340,23 +589,16 @@ class BatchTEPlant(TEPlant):
         IDV(9)/IDV(10) temperature shocks inside the temperature update.
         Each row consumes exactly that many values from its own stream.
         """
-        n_rows = idv.n_rows
         if not self.enable_process_variation:
-            zeros = np.zeros(n_rows)
-            return _AmbientDraws(zeros, zeros, zeros, zeros, zeros, zeros)
+            return None
         if not (
             idv.may_be_active(13) or idv.may_be_active(9) or idv.may_be_active(10)
         ):
             # Every row takes just the three base walks.
-            values = np.array([stream.take(3) for stream in self._ambient_streams])
-            zeros = np.zeros(n_rows)
-            return _AmbientDraws(
-                values[:, 0], values[:, 1], values[:, 2], zeros, zeros, zeros
-            )
+            return _AmbientDraws(self._ambient_draws.base())
+        n_rows = idv.n_rows
         draws = _AmbientDraws(
-            walk=np.zeros(n_rows),
-            composition=np.zeros(n_rows),
-            cooling=np.zeros(n_rows),
+            base=np.empty((3, n_rows)),
             kinetics=np.zeros(n_rows),
             reactor_9=np.zeros(n_rows),
             reactor_10=np.zeros(n_rows),
@@ -365,11 +607,8 @@ class BatchTEPlant(TEPlant):
         active9 = idv.active(9)
         active10 = idv.active(10)
         counts = 3 + active13.astype(int) + active9 + active10
-        for row in range(n_rows):
-            values = self._ambient_streams[row].take(int(counts[row]))
-            draws.walk[row] = values[0]
-            draws.composition[row] = values[1]
-            draws.cooling[row] = values[2]
+        for row, values in enumerate(self._ambient_draws.per_row(counts)):
+            draws.base[:, row] = values[:3]
             cursor = 3
             if active13[row]:
                 draws.kinetics[row] = values[cursor]
@@ -392,78 +631,57 @@ class BatchTEPlant(TEPlant):
         self._last_flows = flows
 
         rates = self._kinetics.rates_batch(
-            state.reactor_vapor,
-            state.reactor_liquid,
-            state.reactor_temp,
-            state.kinetics_drift,
+            state.inventory[0:3:2], state.reactor_temp, state.kinetics_drift
         )
         production = rates.consumption()
 
-        effluent = flows["effluent"]
-        reactor_in = flows["reactor_in"]
+        _, _, _, _, effluent, f10, f11, reactor_in, vapor_fraction = flows["streams"]
         cond = flows["condensation"]
-        purge_total = flows["purge_total"]
-        vapor_fraction = flows["vapor_fraction"]
-        f10 = flows["f10"]
-        f11 = flows["f11"]
-        overhead = flows["overhead"]
 
-        d_reactor = reactor_in + production - effluent
-        state.reactor_vapor += dt * d_reactor * _LIGHT_MASK
-        state.reactor_liquid += dt * d_reactor * _HEAVY_MASK
-
-        vapor_out = (state.recycle_flow + purge_total)[:, None] * vapor_fraction
-        state.separator_vapor += dt * (effluent * (1.0 - cond) - vapor_out)
-        state.separator_liquid += dt * (effluent * cond - f10)
-        state.stripper_liquid += dt * (f10 - overhead - f11)
+        # One (5, B, 8) increment of the five inventories, row for row of
+        # BatchTEState.inventory; the reactor's change enters twice and is
+        # masked below to its vapour and its liquid.
+        change = np.empty_like(state.inventory)
+        np.subtract(reactor_in + production, effluent, out=change[0])
+        change[2] = change[0]
+        vapor_out = (state.recycle_flow + flows["purge_total"])[:, None] * vapor_fraction
+        np.subtract(effluent * (1.0 - cond), vapor_out, out=change[1])
+        np.subtract(effluent * cond, f10, out=change[3])
+        np.subtract(f10 - flows["overhead"], f11, out=change[4])
+        change *= dt
+        change *= self._wide["balance_masks"]
+        state.inventory += change
         state.clip_nonnegative()
 
-        self._update_temperatures_batch(flows, rates, idv, dt, draws)
-
-        recycle_target = flows["recycle_target"]
-        tau_recycle = float(INTERNAL["recycle_tau"])
-        state.recycle_flow = state.recycle_flow + dt * (
-            recycle_target - state.recycle_flow
-        ) / tau_recycle
-        state.recycle_flow = np.maximum(state.recycle_flow, 0.0)
+        self._update_lags_batch(flows, rates, idv, dt, draws)
 
         state.time_hours += dt
         state.mark_changed()
 
     def _update_ambient_batch(
-        self, dt: float, idv: BatchIdv, draws: _AmbientDraws
+        self, dt: float, idv: BatchIdv, draws: Optional[_AmbientDraws]
     ) -> None:
-        """Row-wise ambient walks (mirrors :meth:`TEPlant._update_ambient`)."""
+        """Row-wise ambient walks (mirrors :meth:`TEPlant._update_ambient`).
+
+        The three base walks run as one ``(3, B)`` update: ``walk + (std *
+        sqrt(dt) * draw + reversion * dt)``, where the feed-1 factor reverts
+        by ``+ 0.15 * (1 - x) * dt`` and the two shifts by ``- k * x * dt``.
+        """
         state = self.state
         if not self.enable_process_variation:
             return
+        wide = self._wide
         sqrt_dt = np.sqrt(dt)
-        walk = float(INTERNAL["feed1_pressure_walk_std"])
-        state.feed1_pressure_factor = (
-            state.feed1_pressure_factor
-            + (
-                walk * sqrt_dt * draws.walk
-                + 0.15 * (1.0 - state.feed1_pressure_factor) * dt
-            )
-        ).clip(0.7, 1.3)
-
-        comp_walk = float(INTERNAL["feed4_composition_walk_std"])
-        state.feed4_composition_shift = (
-            state.feed4_composition_shift
-            + (
-                comp_walk * sqrt_dt * draws.composition
-                - 0.2 * state.feed4_composition_shift * dt
-            )
-        ).clip(-0.06, 0.06)
-
-        cw_walk = float(INTERNAL["cw_inlet_walk_std"])
-        state.cw_inlet_shift = (
-            state.cw_inlet_shift
-            + (
-                cw_walk * sqrt_dt * draws.cooling
-                - 0.3 * state.cw_inlet_shift * dt
-            )
-        ).clip(-4.0, 4.0)
+        walks = state.ambient[0:3]
+        step = np.empty_like(walks)
+        np.multiply(0.15, 1.0 - walks[0], out=step[0])
+        np.multiply(wide["walk_reversion"], walks[1:3], out=step[1:3])
+        step *= dt
+        noise = wide["walk_stds"] * sqrt_dt * draws.base
+        np.add(noise[0], step[0], out=step[0])
+        np.subtract(noise[1:3], step[1:3], out=step[1:3])
+        np.add(walks, step, out=step)
+        step.clip(wide["walk_lower"], wide["walk_upper"], out=walks)
 
         decayed = state.kinetics_drift * max(1.0 - 0.5 * dt, 0.0)
         if idv.may_be_active(13):
@@ -474,45 +692,52 @@ class BatchTEPlant(TEPlant):
             decayed = np.where(idv.active(13), drifted, decayed)
         state.kinetics_drift = decayed
 
-    def _cooling_water_inlets_batch(self, idv: BatchIdv) -> Dict[str, np.ndarray]:
-        """Row-wise cooling-water inlet temperatures, ``(B,)`` each."""
-        state = self.state
-        reactor_inlet = float(INTERNAL["reactor_cw_inlet_nominal"])
-        if idv.may_be_active(4):
-            reactor_inlet = reactor_inlet + 5.0 * idv.value(4)
-        condenser_inlet = float(INTERNAL["condenser_cw_inlet_nominal"])
-        if idv.may_be_active(5):
-            condenser_inlet = condenser_inlet + 5.0 * idv.value(5)
-        reactor_scale = 0.15
-        if idv.may_be_active(11):
-            reactor_scale = np.where(idv.active(11), 1.0, 0.15)
-        condenser_scale = 0.15
-        if idv.may_be_active(12):
-            condenser_scale = np.where(idv.active(12), 1.0, 0.15)
-        reactor_inlet = reactor_inlet + reactor_scale * state.cw_inlet_shift
-        condenser_inlet = condenser_inlet + condenser_scale * state.cw_inlet_shift
-        return {"reactor": reactor_inlet, "condenser": condenser_inlet}
+    def _cooling_water_inlets_batch(self, idv: BatchIdv) -> np.ndarray:
+        """Row-wise reactor and condenser cooling-water inlet temperatures,
+        ``(2, B)``."""
+        inlets = self._wide["cw_inlets"]
+        if idv.may_be_active(4) or idv.may_be_active(5):
+            inlets = inlets + 5.0 * np.array([idv.value(4), idv.value(5)])
+        scale = 0.15
+        if idv.may_be_active(11) or idv.may_be_active(12):
+            scale = np.where(np.array([idv.active(11), idv.active(12)]), 1.0, 0.15)
+        return inlets + scale * self.state.cw_inlet_shift
 
-    def _update_temperatures_batch(
-        self, flows, rates, idv: BatchIdv, dt: float, draws: _AmbientDraws
+    @staticmethod
+    def _lag(values: np.ndarray, targets: np.ndarray, dt: float, taus) -> None:
+        """First-order lags in place: ``values + dt * (targets - values) / taus``
+        (overwrites ``targets``)."""
+        np.subtract(targets, values, out=targets)
+        np.multiply(dt, targets, out=targets)
+        np.divide(targets, taus, out=targets)
+        np.add(values, targets, out=values)
+
+    def _update_lags_batch(
+        self, flows, rates, idv: BatchIdv, dt: float, draws: Optional[_AmbientDraws]
     ) -> None:
-        """Row-wise mirror of :meth:`TEPlant._update_temperatures`."""
-        state = self.state
-        effective = flows["xmv_effective"]
-        inlets = self._cooling_water_inlets_batch(idv)
+        """Row-wise mirror of :meth:`TEPlant._update_temperatures` and of the
+        recycle-flow lag that follows it in :meth:`TEPlant.step`.
 
-        reactor_inlet = inlets["reactor"]
-        nominal_driving = float(INTERNAL["reactor_temp_nominal"]) - float(
-            INTERNAL["reactor_cw_inlet_nominal"]
-        )
+        The recycle flow and the three vessel temperatures follow their
+        targets as one ``(4, B)`` lag; the two cooling-water outlets track
+        the updated vessel temperatures, so they follow as a second,
+        ``(2, B)`` lag.
+        """
+        state = self.state
+        lags = state.lags
+        effective = flows["xmv_effective"]
+        totals = _stream_totals(flows)
+        inlets = self._cooling_water_inlets_batch(idv)
+        targets = np.empty((4, state.n_rows))
+        targets[0] = flows["recycle_target"]
+
         cooling_norm = (effective[:, 9] / self._xmv_nominal[9]) * (
-            (state.reactor_temp - reactor_inlet) / nominal_driving
+            (state.reactor_temp - inlets[0]) / self._reactor_driving
         )
-        heat_norm = rates.heat_release
         reactor_target = (
-            float(INTERNAL["reactor_temp_nominal"])
-            + float(INTERNAL["reactor_heat_gain"]) * (heat_norm - 1.0)
-            - float(INTERNAL["reactor_cooling_gain"]) * (cooling_norm - 1.0)
+            _REACTOR_TEMP_NOMINAL
+            + _REACTOR_HEAT_GAIN * (rates.heat_release - 1.0)
+            - _REACTOR_COOLING_GAIN * (cooling_norm - 1.0)
         )
         if idv.may_be_active(3):
             reactor_target = reactor_target + 1.5 * idv.value(3)
@@ -524,136 +749,82 @@ class BatchTEPlant(TEPlant):
             reactor_target = np.where(
                 idv.active(10), reactor_target + 0.4 * draws.reactor_10, reactor_target
             )
-        tau_r = float(INTERNAL["reactor_temp_tau"])
-        state.reactor_temp = state.reactor_temp + dt * (
-            reactor_target - state.reactor_temp
-        ) / tau_r
+        targets[1] = reactor_target
 
-        condenser_inlet = inlets["condenser"]
-        effluent_total = np.add.reduce(flows["effluent"], axis=1)
-        nominal_sep_driving = float(INTERNAL["separator_temp_nominal"]) - float(
-            INTERNAL["condenser_cw_inlet_nominal"]
-        )
         cooling_ratio = np.maximum(effective[:, 10] / self._xmv_nominal[10], 0.05)
-        separator_target = condenser_inlet + nominal_sep_driving * (
-            effluent_total / self._effluent_nominal
-        ) / np.power(cooling_ratio, 0.6)
-        tau_s = float(INTERNAL["separator_temp_tau"])
-        state.separator_temp = state.separator_temp + dt * (
-            separator_target - state.separator_temp
-        ) / tau_s
-
-        steam = flows["steam"]
-        f10_total = np.add.reduce(flows["f10"], axis=1)
-        stripper_target = (
-            float(INTERNAL["stripper_temp_nominal"])
-            + 25.0 * (steam / float(INTERNAL["steam_nominal"]) - 1.0)
-            - 12.0 * (f10_total / self._f10_nominal - 1.0)
+        np.add(
+            inlets[1],
+            self._separator_driving
+            * (totals[_EFFLUENT] / self._effluent_nominal)
+            / np.power(cooling_ratio, 0.6),
+            out=targets[2],
         )
-        tau_c = float(INTERNAL["stripper_temp_tau"])
-        state.stripper_temp = state.stripper_temp + dt * (
-            stripper_target - state.stripper_temp
-        ) / tau_c
-
-        tau_cw = float(INTERNAL["cw_outlet_tau"])
-        nominal_rise = float(INTERNAL["reactor_cw_outlet_nominal"]) - float(
-            INTERNAL["reactor_cw_inlet_nominal"]
+        np.subtract(
+            _STRIPPER_TEMP_NOMINAL + 25.0 * (flows["steam"] / _STEAM_NOMINAL - 1.0),
+            12.0 * (totals[_F10] / self._f10_nominal - 1.0),
+            out=targets[3],
         )
-        reactor_cw_target = reactor_inlet + nominal_rise * (
-            (state.reactor_temp - reactor_inlet) / nominal_driving
-        ) * np.power(self._xmv_nominal[9] / np.maximum(effective[:, 9], 5.0), 0.8)
-        state.reactor_cw_outlet = state.reactor_cw_outlet + dt * (
-            reactor_cw_target - state.reactor_cw_outlet
-        ) / tau_cw
+        self._lag(lags[0:4], targets, dt, self._wide["lag_taus"])
+        np.maximum(lags[0], 0.0, out=lags[0])
 
-        nominal_cond_rise = float(INTERNAL["separator_cw_outlet_nominal"]) - float(
-            INTERNAL["condenser_cw_inlet_nominal"]
-        )
-        condenser_cw_target = condenser_inlet + nominal_cond_rise * (
-            (state.separator_temp - condenser_inlet) / nominal_sep_driving
-        ) * np.power(self._xmv_nominal[10] / np.maximum(effective[:, 10], 5.0), 0.8)
-        state.separator_cw_outlet = state.separator_cw_outlet + dt * (
-            condenser_cw_target - state.separator_cw_outlet
-        ) / tau_cw
+        # Reactor and condenser cooling water, from the updated reactor and
+        # separator temperatures.
+        wide = self._wide
+        cw_targets = inlets + wide["cw_rise"] * (
+            (lags[1:3] - inlets) / wide["cw_driving"]
+        ) * np.power(wide["cw_xmv_nominal"] / np.maximum(effective[:, 9:11].T, 5.0), 0.8)
+        self._lag(lags[4:6], cw_targets, dt, _CW_OUTLET_TAU)
 
     # ------------------------------------------------------------------
     # Measurement
     # ------------------------------------------------------------------
-    def _composition_percent_batch(
-        self, vectors: np.ndarray, scale: np.ndarray
-    ) -> np.ndarray:
-        """Row-wise mirror of :meth:`TEPlant._composition_percent`."""
-        total = np.maximum(np.add.reduce(vectors, axis=1), 1e-9)
-        fraction = vectors / total[:, None]
-        return fraction * scale
-
     def measure(self, noisy: bool = True) -> np.ndarray:
         """Per-row sensor vectors, ``(B, 41)`` (mirrors :meth:`TEPlant.measure`)."""
         flows = self._last_flows
         state = self.state
-        n_rows = state.n_rows
-        xmeas = np.zeros((n_rows, 41))
+        totals = _stream_totals(flows)
+        inventory_totals, quantities = state.inventory_totals, state.quantities
+        recycle_flow = state.recycle_flow
+        xmeas = self._xmeas
 
-        feed1_total = np.add.reduce(flows["feed1"], axis=1)
-        feed2_total = np.add.reduce(flows["feed2"], axis=1)
-        feed3_total = np.add.reduce(flows["feed3"], axis=1)
-        feed4_total = np.add.reduce(flows["feed4"], axis=1)
-        reactor_in = flows["reactor_in"]
-        reactor_feed_total = np.add.reduce(reactor_in, axis=1)
-        purge_total = flows["purge_total"]
-        f10_total = np.add.reduce(flows["f10"], axis=1)
-        f11_total = np.add.reduce(flows["f11"], axis=1)
-        steam = flows["steam"]
-
-        reactor_pressure = state.reactor_pressure_kpa
-        separator_pressure = state.separator_pressure_kpa
-
-        xmeas[:, 0] = 0.25052 * feed1_total / float(INTERNAL["feed1_nominal"])
-        xmeas[:, 1] = 3664.0 * feed2_total / float(INTERNAL["feed2_nominal"])
-        xmeas[:, 2] = 4509.3 * feed3_total / float(INTERNAL["feed3_nominal"])
-        xmeas[:, 3] = 9.3477 * feed4_total / float(INTERNAL["feed4_nominal"])
-        xmeas[:, 4] = 26.902 * state.recycle_flow / self._recycle_nominal
-        xmeas[:, 5] = 42.339 * reactor_feed_total / self._reactor_feed_nominal
-        xmeas[:, 6] = reactor_pressure
-        xmeas[:, 7] = state.reactor_level_percent
-        xmeas[:, 8] = state.reactor_temp
-        xmeas[:, 9] = 0.33712 * purge_total / self._purge_nominal
-        xmeas[:, 10] = state.separator_temp
-        xmeas[:, 11] = state.separator_level_percent
-        xmeas[:, 12] = separator_pressure
-        xmeas[:, 13] = 25.160 * f10_total / self._f10_nominal
-        xmeas[:, 14] = state.stripper_level_percent
+        metered = np.concatenate(
+            (
+                totals[0:4],
+                totals[_F10 : _REACTOR_IN + 1],
+                recycle_flow[None],
+                flows["purge_total"][None],
+            )
+        )
+        xmeas[:, _METERED_COLUMNS] = (
+            self._wide["metered_gains"] * metered / self._wide["metered_nominals"]
+        ).T
+        xmeas[:, _COPIED_COLUMNS] = np.concatenate(
+            (quantities, state.lags[1:], flows["steam"][None])
+        ).T
         xmeas[:, 15] = 3102.2 * (
-            0.5 + 0.5 * separator_pressure / self._sep_pressure_nominal
+            0.5 + 0.5 * quantities[1] / self._sep_pressure_nominal
         )
-        xmeas[:, 16] = 22.949 * f11_total / self._f11_nominal
-        xmeas[:, 17] = state.stripper_temp
-        xmeas[:, 18] = steam
-        xmeas[:, 19] = 341.43 * (state.recycle_flow / self._recycle_nominal) * (
-            reactor_pressure / self._pressure_nominal
+        xmeas[:, 19] = 341.43 * (recycle_flow / self._recycle_nominal) * (
+            quantities[0] / self._pressure_nominal
         )
-        xmeas[:, 20] = state.reactor_cw_outlet
-        xmeas[:, 21] = state.separator_cw_outlet
 
-        stream6 = self._composition_percent_batch(reactor_in, self._stream6_scale)
-        xmeas[:, 22:28] = stream6[:, :6]
-
-        purge_fraction = self._composition_percent_batch(
-            flows["vapor_fraction"], self._purge_scale
+        # Stream-6, purge and product analysers: each vector over its
+        # floored total, times the analyser calibration.
+        fractions = (
+            flows["streams"][_REACTOR_IN:]
+            / np.maximum(totals[_REACTOR_IN:], 1e-9)[:, :, None]
+            * self._wide["gas_analyser_scales"]
         )
-        xmeas[:, 28:36] = purge_fraction
-
-        product_fraction = self._composition_percent_batch(
-            state.stripper_liquid, self._product_scale
-        )
-        xmeas[:, 36:41] = product_fraction[:, 3:]
+        xmeas[:, 22:28] = fractions[0, :, :6]
+        xmeas[:, 28:36] = fractions[1]
+        xmeas[:, 36:41] = (
+            state.stripper_liquid
+            / np.maximum(inventory_totals[4], 1e-9)[:, None]
+            * self._product_scale
+        )[:, 3:]
 
         if noisy:
-            noise = np.empty((n_rows, xmeas.shape[1]))
-            for row in range(n_rows):
-                noise[row] = self._noise_streams[row].take_row()
-            noisy_values = xmeas + noise * self._noise_stds
-            return self._xmeas_registry.clip(noisy_values)
+            return self._xmeas_registry.clip(xmeas + self._noise_draws.next())
         return self._xmeas_registry.clip(xmeas)
 
     # ------------------------------------------------------------------

@@ -67,38 +67,68 @@ class ReactionRates:
         return rates
 
 
+#: The heat release of the nominal extents, as ReactionRates.heat_release
+#: computes it.
+_NOMINAL_HEAT = (
+    float(INTERNAL["r1_nominal"])
+    + float(INTERNAL["r2_nominal"])
+    + 0.5 * float(INTERNAL["r3_nominal"])
+    + 0.5 * float(INTERNAL["r4_nominal"])
+)
+#: Per reaction, the operands of its extent product after the nominal
+#: extent, in the serial order (``r1 = r1_nominal * a * sqrt(c) * d *
+#: factor1 * drift``); rows of the stack ``[a, c, d, e, sqrt(c), factor1..4,
+#: drift, 1.0]``.  Shorter products are padded with ``* 1.0``, which
+#: changes no bit.
+_EXTENT_OPERANDS = np.array(
+    [
+        [0, 0, 0, 2],  # a, a, a, d
+        [4, 4, 3, 8],  # sqrt(c), sqrt(c), e, factor4
+        [2, 3, 7, 9],  # d, e, factor3, drift
+        [5, 6, 9, 10],  # factor1, factor2, drift, 1.0
+        [9, 9, 10, 10],  # drift, drift, 1.0, 1.0
+    ]
+)
+#: Net production per component, ``0.0 + sign * term``: ``0.0 - term`` for
+#: the reactants A, C, D and E (IEEE subtraction is addition of the
+#: negation), ``0.0 + term`` for the products F, G and H; B takes no part.
+_PRODUCTION_SIGN = np.array([-1.0, 1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0])[:, None]
+#: Pair sums of the consumption terms of C, D, E and F: ``r1 + r2``,
+#: ``r1 + 3 r4``, ``r2 + r3`` and ``r3 + 2 r4`` (left operands, then right
+#: operands before their coefficient; ``* 1.0`` changes no bit).
+_PAIR_OPERANDS = np.array([[0, 0, 1, 2], [1, 3, 2, 3]])
+_PAIR_COEFFICIENTS = np.array([1.0, 3.0, 1.0, 2.0])[:, None]
+
+
 @dataclass(frozen=True)
 class BatchReactionRates:
-    """Extents of the four reactions for ``B`` reactors, each ``(B,)``."""
+    """Extents of the four reactions for ``B`` reactors, ``(4, B)``."""
 
-    r1: np.ndarray
-    r2: np.ndarray
-    r3: np.ndarray
-    r4: np.ndarray
+    extents: np.ndarray
 
     @property
     def heat_release(self) -> np.ndarray:
         """Row-wise normalized heat release (mirrors :class:`ReactionRates`)."""
-        nominal = (
-            float(INTERNAL["r1_nominal"])
-            + float(INTERNAL["r2_nominal"])
-            + 0.5 * float(INTERNAL["r3_nominal"])
-            + 0.5 * float(INTERNAL["r4_nominal"])
-        )
-        value = self.r1 + self.r2 + 0.5 * self.r3 + 0.5 * self.r4
-        return value / nominal
+        r1, r2 = self.extents[0], self.extents[1]
+        half3, half4 = 0.5 * self.extents[2:4]
+        return (r1 + r2 + half3 + half4) / _NOMINAL_HEAT
 
     def consumption(self) -> np.ndarray:
-        """Net molar production per component, ``(B, 8)`` (negative = consumed)."""
-        rates = np.zeros((self.r1.shape[0], len(COMPONENTS)))
-        rates[:, _INDEX["A"]] -= self.r1 + self.r2 + self.r3
-        rates[:, _INDEX["C"]] -= self.r1 + self.r2
-        rates[:, _INDEX["D"]] -= self.r1 + 3.0 * self.r4
-        rates[:, _INDEX["E"]] -= self.r2 + self.r3
-        rates[:, _INDEX["F"]] += self.r3 + 2.0 * self.r4
-        rates[:, _INDEX["G"]] += self.r1
-        rates[:, _INDEX["H"]] += self.r2
-        return rates
+        """Net molar production per component, ``(B, 8)`` (negative = consumed).
+
+        Each component sees the serial :meth:`ReactionRates.consumption`
+        operations: the sums of extents, then ``0.0 -`` or ``0.0 +`` that sum.
+        """
+        extents = self.extents
+        terms = np.empty((len(COMPONENTS), extents.shape[1]))
+        pairs = extents[_PAIR_OPERANDS]
+        # C, D, E, F: r1 + r2, r1 + 3 r4, r2 + r3, r3 + 2 r4.
+        np.add(pairs[0], pairs[1] * _PAIR_COEFFICIENTS, out=terms[2:6])
+        # A: r1 + r2 + r3; B: none; G, H: r1, r2.
+        np.add(terms[2], extents[2], out=terms[0])
+        terms[1] = 0.0
+        terms[6:8] = extents[0:2]
+        return (0.0 + _PRODUCTION_SIGN * terms).T
 
 
 class ReactionKinetics:
@@ -120,6 +150,28 @@ class ReactionKinetics:
         for component, amount in INTERNAL["reactor_liquid_nominal"].items():
             self._nominal_liquid[_INDEX[component]] = float(amount)
         self._nominal_temp = float(INTERNAL["reactor_temp_nominal"])
+        # Where the batched path reads each reactant: (phase, component)
+        # of the reactor stack and its nominal inventory, as _availability
+        # picks them (vapour when its nominal is positive, else liquid).
+        phases, indices, nominals = [], [], []
+        for component in ("A", "C", "D", "E"):
+            index = _INDEX[component]
+            phase = 0 if self._nominal_vapor[index] > 0 else 1
+            nominal = (self._nominal_vapor, self._nominal_liquid)[phase][index]
+            if nominal <= 0:  # pragma: no cover - the constants table has all four
+                raise ValueError(f"reactant {component} has no nominal inventory")
+            phases.append(phase)
+            indices.append(index)
+            nominals.append(nominal)
+        self._reactant_phase = np.array(phases)
+        self._reactant_index = np.array(indices)
+        self._reactant_nominal = np.array(nominals)[:, None]
+        self._temp_gains = np.array(
+            [float(INTERNAL[f"r{k}_temp_gain"]) for k in range(1, 5)]
+        )[:, None]
+        self._nominal_extents = np.array(
+            [float(INTERNAL[f"r{k}_nominal"]) for k in range(1, 5)]
+        )[:, None]
 
     def _availability(self, vapor: np.ndarray, liquid: np.ndarray, component: str) -> float:
         """Normalized availability of a reactant (1.0 at nominal inventory)."""
@@ -160,52 +212,39 @@ class ReactionKinetics:
     # ------------------------------------------------------------------
     # Batched evaluation (one call advances B reactors)
     # ------------------------------------------------------------------
-    def _availability_batch(
-        self, vapor: np.ndarray, liquid: np.ndarray, component: str
-    ) -> np.ndarray:
-        """Row-wise availability, ``(B,)`` — mirrors :meth:`_availability`."""
-        index = _INDEX[component]
-        if self._nominal_vapor[index] > 0:
-            return np.maximum(vapor[:, index] / self._nominal_vapor[index], 0.0)
-        if self._nominal_liquid[index] > 0:
-            return np.maximum(liquid[:, index] / self._nominal_liquid[index], 0.0)
-        return np.zeros(vapor.shape[0])
-
     def rates_batch(
         self,
-        reactor_vapor: np.ndarray,
-        reactor_liquid: np.ndarray,
+        reactor: np.ndarray,
         reactor_temp: np.ndarray,
         kinetics_drift: np.ndarray,
     ) -> "BatchReactionRates":
         """Reaction extents for ``B`` reactor states at once.
 
-        Inputs are ``(B, 8)`` inventories and ``(B,)`` temperatures/drifts;
-        every arithmetic step applies the same ufunc, in the same order, as
-        the scalar :meth:`rates` path, so row ``i`` of the result is
+        ``reactor`` stacks the vapour and liquid inventories, ``(2, B, 8)``;
+        temperatures and drifts are ``(B,)``.  The four availabilities, the
+        four temperature factors and the four extent products each run as
+        one stacked call, and every element sees the ufuncs of the scalar
+        :meth:`rates` path in the same order, so row ``i`` of the result is
         bitwise-identical to ``rates(vapor[i], liquid[i], temp[i], drift[i])``.
         """
-        a = self._availability_batch(reactor_vapor, reactor_liquid, "A")
-        c = self._availability_batch(reactor_vapor, reactor_liquid, "C")
-        d = self._availability_batch(reactor_vapor, reactor_liquid, "D")
-        e = self._availability_batch(reactor_vapor, reactor_liquid, "E")
-
-        delta_t = reactor_temp - self._nominal_temp
-        drift = 1.0 + self.drift_gain * kinetics_drift
-
-        factor1 = np.exp(float(INTERNAL["r1_temp_gain"]) * delta_t)
-        factor2 = np.exp(float(INTERNAL["r2_temp_gain"]) * delta_t)
-        factor3 = np.exp(float(INTERNAL["r3_temp_gain"]) * delta_t)
-        factor4 = np.exp(float(INTERNAL["r4_temp_gain"]) * delta_t)
-
-        sqrt_c = np.sqrt(np.maximum(c, 0.0))
-        r1 = float(INTERNAL["r1_nominal"]) * a * sqrt_c * d * factor1 * drift
-        r2 = float(INTERNAL["r2_nominal"]) * a * sqrt_c * e * factor2 * drift
-        r3 = float(INTERNAL["r3_nominal"]) * a * e * factor3 * drift
-        r4 = float(INTERNAL["r4_nominal"]) * d * factor4 * drift
-        return BatchReactionRates(
-            r1=np.maximum(r1, 0.0),
-            r2=np.maximum(r2, 0.0),
-            r3=np.maximum(r3, 0.0),
-            r4=np.maximum(r4, 0.0),
+        operands = np.empty((11, reactor.shape[1]))
+        # a, c, d, e: inventory over nominal, floored at zero.
+        np.divide(
+            reactor[self._reactant_phase, :, self._reactant_index],
+            self._reactant_nominal,
+            out=operands[0:4],
         )
+        np.maximum(operands[0:4], 0.0, out=operands[0:4])
+        np.sqrt(np.maximum(operands[1], 0.0), out=operands[4])
+        np.exp(
+            self._temp_gains * (reactor_temp - self._nominal_temp), out=operands[5:9]
+        )
+        np.add(1.0, self.drift_gain * kinetics_drift, out=operands[9])
+        operands[10] = 1.0
+
+        factors = operands[_EXTENT_OPERANDS]
+        extents = self._nominal_extents * factors[0]
+        for factor in factors[1:]:
+            extents *= factor
+        np.maximum(extents, 0.0, out=extents)
+        return BatchReactionRates(extents)

@@ -15,16 +15,34 @@ _LIGHTS = ("A", "B", "C")
 _HEAVIES = ("D", "E", "F", "G", "H")
 
 # Constants of the derived quantities, spelled as TEState's properties
-# compute them so the batched values stay bitwise-identical.
-_REACTOR_MOLES = sum(INTERNAL["reactor_vapor_nominal"].values())
-_REACTOR_TEMP_K = float(INTERNAL["reactor_temp_nominal"]) + 273.15
-_REACTOR_PRESSURE = float(INTERNAL["reactor_pressure_nominal"])
-_SEPARATOR_MOLES = sum(INTERNAL["separator_vapor_nominal"].values())
-_SEPARATOR_TEMP_K = float(INTERNAL["separator_temp_nominal"]) + 273.15
-_SEPARATOR_PRESSURE = float(INTERNAL["separator_pressure_nominal"])
-_REACTOR_CAPACITY = float(INTERNAL["reactor_liquid_capacity"])
-_SEPARATOR_CAPACITY = float(INTERNAL["separator_liquid_capacity"])
-_STRIPPER_CAPACITY = float(INTERNAL["stripper_liquid_capacity"])
+# compute them so the batched values stay bitwise-identical; one row each
+# for the reactor and the separator (pressures) and for the reactor,
+# separator and stripper (levels).
+_NOMINAL_PRESSURES = np.array(
+    [
+        [float(INTERNAL["reactor_pressure_nominal"])],
+        [float(INTERNAL["separator_pressure_nominal"])],
+    ]
+)
+_NOMINAL_MOLES = np.array(
+    [
+        [sum(INTERNAL["reactor_vapor_nominal"].values())],
+        [sum(INTERNAL["separator_vapor_nominal"].values())],
+    ]
+)
+_NOMINAL_TEMPS_K = np.array(
+    [
+        [float(INTERNAL["reactor_temp_nominal"]) + 273.15],
+        [float(INTERNAL["separator_temp_nominal"]) + 273.15],
+    ]
+)
+_CAPACITIES = np.array(
+    [
+        [float(INTERNAL["reactor_liquid_capacity"])],
+        [float(INTERNAL["separator_liquid_capacity"])],
+        [float(INTERNAL["stripper_liquid_capacity"])],
+    ]
+)
 
 
 def _component_vector(values: Dict[str, float]) -> np.ndarray:
@@ -168,163 +186,184 @@ class TEState:
         np.maximum(self.stripper_liquid, 0.0, out=self.stripper_liquid)
 
 
+#: Rows of :attr:`BatchTEState.inventory`, each an 8-vector of moles: the
+#: vapours, whose totals give the pressures, then the liquids, whose totals
+#: give the levels.
+INVENTORY_ROWS = (
+    "reactor_vapor",
+    "separator_vapor",
+    "reactor_liquid",
+    "separator_liquid",
+    "stripper_liquid",
+)
+#: Rows of :attr:`BatchTEState.lags`: the states that follow a first-order
+#: lag, the recycle flow first so the five temperatures form one slice.
+LAG_ROWS = (
+    "recycle_flow",
+    "reactor_temp",
+    "separator_temp",
+    "stripper_temp",
+    "reactor_cw_outlet",
+    "separator_cw_outlet",
+)
+#: Rows of :attr:`BatchTEState.ambient`: the slow random-walk states.
+AMBIENT_ROWS = (
+    "feed1_pressure_factor",
+    "feed4_composition_shift",
+    "cw_inlet_shift",
+    "kinetics_drift",
+)
+
+
+def _row_view(stack: str, row: int, doc: str) -> property:
+    """A named field of a stacked state: reads a view, writes in place."""
+
+    def get(self) -> np.ndarray:
+        return getattr(self, stack)[row]
+
+    def set(self, value) -> None:
+        getattr(self, stack)[row] = value
+
+    return property(get, set, doc=doc)
+
+
 @dataclass
 class BatchTEState:
-    """Dynamic state of ``B`` independent plants, stored row-wise.
+    """Dynamic state of ``B`` independent plants, stacked by kind.
 
-    The molar inventories become ``(B, 8)`` arrays and every scalar state of
-    :class:`TEState` becomes a ``(B,)`` array; the simulation clock stays a
-    single scalar because batched runs advance in lockstep.  Each derived
-    quantity applies exactly the arithmetic of the corresponding
-    :class:`TEState` property as elementwise ufuncs, which is what anchors
-    the batch kernel's bitwise equivalence to the serial simulator.
+    Every field of :class:`TEState` is here too, as a named view into one
+    of three stacks: the five molar inventories are one ``(5, B, 8)``
+    array (:data:`INVENTORY_ROWS`), the recycle flow and the five
+    temperatures one ``(6, B)`` array (:data:`LAG_ROWS`) and the ambient
+    random walks one ``(4, B)`` array (:data:`AMBIENT_ROWS`).  Stacking
+    along a new leading axis keeps each field one contiguous block.
+    Assigning a named field writes into its stack.  The simulation clock stays a single
+    scalar because batched runs advance in lockstep.
+
+    Each derived quantity applies exactly the arithmetic of the
+    corresponding :class:`TEState` property, element by element, which is
+    what anchors the batch kernel's bitwise equivalence to the serial
+    simulator: stacking rows changes how many NumPy calls a step makes,
+    never the operations one element sees.
     """
 
-    reactor_vapor: np.ndarray
-    reactor_liquid: np.ndarray
-    separator_vapor: np.ndarray
-    separator_liquid: np.ndarray
-    stripper_liquid: np.ndarray
-    reactor_temp: np.ndarray
-    separator_temp: np.ndarray
-    stripper_temp: np.ndarray
-    reactor_cw_outlet: np.ndarray
-    separator_cw_outlet: np.ndarray
-    recycle_flow: np.ndarray
-    feed1_pressure_factor: np.ndarray
-    feed4_composition_shift: np.ndarray
-    cw_inlet_shift: np.ndarray
-    kinetics_drift: np.ndarray
+    inventory: np.ndarray
+    lags: np.ndarray
+    ambient: np.ndarray
     time_hours: float = 0.0
-    _derived: Optional[Tuple[np.ndarray, ...]] = field(
+    _derived: Optional[Tuple[np.ndarray, np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False
-    )
-
-    #: Names of the per-row array fields (everything except the clock).
-    ARRAY_FIELDS = (
-        "reactor_vapor",
-        "reactor_liquid",
-        "separator_vapor",
-        "separator_liquid",
-        "stripper_liquid",
-        "reactor_temp",
-        "separator_temp",
-        "stripper_temp",
-        "reactor_cw_outlet",
-        "separator_cw_outlet",
-        "recycle_flow",
-        "feed1_pressure_factor",
-        "feed4_composition_shift",
-        "cw_inlet_shift",
-        "kinetics_drift",
     )
 
     @classmethod
     def nominal(cls, n_rows: int) -> "BatchTEState":
         """``n_rows`` copies of the Downs & Vogel base case."""
         single = TEState.nominal()
-
-        def tile_vec(vector: np.ndarray) -> np.ndarray:
-            return np.tile(np.asarray(vector, dtype=float), (n_rows, 1))
-
-        def fill(value: float) -> np.ndarray:
-            return np.full(n_rows, float(value))
-
+        inventory = np.array([getattr(single, name) for name in INVENTORY_ROWS])
+        lags = np.array([float(getattr(single, name)) for name in LAG_ROWS])
+        ambient = np.array([float(getattr(single, name)) for name in AMBIENT_ROWS])
         return cls(
-            reactor_vapor=tile_vec(single.reactor_vapor),
-            reactor_liquid=tile_vec(single.reactor_liquid),
-            separator_vapor=tile_vec(single.separator_vapor),
-            separator_liquid=tile_vec(single.separator_liquid),
-            stripper_liquid=tile_vec(single.stripper_liquid),
-            reactor_temp=fill(single.reactor_temp),
-            separator_temp=fill(single.separator_temp),
-            stripper_temp=fill(single.stripper_temp),
-            reactor_cw_outlet=fill(single.reactor_cw_outlet),
-            separator_cw_outlet=fill(single.separator_cw_outlet),
-            recycle_flow=fill(single.recycle_flow),
-            feed1_pressure_factor=fill(single.feed1_pressure_factor),
-            feed4_composition_shift=fill(single.feed4_composition_shift),
-            cw_inlet_shift=fill(single.cw_inlet_shift),
-            kinetics_drift=fill(single.kinetics_drift),
+            inventory=np.tile(inventory[:, None, :], (1, n_rows, 1)),
+            lags=np.tile(lags[:, None], (1, n_rows)),
+            ambient=np.tile(ambient[:, None], (1, n_rows)),
         )
 
     @property
     def n_rows(self) -> int:
         """Number of plants in the batch."""
-        return self.reactor_vapor.shape[0]
+        return self.inventory.shape[1]
 
     def take(self, indices: np.ndarray) -> None:
         """Keep only the given rows (compaction after trips / early stops)."""
-        for name in self.ARRAY_FIELDS:
-            setattr(self, name, getattr(self, name)[indices])
+        self.inventory = self.inventory[:, indices]
+        self.lags = self.lags[:, indices]
+        self.ambient = self.ambient[:, indices]
         self._derived = None
 
     # -- derived quantities (row-wise mirrors of TEState) ---------------
     def mark_changed(self) -> None:
         """Drop the stored derived quantities after the state was updated.
 
-        The pressures and levels are read by the measurement map, the flow
-        network and the safety check of every step, so they are computed
-        once per state; whatever mutates the arrays calls this afterwards.
+        The pressures, levels and inventory totals are read by the
+        measurement map, the flow network and the safety check of every
+        step, so they are computed once per state; whatever mutates the
+        arrays calls this afterwards.
         """
         self._derived = None
 
-    def _derived_values(self) -> Tuple[np.ndarray, ...]:
-        """Reactor and separator pressure, reactor, separator and stripper
-        level, computed on first use after a change."""
+    def _derived_values(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(totals, quantities)``, computed on first use after a change.
+
+        ``totals`` is the ``(5, B)`` molar total of every inventory;
+        ``quantities`` the ``(5, B)`` reactor and separator pressure and
+        reactor, separator and stripper level.
+        """
         derived = self._derived
         if derived is None:
-            moles = np.add.reduce(self.reactor_vapor, axis=1)
-            temp_k = self.reactor_temp + 273.15
-            reactor_pressure = (
-                _REACTOR_PRESSURE * (moles / _REACTOR_MOLES) * (temp_k / _REACTOR_TEMP_K)
+            totals = np.add.reduce(self.inventory, axis=2)
+            quantities = np.empty_like(totals)
+            temp_k = self.lags[1:3] + 273.15
+            np.multiply(
+                _NOMINAL_PRESSURES * (totals[0:2] / _NOMINAL_MOLES),
+                temp_k / _NOMINAL_TEMPS_K,
+                out=quantities[0:2],
             )
-            moles = np.add.reduce(self.separator_vapor, axis=1)
-            temp_k = self.separator_temp + 273.15
-            separator_pressure = (
-                _SEPARATOR_PRESSURE
-                * (moles / _SEPARATOR_MOLES)
-                * (temp_k / _SEPARATOR_TEMP_K)
-            )
-            derived = self._derived = (
-                reactor_pressure,
-                separator_pressure,
-                100.0 * np.add.reduce(self.reactor_liquid, axis=1) / _REACTOR_CAPACITY,
-                100.0 * np.add.reduce(self.separator_liquid, axis=1) / _SEPARATOR_CAPACITY,
-                100.0 * np.add.reduce(self.stripper_liquid, axis=1) / _STRIPPER_CAPACITY,
-            )
+            np.divide(100.0 * totals[2:5], _CAPACITIES, out=quantities[2:5])
+            derived = self._derived = (totals, quantities)
         return derived
+
+    @property
+    def inventory_totals(self) -> np.ndarray:
+        """Molar total of every inventory, ``(5, B)`` in :data:`INVENTORY_ROWS` order."""
+        return self._derived_values()[0]
+
+    @property
+    def quantities(self) -> np.ndarray:
+        """The pressures and levels stacked, ``(5, B)``: reactor and
+        separator pressure (kPa gauge), then reactor, separator and
+        stripper level (% of capacity)."""
+        return self._derived_values()[1]
 
     @property
     def reactor_pressure_kpa(self) -> np.ndarray:
         """Reactor pressure (kPa gauge) per row."""
-        return self._derived_values()[0]
+        return self._derived_values()[1][0]
 
     @property
     def separator_pressure_kpa(self) -> np.ndarray:
         """Separator pressure (kPa gauge) per row."""
-        return self._derived_values()[1]
+        return self._derived_values()[1][1]
 
     @property
     def reactor_level_percent(self) -> np.ndarray:
         """Reactor liquid level, % of capacity, per row."""
-        return self._derived_values()[2]
+        return self._derived_values()[1][2]
 
     @property
     def separator_level_percent(self) -> np.ndarray:
         """Separator liquid level, % of capacity, per row."""
-        return self._derived_values()[3]
+        return self._derived_values()[1][3]
 
     @property
     def stripper_level_percent(self) -> np.ndarray:
         """Stripper liquid level, % of capacity, per row."""
-        return self._derived_values()[4]
+        return self._derived_values()[1][4]
 
     def clip_nonnegative(self) -> None:
         """Clamp all molar inventories to be non-negative (numerical guard)."""
-        np.maximum(self.reactor_vapor, 0.0, out=self.reactor_vapor)
-        np.maximum(self.reactor_liquid, 0.0, out=self.reactor_liquid)
-        np.maximum(self.separator_vapor, 0.0, out=self.separator_vapor)
-        np.maximum(self.separator_liquid, 0.0, out=self.separator_liquid)
-        np.maximum(self.stripper_liquid, 0.0, out=self.stripper_liquid)
+        np.maximum(self.inventory, 0.0, out=self.inventory)
         self._derived = None
+
+
+for _row, _name in enumerate(INVENTORY_ROWS):
+    setattr(
+        BatchTEState,
+        _name,
+        _row_view("inventory", _row, f"``{_name}`` per row, ``(B, 8)``."),
+    )
+for _stack, _rows in (("lags", LAG_ROWS), ("ambient", AMBIENT_ROWS)):
+    for _row, _name in enumerate(_rows):
+        setattr(
+            BatchTEState, _name, _row_view(_stack, _row, f"``{_name}`` per row, ``(B,)``.")
+        )
+del _row, _name, _stack, _rows

@@ -8,6 +8,7 @@ that contract down with small (seconds-long) closed-loop simulations.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -323,6 +324,38 @@ class TestResultCache:
         engine.run(specs)
         assert engine.last_stats.n_cache_hits == 1
         assert engine.last_stats.n_simulated == len(specs) - 1
+
+    def test_entries_are_stored_uncompressed(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        spec = calibration_specs(tiny_config())[0]
+        path = cache.store(spec, run_serially([spec])[0])
+        with zipfile.ZipFile(path) as archive:
+            members = archive.infolist()
+        assert members
+        assert {member.compress_type for member in members} == {zipfile.ZIP_STORED}
+
+    def test_compressed_entry_is_still_a_hit(self, tmp_path):
+        """An entry deflated with ``np.savez_compressed`` (the earlier
+        layout) loads to the same arrays as a freshly stored one."""
+        cache = ResultCache(tmp_path)
+        spec = calibration_specs(tiny_config())[0]
+        result = run_serially([spec])[0]
+        path = cache.store(spec, result)
+        with np.load(path, allow_pickle=True) as payload:
+            members = dict(payload)
+        np.savez_compressed(path, **members)
+        with zipfile.ZipFile(path) as archive:
+            assert {m.compress_type for m in archive.infolist()} == {
+                zipfile.ZIP_DEFLATED
+            }
+
+        loaded = cache.load(spec)
+        assert loaded is not None
+        assert_results_identical([result], [loaded])
+        engine = CampaignEngine(ParallelConfig(n_workers=1, cache_dir=str(tmp_path)))
+        engine.run([spec])
+        assert engine.last_stats.n_cache_hits == 1
+        assert engine.last_stats.n_simulated == 0
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
