@@ -14,7 +14,7 @@ from typing import Dict, Iterable, Optional
 
 import numpy as np
 
-__all__ = ["RandomStream", "BlockedStandardNormal", "spawn_streams"]
+__all__ = ["RandomStream", "spawn_streams"]
 
 
 def _derive_seed(root_seed: int, name: str) -> int:
@@ -76,65 +76,6 @@ class RandomStream:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomStream(seed={self.seed}, name={self.name!r})"
-
-
-class BlockedStandardNormal:
-    """Standard-normal draws served from pre-drawn blocks.
-
-    NumPy's :class:`~numpy.random.Generator` produces the *same* value
-    sequence whether standard normals are requested one at a time or in
-    batches, so pre-drawing a block and slicing it out is stream-equivalent
-    to the per-call pattern — while paying the Python-call overhead once per
-    block instead of once per draw.  The batch simulation kernel leans on
-    this to keep every run's noise draws bitwise-identical to the serial
-    path at a fraction of the interpreter cost.
-
-    Parameters
-    ----------
-    stream:
-        The :class:`RandomStream` (or bare generator) to draw from.
-    width:
-        When given, draws are served row-wise: :meth:`take_row` returns the
-        next ``(width,)`` vector (the serial pattern of one
-        ``standard_normal(width)`` call per step).  Without it, draws are
-        served as flat slices through :meth:`take`.
-    block:
-        Number of rows (or scalars) pre-drawn per refill.
-    """
-
-    def __init__(self, stream, width: Optional[int] = None, block: int = 256):
-        self._generator = getattr(stream, "generator", stream)
-        self._width = None if width is None else int(width)
-        self._block = max(int(block), 1)
-        shape = (0,) if self._width is None else (0, self._width)
-        self._buffer = np.empty(shape)
-        self._cursor = 0
-
-    def take_row(self) -> np.ndarray:
-        """The next ``(width,)`` draw (row-wise mode only)."""
-        if self._cursor >= self._buffer.shape[0]:
-            self._buffer = self._generator.standard_normal(
-                (self._block, self._width)
-            )
-            self._cursor = 0
-        row = self._buffer[self._cursor]
-        self._cursor += 1
-        return row
-
-    def take(self, n: int) -> np.ndarray:
-        """The next ``n`` scalar draws (flat mode only)."""
-        end = self._cursor + n
-        if end > self._buffer.shape[0]:
-            # Leftover draws must be consumed before fresh ones: the stream
-            # is linear, so splicing keeps draw order identical to n
-            # individual standard_normal() calls.
-            fresh = self._generator.standard_normal(max(self._block, n))
-            self._buffer = np.concatenate([self._buffer[self._cursor :], fresh])
-            self._cursor = 0
-            end = n
-        values = self._buffer[self._cursor : end]
-        self._cursor = end
-        return values
 
 
 def spawn_streams(seed: int, names: Iterable[str]) -> Dict[str, RandomStream]:

@@ -66,15 +66,6 @@ STREAM_ROWS = (
 )
 _EFFLUENT, _F10, _F11, _REACTOR_IN, _VAPOR_FRACTION = 4, 5, 6, 7, 8
 
-#: Vapour and liquid masks of the reactor's two inventories.
-_REACTOR_MASKS = np.array([_LIGHT_MASK, _HEAVY_MASK])[:, None, :]
-#: Per inventory row, the mask its balance increment is multiplied by
-#: (the reactor's shared change splits into vapour and liquid; the other
-#: rows are padded with ``* 1.0``).
-_BALANCE_MASKS = np.array(
-    [_LIGHT_MASK, np.ones(len(COMPONENTS)), _HEAVY_MASK, *np.ones((2, len(COMPONENTS)))]
-)[:, None, :]
-
 _CONDENSATION_COOLING_GAIN = float(INTERNAL["condensation_cooling_gain"])
 _STRIPPING_STEAM_GAIN = float(INTERNAL["stripping_steam_gain"])
 _STEAM_NOMINAL = float(INTERNAL["steam_nominal"])
@@ -83,69 +74,71 @@ _SEPARATOR_TEMP_NOMINAL = float(INTERNAL["separator_temp_nominal"])
 _STRIPPER_TEMP_NOMINAL = float(INTERNAL["stripper_temp_nominal"])
 _REACTOR_HEAT_GAIN = float(INTERNAL["reactor_heat_gain"])
 _REACTOR_COOLING_GAIN = float(INTERNAL["reactor_cooling_gain"])
-
-#: Ambient random walks: step standard deviation, mean reversion and clip
-#: bounds of the feed-1 pressure factor, feed-4 composition shift and
-#: cooling-water inlet shift.
-_WALK_STDS = np.array(
-    [
-        [float(INTERNAL["feed1_pressure_walk_std"])],
-        [float(INTERNAL["feed4_composition_walk_std"])],
-        [float(INTERNAL["cw_inlet_walk_std"])],
-    ]
-)
-_WALK_REVERSION = np.array([[0.2], [0.3]])  # the two shifts; feed 1 uses 0.15
-_WALK_LOWER = np.array([[0.7], [-0.06], [-4.0]])
-_WALK_UPPER = np.array([[1.3], [0.06], [4.0]])
-
-#: Time constants of the recycle flow and the three vessel temperatures
-#: (:attr:`BatchTEState.lags` rows 0-3), and of both cooling-water outlets.
-_LAG_TAUS = np.array(
-    [
-        [float(INTERNAL["recycle_tau"])],
-        [float(INTERNAL["reactor_temp_tau"])],
-        [float(INTERNAL["separator_temp_tau"])],
-        [float(INTERNAL["stripper_temp_tau"])],
-    ]
-)
 _CW_OUTLET_TAU = float(INTERNAL["cw_outlet_tau"])
-#: Reactor and condenser cooling water: nominal inlet temperature, nominal
-#: vessel-to-inlet driving difference and nominal outlet rise.
-_CW_INLETS = np.array(
-    [
-        [float(INTERNAL["reactor_cw_inlet_nominal"])],
-        [float(INTERNAL["condenser_cw_inlet_nominal"])],
-    ]
-)
-_CW_DRIVING = np.array(
-    [
-        [float(INTERNAL["reactor_temp_nominal"]) - float(INTERNAL["reactor_cw_inlet_nominal"])],
-        [
-            float(INTERNAL["separator_temp_nominal"])
-            - float(INTERNAL["condenser_cw_inlet_nominal"])
-        ],
-    ]
-)
-_CW_RISE = np.array(
-    [
-        [
-            float(INTERNAL["reactor_cw_outlet_nominal"])
-            - float(INTERNAL["reactor_cw_inlet_nominal"])
-        ],
-        [
-            float(INTERNAL["separator_cw_outlet_nominal"])
-            - float(INTERNAL["condenser_cw_inlet_nominal"])
-        ],
-    ]
-)
+
+
+def _column(*values: float) -> np.ndarray:
+    """``values`` as a ``(k, 1)`` column: one row per stacked quantity."""
+    return np.array(values, dtype=float)[:, None]
+
+
+#: The constants of the stacked calls, each with a length-1 row axis
+#: (axis 1), which :meth:`BatchTEPlant._fit_width` widens to the batch.
+_ROW_CONSTANTS = {
+    # Vapour and liquid masks of the reactor's two inventories.
+    "reactor_masks": np.array([_LIGHT_MASK, _HEAVY_MASK])[:, None, :],
+    # Per inventory row, the mask its balance increment is multiplied by:
+    # the reactor's shared change splits into vapour and liquid, the other
+    # rows are padded with ``* 1.0``.
+    "balance_masks": np.array(
+        [_LIGHT_MASK, np.ones(len(COMPONENTS)), _HEAVY_MASK, *np.ones((2, len(COMPONENTS)))]
+    )[:, None, :],
+    # Ambient random walks of the feed-1 pressure factor, feed-4
+    # composition shift and cooling-water inlet shift: step standard
+    # deviation, mean reversion of the two shifts (feed 1 uses 0.15) and
+    # clip bounds.
+    "walk_stds": _column(
+        INTERNAL["feed1_pressure_walk_std"],
+        INTERNAL["feed4_composition_walk_std"],
+        INTERNAL["cw_inlet_walk_std"],
+    ),
+    "walk_reversion": _column(0.2, 0.3),
+    "walk_lower": _column(0.7, -0.06, -4.0),
+    "walk_upper": _column(1.3, 0.06, 4.0),
+    # Time constants of the recycle flow and the three vessel temperatures
+    # (BatchTEState.lags rows 0-3).
+    "lag_taus": _column(
+        INTERNAL["recycle_tau"],
+        INTERNAL["reactor_temp_tau"],
+        INTERNAL["separator_temp_tau"],
+        INTERNAL["stripper_temp_tau"],
+    ),
+    # Reactor and condenser cooling water: nominal inlet temperature,
+    # nominal vessel-to-inlet driving difference, nominal outlet rise.
+    "cw_inlets": _column(
+        INTERNAL["reactor_cw_inlet_nominal"], INTERNAL["condenser_cw_inlet_nominal"]
+    ),
+    "cw_driving": _column(
+        float(INTERNAL["reactor_temp_nominal"]) - float(INTERNAL["reactor_cw_inlet_nominal"]),
+        float(INTERNAL["separator_temp_nominal"])
+        - float(INTERNAL["condenser_cw_inlet_nominal"]),
+    ),
+    "cw_rise": _column(
+        float(INTERNAL["reactor_cw_outlet_nominal"])
+        - float(INTERNAL["reactor_cw_inlet_nominal"]),
+        float(INTERNAL["separator_cw_outlet_nominal"])
+        - float(INTERNAL["condenser_cw_inlet_nominal"]),
+    ),
+    # Gains of the nine flow readings, in _METERED_COLUMNS order.
+    "metered_gains": _column(
+        0.25052, 3664.0, 4509.3, 9.3477, 25.160, 22.949, 42.339, 26.902, 0.33712
+    ),
+}
 
 #: XMEAS columns of the nine flow readings ``gain * total / nominal``, in
 #: the order :meth:`BatchTEPlant.measure` stacks their totals: feeds 1-4,
 #: streams 10 and 11, reactor feed, recycle, purge.
 _METERED_COLUMNS = np.array([0, 1, 2, 3, 13, 16, 5, 4, 9])
-_METERED_GAINS = np.array(
-    [0.25052, 3664.0, 4509.3, 9.3477, 25.160, 22.949, 42.339, 26.902, 0.33712]
-)[:, None]
 #: XMEAS columns copied from the state: the pressures and levels
 #: (:attr:`BatchTEState.quantities`), the five temperatures, the steam flow.
 _COPIED_COLUMNS = np.array([6, 12, 7, 11, 14, 8, 10, 17, 20, 21, 18])
@@ -305,43 +298,28 @@ class BatchTEPlant(TEPlant):
     def _calibrate(self) -> None:
         super()._calibrate()
         self._reactor_driving, self._separator_driving = (
-            float(driving) for driving in _CW_DRIVING[:, 0]
+            float(driving) for driving in _ROW_CONSTANTS["cw_driving"][:, 0]
         )
-        #: The constants of stacked calls, each with a length-1 row axis
-        #: (axis 1), widened to the batch by _fit_width.
-        self._row_constants = {
-            "reactor_masks": _REACTOR_MASKS,
-            "balance_masks": _BALANCE_MASKS,
-            "walk_stds": _WALK_STDS,
-            "walk_reversion": _WALK_REVERSION,
-            "walk_lower": _WALK_LOWER,
-            "walk_upper": _WALK_UPPER,
-            "lag_taus": _LAG_TAUS,
-            "cw_inlets": _CW_INLETS,
-            "cw_driving": _CW_DRIVING,
-            "cw_rise": _CW_RISE,
-            "cw_xmv_nominal": self._xmv_nominal[9:11, None],
-            "level_flow_per_percent": np.array(
-                [[self._f10_per_percent], [self._f11_per_percent]]
+        self._row_constants = dict(
+            _ROW_CONSTANTS,
+            cw_xmv_nominal=self._xmv_nominal[9:11, None],
+            level_flow_per_percent=_column(self._f10_per_percent, self._f11_per_percent),
+            # Nominals of the nine flow readings, in _METERED_COLUMNS order.
+            metered_nominals=_column(
+                INTERNAL["feed1_nominal"],
+                INTERNAL["feed2_nominal"],
+                INTERNAL["feed3_nominal"],
+                INTERNAL["feed4_nominal"],
+                self._f10_nominal,
+                self._f11_nominal,
+                self._reactor_feed_nominal,
+                self._recycle_nominal,
+                self._purge_nominal,
             ),
-            "metered_gains": _METERED_GAINS,
-            "metered_nominals": np.array(
-                [
-                    float(INTERNAL["feed1_nominal"]),
-                    float(INTERNAL["feed2_nominal"]),
-                    float(INTERNAL["feed3_nominal"]),
-                    float(INTERNAL["feed4_nominal"]),
-                    self._f10_nominal,
-                    self._f11_nominal,
-                    self._reactor_feed_nominal,
-                    self._recycle_nominal,
-                    self._purge_nominal,
-                ]
-            )[:, None],
-            "gas_analyser_scales": np.array(
-                [self._stream6_scale, self._purge_scale]
-            )[:, None, :],
-        }
+            gas_analyser_scales=np.array([self._stream6_scale, self._purge_scale])[
+                :, None, :
+            ],
+        )
 
     def _fit_width(self, n_rows: int) -> None:
         """Widen the stacked calls' constants to ``n_rows`` rows.
