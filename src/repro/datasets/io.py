@@ -133,8 +133,9 @@ def peek_result_npz(path: _PathLike) -> dict:
 
     ``np.load`` on an NPZ is lazy: member arrays are read (and, in a
     compressed file, inflated) only on access, so reading just the JSON
-    members costs a few kilobytes however large the data views are.  The streaming analysis tooling uses this to inspect and
-    prune :class:`~repro.experiments.parallel.ResultCache` entries without
+    members costs a few kilobytes however large the data views are.  The
+    streaming analysis tooling uses this to inspect and prune
+    :class:`~repro.experiments.parallel.ResultCache` entries without
     pulling whole campaigns into memory.
     """
     with np.load(Path(path), allow_pickle=True) as payload:

@@ -153,19 +153,17 @@ class ReactionKinetics:
         # Where the batched path reads each reactant: (phase, component)
         # of the reactor stack and its nominal inventory, as _availability
         # picks them (vapour when its nominal is positive, else liquid).
-        phases, indices, nominals = [], [], []
-        for component in ("A", "C", "D", "E"):
-            index = _INDEX[component]
-            phase = 0 if self._nominal_vapor[index] > 0 else 1
-            nominal = (self._nominal_vapor, self._nominal_liquid)[phase][index]
-            if nominal <= 0:  # pragma: no cover - the constants table has all four
-                raise ValueError(f"reactant {component} has no nominal inventory")
-            phases.append(phase)
-            indices.append(index)
-            nominals.append(nominal)
-        self._reactant_phase = np.array(phases)
-        self._reactant_index = np.array(indices)
-        self._reactant_nominal = np.array(nominals)[:, None]
+        reactants = [_INDEX[component] for component in ("A", "C", "D", "E")]
+        self._reactant_phase = np.array(
+            [0 if self._nominal_vapor[index] > 0 else 1 for index in reactants]
+        )
+        self._reactant_index = np.array(reactants)
+        self._reactant_nominal = np.array(
+            [
+                (self._nominal_vapor, self._nominal_liquid)[phase][index]
+                for phase, index in zip(self._reactant_phase, reactants)
+            ]
+        )[:, None]
         self._temp_gains = np.array(
             [float(INTERNAL[f"r{k}_temp_gain"]) for k in range(1, 5)]
         )[:, None]

@@ -237,8 +237,8 @@ class BatchTEState:
     temperatures one ``(6, B)`` array (:data:`LAG_ROWS`) and the ambient
     random walks one ``(4, B)`` array (:data:`AMBIENT_ROWS`).  Stacking
     along a new leading axis keeps each field one contiguous block.
-    Assigning a named field writes into its stack.  The simulation clock stays a single
-    scalar because batched runs advance in lockstep.
+    Assigning a named field writes into its stack.  The simulation clock
+    stays a single scalar because batched runs advance in lockstep.
 
     Each derived quantity applies exactly the arithmetic of the
     corresponding :class:`TEState` property, element by element, which is
