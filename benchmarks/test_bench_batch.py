@@ -19,7 +19,7 @@ on the serial kernel and on the batch kernel at B=1 and B=2 (the narrow
 regime: ``serial_step_seconds``, ``batch_b1_step_seconds``,
 ``batch_b2_step_seconds``) and at B=8, the width campaigns step at
 (``batch_b8_step_seconds``, no gate).  Under ``REPRO_BENCH_STRICT=1`` a B=1
-step must cost at most 2.5x a serial one.
+step must cost at most 1.6x a serial one.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from repro.experiments.scenarios import normal_scenario, paper_scenarios
 
 MIN_SPEEDUP = 3.0
 #: Strict-mode ceiling on a B=1 batch step, in serial steps.
-MAX_B1_STEP_RATIO = 2.5
+MAX_B1_STEP_RATIO = 1.6
 #: One short run of the narrow-regime timing: 60 samples, 240 steps.
 NARROW_RUN = SimulationConfig(duration_hours=2.0, samples_per_hour=30, seed=0)
 

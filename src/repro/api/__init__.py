@@ -57,7 +57,6 @@ from repro.api.spec import (
     loads_spec,
 )
 from repro.common.config import EarlyStopPolicy, GatewayConfig, LiveConfig
-from repro.gateway.client import StreamClient
 from repro.response.policy import ActionSpec, ResponsePolicy
 
 __all__ = [
@@ -87,3 +86,13 @@ __all__ = [
     "CampaignResult",
     "ResponseCampaignResult",
 ]
+
+
+def __getattr__(name: str):
+    """Import :class:`StreamClient` on first use: the gateway client brings
+    the HTTP and TLS modules, which a campaign never needs."""
+    if name == "StreamClient":
+        from repro.gateway.client import StreamClient
+
+        return StreamClient
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

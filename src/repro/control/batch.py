@@ -2,10 +2,11 @@
 
 :class:`BatchDecentralizedController` vectorizes
 :class:`~repro.control.te_controller.TEDecentralizedController` across runs
-*and* loops: the PI integrals form one ``(B, L)`` matrix (``L`` loops), the
-loop tuning becomes ``(L,)`` vectors, and one :meth:`update` call gathers
-every loop's measurement, computes every command and scatters them into the
-``(B, 12)`` command matrix with a fixed handful of ufunc calls, whatever the
+*and* loops: the PI integrals and gains form ``(B, L)`` matrices (``L``
+loops), the shared loop tuning is repeated to the same shape, and one
+:meth:`update` call gathers every loop's measurement, computes every command
+and gathers the ``(B, 12)`` command matrix from the loop outputs and the
+constant valve positions with a fixed handful of ufunc calls, whatever the
 batch width.  Every elementwise expression keeps the serial PID's operand
 order — the same discipline as :mod:`repro.te.batch` — so row ``i`` of the
 batched command matrix is bitwise-identical to the serial controller fed row
@@ -14,10 +15,9 @@ batched command matrix is bitwise-identical to the serial controller fed row
 Only the configuration space the serial campaign controller actually uses is
 supported: PI loops (no derivative action) with a positive update interval.
 
-Gains are shared by every row until :meth:`BatchDecentralizedController.\
-fallback_row` gives one row its own: the gain vectors then become ``(B, L)``
-matrices, and the fallen-back row restarts from a fresh controller state, as
-a newly built serial controller would.
+Every row starts from the template's gains; :meth:`BatchDecentralizedController.\
+fallback_row` gives one row its own, and the fallen-back row restarts from a
+fresh controller state, as a newly built serial controller would.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.common.exceptions import ConfigurationError
+from repro.common.operands import f64
 from repro.control.te_controller import TEDecentralizedController
 from repro.te.constants import N_XMEAS, N_XMV
 
@@ -68,20 +69,18 @@ class BatchDecentralizedController:
         def vector(values) -> np.ndarray:
             return np.array(list(values), dtype=float)
 
-        self._setpoint = vector(d.setpoint for d in definitions)
-        self._direction = vector(d.direction for d in definitions)
-        # ``(L,)`` while every row shares the template's gains, ``(B, L)``
-        # once a row falls back to its own (see :meth:`fallback_row`).
-        self._kc = vector(d.kc for d in definitions)
+        n_loops = len(definitions)
         self._ti = vector(d.ti_hours for d in definitions)
-        # The serial PID's increment is ``kc / ti * error * dt``, evaluated
-        # left to right, so ``kc / ti`` is one constant per loop.
-        self._kc_over_ti = vector(d.kc / d.ti_hours for d in definitions)
-        self._bias = vector(d.output_bias for d in definitions)
         self._xmeas_columns = np.array(
             [d.xmeas_index - 1 for d in definitions], dtype=np.intp
         )
-        self._xmv_columns = np.array([d.xmv_index - 1 for d in definitions], dtype=np.intp)
+        # The serial PID's increment is ``kc / ti * error * dt``, evaluated
+        # left to right, so ``kc / ti`` is one constant per loop.  The gains
+        # are ``(B, L)``: :meth:`fallback_row` gives a row its own.
+        self._kc = np.tile(vector(d.kc for d in definitions), (n_rows, 1))
+        self._kc_over_ti = np.tile(
+            vector(d.kc / d.ti_hours for d in definitions), (n_rows, 1)
+        )
 
         # Override signals are handled as (B, 2) pairs: pressure, then level.
         self.pressure_override_start_kpa = template.pressure_override_start_kpa
@@ -89,32 +88,48 @@ class BatchDecentralizedController:
         self.level_override_start_percent = template.level_override_start_percent
         self.level_override_gain = template.level_override_gain
         self.override_filter_hours = template.override_filter_hours
-        self._override_start = vector(
-            (self.pressure_override_start_kpa, self.level_override_start_percent)
-        )
-        self._override_gain = vector(
-            (self.pressure_override_gain, self.level_override_gain)
-        )
-        self._override_floor = vector((0.10, 0.15))
-        self._pressure_loops = np.array(
-            [i for i, d in enumerate(definitions)
-             if d.name in template.PRESSURE_OVERRIDE_LOOPS],
-            dtype=np.intp,
-        )
-        self._level_loops = np.array(
-            [i for i, d in enumerate(definitions)
-             if d.name in template.LEVEL_OVERRIDE_LOOPS],
+        # The tuning every row shares, per loop (``(L,)``) or per override
+        # signal (``(2,)``).  :meth:`_fit_width` repeats it to the batch
+        # width, because a ufunc call whose operands share one shape skips
+        # NumPy's broadcasting set-up.
+        self._shared = {
+            "setpoint": vector(d.setpoint for d in definitions),
+            "direction": vector(d.direction for d in definitions),
+            "bias": vector(d.output_bias for d in definitions),
+            "override_start": vector(
+                (self.pressure_override_start_kpa, self.level_override_start_percent)
+            ),
+            "override_gain": vector(
+                (self.pressure_override_gain, self.level_override_gain)
+            ),
+            "override_floor": vector((0.10, 0.15)),
+        }
+        # Per loop, the column of the override factor table (see
+        # :meth:`_override_setpoints`) that scales its setpoint: 0 none,
+        # 1 pressure, 2 level, 3 both.
+        self._factor_columns = np.array(
+            [
+                (d.name in template.PRESSURE_OVERRIDE_LOOPS)
+                + 2 * (d.name in template.LEVEL_OVERRIDE_LOOPS)
+                for d in definitions
+            ],
             dtype=np.intp,
         )
 
         constant_xmv = dict(template._constant_xmv)
-        self._constant_columns = np.array(
-            [index - 1 for index in constant_xmv], dtype=np.intp
-        )
+        constant_columns = [index - 1 for index in constant_xmv]
         self._constant_values = vector(constant_xmv.values())
         # A fresh row's output: nominal valve positions, constants held.
         self._initial_output = np.array(template._output, dtype=float, copy=True)
-        self._initial_output[self._constant_columns] = self._constant_values
+        self._initial_output[constant_columns] = self._constant_values
+        # The command matrix is one gather from ``[loop outputs |
+        # constants]``: per XMV column, its loop's output, or its constant
+        # (a constant wins over a loop, as the serial controller writes the
+        # constants last).
+        order = np.empty(N_XMV, dtype=np.intp)
+        order[[d.xmv_index - 1 for d in definitions]] = np.arange(n_loops)
+        order[constant_columns] = n_loops + np.arange(len(constant_columns))
+        self._output_order = order
         self._n_rows = int(n_rows)
         self.reset()
 
@@ -123,27 +138,41 @@ class BatchDecentralizedController:
         """Number of runs in the batch."""
         return self._n_rows
 
+    def _fit_width(self) -> None:
+        """Repeat the shared tuning to the batch width, and set up the
+        per-update buffers: the loop outputs beside the constants, and the
+        override factor table whose column 0 holds 1.0."""
+        n_rows = self._n_rows
+        self._wide = {
+            name: np.tile(constant, (n_rows, 1)) for name, constant in self._shared.items()
+        }
+        n_loops = self._ti.size
+        self._assembly = np.empty((n_rows, n_loops + self._constant_values.size))
+        self._assembly[:, n_loops:] = self._constant_values
+        self._factors = np.ones((n_rows, 4))
+
     def reset(self) -> None:
         """Clear every row's controller memory."""
-        self._integral = np.zeros((self._n_rows, self._setpoint.size))
+        self._integral = np.zeros((self._n_rows, self._ti.size))
         self._output = np.tile(self._initial_output, (self._n_rows, 1))
         self._filtered = np.zeros((self._n_rows, 2))
         self._filters_initialized = False
         # Rows whose override filter restarts at the next update (a
         # ``(B,)`` mask), or ``None`` when no row has fallen back.
         self._unfiltered: Optional[np.ndarray] = None
+        self._fit_width()
 
     def take(self, indices: np.ndarray) -> None:
         """Keep only the given rows (compaction after trips / early stops)."""
         self._integral = self._integral[indices]
         self._output = self._output[indices]
         self._filtered = self._filtered[indices]
-        if self._kc.ndim == 2:
-            self._kc = self._kc[indices]
-            self._kc_over_ti = self._kc_over_ti[indices]
+        self._kc = self._kc[indices]
+        self._kc_over_ti = self._kc_over_ti[indices]
         if self._unfiltered is not None:
             self._unfiltered = self._unfiltered[indices]
         self._n_rows = int(np.asarray(indices).size)
+        self._fit_width()
 
     def fallback_row(self, row: int, kc: Sequence[float]) -> None:
         """Give row ``row`` its own loop gains and a fresh controller state.
@@ -153,53 +182,52 @@ class BatchDecentralizedController:
         positions, and its override filter from the next measurement — so
         from the next :meth:`update` on the row matches a serial controller
         newly built with those gains, bit for bit.  The other rows keep
-        their gains and state.
+        their gains and state.  A command matrix :meth:`update` returned
+        earlier is left as it was.
         """
         kc = np.asarray(kc, dtype=float)
         if kc.shape != self._ti.shape:
             raise ConfigurationError(
                 f"expected {self._ti.size} loop gains, got shape {kc.shape}"
             )
-        if self._kc.ndim == 1:
-            self._kc = np.tile(self._kc, (self._n_rows, 1))
-            self._kc_over_ti = np.tile(self._kc_over_ti, (self._n_rows, 1))
         self._kc[row] = kc
         self._kc_over_ti[row] = kc / self._ti
         self._integral[row] = 0.0
+        # update() hands out the stored matrix itself: write into a copy.
+        self._output = self._output.copy()
         self._output[row] = self._initial_output
         self._filtered[row] = 0.0
         if self._unfiltered is None:
             self._unfiltered = np.zeros(self._n_rows, dtype=bool)
         self._unfiltered[row] = True
 
-    def _setpoints(self) -> np.ndarray:
-        """Per-loop setpoints: ``(L,)``, or ``(B, L)`` while an override acts.
+    def _override_setpoints(self, high: np.ndarray) -> np.ndarray:
+        """Per-loop setpoints while an override acts, ``(B, L)``.
 
         Mirrors the serial override: a factor below one scales the nominal
         setpoint of its loops, and the level override wins on a loop that
-        both overrides act on.
+        both overrides act on.  A loop no override acts on is scaled by
+        1.0, which changes no bit.
         """
-        high = self._filtered > self._override_start
-        if not high.any():
-            return self._setpoint
-        factor = np.where(
-            high,
-            np.maximum(
-                self._override_floor,
-                1.0 - self._override_gain * (self._filtered - self._override_start),
-            ),
-            1.0,
+        wide = self._wide
+        one = f64[1.0]
+        raw = np.maximum(
+            wide["override_floor"],
+            one - wide["override_gain"] * (self._filtered - wide["override_start"]),
         )
-        setpoint = self._setpoint[None, :].repeat(self._n_rows, axis=0)
-        for loops, column in ((self._pressure_loops, 0), (self._level_loops, 1)):
-            scale = factor[:, column, None]
-            setpoint[:, loops] = np.where(
-                scale < 1.0, self._setpoint[loops] * scale, setpoint[:, loops]
-            )
-        return setpoint
+        acting = np.where(high & (raw < one), raw, one)
+        factors = self._factors
+        factors[:, 1:3] = acting
+        factors[:, 3] = np.where(acting[:, 1] < one, acting[:, 1], acting[:, 0])
+        return wide["setpoint"] * factors.take(self._factor_columns, axis=1)
 
     def update(self, measurements: np.ndarray, dt_hours: float) -> np.ndarray:
-        """Per-row commands, ``(B, 12)``, for per-row measurements ``(B, 41)``."""
+        """Per-row commands, ``(B, 12)``, for per-row measurements ``(B, 41)``.
+
+        The returned matrix is the controller's own record of its last
+        commands: it never writes into it again (a later update builds a new
+        one), and neither may the caller.
+        """
         measurements = np.asarray(measurements, dtype=float)
         if measurements.shape != (self._n_rows, N_XMEAS):
             raise ConfigurationError(
@@ -207,44 +235,54 @@ class BatchDecentralizedController:
                 f"got {measurements.shape}"
             )
         if dt_hours <= 0:
-            return self._output.copy()
+            return self._output
 
+        wide = self._wide
+        zero = f64[0.0]
         signals = measurements[:, _OVERRIDE_COLUMNS]
         if not self._filters_initialized or self.override_filter_hours <= 0:
             self._filtered = signals.copy()
         else:
-            alpha = min(dt_hours / self.override_filter_hours, 1.0)
-            self._filtered = self._filtered + alpha * (signals - self._filtered)
+            # previous + alpha * (signal - previous)
+            alpha = f64[min(dt_hours / self.override_filter_hours, 1.0)]
+            filtered = signals - self._filtered
+            filtered *= alpha
+            filtered += self._filtered
             if self._unfiltered is not None:
-                self._filtered[self._unfiltered] = signals[self._unfiltered]
+                filtered[self._unfiltered] = signals[self._unfiltered]
+            self._filtered = filtered
         self._filters_initialized = True
         self._unfiltered = None
 
-        error = self._direction * (
-            self._setpoints() - measurements[:, self._xmeas_columns]
+        high = self._filtered > wide["override_start"]
+        setpoint = (
+            self._override_setpoints(high) if np.count_nonzero(high) else wide["setpoint"]
         )
+        error = setpoint - measurements.take(self._xmeas_columns, axis=1)
+        error *= wide["direction"]
         proportional = self._kc * error
-        increment = self._kc_over_ti * error * dt_hours
+        increment = self._kc_over_ti * error
+        increment *= f64[dt_hours]
         # The serial PID adds a literal-zero derivative term; mirror it so a
         # -0.0 partial sum normalizes identically.
-        unclamped = self._bias + proportional + self._integral + increment + 0.0
-        value = np.minimum(np.maximum(unclamped, 0.0), 100.0)
+        unclamped = wide["bias"] + proportional
+        unclamped += self._integral
+        unclamped += increment
+        unclamped += zero
+        assembly = self._assembly
+        value = assembly[:, : self._ti.size]
+        np.minimum(np.maximum(unclamped, zero), f64[100.0], out=value)
 
         # Anti-windup: accumulate only where it does not deepen saturation.
         accumulate = (
             (value == unclamped)
-            | ((unclamped > value) & (increment < 0))
-            | ((unclamped < value) & (increment > 0))
+            | ((unclamped > value) & (increment < zero))
+            | ((unclamped < value) & (increment > zero))
         )
-        self._integral = np.where(
-            accumulate, self._integral + increment, self._integral
-        )
+        np.add(self._integral, increment, out=self._integral, where=accumulate)
 
-        output = self._output.copy()
-        output[:, self._xmv_columns] = value
-        output[:, self._constant_columns] = self._constant_values
-        self._output = output
-        return output.copy()
+        self._output = assembly.take(self._output_order, axis=1)
+        return self._output
 
     @property
     def output_names(self):

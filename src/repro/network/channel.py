@@ -105,11 +105,12 @@ class BatchChannel:
     Each run keeps its own :class:`Channel` (and therefore its own stateful
     attack instances — DoS freezes, replay recordings), so the batch
     kernel applies exactly the serial tampering semantics per row.  Rows
-    whose channel carries no attack take a vectorized pass-through: the
-    delivered matrix starts as one copy of the transmitted matrix and only
-    compromised rows are rewritten through their channel.  A row's channel
-    may change mid-run (see :meth:`channel`); the compromised rows are then
-    worked out again before the next transmission.
+    whose channel carries no attack take a vectorized pass-through: with no
+    compromised row the transmitted matrix itself is delivered, otherwise
+    the delivered matrix starts as one copy of it and only compromised rows
+    are rewritten through their channel.  A row's channel may change mid-run
+    (see :meth:`channel`); the compromised rows are then worked out again
+    before the next transmission.
 
     Parameters
     ----------
@@ -159,9 +160,15 @@ class BatchChannel:
         return self._channels[row]
 
     def transmit(self, values: np.ndarray, time_hours: float) -> np.ndarray:
-        """Deliver a ``(B, n_entries)`` matrix, tampering compromised rows."""
+        """Deliver a ``(B, n_entries)`` matrix, tampering compromised rows.
+
+        With no compromised row this is ``values`` itself; the caller's
+        matrix is never written into.
+        """
         if self._stale:
             self._refresh_compromised()
+        if not self._compromised_rows:
+            return values
         delivered = values.copy()
         for row in self._compromised_rows:
             delivered[row] = self._channels[row].transmit(values[row], time_hours)

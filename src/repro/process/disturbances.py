@@ -9,6 +9,7 @@ to the attacks implemented in :mod:`repro.network.attacks`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -193,9 +194,12 @@ class BatchDisturbanceView:
     """Evaluates ``B`` per-run schedules at one lockstep time, vectorized.
 
     All activation windows of all rows are flattened into parallel arrays
-    once at construction, so :meth:`at` is a handful of array comparisons
-    per step regardless of the batch size — the batched counterpart of
-    calling :meth:`DisturbanceSchedule.active_at` per run.
+    once at construction, so evaluating them is a handful of array
+    comparisons regardless of the batch size — the batched counterpart of
+    calling :meth:`DisturbanceSchedule.active_at` per run.  The activations
+    change only at a window's start or end, so :meth:`at` evaluates them
+    only when the clock leaves the span between two such edges, and hands
+    out the same :class:`BatchIdv` until then.
     """
 
     def __init__(self, schedules: Sequence[DisturbanceSchedule]):
@@ -218,6 +222,16 @@ class BatchDisturbanceView:
         self._starts = np.array(starts)
         self._ends = np.array(ends)
         self._magnitudes = np.array(magnitudes)
+        #: Every window start and finite end, ascending.
+        self._edges = sorted({*starts, *(end for end in ends if end != np.inf)})
+        self._forget()
+
+    def _forget(self) -> None:
+        """Drop the last evaluation and the all-quiet :class:`BatchIdv`."""
+        self._quiet: Optional[BatchIdv] = None
+        self._current: Optional[BatchIdv] = None
+        # The last evaluation holds for times in [_valid_from, _valid_until).
+        self._valid_from, self._valid_until = np.inf, -np.inf
 
     @property
     def n_rows(self) -> int:
@@ -232,8 +246,19 @@ class BatchDisturbanceView:
         """The batch's IDV magnitudes at ``time_hours``.
 
         Duplicate activations of one index on one row combine through
-        ``max``, exactly like :meth:`DisturbanceSchedule.active_at`.
+        ``max``, exactly like :meth:`DisturbanceSchedule.active_at`.  The
+        result is shared with later calls that fall between the same two
+        window edges: read it, never write into it.
         """
+        if not self._valid_from <= time_hours < self._valid_until:
+            edges = self._edges
+            position = bisect_right(edges, time_hours)
+            self._valid_from = edges[position - 1] if position else -np.inf
+            self._valid_until = edges[position] if position < len(edges) else np.inf
+            self._current = self._evaluate(time_hours)
+        return self._current
+
+    def _evaluate(self, time_hours: float) -> BatchIdv:
         if self._rows.size:
             active = (time_hours >= self._starts) & (time_hours < self._ends)
             if active.any():
@@ -243,7 +268,9 @@ class BatchDisturbanceView:
                     magnitudes, (self._rows[active], indices), self._magnitudes[active]
                 )
                 return BatchIdv(magnitudes, frozenset(indices.tolist()))
-        return BatchIdv.none(self._n_rows, self._n)
+        if self._quiet is None:
+            self._quiet = BatchIdv.none(self._n_rows, self._n)
+        return self._quiet
 
     def take(self, indices: np.ndarray) -> None:
         """Keep only the given rows (compaction after trips / early stops)."""
@@ -257,3 +284,4 @@ class BatchDisturbanceView:
         self._ends = self._ends[keep]
         self._magnitudes = self._magnitudes[keep]
         self._n_rows = int(indices.size)
+        self._forget()

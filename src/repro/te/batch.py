@@ -15,8 +15,22 @@ expressions as one call, but only in ways that keep that invariant:
 * it reduces only over a trailing contiguous axis, which takes the same
   pairwise summation as the serial 1-D sum;
 * it pads a shorter product with ``* 1.0``, which changes no bit;
-* it never uses ``@``, ``einsum`` or ``dot``, and never swaps ``.clip``
-  for ``minimum``/``maximum`` (they differ on ``-0.0``).
+* a Python-float operand may become a 0-d float64 array
+  (:data:`repro.common.operands.f64`) or a row of the same value repeated
+  to the batch width: the ufunc sees the same float64 value;
+* a two-operand product or sum may swap its operands (IEEE multiplication
+  and addition commute), so ``per_percent * valve`` becomes one ``valve *
+  gain_row`` product over the whole command matrix;
+* it never uses ``@``, ``einsum`` or ``dot``, never swaps ``.clip`` for
+  ``minimum``/``maximum`` (they differ on ``-0.0``), and hands ``exp`` and
+  ``power`` their input as before: a fresh contiguous array and a 0-d
+  exponent (NumPy may take another loop for another layout).
+
+Why: at a batch's widths a NumPy call costs per call, not per element, and
+its operands set most of that cost.  With numpy 2.4 on a 2-vCPU Xeon VM, a
+same-shape call costs about 0.4 µs, a Python-float operand adds half as
+much again, and a broadcast operand doubles it or more, so the step makes
+few calls, each over operands of one shape.
 
 The branches of a disturbance that no row can have active at this step
 (see :meth:`~repro.process.disturbances.BatchIdv.may_be_active`) are
@@ -39,6 +53,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.common.operands import f64
 from repro.common.randomness import RandomStream
 from repro.process.disturbances import BatchIdv
 from repro.te.constants import COMPONENTS, INTERNAL
@@ -47,9 +62,8 @@ from repro.te.state import BatchTEState
 
 __all__ = ["BatchTEPlant"]
 
-#: Light (A-C) and heavy (D-H) components, as slices of a component
-#: vector (the zeros and ones of ``_LIGHT_MASK`` and ``_HEAVY_MASK``).
-_LIGHTS = slice(0, 3)
+#: The heavy (D-H) components, as a slice of a component vector (the ones
+#: of ``_HEAVY_MASK``).
 _HEAVIES = slice(3, len(COMPONENTS))
 
 #: Rows of the flow table's ``(9, B, 8)`` stream stack.
@@ -64,7 +78,7 @@ STREAM_ROWS = (
     "reactor_in",
     "vapor_fraction",
 )
-_EFFLUENT, _F10, _F11, _REACTOR_IN, _VAPOR_FRACTION = 4, 5, 6, 7, 8
+_FEED1, _FEED2, _FEED3, _FEED4, _EFFLUENT, _F10, _F11, _REACTOR_IN, _VAPOR_FRACTION = range(9)
 
 _CONDENSATION_COOLING_GAIN = float(INTERNAL["condensation_cooling_gain"])
 _STRIPPING_STEAM_GAIN = float(INTERNAL["stripping_steam_gain"])
@@ -129,19 +143,23 @@ _ROW_CONSTANTS = {
         float(INTERNAL["separator_cw_outlet_nominal"])
         - float(INTERNAL["condenser_cw_inlet_nominal"]),
     ),
-    # Gains of the nine flow readings, in _METERED_COLUMNS order.
+    # Gains of the nine flow readings, in _HEAD_COLUMNS order.
     "metered_gains": _column(
         0.25052, 3664.0, 4509.3, 9.3477, 25.160, 22.949, 42.339, 26.902, 0.33712
     ),
 }
 
-#: XMEAS columns of the nine flow readings ``gain * total / nominal``, in
-#: the order :meth:`BatchTEPlant.measure` stacks their totals: feeds 1-4,
-#: streams 10 and 11, reactor feed, recycle, purge.
-_METERED_COLUMNS = np.array([0, 1, 2, 3, 13, 16, 5, 4, 9])
-#: XMEAS columns copied from the state: the pressures and levels
-#: (:attr:`BatchTEState.quantities`), the five temperatures, the steam flow.
-_COPIED_COLUMNS = np.array([6, 12, 7, 11, 14, 8, 10, 17, 20, 21, 18])
+#: XMEAS columns of the first 22 readings, in the order
+#: :meth:`BatchTEPlant.measure` stacks them: the nine flow readings ``gain *
+#: total / nominal`` (feeds 1-4, streams 10 and 11, reactor feed, recycle,
+#: purge), the readings copied from the state (the pressures and levels of
+#: :attr:`BatchTEState.quantities`, the five temperatures, the steam flow),
+#: then XMEAS(16) and XMEAS(20).
+_HEAD_COLUMNS = np.array(
+    [0, 1, 2, 3, 13, 16, 5, 4, 9, 6, 12, 7, 11, 14, 8, 10, 17, 20, 21, 18, 15, 19]
+)
+#: The stacked rows in XMEAS order: one ``take`` lays them out.
+_HEAD_ORDER = np.argsort(_HEAD_COLUMNS)
 
 
 class _NoiseBlock:
@@ -303,8 +321,28 @@ class BatchTEPlant(TEPlant):
         self._row_constants = dict(
             _ROW_CONSTANTS,
             cw_xmv_nominal=self._xmv_nominal[9:11, None],
-            level_flow_per_percent=_column(self._f10_per_percent, self._f11_per_percent),
-            # Nominals of the nine flow readings, in _METERED_COLUMNS order.
+            # Per XMV column, the flow one percent of opening passes: feeds
+            # 2, 3, 1 and 4, the purge, streams 10 and 11 and the steam; the
+            # columns no flow reads are padded with 1.0.
+            valve_gains=np.array(
+                [
+                    [
+                        self._feed2_per_percent,
+                        self._feed3_per_percent,
+                        self._feed1_per_percent,
+                        self._feed4_per_percent,
+                        1.0,
+                        self._purge_per_percent,
+                        self._f10_per_percent,
+                        self._f11_per_percent,
+                        self._steam_per_percent,
+                        1.0,
+                        1.0,
+                        1.0,
+                    ]
+                ]
+            ),
+            # Nominals of the nine flow readings, in _HEAD_COLUMNS order.
             metered_nominals=_column(
                 INTERNAL["feed1_nominal"],
                 INTERNAL["feed2_nominal"],
@@ -319,6 +357,25 @@ class BatchTEPlant(TEPlant):
             gas_analyser_scales=np.array([self._stream6_scale, self._purge_scale])[
                 :, None, :
             ],
+            # Nominal effluent and stream-10 totals (temperature targets).
+            lag_flow_nominals=_column(self._effluent_nominal, self._f10_nominal),
+            # Per-component rows, (1, 8), and the heavy (D-H) part of two.
+            feed1_comp=self._feed1_comp[None],
+            feed4_comp=self._feed4_comp_base[None],
+            k_reactor=self._k_reactor[None],
+            strip_base=self._strip_base[None],
+            condensation_heavy=self._cond_base[None, _HEAVIES],
+            product_scale=self._product_scale[None, _HEAVIES],
+            # The physical bounds of every XMV and XMEAS, (1, 12) and (1, 41).
+            xmv_lower=self._xmv_registry.lower_bounds()[None],
+            xmv_upper=self._xmv_registry.upper_bounds()[None],
+            xmeas_lower=self._xmeas_registry.lower_bounds()[None],
+            xmeas_upper=self._xmeas_registry.upper_bounds()[None],
+        )
+        # Stream-4 A and C base fractions, as operands.
+        self._feed4_base_ac = (
+            f64[self._feed4_comp_base[_IDX["A"]]],
+            f64[self._feed4_comp_base[_IDX["C"]]],
         )
 
     def _fit_width(self, n_rows: int) -> None:
@@ -327,12 +384,17 @@ class BatchTEPlant(TEPlant):
         A ufunc call whose operands share one shape skips NumPy's
         broadcasting set-up, which costs more than the arithmetic at a
         batch's sizes; a constant repeated along the row axis gives every
-        element the same operand, so no bit changes.
+        element the same operand, so no bit changes.  The row axis is the
+        constant's length-1 axis: axis 0 of a per-row vector ``(1, n)``,
+        axis 1 of a stacked column ``(k, 1)`` or stack ``(k, 1, 8)``.
         """
         self._wide = {
-            name: np.repeat(constant, n_rows, axis=1)
+            name: np.repeat(constant, n_rows, axis=0 if constant.shape[0] == 1 else 1)
             for name, constant in self._row_constants.items()
         }
+        # The condensation fractions of every row: the light columns are
+        # the base fractions for good, each flow table writes the heavy ones.
+        self._condensation = np.repeat(self._cond_base[None], n_rows, axis=0)
 
     # ------------------------------------------------------------------
     @property
@@ -402,7 +464,8 @@ class BatchTEPlant(TEPlant):
     # ------------------------------------------------------------------
     def _effective_xmv_batch(self, xmv: np.ndarray, idv: BatchIdv) -> np.ndarray:
         """Row-wise valve sticking, mirroring :meth:`TEPlant._effective_xmv`."""
-        effective = self._xmv_registry.clip(xmv)
+        wide = self._wide
+        effective = np.asarray(xmv, dtype=float).clip(wide["xmv_lower"], wide["xmv_upper"])
         for index, stuck in (
             (14, self._stuck_reactor_cw_rows),
             (15, self._stuck_condenser_cw_rows),
@@ -422,29 +485,32 @@ class BatchTEPlant(TEPlant):
         self, idv: BatchIdv, state: BatchTEState
     ) -> np.ndarray:
         """Row-wise stream-4 composition (:meth:`TEPlant._feed4_composition`)."""
-        composition = self._feed4_comp_base[None, :].repeat(state.n_rows, axis=0)
+        composition = self._wide["feed4_comp"].copy()
         shift = state.feed4_composition_shift
         if idv.may_be_active(8):
-            shift = np.where(idv.active(8), shift * 8.0, shift)
+            shift = np.where(idv.active(8), shift * f64[8.0], shift)
         if idv.may_be_active(1):
-            shift = np.where(idv.active(1), shift + -0.05 * idv.value(1), shift)
+            shift = np.where(idv.active(1), shift + f64[-0.05] * idv.value(1), shift)
         a, b, c = _IDX["A"], _IDX["B"], _IDX["C"]
-        composition[:, a] = np.maximum(self._feed4_comp_base[a] + shift, 0.01)
-        composition[:, c] = np.maximum(self._feed4_comp_base[c] - shift, 0.01)
+        base_a, base_c = self._feed4_base_ac
+        floor = f64[0.01]
+        np.maximum(base_a + shift, floor, out=composition[:, a])
+        np.maximum(base_c - shift, floor, out=composition[:, c])
         if idv.may_be_active(2):
             active2 = idv.active(2)
-            extra_b = 0.025 * idv.value(2)
+            extra_b = f64[0.025] * idv.value(2)
+            half_b = extra_b / f64[2.0]
             composition[:, b] = np.where(
                 active2, composition[:, b] + extra_b, composition[:, b]
             )
             composition[:, a] = np.where(
                 active2,
-                np.maximum(composition[:, a] - extra_b / 2.0, 0.01),
+                np.maximum(composition[:, a] - half_b, floor),
                 composition[:, a],
             )
             composition[:, c] = np.where(
                 active2,
-                np.maximum(composition[:, c] - extra_b / 2.0, 0.01),
+                np.maximum(composition[:, c] - half_b, floor),
                 composition[:, c],
             )
         return composition / np.add.reduce(composition, axis=1)[:, None]
@@ -460,80 +526,87 @@ class BatchTEPlant(TEPlant):
         expression keeps the serial operand order so each row stays
         bitwise-identical.
         """
+        wide = self._wide
         effective = self._effective_xmv_batch(xmv, idv)
-        streams = np.empty((len(STREAM_ROWS), state.n_rows, len(COMPONENTS)))
-        feed1, feed2, feed3, feed4, effluent, f10, _, reactor_in, vapor_fraction = streams
+        # The eight flows proportional to a valve opening, in one product:
+        # column j is the serial ``per_percent * effective[j]`` (a product
+        # commutes; the columns no flow reads are multiplied by 1.0).
+        valve_flows = effective * wide["valve_gains"]
+        # Feeds 2 and 3 carry only D and E respectively: start from zeros.
+        streams = np.zeros((len(STREAM_ROWS), state.n_rows, len(COMPONENTS)))
+        feed1, feed2 = streams[_FEED1], streams[_FEED2]
+        feed3, feed4 = streams[_FEED3], streams[_FEED4]
+        effluent, f10 = streams[_EFFLUENT], streams[_F10]
+        reactor_in, vapor_fraction = streams[_REACTOR_IN], streams[_VAPOR_FRACTION]
 
-        feed1_total = np.minimum(
-            self._feed1_per_percent * effective[:, 2], self._feed1_capacity
-        )
+        feed1_total = np.minimum(valve_flows[:, 2], f64[self._feed1_capacity])
         if idv.may_be_active(6):
-            feed1_total = feed1_total * np.where(idv.active(6), 0.0, 1.0)
+            feed1_total = feed1_total * np.where(idv.active(6), f64[0.0], f64[1.0])
         feed1_total = feed1_total * state.feed1_pressure_factor
-        np.multiply(feed1_total[:, None], self._feed1_comp, out=feed1)
+        np.multiply(feed1_total[:, None], wide["feed1_comp"], out=feed1)
 
-        # Feeds 2 and 3 carry only D and E respectively.
-        streams[1:3] = 0.0
-        feed2[:, _IDX["D"]] = self._feed2_per_percent * effective[:, 0]
-        feed3[:, _IDX["E"]] = self._feed3_per_percent * effective[:, 1]
-        feed4_total = self._feed4_per_percent * effective[:, 3]
+        feed2[:, _IDX["D"]] = valve_flows[:, 0]
+        feed3[:, _IDX["E"]] = valve_flows[:, 1]
+        feed4_total = valve_flows[:, 3]
         if idv.may_be_active(7):
-            feed4_total = feed4_total * np.where(idv.active(7), 0.8, 1.0)
+            feed4_total = feed4_total * np.where(idv.active(7), f64[0.8], f64[1.0])
         np.multiply(
             feed4_total[:, None], self._feed4_composition_batch(idv, state), out=feed4
         )
 
         totals, quantities = state.inventory_totals, state.quantities
         reactor_pressure = quantities[0]
-        separator_pressure = quantities[1]
-        pressure_ratio = separator_pressure / self._sep_pressure_nominal
+        pressure_ratio = quantities[1] / f64[self._sep_pressure_nominal]
 
-        purge_total = self._purge_per_percent * effective[:, 5] * pressure_ratio ** 2
+        purge_total = valve_flows[:, 5] * np.square(pressure_ratio)
         recycle_target = (
-            self._recycle_nominal
+            f64[self._recycle_nominal]
             * pressure_ratio
-            * (1.0 + 0.4 * (self._xmv_nominal[4] - effective[:, 4]) / 100.0)
+            * (
+                f64[1.0]
+                + f64[0.4] * (f64[self._xmv_nominal[4]] - effective[:, 4]) / f64[100.0]
+            )
         )
 
         # Separator vapour and reactor, separator and stripper liquid totals.
-        floored = np.maximum(totals[1:5], 1e-9)
+        floored = np.maximum(totals[1:5], f64[1e-9])
         np.divide(state.separator_vapor, floored[0, :, None], out=vapor_fraction)
 
         # Effluent: k * (vapour * LIGHT * pressure_factor + liquid * HEAVY).
-        pressure_factor = np.maximum(reactor_pressure, 0.0) / self._pressure_nominal
-        masked = state.inventory[0:3:2] * self._wide["reactor_masks"]
+        pressure_factor = np.maximum(reactor_pressure, f64[0.0]) / f64[
+            self._pressure_nominal
+        ]
+        masked = state.inventory[0:3:2] * wide["reactor_masks"]
         np.multiply(masked[0], pressure_factor[:, None], out=masked[0])
         np.add(masked[0], masked[1], out=effluent)
-        np.multiply(self._k_reactor, effluent, out=effluent)
+        np.multiply(wide["k_reactor"], effluent, out=effluent)
 
-        condenser_shift = (
-            _CONDENSATION_COOLING_GAIN * (effective[:, 10] - self._xmv_nominal[10]) / 100.0
-            + 0.004 * (_SEPARATOR_TEMP_NOMINAL - state.separator_temp)
+        condenser_shift = f64[_CONDENSATION_COOLING_GAIN] * (
+            effective[:, 10] - f64[self._xmv_nominal[10]]
+        ) / f64[100.0] + f64[0.004] * (
+            f64[_SEPARATOR_TEMP_NOMINAL] - state.separator_temp
         )
         # The condenser shift moves only the heavy components' fractions.
-        cond = np.empty((state.n_rows, len(COMPONENTS)))
-        cond[:, _LIGHTS] = self._cond_base[_LIGHTS]
-        (self._cond_base[_HEAVIES] + condenser_shift[:, None]).clip(
-            0.02, 0.98, out=cond[:, _HEAVIES]
-        )
+        cond = self._condensation
+        heavy = cond[:, _HEAVIES]
+        np.add(wide["condensation_heavy"], condenser_shift[:, None], out=heavy)
+        heavy.clip(f64[0.02], f64[0.98], out=heavy)
 
         # Streams 10 and 11 leave the separator and the stripper at a rate
         # set by the valve and the square root of the vessel's level.
-        levels = np.maximum(quantities[3:5], 0.0)
-        level_flows = (
-            self._wide["level_flow_per_percent"]
-            * effective[:, 6:8].T
-            * np.sqrt(levels / 50.0)
-        )
+        levels = np.maximum(quantities[3:5], f64[0.0])
+        level_flows = valve_flows[:, 6:8].T * np.sqrt(levels / f64[50.0])
         np.divide(
             level_flows[:, :, None] * state.inventory[3:5],
             floored[2:4, :, None],
             out=streams[_F10 : _F11 + 1],
         )
 
-        steam = self._steam_per_percent * effective[:, 8]
-        steam_factor = 1.0 + _STRIPPING_STEAM_GAIN * (steam / _STEAM_NOMINAL - 1.0)
-        strip = (self._strip_base * steam_factor[:, None]).clip(0.0, 0.995)
+        steam = valve_flows[:, 8]
+        # steam / nominal - 1, which the stripper temperature target reads too.
+        steam_excess = steam / f64[_STEAM_NOMINAL] - f64[1.0]
+        steam_factor = f64[1.0] + f64[_STRIPPING_STEAM_GAIN] * steam_excess
+        strip = (wide["strip_base"] * steam_factor[:, None]).clip(f64[0.0], f64[0.995])
         overhead = strip * f10
 
         np.add(
@@ -554,6 +627,7 @@ class BatchTEPlant(TEPlant):
             "purge_total": purge_total,
             "recycle_target": recycle_target,
             "steam": steam,
+            "steam_excess": steam_excess,
         }
 
     # ------------------------------------------------------------------
@@ -613,7 +687,9 @@ class BatchTEPlant(TEPlant):
         )
         production = rates.consumption()
 
-        _, _, _, _, effluent, f10, f11, reactor_in, vapor_fraction = flows["streams"]
+        streams = flows["streams"]
+        effluent, f10, f11 = streams[_EFFLUENT], streams[_F10], streams[_F11]
+        reactor_in, vapor_fraction = streams[_REACTOR_IN], streams[_VAPOR_FRACTION]
         cond = flows["condensation"]
 
         # One (5, B, 8) increment of the five inventories, row for row of
@@ -623,10 +699,10 @@ class BatchTEPlant(TEPlant):
         np.subtract(reactor_in + production, effluent, out=change[0])
         change[2] = change[0]
         vapor_out = (state.recycle_flow + flows["purge_total"])[:, None] * vapor_fraction
-        np.subtract(effluent * (1.0 - cond), vapor_out, out=change[1])
+        np.subtract(effluent * (f64[1.0] - cond), vapor_out, out=change[1])
         np.subtract(effluent * cond, f10, out=change[3])
         np.subtract(f10 - flows["overhead"], f11, out=change[4])
-        change *= dt
+        change *= f64[dt]
         change *= self._wide["balance_masks"]
         state.inventory += change
         state.clip_nonnegative()
@@ -649,40 +725,46 @@ class BatchTEPlant(TEPlant):
         if not self.enable_process_variation:
             return
         wide = self._wide
-        sqrt_dt = np.sqrt(dt)
+        dt_operand = f64[dt]
+        sqrt_dt = f64[np.sqrt(dt)]
         walks = state.ambient[0:3]
         step = np.empty_like(walks)
-        np.multiply(0.15, 1.0 - walks[0], out=step[0])
+        np.subtract(f64[1.0], walks[0], out=step[0])
+        np.multiply(f64[0.15], step[0], out=step[0])
         np.multiply(wide["walk_reversion"], walks[1:3], out=step[1:3])
-        step *= dt
-        noise = wide["walk_stds"] * sqrt_dt * draws.base
+        step *= dt_operand
+        noise = wide["walk_stds"] * sqrt_dt
+        noise *= draws.base
         np.add(noise[0], step[0], out=step[0])
         np.subtract(noise[1:3], step[1:3], out=step[1:3])
         np.add(walks, step, out=step)
         step.clip(wide["walk_lower"], wide["walk_upper"], out=walks)
 
-        decayed = state.kinetics_drift * max(1.0 - 0.5 * dt, 0.0)
+        drift = state.ambient[3]
+        decay = f64[max(1.0 - 0.5 * dt, 0.0)]
         if idv.may_be_active(13):
             drifted = (
-                state.kinetics_drift
-                + (0.05 * sqrt_dt * draws.kinetics - 0.02 * dt)
-            ).clip(-0.5, 0.2)
-            decayed = np.where(idv.active(13), drifted, decayed)
-        state.kinetics_drift = decayed
+                drift + (f64[0.05] * sqrt_dt * draws.kinetics - f64[0.02] * dt_operand)
+            ).clip(f64[-0.5], f64[0.2])
+            drift[:] = np.where(idv.active(13), drifted, drift * decay)
+        else:
+            np.multiply(drift, decay, out=drift)
 
     def _cooling_water_inlets_batch(self, idv: BatchIdv) -> np.ndarray:
         """Row-wise reactor and condenser cooling-water inlet temperatures,
         ``(2, B)``."""
         inlets = self._wide["cw_inlets"]
         if idv.may_be_active(4) or idv.may_be_active(5):
-            inlets = inlets + 5.0 * np.array([idv.value(4), idv.value(5)])
-        scale = 0.15
+            inlets = inlets + f64[5.0] * np.array([idv.value(4), idv.value(5)])
         if idv.may_be_active(11) or idv.may_be_active(12):
-            scale = np.where(np.array([idv.active(11), idv.active(12)]), 1.0, 0.15)
-        return inlets + scale * self.state.cw_inlet_shift
+            scale = np.where(
+                np.array([idv.active(11), idv.active(12)]), f64[1.0], f64[0.15]
+            )
+            return inlets + scale * self.state.cw_inlet_shift
+        return inlets + f64[0.15] * self.state.cw_inlet_shift
 
     @staticmethod
-    def _lag(values: np.ndarray, targets: np.ndarray, dt: float, taus) -> None:
+    def _lag(values: np.ndarray, targets: np.ndarray, dt, taus) -> None:
         """First-order lags in place: ``values + dt * (targets - values) / taus``
         (overwrites ``targets``)."""
         np.subtract(targets, values, out=targets)
@@ -703,55 +785,69 @@ class BatchTEPlant(TEPlant):
         """
         state = self.state
         lags = state.lags
+        wide = self._wide
+        one = f64[1.0]
+        dt_operand = f64[dt]
         effective = flows["xmv_effective"]
+        # XMV(10) and XMV(11), the two cooling-water valves, as a (2, B) view.
+        cw_valves = effective[:, 9:11].T
         totals = _stream_totals(flows)
         inlets = self._cooling_water_inlets_batch(idv)
         targets = np.empty((4, state.n_rows))
         targets[0] = flows["recycle_target"]
 
-        cooling_norm = (effective[:, 9] / self._xmv_nominal[9]) * (
-            (state.reactor_temp - inlets[0]) / self._reactor_driving
+        # Each cooling-water valve over its nominal opening, and the
+        # effluent and stream-10 totals over theirs.
+        valve_ratios = cw_valves / wide["cw_xmv_nominal"]
+        flow_ratios = totals[_EFFLUENT : _F10 + 1] / wide["lag_flow_nominals"]
+
+        cooling_norm = valve_ratios[0] * (
+            (state.reactor_temp - inlets[0]) / f64[self._reactor_driving]
         )
-        reactor_target = (
-            _REACTOR_TEMP_NOMINAL
-            + _REACTOR_HEAT_GAIN * (rates.heat_release - 1.0)
-            - _REACTOR_COOLING_GAIN * (cooling_norm - 1.0)
+        reactor_target = targets[1]
+        np.subtract(
+            f64[_REACTOR_TEMP_NOMINAL]
+            + f64[_REACTOR_HEAT_GAIN] * (rates.heat_release - one),
+            f64[_REACTOR_COOLING_GAIN] * (cooling_norm - one),
+            out=reactor_target,
         )
         if idv.may_be_active(3):
-            reactor_target = reactor_target + 1.5 * idv.value(3)
+            reactor_target += f64[1.5] * idv.value(3)
         if self.enable_process_variation and idv.may_be_active(9):
-            reactor_target = np.where(
-                idv.active(9), reactor_target + 0.6 * draws.reactor_9, reactor_target
+            reactor_target[:] = np.where(
+                idv.active(9), reactor_target + f64[0.6] * draws.reactor_9, reactor_target
             )
         if self.enable_process_variation and idv.may_be_active(10):
-            reactor_target = np.where(
-                idv.active(10), reactor_target + 0.4 * draws.reactor_10, reactor_target
+            reactor_target[:] = np.where(
+                idv.active(10),
+                reactor_target + f64[0.4] * draws.reactor_10,
+                reactor_target,
             )
-        targets[1] = reactor_target
 
-        cooling_ratio = np.maximum(effective[:, 10] / self._xmv_nominal[10], 0.05)
+        cooling_ratio = np.maximum(valve_ratios[1], f64[0.05])
         np.add(
             inlets[1],
-            self._separator_driving
-            * (totals[_EFFLUENT] / self._effluent_nominal)
-            / np.power(cooling_ratio, 0.6),
+            f64[self._separator_driving]
+            * flow_ratios[0]
+            / np.power(cooling_ratio, f64[0.6]),
             out=targets[2],
         )
         np.subtract(
-            _STRIPPER_TEMP_NOMINAL + 25.0 * (flows["steam"] / _STEAM_NOMINAL - 1.0),
-            12.0 * (totals[_F10] / self._f10_nominal - 1.0),
+            f64[_STRIPPER_TEMP_NOMINAL] + f64[25.0] * flows["steam_excess"],
+            f64[12.0] * (flow_ratios[1] - one),
             out=targets[3],
         )
-        self._lag(lags[0:4], targets, dt, self._wide["lag_taus"])
-        np.maximum(lags[0], 0.0, out=lags[0])
+        self._lag(lags[0:4], targets, dt_operand, wide["lag_taus"])
+        np.maximum(lags[0], f64[0.0], out=lags[0])
 
         # Reactor and condenser cooling water, from the updated reactor and
         # separator temperatures.
-        wide = self._wide
         cw_targets = inlets + wide["cw_rise"] * (
             (lags[1:3] - inlets) / wide["cw_driving"]
-        ) * np.power(wide["cw_xmv_nominal"] / np.maximum(effective[:, 9:11].T, 5.0), 0.8)
-        self._lag(lags[4:6], cw_targets, dt, _CW_OUTLET_TAU)
+        ) * np.power(
+            wide["cw_xmv_nominal"] / np.maximum(cw_valves, f64[5.0]), f64[0.8]
+        )
+        self._lag(lags[4:6], cw_targets, dt_operand, f64[_CW_OUTLET_TAU])
 
     # ------------------------------------------------------------------
     # Measurement
@@ -760,50 +856,60 @@ class BatchTEPlant(TEPlant):
         """Per-row sensor vectors, ``(B, 41)`` (mirrors :meth:`TEPlant.measure`)."""
         flows = self._last_flows
         state = self.state
+        wide = self._wide
         totals = _stream_totals(flows)
         inventory_totals, quantities = state.inventory_totals, state.quantities
         recycle_flow = state.recycle_flow
         xmeas = self._xmeas
 
-        metered = np.concatenate(
+        # The first 22 readings as rows of one (22, B) stack, in
+        # _HEAD_COLUMNS order, laid out in XMEAS order by one take.
+        head = np.empty((len(_HEAD_COLUMNS), state.n_rows))
+        np.concatenate(
             (
                 totals[0:4],
                 totals[_F10 : _REACTOR_IN + 1],
                 recycle_flow[None],
                 flows["purge_total"][None],
-            )
+                quantities,
+                state.lags[1:],
+                flows["steam"][None],
+            ),
+            out=head[:20],
         )
-        xmeas[:, _METERED_COLUMNS] = (
-            self._wide["metered_gains"] * metered / self._wide["metered_nominals"]
-        ).T
-        xmeas[:, _COPIED_COLUMNS] = np.concatenate(
-            (quantities, state.lags[1:], flows["steam"][None])
-        ).T
-        xmeas[:, 15] = 3102.2 * (
-            0.5 + 0.5 * quantities[1] / self._sep_pressure_nominal
+        metered = head[0:9]
+        np.multiply(wide["metered_gains"], metered, out=metered)
+        np.divide(metered, wide["metered_nominals"], out=metered)
+        np.multiply(
+            f64[3102.2],
+            f64[0.5] + f64[0.5] * quantities[1] / f64[self._sep_pressure_nominal],
+            out=head[20],
         )
-        xmeas[:, 19] = 341.43 * (recycle_flow / self._recycle_nominal) * (
-            quantities[0] / self._pressure_nominal
+        np.multiply(
+            f64[341.43] * (recycle_flow / f64[self._recycle_nominal]),
+            quantities[0] / f64[self._pressure_nominal],
+            out=head[21],
         )
+        xmeas[:, :22] = head.take(_HEAD_ORDER, axis=0).T
 
         # Stream-6, purge and product analysers: each vector over its
         # floored total, times the analyser calibration.
         fractions = (
             flows["streams"][_REACTOR_IN:]
-            / np.maximum(totals[_REACTOR_IN:], 1e-9)[:, :, None]
-            * self._wide["gas_analyser_scales"]
+            / np.maximum(totals[_REACTOR_IN:], f64[1e-9])[:, :, None]
+            * wide["gas_analyser_scales"]
         )
         xmeas[:, 22:28] = fractions[0, :, :6]
         xmeas[:, 28:36] = fractions[1]
-        xmeas[:, 36:41] = (
-            state.stripper_liquid
-            / np.maximum(inventory_totals[4], 1e-9)[:, None]
-            * self._product_scale
-        )[:, 3:]
+        np.multiply(
+            state.stripper_liquid[:, _HEAVIES]
+            / np.maximum(inventory_totals[4], f64[1e-9])[:, None],
+            wide["product_scale"],
+            out=xmeas[:, 36:41],
+        )
 
-        if noisy:
-            return self._xmeas_registry.clip(xmeas + self._noise_draws.next())
-        return self._xmeas_registry.clip(xmeas)
+        readings = xmeas + self._noise_draws.next() if noisy else xmeas
+        return readings.clip(wide["xmeas_lower"], wide["xmeas_upper"])
 
     # ------------------------------------------------------------------
     # Scalar PlantModel methods that do not apply to a batch

@@ -17,10 +17,12 @@ the base operating point a steady state by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Dict
 
 import numpy as np
 
+from repro.common.operands import f64
 from repro.te.constants import COMPONENTS, INTERNAL
 
 __all__ = ["ReactionRates", "BatchReactionRates", "ReactionKinetics"]
@@ -105,13 +107,16 @@ class BatchReactionRates:
     """Extents of the four reactions for ``B`` reactors, ``(4, B)``."""
 
     extents: np.ndarray
+    #: The kinetics' constants repeated to the batch width (see
+    #: :meth:`ReactionKinetics.rates_batch`), which :meth:`consumption` reads.
+    wide: Dict[str, np.ndarray] = field(repr=False, compare=False)
 
     @property
     def heat_release(self) -> np.ndarray:
         """Row-wise normalized heat release (mirrors :class:`ReactionRates`)."""
-        r1, r2 = self.extents[0], self.extents[1]
-        half3, half4 = 0.5 * self.extents[2:4]
-        return (r1 + r2 + half3 + half4) / _NOMINAL_HEAT
+        extents = self.extents
+        halves = f64[0.5] * extents[2:4]
+        return (extents[0] + extents[1] + halves[0] + halves[1]) / f64[_NOMINAL_HEAT]
 
     def consumption(self) -> np.ndarray:
         """Net molar production per component, ``(B, 8)`` (negative = consumed).
@@ -119,16 +124,18 @@ class BatchReactionRates:
         Each component sees the serial :meth:`ReactionRates.consumption`
         operations: the sums of extents, then ``0.0 -`` or ``0.0 +`` that sum.
         """
-        extents = self.extents
+        extents, wide = self.extents, self.wide
         terms = np.empty((len(COMPONENTS), extents.shape[1]))
-        pairs = extents[_PAIR_OPERANDS]
+        pairs = extents.take(_PAIR_OPERANDS, axis=0)
         # C, D, E, F: r1 + r2, r1 + 3 r4, r2 + r3, r3 + 2 r4.
-        np.add(pairs[0], pairs[1] * _PAIR_COEFFICIENTS, out=terms[2:6])
+        np.multiply(pairs[1], wide["pair_coefficients"], out=terms[2:6])
+        np.add(pairs[0], terms[2:6], out=terms[2:6])
         # A: r1 + r2 + r3; B: none; G, H: r1, r2.
         np.add(terms[2], extents[2], out=terms[0])
         terms[1] = 0.0
         terms[6:8] = extents[0:2]
-        return (0.0 + _PRODUCTION_SIGN * terms).T
+        np.multiply(wide["production_sign"], terms, out=terms)
+        return np.add(f64[0.0], terms, out=terms).T
 
 
 class ReactionKinetics:
@@ -170,6 +177,9 @@ class ReactionKinetics:
         self._nominal_extents = np.array(
             [float(INTERNAL[f"r{k}_nominal"]) for k in range(1, 5)]
         )[:, None]
+        # Per width: the batched path's constants repeated to the batch,
+        # and the operand buffer whose last row holds the padding 1.0.
+        self._wide_rows = -1
 
     def _availability(self, vapor: np.ndarray, liquid: np.ndarray, component: str) -> float:
         """Normalized availability of a reactant (1.0 at nominal inventory)."""
@@ -225,24 +235,54 @@ class ReactionKinetics:
         :meth:`rates` path in the same order, so row ``i`` of the result is
         bitwise-identical to ``rates(vapor[i], liquid[i], temp[i], drift[i])``.
         """
-        operands = np.empty((11, reactor.shape[1]))
+        n_rows = reactor.shape[1]
+        if n_rows != self._wide_rows:
+            self._fit_width(n_rows)
+        wide = self._wide
+        operands = self._operands
         # a, c, d, e: inventory over nominal, floored at zero.
         np.divide(
-            reactor[self._reactant_phase, :, self._reactant_index],
-            self._reactant_nominal,
-            out=operands[0:4],
+            reactor.take(wide["reactants"]), wide["reactant_nominal"], out=operands[0:4]
         )
-        np.maximum(operands[0:4], 0.0, out=operands[0:4])
-        np.sqrt(np.maximum(operands[1], 0.0), out=operands[4])
+        np.maximum(operands[0:4], f64[0.0], out=operands[0:4])
+        # sqrt(max(c, 0.0)): c is floored already, and flooring twice
+        # changes no bit (max(max(x, 0), 0) is max(x, 0), NaN included).
+        np.sqrt(operands[1], out=operands[4])
         np.exp(
-            self._temp_gains * (reactor_temp - self._nominal_temp), out=operands[5:9]
+            wide["temp_gains"] * (reactor_temp - f64[self._nominal_temp]),
+            out=operands[5:9],
         )
-        np.add(1.0, self.drift_gain * kinetics_drift, out=operands[9])
-        operands[10] = 1.0
+        np.multiply(f64[self.drift_gain], kinetics_drift, out=operands[9])
+        np.add(f64[1.0], operands[9], out=operands[9])
 
-        factors = operands[_EXTENT_OPERANDS]
-        extents = self._nominal_extents * factors[0]
+        factors = operands.take(_EXTENT_OPERANDS, axis=0)
+        extents = wide["nominal_extents"] * factors[0]
         for factor in factors[1:]:
             extents *= factor
-        np.maximum(extents, 0.0, out=extents)
-        return BatchReactionRates(extents)
+        np.maximum(extents, f64[0.0], out=extents)
+        return BatchReactionRates(extents, wide)
+
+    def _fit_width(self, n_rows: int) -> None:
+        """Repeat the batched path's constants to ``n_rows`` rows."""
+        # Flat positions in the (2, B, 8) reactor stack of each row's a, c,
+        # d and e inventories, (4, B): one ``take`` gathers them.
+        reactants = (
+            (self._reactant_phase[:, None] * n_rows + np.arange(n_rows)) * len(COMPONENTS)
+            + self._reactant_index[:, None]
+        )
+        self._wide = {
+            "reactants": reactants,
+            **{
+                name: np.repeat(constant, n_rows, axis=1)
+                for name, constant in (
+                    ("reactant_nominal", self._reactant_nominal),
+                    ("temp_gains", self._temp_gains),
+                    ("nominal_extents", self._nominal_extents),
+                    ("pair_coefficients", _PAIR_COEFFICIENTS),
+                    ("production_sign", _PRODUCTION_SIGN),
+                )
+            },
+        }
+        self._operands = np.empty((11, n_rows))
+        self._operands[10] = 1.0
+        self._wide_rows = n_rows

@@ -7,6 +7,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.common.operands import f64
 from repro.te.constants import COMPONENTS, INTERNAL
 
 __all__ = ["TEState", "BatchTEState"]
@@ -17,7 +18,7 @@ _HEAVIES = ("D", "E", "F", "G", "H")
 # Constants of the derived quantities, spelled as TEState's properties
 # compute them so the batched values stay bitwise-identical; one row each
 # for the reactor and the separator (pressures) and for the reactor,
-# separator and stripper (levels).
+# separator and stripper (levels).  BatchTEState repeats them to its width.
 _NOMINAL_PRESSURES = np.array(
     [
         [float(INTERNAL["reactor_pressure_nominal"])],
@@ -254,6 +255,12 @@ class BatchTEState:
     _derived: Optional[Tuple[np.ndarray, np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: The derived quantities' constants repeated to the batch width (a
+    #: call whose operands share one shape skips NumPy's broadcasting
+    #: set-up); built on first use and after :meth:`take`.
+    _wide: Optional[Tuple[np.ndarray, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def nominal(cls, n_rows: int) -> "BatchTEState":
@@ -279,6 +286,7 @@ class BatchTEState:
         self.lags = self.lags[:, indices]
         self.ambient = self.ambient[:, indices]
         self._derived = None
+        self._wide = None
 
     # -- derived quantities (row-wise mirrors of TEState) ---------------
     def mark_changed(self) -> None:
@@ -300,15 +308,23 @@ class BatchTEState:
         """
         derived = self._derived
         if derived is None:
+            if self._wide is None:
+                self._wide = tuple(
+                    np.repeat(constant, self.n_rows, axis=1)
+                    for constant in (
+                        _NOMINAL_PRESSURES, _NOMINAL_MOLES, _NOMINAL_TEMPS_K, _CAPACITIES
+                    )
+                )
+            pressures, moles, temps_k, capacities = self._wide
             totals = np.add.reduce(self.inventory, axis=2)
             quantities = np.empty_like(totals)
-            temp_k = self.lags[1:3] + 273.15
+            temp_k = self.lags[1:3] + f64[273.15]
             np.multiply(
-                _NOMINAL_PRESSURES * (totals[0:2] / _NOMINAL_MOLES),
-                temp_k / _NOMINAL_TEMPS_K,
+                pressures * (totals[0:2] / moles),
+                temp_k / temps_k,
                 out=quantities[0:2],
             )
-            np.divide(100.0 * totals[2:5], _CAPACITIES, out=quantities[2:5])
+            np.divide(f64[100.0] * totals[2:5], capacities, out=quantities[2:5])
             derived = self._derived = (totals, quantities)
         return derived
 
@@ -351,7 +367,7 @@ class BatchTEState:
 
     def clip_nonnegative(self) -> None:
         """Clamp all molar inventories to be non-negative (numerical guard)."""
-        np.maximum(self.inventory, 0.0, out=self.inventory)
+        np.maximum(self.inventory, f64[0.0], out=self.inventory)
         self._derived = None
 
 

@@ -72,3 +72,24 @@ def test_batch_controller_matches_serial_controllers():
     check()
     # The generated sequences reach every branch the property is about.
     assert all(count > 0 for count in seen.values()), seen
+
+
+def test_returned_commands_are_never_written_again():
+    # update() hands out its stored command matrix without a copy, so no
+    # later update or fallback_row may write into a matrix it returned.
+    batch = BatchDecentralizedController(None, 3)
+    gains = [0.5 * loop.definition.kc for loop in TEDecentralizedController().loops]
+    matrices = measurement_matrices(seed=11, n_rows=3, n_steps=4)
+    returned = []  # (commands, a copy taken when they were returned)
+    for step, dt_hours in enumerate((0.05, 0.05, 0.0, 0.05)):
+        commands = batch.update(matrices[step], dt_hours)
+        returned.append((commands, commands.copy()))
+        batch.fallback_row(step % 3, gains)
+        for commands, snapshot in returned:
+            assert commands.tobytes() == snapshot.tobytes()
+    # A zero interval returns the stored matrix: the last commands, with
+    # the row that just fell back at the nominal valve positions.
+    held = batch.update(matrices[-1], 0.0)
+    nominal = BatchDecentralizedController(None, 1).update(matrices[-1][:1], 0.0)
+    assert held[0].tobytes() == nominal[0].tobytes()
+    assert held[1:].tobytes() == returned[-1][1][1:].tobytes()

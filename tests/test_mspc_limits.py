@@ -204,3 +204,23 @@ class TestQuantilesMatchScipyStats:
             check=True,
         )
         assert completed.stdout.strip() == "False"
+
+    def test_importing_the_api_leaves_the_gateway_client_unloaded(self):
+        # StreamClient is a lazy attribute of repro.api: a campaign process
+        # never loads the gateway, the HTTP server or the TLS stack.
+        source = Path(__file__).resolve().parent.parent / "src"
+        modules = ("repro.gateway", "http.server", "urllib.request", "ssl")
+        code = (
+            "import sys, repro.api\n"
+            f"print(sorted(m for m in {modules!r} if m in sys.modules))\n"
+            "from repro.api import StreamClient\n"
+            "print(StreamClient.__module__, 'StreamClient' in repro.api.__all__)\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(source)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert completed.stdout.splitlines() == ["[]", "repro.gateway.client True"]

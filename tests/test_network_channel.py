@@ -5,7 +5,7 @@ import pytest
 
 from repro.common.exceptions import ConfigurationError
 from repro.network.attacks import AttackSchedule, DoSAttack, IntegrityAttack
-from repro.network.channel import Channel
+from repro.network.channel import BatchChannel, Channel
 
 
 class TestBenignChannel:
@@ -87,3 +87,31 @@ class TestCompromisedChannel:
             channel.add_attack(IntegrityAttack(5, 0.0, 0.0))
         channel.add_attack(IntegrityAttack(2, 0.0, 0.0))
         assert channel.compromised
+
+
+class TestBatchChannel:
+    def test_attack_free_batch_delivers_its_input(self):
+        batch = BatchChannel([Channel("sensors", 3), Channel("sensors", 3)])
+        values = np.arange(6.0).reshape(2, 3)
+        delivered = batch.transmit(values, 0.0)
+        assert delivered is values
+        np.testing.assert_array_equal(values, np.arange(6.0).reshape(2, 3))
+
+    def test_attacked_batch_never_writes_the_callers_matrix(self):
+        attack = IntegrityAttack(2, 0.0, injected=99.0)
+        batch = BatchChannel(
+            [Channel("sensors", 3), Channel("sensors", 3, AttackSchedule([attack]))]
+        )
+        values = np.arange(6.0).reshape(2, 3)
+        delivered = batch.transmit(values, 1.0)
+        np.testing.assert_array_equal(values, np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(delivered, [[0.0, 1.0, 2.0], [3.0, 99.0, 5.0]])
+
+    def test_row_compromised_mid_run_stops_the_pass_through(self):
+        batch = BatchChannel([Channel("actuators", 2), Channel("actuators", 2)])
+        values = np.ones((2, 2))
+        assert batch.transmit(values, 0.0) is values
+        batch.channel(0).add_attack(IntegrityAttack(1, 0.0, injected=-1.0))
+        delivered = batch.transmit(values, 1.0)
+        np.testing.assert_array_equal(values, np.ones((2, 2)))
+        np.testing.assert_array_equal(delivered, [[-1.0, 1.0], [1.0, 1.0]])
