@@ -573,18 +573,18 @@ class BatchTEPlant(TEPlant):
         np.divide(state.separator_vapor, floored[0, :, None], out=vapor_fraction)
 
         # Effluent: k * (vapour * LIGHT * pressure_factor + liquid * HEAVY).
-        pressure_factor = np.maximum(reactor_pressure, f64[0.0]) / f64[
-            self._pressure_nominal
-        ]
+        nominal_pressure = f64[self._pressure_nominal]
+        pressure_factor = np.maximum(reactor_pressure, f64[0.0]) / nominal_pressure
         masked = state.inventory[0:3:2] * wide["reactor_masks"]
         np.multiply(masked[0], pressure_factor[:, None], out=masked[0])
         np.add(masked[0], masked[1], out=effluent)
         np.multiply(wide["k_reactor"], effluent, out=effluent)
 
-        condenser_shift = f64[_CONDENSATION_COOLING_GAIN] * (
-            effective[:, 10] - f64[self._xmv_nominal[10]]
-        ) / f64[100.0] + f64[0.004] * (
-            f64[_SEPARATOR_TEMP_NOMINAL] - state.separator_temp
+        condenser_shift = (
+            f64[_CONDENSATION_COOLING_GAIN]
+            * (effective[:, 10] - f64[self._xmv_nominal[10]])
+            / f64[100.0]
+            + f64[0.004] * (f64[_SEPARATOR_TEMP_NOMINAL] - state.separator_temp)
         )
         # The condenser shift moves only the heavy components' fractions.
         cond = self._condensation
@@ -740,7 +740,7 @@ class BatchTEPlant(TEPlant):
         np.add(walks, step, out=step)
         step.clip(wide["walk_lower"], wide["walk_upper"], out=walks)
 
-        drift = state.ambient[3]
+        drift = state.kinetics_drift
         decay = f64[max(1.0 - 0.5 * dt, 0.0)]
         if idv.may_be_active(13):
             drifted = (
