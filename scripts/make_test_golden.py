@@ -28,13 +28,17 @@ one sha256 per run report (canonical JSON of ``ResponseReport.to_mapping``),
 keyed ``scenario/index``.
 
 ``tests/test_golden_campaign.py`` repeats the same measurement and compares.
-Regenerate only when a change is meant to alter these values.
+Regenerate only when a change is meant to alter these values.  ``--check``
+measures and prints each key whose value differs from the checked-in record
+(nested keys joined by dots), writes nothing, and exits 1 on any difference:
+run it first to see what a change moves.
 
-    PYTHONPATH=src python scripts/make_test_golden.py
+    PYTHONPATH=src python scripts/make_test_golden.py [--check]
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import platform
@@ -42,7 +46,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy
@@ -206,9 +210,39 @@ def measure(cache_dir: Path) -> Dict[str, object]:
     }
 
 
-def main() -> int:
+def differences(
+    measured: object, golden: object, key: str = ""
+) -> List[Tuple[str, object, object]]:
+    """``(key, golden, measured)`` for every leaf whose value differs; the
+    keys of nested mappings are joined by dots."""
+    if isinstance(measured, dict) and isinstance(golden, dict):
+        found: List[Tuple[str, object, object]] = []
+        for name in sorted(set(measured) | set(golden)):
+            found += differences(
+                measured.get(name), golden.get(name), f"{key}.{name}" if key else name
+            )
+        return found
+    return [] if measured == golden else [(key, golden, measured)]
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="print the keys that differ from the golden record; write nothing",
+    )
+    arguments = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as scratch:
         record = measure(Path(scratch) / "cache")
+    if arguments.check:
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        found = differences(record, golden)
+        for key, expected, actual in found:
+            print(f"{key}: {expected!r} -> {actual!r}")
+        if not found:
+            print(f"no difference from {GOLDEN.relative_to(ROOT)}")
+        return 1 if found else 0
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(record, indent=2))

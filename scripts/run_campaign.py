@@ -353,8 +353,8 @@ def run_spec(arguments: argparse.Namespace) -> int:
     if not arguments.quiet:
         total = engine.total
         print(
-            f"  {total.n_simulated} simulated, {total.n_cache_hits} cached, "
-            f"{total.wall_seconds:.1f} s\n"
+            f"  {total.n_simulated} simulated, {total.n_resumed} resumed, "
+            f"{total.n_cache_hits} cached, {total.wall_seconds:.1f} s\n"
         )
     print_tables(result.tables())
     return 0

@@ -29,15 +29,23 @@ through :meth:`~repro.live.observer.LiveRunObserver.on_scored_sample`,
 bit for bit what each monitor would have computed alone.  A caller that
 only needs its observers (``trajectories=False``) gets no trajectory slabs
 and no :class:`SimulationResult`.
+
+Runs of one seed are one run until the anomaly onset, whatever their
+scenario.  A batch stepping one of them from t = 0 leaves a checkpoint at the
+onset sample for those still to start, and a later batch of such runs starts
+there instead (:mod:`repro.batch.prefix`): each row gets its own channels and
+schedule and the dynamic state of its checkpoint, and goes on bit for bit as
+:func:`~repro.experiments.runner.run_scenario` would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.batch.prefix import PrefixCheckpoint, PrefixKey, PrefixStore, prefix_key
 from repro.common.config import ParallelConfig, SimulationConfig
 from repro.common.exceptions import ConfigurationError
 from repro.control.batch import BatchDecentralizedController
@@ -50,6 +58,7 @@ from repro.process.safety import BatchSafetyMonitor
 from repro.process.simulator import SimulationResult
 from repro.te.batch import BatchTEPlant
 from repro.te.safety import DEFAULT_SAFETY_LIMITS
+from repro.te.state import QUANTITY_ROWS
 
 __all__ = ["BatchSimulator", "BatchRow", "run_specs_batched", "DEFAULT_BATCH_SIZE"]
 
@@ -109,10 +118,61 @@ class _Lockstep:
         self.actuator_channel = BatchChannel(actuator_channels)
         self.disturbances = BatchDisturbanceView(schedules)
         self.safety = BatchSafetyMonitor(
-            DEFAULT_SAFETY_LIMITS, n_rows, enabled=specs[0].simulation.enable_safety
+            DEFAULT_SAFETY_LIMITS,
+            n_rows,
+            enabled=specs[0].simulation.enable_safety,
+            layout=QUANTITY_ROWS,
         )
         # Batch-local position -> original row index (ascending).
         self.alive = np.arange(n_rows)
+
+    def checkpoint(
+        self,
+        local: int,
+        last_step_hours: float,
+        controller_values: np.ndarray,
+        process_values: np.ndarray,
+        times: np.ndarray,
+    ) -> PrefixCheckpoint:
+        """Row ``local`` at the start of the sample after its recorded
+        prefix (the arrays are copied)."""
+        return PrefixCheckpoint(
+            sample=len(times),
+            last_step_hours=last_step_hours,
+            plant=self.plant.snapshot_row(local),
+            controller=self.controller.snapshot_row(local),
+            safety=self.safety.snapshot_row(local),
+            controller_values=controller_values.copy(),
+            process_values=process_values.copy(),
+            times=times.copy(),
+        )
+
+    def restore(
+        self, checkpoints: Sequence[PrefixCheckpoint], steps_per_sample: int
+    ) -> None:
+        """Set row ``i`` to ``checkpoints[i]``, all taken at one sample.
+
+        Each row keeps its own channels and disturbance schedule, which must
+        not have acted on the prefix; the channels take up the last vectors
+        they would have carried.
+        """
+        last_step = checkpoints[0].last_step_hours
+        if not self.disturbances.idle_through(last_step):
+            raise ConfigurationError(
+                f"a disturbance of the batch opens before t={last_step:g} h, "
+                "inside the prefix it would resume from"
+            )
+        self.plant.restore_rows([checkpoint.plant for checkpoint in checkpoints])
+        self.controller.restore_rows([checkpoint.controller for checkpoint in checkpoints])
+        n_transmissions = checkpoints[0].sample * steps_per_sample
+        for row, checkpoint in enumerate(checkpoints):
+            self.safety.restore_row(row, checkpoint.safety)
+            self.sensor_channel.channel(row).resume(
+                checkpoint.sensor_values, last_step, n_transmissions
+            )
+            self.actuator_channel.channel(row).resume(
+                checkpoint.actuator_values, last_step, n_transmissions
+            )
 
     def compact(self, keep_mask: np.ndarray) -> np.ndarray:
         """Drop the rows outside ``keep_mask``; return the kept positions."""
@@ -287,6 +347,7 @@ class BatchSimulator:
         specs: Sequence,
         observer_factories: Optional[Sequence[Sequence[ObserverFactory]]] = None,
         trajectories: bool = True,
+        prefixes: Optional[PrefixStore] = None,
     ) -> List[SimulationResult]:
         """Execute every spec and return results in spec order.
 
@@ -294,6 +355,14 @@ class BatchSimulator:
         settings apart from the seed), each group is split into batches of
         at most :attr:`batch_size` rows, and each batch advances through
         one vectorized loop.
+
+        Runs of one seed share their steps up to the anomaly onset
+        (:mod:`repro.batch.prefix`): a batch stepping one of them from t = 0
+        leaves a checkpoint there for those still to start, and runs that
+        all have a checkpoint at one sample start there as a batch of their
+        own when that takes fewer lockstep steps.  ``prefixes`` keeps the
+        checkpoints across calls (a campaign's :class:`PrefixStore`, which
+        also knows the runs of later calls); by default they last this call.
 
         ``observer_factories`` holds one sequence of factories per spec.
         Each factory is called with the run's :class:`BatchRow` and returns
@@ -313,20 +382,77 @@ class BatchSimulator:
         groups: Dict[SimulationConfig, List[int]] = {}
         for position, spec in enumerate(specs):
             groups.setdefault(_group_key(spec.simulation), []).append(position)
+        # A run with observers watches its prefix, so it shares none.
+        keys = [
+            prefix_key(spec) if trajectories and not factories else None
+            for spec, factories in zip(specs, observer_factories)
+        ]
+        store = PrefixStore() if prefixes is None else prefixes
+        store.expect(spec for spec, key in zip(specs, keys) if key is not None)
 
         results: List[Optional[SimulationResult]] = [None] * len(specs)
-        for positions in groups.values():
-            for offset in range(0, len(positions), self.batch_size):
-                chunk = positions[offset : offset + self.batch_size]
-                batch_results = self._run_batch(
-                    [specs[i] for i in chunk],
-                    chunk,
-                    [observer_factories[i] for i in chunk],
-                    trajectories,
-                )
-                for position, result in zip(chunk, batch_results):
-                    results[position] = result
+        try:
+            for positions in groups.values():
+                remaining = list(positions)
+                while remaining:
+                    chunk, checkpoints = self._next_batch(
+                        remaining, keys, store, specs[positions[0]].simulation
+                    )
+                    started = set(chunk)
+                    remaining = [p for p in remaining if p not in started]
+                    store.discard(specs[i] for i in chunk)
+                    if checkpoints is not None:
+                        store.n_resumed += len(chunk)
+                    batch_results = self._run_batch(
+                        [specs[i] for i in chunk],
+                        chunk,
+                        [observer_factories[i] for i in chunk],
+                        trajectories,
+                        [keys[i] for i in chunk],
+                        store,
+                        checkpoints,
+                    )
+                    for position, result in zip(chunk, batch_results):
+                        results[position] = result
+        finally:
+            store.discard(specs)
         return results if trajectories else []  # type: ignore[return-value]
+
+    def _next_batch(
+        self,
+        remaining: List[int],
+        keys: Sequence[Optional[PrefixKey]],
+        store: PrefixStore,
+        simulation: SimulationConfig,
+    ) -> Tuple[List[int], Optional[List[PrefixCheckpoint]]]:
+        """The next batch of one lockstep group's remaining runs, and the
+        checkpoints it starts from (``None``: it starts at t = 0).
+
+        The runs holding a checkpoint at one sample start there as a batch
+        when that takes fewer lockstep samples than stepping every remaining
+        run from t = 0; otherwise the first :attr:`batch_size` remaining
+        runs step from t = 0, as they come.
+        """
+        width, total = self.batch_size, simulation.total_samples
+        resumable: Dict[int, List[int]] = {}
+        for position in remaining:
+            checkpoint = store.get(keys[position])
+            if checkpoint is not None:
+                resumable.setdefault(checkpoint.sample, []).append(position)
+
+        def batches(n_runs: int) -> int:
+            return -(-n_runs // width)
+
+        chosen, cheapest = None, batches(len(remaining)) * total
+        for sample, positions in resumable.items():
+            cost = batches(len(positions)) * (total - sample) + batches(
+                len(remaining) - len(positions)
+            ) * total
+            if cost < cheapest:
+                chosen, cheapest = positions[:width], cost
+        if chosen is None:
+            return remaining[:width], None
+        return chosen, [store.get(keys[position]) for position in chosen]
 
     # ------------------------------------------------------------------
     def _build_row(
@@ -377,8 +503,17 @@ class BatchSimulator:
         positions: Sequence[int],
         factories: Sequence[Sequence[ObserverFactory]],
         trajectories: bool,
+        keys: Sequence[Optional[PrefixKey]],
+        prefixes: PrefixStore,
+        checkpoints: Optional[Sequence[PrefixCheckpoint]] = None,
     ) -> List[SimulationResult]:
-        """Advance one lockstep batch to completion and build its results."""
+        """Advance one lockstep batch to completion and build its results.
+
+        With ``checkpoints`` (one per row, all at one sample) the batch
+        starts there.  Otherwise it starts at t = 0 and, for every prefix
+        key ``prefixes`` wants, its first row with that key leaves a
+        checkpoint at the key's onset sample if it is still running.
+        """
         batch = _Lockstep(specs)
         rows = [
             self._build_row(position, batch_index, spec, batch, row_factories)
@@ -408,6 +543,22 @@ class BatchSimulator:
             process_rows = [np.empty((total_samples, n_columns)) for _ in rows]
             times = np.empty(total_samples)
 
+        start = 0
+        # Onset sample -> the rows that leave a checkpoint there, and their key.
+        due: Dict[int, List[Tuple[int, PrefixKey]]] = {}
+        if checkpoints is not None:
+            start = checkpoints[0].sample
+            batch.restore(checkpoints, steps_per_sample)
+            for index, checkpoint in enumerate(checkpoints):
+                controller_rows[index][:start] = checkpoint.controller_values
+                process_rows[index][:start] = checkpoint.process_values
+            times[:start] = checkpoints[0].times
+        else:
+            for index, key in enumerate(keys):
+                if key is not None and prefixes.wants(key) and key not in keys[:index]:
+                    due.setdefault(key[1], []).append((index, key))
+        budget = self.batch_size * total_samples
+
         for row in rows:
             for observer in row.observers:
                 observer.on_run_start(names, row.spec.simulation, dict(row.metadata))
@@ -418,13 +569,23 @@ class BatchSimulator:
         # samples (rows advance in lockstep, so one scalar serves every
         # alive row); a row's own n_recorded is stamped only when it leaves
         # the batch.
-        recorded_through = 0
+        recorded_through = start
         any_observers = any(row.observers for row in rows)
         live_groups = _live_groups(rows, batch.alive)
 
-        for sample_index in range(total_samples):
+        for sample_index in range(start, total_samples):
             if batch.alive.size == 0:
                 break
+            for index, key in due.get(sample_index, ()):
+                if index in batch.alive:
+                    checkpoint = batch.checkpoint(
+                        batch.local(index),
+                        time,  # the clock of the last step's transmissions
+                        controller_rows[index][:sample_index],
+                        process_rows[index][:sample_index],
+                        times[:sample_index],
+                    )
+                    prefixes.keep(key, checkpoint, budget)
             batch_ended = False
             for _ in range(steps_per_sample):
                 time = plant.time_hours
@@ -435,10 +596,8 @@ class BatchSimulator:
                 idv = disturbances.at(time)
                 plant.step_batch(applied_xmv, dt, idv)
 
-                tripped, reasons = safety.check(
-                    plant.time_hours, plant.safety_quantities()
-                )
-                if tripped.any():
+                tripped, reasons = safety.check(plant.time_hours, plant.state.quantities)
+                if safety.any_tripped:
                     trip_time = plant.time_hours
                     tripped_locals = np.flatnonzero(tripped)
                     if recorded_through == 0 and trajectories:
@@ -586,7 +745,8 @@ def run_specs_batched(
     specs: Sequence,
     batch_size: Optional[int] = None,
     live_analyzer=None,
+    prefixes: Optional[PrefixStore] = None,
 ) -> List[SimulationResult]:
     """Execute campaign specs through the batch kernel, in spec order."""
     simulator = BatchSimulator(batch_size=batch_size, live_analyzer=live_analyzer)
-    return simulator.run_specs(specs)
+    return simulator.run_specs(specs, prefixes=prefixes)

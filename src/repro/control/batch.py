@@ -22,7 +22,7 @@ fresh controller state, as a newly built serial controller would.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -158,7 +158,7 @@ class BatchDecentralizedController:
         self._filtered = np.zeros((self._n_rows, 2))
         self._filters_initialized = False
         # Rows whose override filter restarts at the next update (a
-        # ``(B,)`` mask), or ``None`` when no row has fallen back.
+        # ``(B,)`` mask), or ``None`` when none does.
         self._unfiltered: Optional[np.ndarray] = None
         self._fit_width()
 
@@ -200,6 +200,33 @@ class BatchDecentralizedController:
         if self._unfiltered is None:
             self._unfiltered = np.zeros(self._n_rows, dtype=bool)
         self._unfiltered[row] = True
+
+    def snapshot_row(self, row: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row ``row``'s controller state, copied: its PI integrals, its last
+        commands and its filtered override signals (not its gains)."""
+        return (
+            self._integral[row].copy(),
+            self._output[row].copy(),
+            self._filtered[row].copy(),
+        )
+
+    def restore_rows(
+        self, states: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    ) -> None:
+        """Give row ``i`` the :meth:`snapshot_row` state ``states[i]`` of a
+        row with the same gains whose override filter has run.
+
+        From the next :meth:`update` on, every row goes on as its
+        snapshotted row would have, bit for bit.
+        """
+        if len(states) != self._n_rows:
+            raise ConfigurationError(
+                f"expected {self._n_rows} row states, got {len(states)}"
+            )
+        integral, output, filtered = (np.array(part) for part in zip(*states))
+        self._integral, self._output, self._filtered = integral, output, filtered
+        self._filters_initialized = True
+        self._unfiltered = None
 
     def _override_setpoints(self, high: np.ndarray) -> np.ndarray:
         """Per-loop setpoints while an override acts, ``(B, L)``.

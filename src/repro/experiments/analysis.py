@@ -580,7 +580,10 @@ class AnalysisPipeline:
     scenarios, headed by the calibration runs when the loop also
     calibrates, chunk by chunk.  Per chunk it peeks the result cache,
     simulates the misses with one engine call and scores the chunk's
-    scenario runs through the :class:`AnalysisEngine`.
+    scenario runs through the :class:`AnalysisEngine`.  The whole plan is
+    announced to the engine's :attr:`~CampaignEngine.prefixes` first, so a
+    seed's runs in later chunks start from the checkpoint an earlier chunk
+    left at the anomaly onset; the store is emptied when the loop ends.
 
     Parameters
     ----------
@@ -713,7 +716,10 @@ class AnalysisPipeline:
         calibration: List[SimulationResult] = []
         n_calibration = self.config.n_calibration_runs if fit is not None else 0
         try:
-            chunks = self._chunks(scenarios, n_runs, calibrate=fit is not None)
+            chunks = list(self._chunks(scenarios, n_runs, calibrate=fit is not None))
+            # Later chunks' runs of a seed resume from the checkpoints earlier
+            # chunks leave at the anomaly onset; the engine keeps them.
+            self.engine.prefixes.expect(spec for chunk in chunks for _, _, spec in chunk)
             for chunk_index, chunk in enumerate(chunks):
                 simulated = self._simulate(chunk)
                 entries: List[PlannedRun] = []
@@ -764,6 +770,7 @@ class AnalysisPipeline:
                         scenario, run_index, verdict, source if self.retain else None
                     )
         finally:
+            self.engine.prefixes.clear()
             self.engine.prune_cache()
 
     def _simulate(self, chunk: Sequence[PlannedRun]) -> List[ResultSource]:
@@ -776,6 +783,10 @@ class AnalysisPipeline:
             for scenario, _, spec in chunk
         ]
         missing = [i for i, source in enumerate(sources) if source is None]
+        # Cache hits never start, so they need no checkpoint.
+        self.engine.prefixes.discard(
+            spec for spec, source in zip(specs, sources) if source is not None
+        )
         stats = CampaignStats(
             n_runs=len(chunk), n_cache_hits=len(chunk) - len(missing)
         )

@@ -29,7 +29,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro._version import __version__
 from repro.common.config import (
@@ -43,6 +43,9 @@ from repro.experiments.scenarios import Scenario, normal_scenario
 from repro.obs.logs import get_logger
 from repro.obs.trace import span as obs_span
 from repro.process.simulator import SimulationResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.batch.prefix import PrefixStore
 
 __all__ = [
     "RunSpec",
@@ -199,15 +202,19 @@ def _install_live_analyzer(analyzer) -> None:
     _LIVE_ANALYZER = analyzer
 
 
-def _execute_group(specs: Sequence[RunSpec], width: int) -> List[SimulationResult]:
+def _execute_group(
+    specs: Sequence[RunSpec], width: int, prefixes: Optional[PrefixStore] = None
+) -> List[SimulationResult]:
     """Step a group of specs in lockstep batches of ``width`` rows.
 
     Top-level so worker pools can pickle it; each pool task steps one whole
     batch of runs in a single vectorized loop, so the per-row saving of the
     kernel multiplies with the process fan-out.  Runs that would step alone
     (a one-spec group, or ``width = 1``) take the serial kernel instead: a
-    one-row lockstep step costs about 1.8x a serial one, and the two are
-    pinned bitwise-identical.
+    one-row lockstep step costs about 1.1x a serial one, and the two are
+    pinned bitwise-identical.  ``prefixes`` holds the campaign's onset
+    checkpoints (:mod:`repro.batch.prefix`); without it the group shares
+    prefixes only within itself.
     """
     from repro.batch import run_specs_batched
     from repro.experiments.runner import run_scenario
@@ -222,6 +229,8 @@ def _execute_group(specs: Sequence[RunSpec], width: int) -> List[SimulationResul
             )
     with obs_span("engine.batch", n_runs=len(specs)):
         if min(width, len(specs)) == 1:
+            if prefixes is not None:
+                prefixes.discard(specs)  # they start, on the serial kernel
             results = [
                 run_scenario(
                     spec.scenario,
@@ -234,7 +243,7 @@ def _execute_group(specs: Sequence[RunSpec], width: int) -> List[SimulationResul
             ]
         else:
             results = run_specs_batched(
-                specs, batch_size=width, live_analyzer=live_analyzer
+                specs, batch_size=width, live_analyzer=live_analyzer, prefixes=prefixes
             )
     _LOG.debug(
         "batch executed",
@@ -421,6 +430,8 @@ class CampaignStats:
     n_simulated: int = 0
     n_workers: int = 1
     wall_seconds: float = 0.0
+    #: Simulated runs that started from an onset checkpoint, not at t = 0.
+    n_resumed: int = 0
 
     @property
     def cache_hit_rate(self) -> float:
@@ -434,6 +445,7 @@ class CampaignStats:
         self.n_runs += other.n_runs
         self.n_cache_hits += other.n_cache_hits
         self.n_simulated += other.n_simulated
+        self.n_resumed += other.n_resumed
         self.n_workers = max(self.n_workers, other.n_workers)
         self.wall_seconds += other.wall_seconds
         return self
@@ -456,6 +468,13 @@ class CampaignEngine:
     because every run is seeded in its spec and returned in spec order.
     The pool is only spun up when ``n_workers > 1`` and more than one run
     of a chunk needs simulating.
+
+    Runs of one seed share their steps up to the anomaly onset: the
+    in-process batches leave checkpoints in :attr:`prefixes` for the runs
+    announced to it that have not started yet (every run of the current
+    call, and whatever a caller announces of a campaign's later calls), and
+    later batches start from them (:mod:`repro.batch.prefix`).  Pool tasks
+    share only within their own group.
     """
 
     def __init__(self, config: Optional[ParallelConfig] = None):
@@ -465,6 +484,18 @@ class CampaignEngine:
         )
         self.last_stats = CampaignStats()
         self._live_analyzer = None
+        self._prefixes: Optional["PrefixStore"] = None
+
+    @property
+    def prefixes(self) -> "PrefixStore":
+        """The onset checkpoints of the campaign in progress."""
+        if self._prefixes is None:
+            # Imported here, as _execute_group imports the batch kernel:
+            # building an engine does not load it.
+            from repro.batch.prefix import PrefixStore
+
+            self._prefixes = PrefixStore()
+        return self._prefixes
 
     def set_live_analyzer(self, analyzer) -> None:
         """Install the fitted analyzer live early-stop specs score against.
@@ -532,6 +563,8 @@ class CampaignEngine:
             raise ConfigurationError("chunk_size must be >= 1")
         stats = CampaignStats(n_workers=1)
         pool: Optional[ProcessPoolExecutor] = None
+        prefixes = self.prefixes
+        prefixes.expect(specs)
         try:
             for offset in range(0, len(specs), size):
                 # Time only this generator's own work (cache loads and
@@ -557,6 +590,10 @@ class CampaignEngine:
                                 pending.append(index)
                     stats.n_runs += len(chunk)
                     stats.n_cache_hits += len(chunk) - len(pending)
+                    prefixes.discard(
+                        spec for spec, result in zip(chunk, results) if result is not None
+                    )
+                    resumed_before = prefixes.n_resumed
 
                     def book(index: int, result: SimulationResult) -> None:
                         """Record one simulated result (and cache it)."""
@@ -580,7 +617,8 @@ class CampaignEngine:
                             )
                         # Split the pending runs evenly over the workers, in
                         # groups of at most one batch: every task advances
-                        # its group in one vectorized loop.
+                        # its group in one vectorized loop, from t = 0.
+                        prefixes.discard(chunk[index] for index in pending)
                         group_size = min(width, -(-len(pending) // n_workers))
                         futures = {}
                         for start in range(0, len(pending), group_size):
@@ -608,15 +646,18 @@ class CampaignEngine:
                         # instead of raising.
                         _install_live_analyzer(self._live_analyzer)
                         group_results = _execute_group(
-                            [chunk[index] for index in pending], width
+                            [chunk[index] for index in pending], width, prefixes
                         )
                         for index, result in zip(pending, group_results):
                             book(index, result)
+                    n_resumed = prefixes.n_resumed - resumed_before
                     stats.n_simulated += len(pending)
+                    stats.n_resumed += n_resumed
                     stats.wall_seconds += time.perf_counter() - chunk_started
                     chunk_span.annotate(
                         n_cache_hits=len(chunk) - len(pending),
                         n_simulated=len(pending),
+                        n_resumed=n_resumed,
                     )
                     _LOG.info(
                         "chunk executed",
@@ -625,10 +666,13 @@ class CampaignEngine:
                             "n_runs": len(chunk),
                             "n_cache_hits": len(chunk) - len(pending),
                             "n_simulated": len(pending),
+                            "n_resumed": n_resumed,
                         },
                     )
                 yield from results  # type: ignore[misc]
         finally:
+            # The runs of this call that did not start never will.
+            prefixes.discard(specs)
             if pool is not None:
                 pool.shutdown()
             self.last_stats = stats

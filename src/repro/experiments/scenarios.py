@@ -35,6 +35,7 @@ from repro.experiments.injections import (
     DoSInjection,
     Injection,
     IntegrityInjection,
+    ReplayInjection,
     injections_from_mappings,
 )
 
@@ -180,6 +181,19 @@ class Scenario:
     def is_anomalous(self) -> bool:
         """Whether the scenario injects any anomaly at all."""
         return bool(self.injections)
+
+    def idle_before(self, hour: float) -> bool:
+        """Whether no injection acts on a run, or records it, before ``hour``.
+
+        True when every injection starts at ``hour`` or later (one without a
+        start takes ``hour`` itself) and none is a replay, which records the
+        signal ahead of its onset: runs of one seed are then the same run up
+        to ``hour``, whatever their scenario.
+        """
+        return all(
+            injection.onset(hour) >= hour and not isinstance(injection, ReplayInjection)
+            for injection in self.injections
+        )
 
     @property
     def disturbance_injections(self) -> Tuple[DisturbanceInjection, ...]:

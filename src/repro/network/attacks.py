@@ -82,6 +82,11 @@ class Attack(ABC):
             return False
         return True
 
+    def idle_through(self, time_hours: float) -> bool:
+        """Whether the attack has neither tampered with nor recorded a value
+        transmitted at or before ``time_hours``."""
+        return time_hours < self.start_hour
+
     def reset(self) -> None:
         """Clear any per-run internal state (e.g. the DoS frozen value)."""
 
@@ -230,6 +235,9 @@ class ReplayAttack(Attack):
         self.record_hours = float(record_hours)
         self._recording: List[float] = []
         self._cursor = 0
+
+    def idle_through(self, time_hours: float) -> bool:
+        return time_hours < self.start_hour - self.record_hours
 
     def reset(self) -> None:
         self._recording = []

@@ -81,6 +81,28 @@ class Channel:
         self.attacks.add(attack)
         return self
 
+    def resume(
+        self, values: np.ndarray, time_hours: float, n_transmissions: int
+    ) -> None:
+        """Take up a run after ``n_transmissions`` transmissions, the last of
+        ``values`` at ``time_hours``, that no attack tampered with.
+
+        Every attack observes that last vector, which is all a DoS or
+        stuck-at hold keeps of the traffic before its onset.  Every attack
+        must still be idle at ``time_hours``
+        (:meth:`~repro.network.attacks.Attack.idle_through`).
+        """
+        busy = [a for a in self.attacks.attacks if not a.idle_through(time_hours)]
+        if busy:
+            raise ConfigurationError(
+                f"channel {self.name!r} cannot take up a run at t={time_hours:g} h: "
+                f"{busy[0].describe()} acted on it"
+            )
+        values = np.asarray(values, dtype=float).ravel()
+        for attack in self.attacks.attacks:
+            attack.observe(float(values[attack.target_index - 1]), time_hours)
+        self._transmissions = int(n_transmissions)
+
     def transmit(self, values: np.ndarray, time_hours: float) -> np.ndarray:
         """Deliver ``values``, applying any active attacks in transit."""
         values = np.asarray(values, dtype=float).ravel()

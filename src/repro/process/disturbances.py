@@ -242,6 +242,10 @@ class BatchDisturbanceView:
         """Whether no row schedules any disturbance."""
         return self._rows.size == 0
 
+    def idle_through(self, time_hours: float) -> bool:
+        """Whether no row's window opens at or before ``time_hours``."""
+        return not (self._starts <= time_hours).any()
+
     def at(self, time_hours: float) -> BatchIdv:
         """The batch's IDV magnitudes at ``time_hours``.
 

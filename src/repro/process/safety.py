@@ -11,7 +11,7 @@ and raises :class:`~repro.common.exceptions.ProcessShutdown` when one trips.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -141,14 +141,35 @@ class BatchSafetyMonitor:
     enabled:
         When ``False`` violations are tracked but no row ever trips,
         mirroring a disabled :class:`SafetyMonitor`.
+    layout:
+        The quantity names of the rows of the ``(n, B)`` stacks
+        :meth:`check` may be handed instead of a mapping; every limit's
+        quantity must be one of them.
     """
 
     def __init__(
-        self, limits: Iterable[SafetyLimit], n_rows: int, enabled: bool = True
+        self,
+        limits: Iterable[SafetyLimit],
+        n_rows: int,
+        enabled: bool = True,
+        layout: Sequence[str] = (),
     ):
         self._limits: List[SafetyLimit] = list(limits)
         self._n_rows = int(n_rows)
         self.enabled = bool(enabled)
+        #: Whether the last :meth:`check` tripped any row.
+        self.any_tripped = False
+        layout = list(layout)
+        unknown = {limit.quantity for limit in self._limits} - set(layout)
+        if layout and unknown:
+            raise ConfigurationError(
+                f"safety limits on {sorted(unknown)} outside the layout {layout}"
+            )
+        #: Per limit, the row of its quantity in a ``layout`` stack.
+        self._layout_rows = np.array(
+            [layout.index(limit.quantity) for limit in self._limits] if layout else [],
+            dtype=np.intp,
+        )
         # Violation starts are keyed by quantity — shared between limits on
         # the same quantity — exactly like the serial monitor's start
         # dictionary: one row per distinct quantity, NaN while not violated.
@@ -191,28 +212,40 @@ class BatchSafetyMonitor:
         self._quiet = True
 
     def check(
-        self, time_hours: float, quantities: Dict[str, np.ndarray]
+        self,
+        time_hours: float,
+        quantities: Union[Mapping[str, np.ndarray], np.ndarray],
     ) -> Tuple[np.ndarray, List[Optional[str]]]:
         """Evaluate all limits against per-row ``(B,)`` quantity arrays.
 
-        Returns ``(tripped, reasons)``: a boolean row mask and, for each
-        tripped row, the description the serial monitor's
-        :class:`~repro.common.exceptions.ProcessShutdown` would carry.
-        Limits are evaluated in list order and the first limit to trip a
-        row supplies its reason, exactly like the serial raise.  A quantity
-        missing from ``quantities`` is skipped and keeps its violation
-        starts, like the serial monitor.
+        ``quantities`` maps quantity names to the arrays, or is an ``(n,
+        B)`` stack of them in the monitor's ``layout`` order.  Returns
+        ``(tripped, reasons)``: a boolean row mask and, for each tripped
+        row, the description the serial monitor's
+        :class:`~repro.common.exceptions.ProcessShutdown` would carry;
+        :attr:`any_tripped` tells whether the mask holds a row.  Limits are
+        evaluated in list order and the first limit to trip a row supplies
+        its reason, exactly like the serial raise.  A quantity missing from
+        a mapping is skipped and keeps its violation starts, like the serial
+        monitor.
         """
+        self.any_tripped = False
         tripped = np.zeros(self._n_rows, dtype=bool)
         reasons: List[Optional[str]] = [None] * self._n_rows
         if not self._limits:
             return tripped, reasons
-        rows = [quantities.get(quantity) for quantity in self._quantities]
-        missing = [row is None for row in rows]
-        if any(missing):
-            # NaN violates no limit; the starts are restored below.
-            rows = [np.full(self._n_rows, np.nan) if row is None else row for row in rows]
-        values = np.array(rows, dtype=float)[self._group]
+        missing: List[bool] = []
+        if isinstance(quantities, np.ndarray):
+            values = quantities.take(self._layout_rows, axis=0)
+        else:
+            rows = [quantities.get(quantity) for quantity in self._quantities]
+            missing = [row is None for row in rows]
+            if any(missing):
+                # NaN violates no limit; the starts are restored below.
+                rows = [
+                    np.full(self._n_rows, np.nan) if row is None else row for row in rows
+                ]
+            values = np.array(rows, dtype=float)[self._group]
         violated = (values < self._low) | (values > self._high)
         if self._quiet and not violated.any():
             # Nothing violated and no violation pending: the full
@@ -234,6 +267,7 @@ class BatchSafetyMonitor:
         if self.enabled:
             trips = violated & (time_hours - start >= self._grace)
             if trips.any():
+                self.any_tripped = True
                 tripped = trips.any(axis=0)
                 first = trips.argmax(axis=0)
                 for row in np.flatnonzero(tripped):
@@ -249,4 +283,15 @@ class BatchSafetyMonitor:
         """Keep only the given rows (compaction after trips / early stops)."""
         self._start = self._start[:, indices]
         self._n_rows = int(np.asarray(indices).size)
+        self._quiet = bool(np.isnan(self._start).all())
+
+    def snapshot_row(self, row: int) -> np.ndarray:
+        """Row ``row``'s violation starts, one per quantity (NaN: none
+        pending), copied."""
+        return self._start[:, row].copy()
+
+    def restore_row(self, row: int, starts: np.ndarray) -> None:
+        """Give row ``row`` the violation starts of :meth:`snapshot_row`, so
+        a violation pending there keeps its start."""
+        self._start[:, row] = starts
         self._quiet = bool(np.isnan(self._start).all())

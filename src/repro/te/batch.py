@@ -43,24 +43,29 @@ generators a serial :class:`TEPlant` would derive from its seed
 (``te-plant/measurement-noise`` and ``te-plant/ambient``).  A generator's
 stream does not depend on how its draws are grouped, so each row's draws
 are fetched a block at a time into one ``(B, ...)`` buffer per stream, and
-the rows, which draw in lockstep, read one slice of it per step.
+the rows, which draw in lockstep, read one slice of it per step.  A row
+moves to another batch (:meth:`BatchTEPlant.snapshot_row`,
+:meth:`BatchTEPlant.restore_rows`) with a copy of each generator and the
+draws it had fetched but not read, which it reads first.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.common.exceptions import ConfigurationError
 from repro.common.operands import f64
 from repro.common.randomness import RandomStream
 from repro.process.disturbances import BatchIdv
 from repro.te.constants import COMPONENTS, INTERNAL
 from repro.te.plant import _HEAVY_MASK, _IDX, _LIGHT_MASK, TEPlant
-from repro.te.state import BatchTEState
+from repro.te.state import BatchTEState, TEState
 
-__all__ = ["BatchTEPlant"]
+__all__ = ["BatchTEPlant", "PlantRow"]
 
 #: The heavy (D-H) components, as a slice of a component vector (the ones
 #: of ``_HEAVY_MASK``).
@@ -162,7 +167,51 @@ _HEAD_COLUMNS = np.array(
 _HEAD_ORDER = np.argsort(_HEAD_COLUMNS)
 
 
-class _NoiseBlock:
+class _DrawBlock:
+    """Each row's draws of one random stream, fetched a block at a time into
+    one buffer whose axis 0 is the draw and axis 1 the row.
+
+    Every row has the same number of draws buffered, so one shared cursor
+    reads them.  :meth:`snapshot_row` and :meth:`restore` move a row's
+    stream between batches: a copy of its generator plus the draws it had
+    fetched but not read, which come first when the row is restored.
+    """
+
+    _generators: List[np.random.Generator]
+    _buffer: np.ndarray
+    _cursor: int
+    _block: int
+
+    def _fresh(self, generator: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` further buffered draws of one row's generator."""
+        raise NotImplementedError
+
+    def take(self, indices: Sequence[int]) -> None:
+        """Keep only the given rows."""
+        self._generators = [self._generators[i] for i in indices]
+        self._buffer = self._buffer[:, indices]
+
+    def snapshot_row(self, row: int) -> Tuple[np.random.Generator, np.ndarray]:
+        """A copy of row ``row``'s generator and of its unread draws."""
+        return copy.deepcopy(self._generators[row]), self._buffer[self._cursor :, row].copy()
+
+    def restore(self, rows: Sequence[Tuple[np.random.Generator, np.ndarray]]) -> None:
+        """Restart the block from one :meth:`snapshot_row` pair per row.
+
+        Each row reads its unread draws first, then fresh ones from a copy of
+        its generator (a restored row never shares a generator), topped up
+        so that every row has the same number buffered.
+        """
+        self._generators = [copy.deepcopy(generator) for generator, _ in rows]
+        length = max([self._block] + [len(unread) for _, unread in rows])
+        buffer = np.empty((length, len(rows)) + self._buffer.shape[2:])
+        for row, (generator, (_, unread)) in enumerate(zip(self._generators, rows)):
+            buffer[: len(unread), row] = unread
+            buffer[len(unread) :, row] = self._fresh(generator, length - len(unread))
+        self._buffer, self._cursor = buffer, 0
+
+
+class _NoiseBlock(_DrawBlock):
     """One scaled standard-normal vector per row and step, a block at a time.
 
     A refill draws ``block`` vectors from each row's own generator, in the
@@ -181,8 +230,12 @@ class _NoiseBlock:
     ):
         self._generators = list(generators)
         self._scale = scale
-        self._buffer = np.empty((max(int(block), 1), len(self._generators), len(scale)))
+        self._block = max(int(block), 1)
+        self._buffer = np.empty((self._block, len(self._generators), len(scale)))
         self._cursor = len(self._buffer)
+
+    def _fresh(self, generator: np.random.Generator, count: int) -> np.ndarray:
+        return generator.standard_normal((count, len(self._scale))) * self._scale
 
     def next(self) -> np.ndarray:
         """Every row's next scaled draw, ``(B, width)``."""
@@ -196,13 +249,8 @@ class _NoiseBlock:
         self._cursor += 1
         return draws
 
-    def take(self, indices: Sequence[int]) -> None:
-        """Keep only the given rows."""
-        self._generators = [self._generators[i] for i in indices]
-        self._buffer = self._buffer[:, indices]
 
-
-class _WalkBlock:
+class _WalkBlock(_DrawBlock):
     """Each row's ambient random-walk draws, fetched a block at a time.
 
     While every row takes just its three base draws per step, the rows read
@@ -217,6 +265,9 @@ class _WalkBlock:
         self._block = max(int(block), 1)
         self._buffer = np.empty((0, len(self._generators)))
         self._cursor = 0
+
+    def _fresh(self, generator: np.random.Generator, count: int) -> np.ndarray:
+        return generator.standard_normal(count)
 
     def base(self) -> np.ndarray:
         """The three base draws of every row, ``(3, B)``."""
@@ -245,11 +296,6 @@ class _WalkBlock:
         self._buffer, self._cursor = buffer, 0
         return draws
 
-    def take(self, indices: Sequence[int]) -> None:
-        """Keep only the given rows."""
-        self._generators = [self._generators[i] for i in indices]
-        self._buffer = self._buffer[:, indices]
-
 
 @dataclass
 class _AmbientDraws:
@@ -267,6 +313,29 @@ class _AmbientDraws:
     kinetics: Optional[np.ndarray] = None
     reactor_9: Optional[np.ndarray] = None
     reactor_10: Optional[np.ndarray] = None
+
+
+#: The entries of a flow table whose rows run along axis 1 (the others
+#: along axis 0).
+_ROW_AXIS_1 = ("streams", "totals")
+
+
+@dataclass
+class PlantRow:
+    """One row of a :class:`BatchTEPlant` at one instant, copied out of it.
+
+    ``state`` is the row's dynamic state, ``flows`` its row of the last flow
+    table (what the next measurement reads), ``stuck_cw`` the held positions
+    of the two cooling-water valves (NaN: not held), and ``noise`` and
+    ``ambient`` its two random streams as :meth:`_DrawBlock.snapshot_row`
+    gives them.
+    """
+
+    state: TEState
+    flows: Dict[str, np.ndarray]
+    stuck_cw: Tuple[float, float]
+    noise: Tuple[np.random.Generator, np.ndarray]
+    ambient: Tuple[np.random.Generator, np.ndarray]
 
 
 def _stream_totals(flows: Dict[str, np.ndarray]) -> np.ndarray:
@@ -445,19 +514,49 @@ class BatchTEPlant(TEPlant):
         self._xmeas = self._xmeas[indices]
         self._fit_width(len(index_list))
         self._last_flows = {
-            key: value[:, indices] if key in ("streams", "totals") else value[indices]
+            key: value[:, indices] if key in _ROW_AXIS_1 else value[indices]
             for key, value in self._last_flows.items()
         }
 
-    def safety_quantities(self) -> Dict[str, np.ndarray]:
-        """Per-row ``(B,)`` arrays of the monitored quantities."""
-        quantities = self.state.quantities
-        return {
-            "reactor_pressure": quantities[0],
-            "reactor_level": quantities[2],
-            "separator_level": quantities[3],
-            "stripper_level": quantities[4],
+    def snapshot_row(self, row: int) -> PlantRow:
+        """Everything row ``row``'s later steps read, copied out of the batch."""
+        return PlantRow(
+            state=self.state.snapshot_row(row),
+            flows={
+                key: (value[:, row] if key in _ROW_AXIS_1 else value[row]).copy()
+                for key, value in self._last_flows.items()
+            },
+            stuck_cw=(
+                float(self._stuck_reactor_cw_rows[row]),
+                float(self._stuck_condenser_cw_rows[row]),
+            ),
+            noise=self._noise_draws.snapshot_row(row),
+            ambient=self._ambient_draws.snapshot_row(row),
+        )
+
+    def restore_rows(self, rows: Sequence[PlantRow]) -> None:
+        """Give row ``i`` the plant of ``rows[i]``, one snapshot per row.
+
+        The rows go on from where their snapshots were taken, bit for bit,
+        each on a copy of its own random streams; every snapshot must be
+        taken at the same clock, which the batch shares.
+        """
+        if len(rows) != self.n_rows:
+            raise ConfigurationError(
+                f"expected {self.n_rows} row snapshots, got {len(rows)}"
+            )
+        for index, row in enumerate(rows):
+            self.state.restore_row(index, row.state)
+        self._last_flows = {
+            key: np.stack(
+                [row.flows[key] for row in rows], axis=1 if key in _ROW_AXIS_1 else 0
+            )
+            for key in rows[0].flows
         }
+        self._stuck_reactor_cw_rows = np.array([row.stuck_cw[0] for row in rows])
+        self._stuck_condenser_cw_rows = np.array([row.stuck_cw[1] for row in rows])
+        self._noise_draws.restore([row.noise for row in rows])
+        self._ambient_draws.restore([row.ambient for row in rows])
 
     # ------------------------------------------------------------------
     # Flow network (row-wise mirror of TEPlant._compute_flows)

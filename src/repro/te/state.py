@@ -10,7 +10,7 @@ import numpy as np
 from repro.common.operands import f64
 from repro.te.constants import COMPONENTS, INTERNAL
 
-__all__ = ["TEState", "BatchTEState"]
+__all__ = ["TEState", "BatchTEState", "QUANTITY_ROWS"]
 
 _LIGHTS = ("A", "B", "C")
 _HEAVIES = ("D", "E", "F", "G", "H")
@@ -214,6 +214,15 @@ AMBIENT_ROWS = (
     "cw_inlet_shift",
     "kinetics_drift",
 )
+#: Rows of :attr:`BatchTEState.quantities`, named as the plants' safety
+#: quantities are.
+QUANTITY_ROWS = (
+    "reactor_pressure",
+    "separator_pressure",
+    "reactor_level",
+    "separator_level",
+    "stripper_level",
+)
 
 
 def _row_view(stack: str, row: int, doc: str) -> property:
@@ -288,6 +297,31 @@ class BatchTEState:
         self._derived = None
         self._wide = None
 
+    def snapshot_row(self, row: int) -> TEState:
+        """Row ``row`` as a serial :class:`TEState` (a copy), on the batch clock."""
+        values: Dict[str, object] = {
+            name: self.inventory[index, row].copy()
+            for index, name in enumerate(INVENTORY_ROWS)
+        }
+        for stack, names in ((self.lags, LAG_ROWS), (self.ambient, AMBIENT_ROWS)):
+            values.update(
+                {name: float(stack[index, row]) for index, name in enumerate(names)}
+            )
+        return TEState(time_hours=self.time_hours, **values)
+
+    def restore_row(self, row: int, state: TEState) -> None:
+        """Give row ``row`` the values of ``state``; the batch clock takes
+        its clock, which every row shares."""
+        for stack, names in (
+            (self.inventory, INVENTORY_ROWS),
+            (self.lags, LAG_ROWS),
+            (self.ambient, AMBIENT_ROWS),
+        ):
+            for index, name in enumerate(names):
+                stack[index, row] = getattr(state, name)
+        self.time_hours = state.time_hours
+        self._derived = None
+
     # -- derived quantities (row-wise mirrors of TEState) ---------------
     def mark_changed(self) -> None:
         """Drop the stored derived quantities after the state was updated.
@@ -335,9 +369,10 @@ class BatchTEState:
 
     @property
     def quantities(self) -> np.ndarray:
-        """The pressures and levels stacked, ``(5, B)``: reactor and
-        separator pressure (kPa gauge), then reactor, separator and
-        stripper level (% of capacity)."""
+        """The pressures and levels stacked, ``(5, B)`` in
+        :data:`QUANTITY_ROWS` order: reactor and separator pressure (kPa
+        gauge), then reactor, separator and stripper level (% of
+        capacity)."""
         return self._derived_values()[1]
 
     @property

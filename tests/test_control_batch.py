@@ -93,3 +93,20 @@ def test_returned_commands_are_never_written_again():
     nominal = BatchDecentralizedController(None, 1).update(matrices[-1][:1], 0.0)
     assert held[0].tobytes() == nominal[0].tobytes()
     assert held[1:].tobytes() == returned[-1][1][1:].tobytes()
+
+
+def test_restored_rows_go_on_like_their_sources():
+    # Each row of a new batch takes the state of a controller row that has
+    # already run (two steps apart), and goes on exactly as that row does.
+    matrices = measurement_matrices(seed=5, n_rows=2, n_steps=8)
+    sources = [BatchDecentralizedController(None, 1) for _ in range(2)]
+    for row, source in enumerate(sources):
+        for matrix in matrices[: 2 + 2 * row]:
+            source.update(matrix[row : row + 1], 0.05)
+    batch = BatchDecentralizedController(None, 2)
+    batch.restore_rows([source.snapshot_row(0) for source in sources])
+    for matrix in matrices[4:]:
+        commands = batch.update(matrix, 0.05)
+        for row, source in enumerate(sources):
+            expected = source.update(matrix[row : row + 1], 0.05)
+            assert commands[row].tobytes() == expected[0].tobytes()

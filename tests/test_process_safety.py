@@ -183,6 +183,39 @@ class TestBatchSafetyMonitor:
         assert tripped.tolist() == [False, True]
 
 
+    def test_stacked_rows_match_the_mapping(self):
+        # The simulator hands its (n, B) quantity stack over in the layout
+        # order; the trips, reasons and pending starts match the mapping.
+        layout = ("level", "unused", "pressure")
+        stack_monitor = BatchSafetyMonitor(self._limits(), n_rows=3, layout=layout)
+        mapping_monitor = BatchSafetyMonitor(self._limits(), n_rows=3)
+        rng = np.random.default_rng(3)
+        for step in range(40):
+            stack = np.stack(
+                [rng.choice([1.0, 10.0], 3), np.zeros(3), rng.choice([50.0, 150.0], 3)]
+            )
+            mapping = {"level": stack[0], "pressure": stack[2]}
+            tripped, reasons = stack_monitor.check(0.05 * step, stack)
+            expected, expected_reasons = mapping_monitor.check(0.05 * step, mapping)
+            assert tripped.tolist() == expected.tolist()
+            assert reasons == expected_reasons
+            assert stack_monitor.any_tripped == bool(tripped.any())
+            np.testing.assert_array_equal(stack_monitor._start, mapping_monitor._start)
+
+    def test_layout_must_hold_every_limit(self):
+        with pytest.raises(ConfigurationError):
+            BatchSafetyMonitor(self._limits(), n_rows=1, layout=("pressure",))
+
+    def test_restored_row_keeps_its_pending_start(self):
+        source = BatchSafetyMonitor(self._limits(), n_rows=1)
+        source.check(1.0, {"pressure": np.array([150.0])})
+        monitor = BatchSafetyMonitor(self._limits(), n_rows=2)
+        monitor.restore_row(1, source.snapshot_row(0))
+        tripped, _ = monitor.check(1.1, {"pressure": np.array([150.0, 150.0])})
+        # Row 1's violation started at t=1.0: its grace window is over.
+        assert tripped.tolist() == [False, True]
+
+
 class TestBatchSafetyMonitorMatchesSerial:
     """Property: the stacked comparison trips the rows, at the steps and for
     the reasons, that one serial monitor per row would — including limits
