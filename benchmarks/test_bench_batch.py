@@ -18,8 +18,12 @@ kernel).  So the test also reports the CPU cost per step of one short run
 on the serial kernel and on the batch kernel at B=1 and B=2 (the narrow
 regime: ``serial_step_seconds``, ``batch_b1_step_seconds``,
 ``batch_b2_step_seconds``) and at B=8, the width campaigns step at
-(``batch_b8_step_seconds``, no gate).  Under ``REPRO_BENCH_STRICT=1`` a B=1
-step must cost at most 1.6x a serial one.
+(``batch_b8_step_seconds``).  Under ``REPRO_BENCH_STRICT=1`` a B=1 step must
+cost at most 1.2x a serial one and a B=8 step at most 1.25x: each kernel
+binds its operands and buffers once per width, which put the two ratios at
+0.84x and 0.96x (medians of 12 runs on a 2-core VM; 0.73-1.04x and
+0.79-0.99x), so each ceiling sits above the slowest run by more than the
+whole spread.
 """
 
 from __future__ import annotations
@@ -44,8 +48,9 @@ from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import normal_scenario, paper_scenarios
 
 MIN_SPEEDUP = 3.0
-#: Strict-mode ceiling on a B=1 batch step, in serial steps.
-MAX_B1_STEP_RATIO = 1.6
+#: Strict-mode ceilings on a B=1 and a B=8 batch step, in serial steps.
+MAX_B1_STEP_RATIO = 1.2
+MAX_B8_STEP_RATIO = 1.25
 #: One short run of the narrow-regime timing: 60 samples, 240 steps.
 NARROW_RUN = SimulationConfig(duration_hours=2.0, samples_per_hour=30, seed=0)
 
@@ -141,6 +146,7 @@ def test_batch_backend_speedup(benchmark, bench_config, emit_bench_json):
     speedup = serial_seconds / batch_seconds if batch_seconds > 0 else 1.0
     step_seconds = batch_step_seconds()
     b1_ratio = step_seconds["batch_b1_step_seconds"] / step_seconds["serial_step_seconds"]
+    b8_ratio = step_seconds["batch_b8_step_seconds"] / step_seconds["serial_step_seconds"]
     benchmark.extra_info["n_runs"] = len(specs)
     benchmark.extra_info["serial_seconds"] = round(serial_seconds, 3)
     benchmark.extra_info["batch_seconds"] = round(batch_seconds, 3)
@@ -160,7 +166,10 @@ def test_batch_backend_speedup(benchmark, bench_config, emit_bench_json):
         f"   {b1_ratio:.2f}x serial"
     )
     print(f"  batch B=2      {step_seconds['batch_b2_step_seconds'] * 1e3:7.3f} ms")
-    print(f"  batch B=8      {step_seconds['batch_b8_step_seconds'] * 1e3:7.3f} ms")
+    print(
+        f"  batch B=8      {step_seconds['batch_b8_step_seconds'] * 1e3:7.3f} ms"
+        f"   {b8_ratio:.2f}x serial"
+    )
 
     if os.environ.get("REPRO_BENCH_STRICT") == "1":
         assert speedup >= MIN_SPEEDUP, (
@@ -170,4 +179,8 @@ def test_batch_backend_speedup(benchmark, bench_config, emit_bench_json):
         assert b1_ratio <= MAX_B1_STEP_RATIO, (
             f"a B=1 batch step costs {b1_ratio:.2f}x a serial step "
             f"(expected <= {MAX_B1_STEP_RATIO}x)"
+        )
+        assert b8_ratio <= MAX_B8_STEP_RATIO, (
+            f"a B=8 batch step costs {b8_ratio:.2f}x a serial step "
+            f"(expected <= {MAX_B8_STEP_RATIO}x)"
         )

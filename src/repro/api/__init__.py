@@ -57,6 +57,7 @@ from repro.api.spec import (
     loads_spec,
 )
 from repro.common.config import EarlyStopPolicy, GatewayConfig, LiveConfig
+from repro.common.lazy import lazy_exports
 from repro.response.policy import ActionSpec, ResponsePolicy
 
 __all__ = [
@@ -88,11 +89,6 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    """Import :class:`StreamClient` on first use: the gateway client brings
-    the HTTP and TLS modules, which a campaign never needs."""
-    if name == "StreamClient":
-        from repro.gateway.client import StreamClient
-
-        return StreamClient
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# The gateway client brings the HTTP and TLS modules, which a campaign
+# never needs: StreamClient loads when it is first read.
+__getattr__ = lazy_exports(__name__, {"StreamClient": "repro.gateway.client"})

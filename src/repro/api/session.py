@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.api.spec import CampaignSpec, load_spec
+from repro.api.spec import CampaignSpec, campaign_fingerprint, load_spec
 from repro.common.codec import check_keys, decode_value
 from repro.common.exceptions import ConfigurationError
 from repro.experiments.analysis import (
@@ -248,9 +248,6 @@ class Session:
 
     def fingerprint(self) -> str:
         """The campaign id of this spec (the coordinator's fingerprint)."""
-        # Imported lazily: repro.service sits on top of repro.api.
-        from repro.service.chunks import campaign_fingerprint
-
         return campaign_fingerprint(self.spec)
 
     # ------------------------------------------------------------------

@@ -41,6 +41,7 @@ which the test suite pins property-style.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field, replace
 
@@ -85,6 +86,7 @@ __all__ = [
     "loads_spec",
     "dump_spec",
     "dumps_spec",
+    "campaign_fingerprint",
 ]
 
 #: The campaign-spec schema version this build reads and writes.
@@ -437,3 +439,17 @@ def dump_spec(
     resolved = _format_of(path, format)
     path.write_text(dumps_spec(spec, format=resolved), encoding="utf-8")
     return path
+
+
+def campaign_fingerprint(spec: CampaignSpec) -> str:
+    """A stable digest identifying a campaign's full content.
+
+    Hashes the spec's canonical mapping form, so a spec loaded from TOML,
+    one parsed from a JSON request body and one built in code all
+    fingerprint identically.  Doubles as the campaign id of the
+    distributed service (:mod:`repro.service`).
+    """
+    blob = json.dumps(
+        spec.to_mapping(), sort_keys=True, separators=(",", ":"), default=str
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]

@@ -525,6 +525,13 @@ class BatchSimulator:
         plant, controller = batch.plant, batch.controller
         sensor_channel, actuator_channel = batch.sensor_channel, batch.actuator_channel
         disturbances, safety = batch.disturbances, batch.safety
+        # Every component binds its own width (when the batch forms,
+        # compacts or restores rows), so a step is these calls.
+        state, noisy = plant.state, config.enable_noise
+        measure, step_batch = plant.measure, plant.step_batch
+        transmit_sensors = sensor_channel.transmit
+        transmit_commands = actuator_channel.transmit
+        update, idv_at, check = controller.update, disturbances.at, safety.check
 
         names = list(plant.measured_variables.names) + list(
             plant.manipulated_variables.names
@@ -588,17 +595,16 @@ class BatchSimulator:
                     prefixes.keep(key, checkpoint, budget)
             batch_ended = False
             for _ in range(steps_per_sample):
-                time = plant.time_hours
-                true_xmeas = plant.measure(noisy=config.enable_noise)
-                received_xmeas = sensor_channel.transmit(true_xmeas, time)
-                commanded_xmv = controller.update(received_xmeas, dt)
-                applied_xmv = actuator_channel.transmit(commanded_xmv, time)
-                idv = disturbances.at(time)
-                plant.step_batch(applied_xmv, dt, idv)
+                time = state.time_hours
+                true_xmeas = measure(noisy)
+                received_xmeas = transmit_sensors(true_xmeas, time)
+                commanded_xmv = update(received_xmeas, dt)
+                applied_xmv = transmit_commands(commanded_xmv, time)
+                step_batch(applied_xmv, dt, idv_at(time))
 
-                tripped, reasons = safety.check(plant.time_hours, plant.state.quantities)
+                tripped, reasons = check(state.time_hours, state.quantities)
                 if safety.any_tripped:
-                    trip_time = plant.time_hours
+                    trip_time = state.time_hours
                     tripped_locals = np.flatnonzero(tripped)
                     if recorded_through == 0 and trajectories:
                         # The plant tripped before its first sample could be
@@ -628,7 +634,7 @@ class BatchSimulator:
                 break
 
             alive = batch.alive
-            sample_time = plant.time_hours
+            sample_time = state.time_hours
             controller_values = np.concatenate(
                 [received_xmeas, commanded_xmv], axis=1
             )

@@ -58,9 +58,24 @@ __all__ = [
 
 T = TypeVar("T")
 
+#: Where a value sits in the decoded document: a string, or a ``(parent,
+#: key)`` pair naming item ``key`` of ``parent`` (``parent.key`` for a
+#: field or a mapping key, ``parent[key]`` for an index).  Decoders hand
+#: pairs down and format them only when they raise (:func:`_text`).
+Label = Any
 #: ``(value, label) -> value``: coerce one wire value, naming ``label`` on error.
-Decoder = Callable[[Any, str], Any]
+Decoder = Callable[[Any, Label], Any]
 Encoder = Callable[[Any], Any]
+
+
+def _text(label: Label) -> str:
+    """The text of a label: ``parent.key`` or ``parent[index]``, nested."""
+    if isinstance(label, str):
+        return label
+    parent, key = label
+    if isinstance(key, int):
+        return f"{_text(parent)}[{key}]"
+    return f"{_text(parent)}.{key}"
 
 
 # ----------------------------------------------------------------------
@@ -95,21 +110,25 @@ def as_str(value: Any) -> str:
     return str(value)
 
 
-def as_sequence(value: Any, label: str) -> Tuple[Any, ...]:
+def as_sequence(value: Any, label: Label) -> Tuple[Any, ...]:
     """Require a real sequence (a string would iterate per character)."""
+    if type(value) is list or type(value) is tuple:  # the wire forms, checked fast
+        return tuple(value)
     if isinstance(value, (str, bytes, Mapping)) or not hasattr(value, "__iter__"):
-        raise ConfigurationError(f"{label} must be a list, got {value!r}")
+        raise ConfigurationError(f"{_text(label)} must be a list, got {value!r}")
     return tuple(value)
 
 
-def as_mapping(value: Any, label: str) -> Mapping[str, Any]:
+def as_mapping(value: Any, label: Label) -> Mapping[str, Any]:
     """Require a mapping (a TOML table or a JSON object)."""
-    if not isinstance(value, Mapping):
-        raise ConfigurationError(f"{label} must be a table/mapping, got {value!r}")
+    if type(value) is not dict and not isinstance(value, Mapping):
+        raise ConfigurationError(
+            f"{_text(label)} must be a table/mapping, got {value!r}"
+        )
     return value
 
 
-def check_keys(mapping: Any, allowed: Iterable[str], label: str) -> None:
+def check_keys(mapping: Any, allowed: Iterable[str], label: Label) -> None:
     """Reject a non-mapping, or a mapping with keys outside ``allowed``.
 
     A misspelled option must not be silently ignored; the error lists the
@@ -127,7 +146,7 @@ def check_keys(mapping: Any, allowed: Iterable[str], label: str) -> None:
             hints.append(f"{key!r} -> did you mean {close[0]!r}?")
     hint = f" ({'; '.join(hints)})" if hints else ""
     raise ConfigurationError(
-        f"unknown key(s) {unknown} in {label} (allowed: {allowed}){hint}"
+        f"unknown key(s) {unknown} in {_text(label)} (allowed: {allowed}){hint}"
     )
 
 
@@ -138,16 +157,16 @@ def _identity(value: Any) -> Any:
     return value
 
 
-def _passthrough(value: Any, label: str) -> Any:
+def _passthrough(value: Any, label: Label) -> Any:
     return value
 
 
 def _scalar(coerce: Callable[[Any], Any]) -> Decoder:
-    def decode_scalar(value: Any, label: str) -> Any:
+    def decode_scalar(value: Any, label: Label) -> Any:
         try:
             return coerce(value)
         except (ConfigurationError, TypeError, ValueError, OverflowError) as error:
-            raise ConfigurationError(f"invalid {label}: {error}") from error
+            raise ConfigurationError(f"invalid {_text(label)}: {error}") from error
 
     return decode_scalar
 
@@ -165,7 +184,7 @@ def _optional(encode_item: Encoder, decode_item: Decoder) -> Tuple[Encoder, Deco
     def encode_optional(value: Any) -> Any:
         return None if value is None else encode_item(value)
 
-    def decode_optional(value: Any, label: str) -> Any:
+    def decode_optional(value: Any, label: Label) -> Any:
         return None if value is None else decode_item(value, label)
 
     return encode_optional, decode_optional
@@ -177,9 +196,9 @@ def _sequence(
     def encode_sequence(value: Any) -> list:
         return [encode_item(item) for item in value]
 
-    def decode_sequence(value: Any, label: str) -> Any:
+    def decode_sequence(value: Any, label: Label) -> Any:
         return build(
-            decode_item(item, f"{label}[{index}]")
+            decode_item(item, (label, index))
             for index, item in enumerate(as_sequence(value, label))
         )
 
@@ -190,9 +209,9 @@ def _dict(encode_item: Encoder, decode_item: Decoder) -> Tuple[Encoder, Decoder]
     def encode_dict(value: Mapping) -> dict:
         return {str(key): encode_item(item) for key, item in value.items()}
 
-    def decode_dict(value: Any, label: str) -> dict:
+    def decode_dict(value: Any, label: Label) -> dict:
         return {
-            str(key): decode_item(item, f"{label}.{key}")
+            str(key): decode_item(item, (label, str(key)))
             for key, item in as_mapping(value, label).items()
         }
 
@@ -200,13 +219,13 @@ def _dict(encode_item: Encoder, decode_item: Decoder) -> Tuple[Encoder, Decoder]
 
 
 def _enum(kind: Type[enum.Enum]) -> Tuple[Encoder, Decoder]:
-    def decode_enum(value: Any, label: str) -> enum.Enum:
+    def decode_enum(value: Any, label: Label) -> enum.Enum:
         try:
             return kind(value)
         except (TypeError, ValueError) as error:
             choices = [member.value for member in kind]
             raise ConfigurationError(
-                f"invalid {label}: expected one of {choices}, got {value!r}"
+                f"invalid {_text(label)}: expected one of {choices}, got {value!r}"
             ) from error
 
     return (lambda value: value.value), decode_enum
@@ -216,9 +235,9 @@ def _encode_array(value: Any) -> list:
     return np.asarray(value, dtype=float).tolist()
 
 
-def _decode_array(value: Any, label: str) -> np.ndarray:
+def _decode_array(value: Any, label: Label) -> np.ndarray:
     return np.array(
-        [_as_float(item, f"{label}[{index}]")
+        [_as_float(item, (label, index))
          for index, item in enumerate(as_sequence(value, label))],
         dtype=float,
     )
@@ -259,7 +278,7 @@ class _Plan:
 
     __slots__ = (
         "label", "omit_none", "tag", "ignored", "encoders", "decoders", "required",
-        "allowed",
+        "allowed", "required_set",
     )
 
     def __init__(self, cls: type):
@@ -283,6 +302,7 @@ class _Plan:
             ):
                 required.append(spec.name)
         self.required: Tuple[str, ...] = tuple(required)
+        self.required_set = frozenset(required)
         self.allowed = frozenset(
             [*self.decoders, *self.ignored, *([self.tag] if self.tag else [])]
         )
@@ -309,7 +329,7 @@ def encode(record: Any) -> Dict[str, Any]:
     return mapping
 
 
-def decode(cls: Type[T], mapping: Any, label: Optional[str] = None) -> T:
+def decode(cls: Type[T], mapping: Any, label: Optional[Label] = None) -> T:
     """Build a ``cls`` instance from its mapping form.
 
     Raises :class:`ConfigurationError` naming ``label.key`` (``label``
@@ -318,10 +338,13 @@ def decode(cls: Type[T], mapping: Any, label: Optional[str] = None) -> T:
     """
     plan = _plan_of(cls)
     label = label or plan.label
-    check_keys(mapping, plan.allowed, label)
-    missing = [name for name in plan.required if name not in mapping]
-    if missing:
-        raise ConfigurationError(f"{label} is missing required key(s) {missing}")
+    if type(mapping) is not dict or not plan.allowed.issuperset(mapping):
+        check_keys(mapping, plan.allowed, label)
+    if not mapping.keys() >= plan.required_set:
+        missing = [name for name in plan.required if name not in mapping]
+        raise ConfigurationError(
+            f"{_text(label)} is missing required key(s) {missing}"
+        )
     kwargs = {}
     for key, value in mapping.items():
         if key in plan.ignored:
@@ -330,14 +353,14 @@ def decode(cls: Type[T], mapping: Any, label: Optional[str] = None) -> T:
             expected = getattr(cls, key)
             if value != expected:
                 raise ConfigurationError(
-                    f"invalid {label}.{key}: expected {expected!r}, got {value!r}"
+                    f"invalid {_text(label)}.{key}: expected {expected!r}, got {value!r}"
                 )
             continue
-        kwargs[key] = plan.decoders[key](value, f"{label}.{key}")
+        kwargs[key] = plan.decoders[key](value, (label, key))
     try:
         return cls(**kwargs)
     except (TypeError, ValueError, OverflowError) as error:
-        raise ConfigurationError(f"invalid {label}: {error}") from error
+        raise ConfigurationError(f"invalid {_text(label)}: {error}") from error
 
 
 def decode_value(hint: Any, value: Any, label: str) -> Any:

@@ -89,9 +89,9 @@ class BatchDecentralizedController:
         self.level_override_gain = template.level_override_gain
         self.override_filter_hours = template.override_filter_hours
         # The tuning every row shares, per loop (``(L,)``) or per override
-        # signal (``(2,)``).  :meth:`_fit_width` repeats it to the batch
-        # width, because a ufunc call whose operands share one shape skips
-        # NumPy's broadcasting set-up.
+        # signal (``(2,)``).  :meth:`_bind` repeats it to the batch width,
+        # because a ufunc call whose operands share one shape skips NumPy's
+        # broadcasting set-up.
         self._shared = {
             "setpoint": vector(d.setpoint for d in definitions),
             "direction": vector(d.direction for d in definitions),
@@ -138,10 +138,11 @@ class BatchDecentralizedController:
         """Number of runs in the batch."""
         return self._n_rows
 
-    def _fit_width(self) -> None:
-        """Repeat the shared tuning to the batch width, and set up the
-        per-update buffers: the loop outputs beside the constants, and the
-        override factor table whose column 0 holds 1.0."""
+    def _bind(self) -> None:
+        """Bind the batch width: repeat the shared tuning to it, and set up
+        the buffers of :meth:`update`: the loop outputs beside the
+        constants, the override factor table whose column 0 holds 1.0, and
+        the per-loop error, proportional, increment and unclamped terms."""
         n_rows = self._n_rows
         self._wide = {
             name: np.tile(constant, (n_rows, 1)) for name, constant in self._shared.items()
@@ -149,7 +150,17 @@ class BatchDecentralizedController:
         n_loops = self._ti.size
         self._assembly = np.empty((n_rows, n_loops + self._constant_values.size))
         self._assembly[:, n_loops:] = self._constant_values
+        self._loop_outputs = self._assembly[:, :n_loops]
         self._factors = np.ones((n_rows, 4))
+        (
+            self._measured,
+            self._error,
+            self._proportional,
+            self._increment,
+            self._unclamped,
+        ) = np.empty((5, n_rows, n_loops))
+        self._filter_step = np.empty((n_rows, 2))
+        self._high = np.empty((n_rows, 2), dtype=bool)
 
     def reset(self) -> None:
         """Clear every row's controller memory."""
@@ -160,7 +171,7 @@ class BatchDecentralizedController:
         # Rows whose override filter restarts at the next update (a
         # ``(B,)`` mask), or ``None`` when none does.
         self._unfiltered: Optional[np.ndarray] = None
-        self._fit_width()
+        self._bind()
 
     def take(self, indices: np.ndarray) -> None:
         """Keep only the given rows (compaction after trips / early stops)."""
@@ -172,7 +183,7 @@ class BatchDecentralizedController:
         if self._unfiltered is not None:
             self._unfiltered = self._unfiltered[indices]
         self._n_rows = int(np.asarray(indices).size)
-        self._fit_width()
+        self._bind()
 
     def fallback_row(self, row: int, kc: Sequence[float]) -> None:
         """Give row ``row`` its own loop gains and a fresh controller state.
@@ -224,7 +235,10 @@ class BatchDecentralizedController:
                 f"expected {self._n_rows} row states, got {len(states)}"
             )
         integral, output, filtered = (np.array(part) for part in zip(*states))
-        self._integral, self._output, self._filtered = integral, output, filtered
+        self._integral[...] = integral
+        self._filtered[...] = filtered
+        # update() hands out the stored matrix itself: replace, never write.
+        self._output = output
         self._filters_initialized = True
         self._unfiltered = None
 
@@ -267,37 +281,42 @@ class BatchDecentralizedController:
         wide = self._wide
         zero = f64[0.0]
         signals = measurements[:, _OVERRIDE_COLUMNS]
+        filtered = self._filtered
         if not self._filters_initialized or self.override_filter_hours <= 0:
-            self._filtered = signals.copy()
+            filtered[...] = signals
         else:
             # previous + alpha * (signal - previous)
             alpha = f64[min(dt_hours / self.override_filter_hours, 1.0)]
-            filtered = signals - self._filtered
-            filtered *= alpha
-            filtered += self._filtered
+            step = self._filter_step
+            np.subtract(signals, filtered, out=step)
+            step *= alpha
+            np.add(step, filtered, out=filtered)
             if self._unfiltered is not None:
                 filtered[self._unfiltered] = signals[self._unfiltered]
-            self._filtered = filtered
         self._filters_initialized = True
         self._unfiltered = None
 
-        high = self._filtered > wide["override_start"]
+        high = np.greater(filtered, wide["override_start"], out=self._high)
         setpoint = (
             self._override_setpoints(high) if np.count_nonzero(high) else wide["setpoint"]
         )
-        error = setpoint - measurements.take(self._xmeas_columns, axis=1)
+        # ``mode="wrap"`` gathers straight into the buffer (every column is
+        # in range, so it changes no value).
+        measured = measurements.take(
+            self._xmeas_columns, axis=1, out=self._measured, mode="wrap"
+        )
+        error = np.subtract(setpoint, measured, out=self._error)
         error *= wide["direction"]
-        proportional = self._kc * error
-        increment = self._kc_over_ti * error
+        proportional = np.multiply(self._kc, error, out=self._proportional)
+        increment = np.multiply(self._kc_over_ti, error, out=self._increment)
         increment *= f64[dt_hours]
         # The serial PID adds a literal-zero derivative term; mirror it so a
         # -0.0 partial sum normalizes identically.
-        unclamped = wide["bias"] + proportional
+        unclamped = np.add(wide["bias"], proportional, out=self._unclamped)
         unclamped += self._integral
         unclamped += increment
         unclamped += zero
-        assembly = self._assembly
-        value = assembly[:, : self._ti.size]
+        value = self._loop_outputs
         np.minimum(np.maximum(unclamped, zero), f64[100.0], out=value)
 
         # Anti-windup: accumulate only where it does not deepen saturation.
@@ -308,7 +327,7 @@ class BatchDecentralizedController:
         )
         np.add(self._integral, increment, out=self._integral, where=accumulate)
 
-        self._output = assembly.take(self._output_order, axis=1)
+        self._output = self._assembly.take(self._output_order, axis=1)
         return self._output
 
     @property

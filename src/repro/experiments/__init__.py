@@ -1,5 +1,7 @@
 """Experiment harness reproducing the paper's evaluation section."""
 
+from repro.common.lazy import lazy_exports
+
 from repro.experiments.scenarios import (
     Scenario,
     ScenarioKind,
@@ -63,13 +65,6 @@ from repro.experiments.evaluation import (
     Evaluation,
     ScenarioEvaluation,
 )
-from repro.experiments.figures import (
-    figure1_control_chart,
-    figure3_feed_response,
-    figure4_omeda_controller,
-    figure5_omeda_process,
-    arl_table,
-)
 
 __all__ = [
     "Scenario",
@@ -127,3 +122,16 @@ __all__ = [
     "figure5_omeda_process",
     "arl_table",
 ]
+
+# The figure builders bring the plotting layer, which running a campaign
+# never needs: they load when one of their names is first read.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "figure1_control_chart": "repro.experiments.figures",
+        "figure3_feed_response": "repro.experiments.figures",
+        "figure4_omeda_controller": "repro.experiments.figures",
+        "figure5_omeda_process": "repro.experiments.figures",
+        "arl_table": "repro.experiments.figures",
+    },
+)

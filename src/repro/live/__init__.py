@@ -27,11 +27,8 @@ and :meth:`~repro.api.session.Session.run_live`).
 """
 
 from repro.common.config import EarlyStopPolicy, LiveConfig
+from repro.common.lazy import lazy_exports
 from repro.live.alarms import AlarmEvent, AlarmManager, AlarmState
-from repro.live.campaign import live_context_token, live_scenario_specs
-from repro.live.dashboard import render_live_dashboard
-from repro.live.monitor import LiveMonitor, LiveRunReport, LiveViewMonitor
-from repro.live.observer import LiveRunObserver
 
 __all__ = [
     "AlarmEvent",
@@ -47,3 +44,20 @@ __all__ = [
     "live_scenario_specs",
     "render_live_dashboard",
 ]
+
+
+# A spec reads only the alarm records, so ``import repro.api`` leaves the
+# monitor, observer, campaign and dashboard layers (and the dashboard's
+# plotting) unloaded until one of their names is read.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "LiveMonitor": "repro.live.monitor",
+        "LiveRunReport": "repro.live.monitor",
+        "LiveViewMonitor": "repro.live.monitor",
+        "LiveRunObserver": "repro.live.observer",
+        "live_context_token": "repro.live.campaign",
+        "live_scenario_specs": "repro.live.campaign",
+        "render_live_dashboard": "repro.live.dashboard",
+    },
+)

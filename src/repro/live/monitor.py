@@ -124,6 +124,9 @@ class LiveViewMonitor:
         else:
             self._after_d = _DetectionRule(self.consecutive, self.anomaly_start_hour)
             self._after_q = _DetectionRule(self.consecutive, self.anomaly_start_hour)
+        # The earliest onset-restricted fire, ``(index, time)``: set by the
+        # first of the two rules to fire, since rules fire in sample order.
+        self._detection: Tuple[Optional[int], Optional[float]] = (None, None)
 
     # ------------------------------------------------------------------
     @property
@@ -167,12 +170,12 @@ class LiveViewMonitor:
     @property
     def detection_index(self) -> Optional[int]:
         """Sample index of the first detection at/after the anomaly onset."""
-        return self._first_fire((self._after_d, self._after_q))[0]
+        return self._detection[0]
 
     @property
     def detection_time_hours(self) -> Optional[float]:
         """Time of the first detection at/after the anomaly onset."""
-        return self._first_fire((self._after_d, self._after_q))[1]
+        return self._detection[1]
 
     @property
     def false_alarm_time_hours(self) -> Optional[float]:
@@ -221,11 +224,16 @@ class LiveViewMonitor:
 
         d_violating = t2 > self.d_limit
         q_violating = spe > self.q_limit
-        self._any_d.update(index, time_value, d_violating)
-        self._any_q.update(index, time_value, q_violating)
+        # ``|`` rather than ``or``: every rule folds in every sample.
+        fired = self._any_d.update(index, time_value, d_violating) | self._any_q.update(
+            index, time_value, q_violating
+        )
         if self._after_d is not self._any_d:
-            self._after_d.update(index, time_value, d_violating)
-            self._after_q.update(index, time_value, q_violating)
+            fired = self._after_d.update(
+                index, time_value, d_violating
+            ) | self._after_q.update(index, time_value, q_violating)
+        if fired and self._detection[0] is None:
+            self._detection = (index, time_value)
         return self.alarms.update(
             index, time_value, t2, self.d_limit, spe, self.q_limit
         )
@@ -376,14 +384,14 @@ class LiveMonitor:
         return self.controller_view.n_samples
 
     def _earliest(self) -> Tuple[Optional[int], Optional[float]]:
-        candidates = []
-        for view in (self.controller_view, self.process_view):
-            index = view.detection_index
-            if index is not None:
-                candidates.append((index, view.detection_time_hours))
-        if not candidates:
-            return None, None
-        return min(candidates)
+        """The earlier of the two views' detections, ``(index, time)``."""
+        controller = self.controller_view._detection
+        process = self.process_view._detection
+        if controller[0] is None:
+            return process
+        if process[0] is None:
+            return controller
+        return min(controller, process)
 
     @property
     def detection_index(self) -> Optional[int]:
@@ -403,8 +411,12 @@ class LiveMonitor:
 
     @property
     def detected(self) -> bool:
-        """Whether a detection has been confirmed."""
-        return self.detection_index is not None
+        """Whether a detection has been confirmed (read on every sample by
+        the response runner, so it only looks at the views' state)."""
+        return (
+            self.controller_view._detection[0] is not None
+            or self.process_view._detection[0] is not None
+        )
 
     @property
     def detection_latency_hours(self) -> Optional[float]:

@@ -152,8 +152,11 @@ class BatchChannel:
         self._refresh_compromised()
 
     def _refresh_compromised(self) -> None:
-        self._compromised_rows = [
-            row for row, channel in enumerate(self._channels) if channel.compromised
+        """Bind the compromised rows, each with its channel."""
+        self._compromised = [
+            (row, channel)
+            for row, channel in enumerate(self._channels)
+            if channel.compromised
         ]
         self._stale = False
 
@@ -189,9 +192,9 @@ class BatchChannel:
         """
         if self._stale:
             self._refresh_compromised()
-        if not self._compromised_rows:
+        if not self._compromised:
             return values
         delivered = values.copy()
-        for row in self._compromised_rows:
-            delivered[row] = self._channels[row].transmit(values[row], time_hours)
+        for row, channel in self._compromised:
+            delivered[row] = channel.transmit(values[row], time_hours)
         return delivered

@@ -165,7 +165,11 @@ class BatchIdv:
 
     def __init__(self, magnitudes: np.ndarray, scheduled: Optional[frozenset] = None):
         self._magnitudes = magnitudes
-        self._scheduled = scheduled
+        #: The indices that may be active on some row: ``index in
+        #: possible`` is :meth:`may_be_active` without a call.
+        self.possible = (
+            frozenset(range(magnitudes.shape[1])) if scheduled is None else scheduled
+        )
 
     @property
     def n_rows(self) -> int:
@@ -174,7 +178,7 @@ class BatchIdv:
 
     def may_be_active(self, index: int) -> bool:
         """Whether IDV(``index``) can be active on any row at this instant."""
-        return self._scheduled is None or index in self._scheduled
+        return index in self.possible
 
     def value(self, index: int) -> np.ndarray:
         """Per-row magnitude of IDV(``index``), ``(B,)`` (0 when inactive)."""

@@ -200,16 +200,27 @@ class BatchSafetyMonitor:
             if shared
             else None
         )
-        self._low = np.array(
+        self._lows = np.array(
             [-np.inf if limit.low is None else limit.low for limit in self._limits]
         )[:, None]
-        self._high = np.array(
+        self._highs = np.array(
             [np.inf if limit.high is None else limit.high for limit in self._limits]
         )[:, None]
         self._grace = np.array([limit.grace_hours for limit in self._limits])[:, None]
         self._start = np.full((len(self._quantities), self._n_rows), np.nan)
         #: Every violation start is NaN (no violation is pending).
         self._quiet = True
+        self._bind()
+
+    def _bind(self) -> None:
+        """Bind the batch width: the limits' bounds repeated to it (a call
+        whose operands share one shape skips NumPy's broadcasting set-up)
+        and the buffers of the comparison :meth:`check` opens with."""
+        shape = (len(self._limits), self._n_rows)
+        self._low = np.repeat(self._lows, self._n_rows, axis=1)
+        self._high = np.repeat(self._highs, self._n_rows, axis=1)
+        self._values = np.empty(shape)
+        self._below, self._above, self._violated = np.empty((3, *shape), dtype=bool)
 
     def check(
         self,
@@ -236,7 +247,11 @@ class BatchSafetyMonitor:
             return tripped, reasons
         missing: List[bool] = []
         if isinstance(quantities, np.ndarray):
-            values = quantities.take(self._layout_rows, axis=0)
+            # ``mode="wrap"`` gathers straight into the buffer (every row is
+            # in range, so it changes no value).
+            values = quantities.take(
+                self._layout_rows, axis=0, out=self._values, mode="wrap"
+            )
         else:
             rows = [quantities.get(quantity) for quantity in self._quantities]
             missing = [row is None for row in rows]
@@ -246,8 +261,12 @@ class BatchSafetyMonitor:
                     np.full(self._n_rows, np.nan) if row is None else row for row in rows
                 ]
             values = np.array(rows, dtype=float)[self._group]
-        violated = (values < self._low) | (values > self._high)
-        if self._quiet and not violated.any():
+        violated = np.logical_or(
+            np.less(values, self._low, out=self._below),
+            np.greater(values, self._high, out=self._above),
+            out=self._violated,
+        )
+        if self._quiet and not np.count_nonzero(violated):
             # Nothing violated and no violation pending: the full
             # evaluation below would leave every start NaN and trip nothing.
             return tripped, reasons
@@ -284,6 +303,7 @@ class BatchSafetyMonitor:
         self._start = self._start[:, indices]
         self._n_rows = int(np.asarray(indices).size)
         self._quiet = bool(np.isnan(self._start).all())
+        self._bind()
 
     def snapshot_row(self, row: int) -> np.ndarray:
         """Row ``row``'s violation starts, one per quantity (NaN: none

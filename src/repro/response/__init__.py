@@ -15,24 +15,8 @@ closes the loop the way industrial anomaly-response stacks do:
   (in-process, cache-bypassing, engine-identical seeds).
 """
 
-from repro.response.campaign import (
-    ResponseScenarioResult,
-    evaluate_all_response,
-    evaluate_scenario_response,
-)
-from repro.response.metrics import (
-    ResponseReducer,
-    ResponseSummary,
-    build_response_table,
-)
+from repro.common.lazy import lazy_exports
 from repro.response.policy import ACTIONS, ActionSpec, ResponsePolicy
-from repro.response.runner import ResponseRunner, apply_action
-from repro.response.verify import (
-    ActionRecord,
-    RecoveryTracker,
-    ResponseReport,
-    build_response_report,
-)
 
 __all__ = [
     "ACTIONS",
@@ -51,3 +35,25 @@ __all__ = [
     "evaluate_scenario_response",
     "evaluate_all_response",
 ]
+
+
+# A spec reads only the policy, so ``import repro.api`` leaves the runner,
+# verification, metrics and campaign layers (and the live monitor they
+# build on) unloaded until one of their names is read.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "ResponseRunner": "repro.response.runner",
+        "apply_action": "repro.response.runner",
+        "ActionRecord": "repro.response.verify",
+        "RecoveryTracker": "repro.response.verify",
+        "ResponseReport": "repro.response.verify",
+        "build_response_report": "repro.response.verify",
+        "ResponseReducer": "repro.response.metrics",
+        "ResponseSummary": "repro.response.metrics",
+        "build_response_table": "repro.response.metrics",
+        "ResponseScenarioResult": "repro.response.campaign",
+        "evaluate_scenario_response": "repro.response.campaign",
+        "evaluate_all_response": "repro.response.campaign",
+    },
+)

@@ -15,10 +15,10 @@ slice of a campaign is derivable, deterministically, from the spec itself:
   the ``[service]`` section's ``chunk_size``, or the plan's, or a batch of
   the plan's ``batch_size`` per worker, or two runs per worker, so a
   campaign spreads over several service workers.
-* :func:`campaign_fingerprint` hashes the spec's canonical mapping; it is
-  both the campaign id (submitting the same spec twice is idempotent) and
-  the wire-level guard that a worker and its coordinator agree on what a
-  chunk's indices mean.
+* :func:`~repro.api.spec.campaign_fingerprint` (re-exported here) hashes
+  the spec's canonical mapping; it is both the campaign id (submitting the
+  same spec twice is idempotent) and the wire-level guard that a worker and
+  its coordinator agree on what a chunk's indices mean.
 
 Results land in the shared NPZ cache under each run's existing
 :meth:`~repro.experiments.parallel.RunSpec.cache_key`, which makes chunk
@@ -29,12 +29,10 @@ missing.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.api.spec import CampaignSpec
+from repro.api.spec import CampaignSpec, campaign_fingerprint
 from repro.common.codec import Mapped
 from repro.common.exceptions import ConfigurationError
 from repro.experiments.parallel import (
@@ -67,19 +65,6 @@ def campaign_run_specs(spec: CampaignSpec) -> List[RunSpec]:
         for scenario in scenarios:
             specs.extend(scenario_specs(experiment, scenario))
     return specs
-
-
-def campaign_fingerprint(spec: CampaignSpec) -> str:
-    """A stable digest identifying a campaign's full content.
-
-    Hashes the spec's canonical mapping form, so a spec loaded from TOML,
-    one parsed from a JSON request body and one built in code all
-    fingerprint identically.  Doubles as the campaign id.
-    """
-    blob = json.dumps(
-        spec.to_mapping(), sort_keys=True, separators=(",", ":"), default=str
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

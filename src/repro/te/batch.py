@@ -32,6 +32,16 @@ same-shape call costs about 0.4 µs, a Python-float operand adds half as
 much again, and a broadcast operand doubles it or more, so the step makes
 few calls, each over operands of one shape.
 
+The interpreter's work around those calls costs as much again, so each
+width is bound once: the widened constants, the 0-d operands of the
+calibrated scalars, the views of the state's stacks, two flow tables and
+the output buffers of the stacked calls are bound when the batch forms or
+compacts, and a step writes into them (``out=``, which gives the bits of a
+fresh result) instead of slicing, allocating or looking them up.  What a
+step hands out is made fresh or copied, and the flow table the next
+measurement reads is double-buffered, so nothing a caller holds is written
+by the next step.
+
 The branches of a disturbance that no row can have active at this step
 (see :meth:`~repro.process.disturbances.BatchIdv.may_be_active`) are
 skipped: there the serial plant only applies identity operations (``x *
@@ -61,7 +71,7 @@ from repro.common.exceptions import ConfigurationError
 from repro.common.operands import f64
 from repro.common.randomness import RandomStream
 from repro.process.disturbances import BatchIdv
-from repro.te.constants import COMPONENTS, INTERNAL
+from repro.te.constants import COMPONENTS, INTERNAL, N_XMV
 from repro.te.plant import _HEAVY_MASK, _IDX, _LIGHT_MASK, TEPlant
 from repro.te.state import BatchTEState, TEState
 
@@ -102,7 +112,7 @@ def _column(*values: float) -> np.ndarray:
 
 
 #: The constants of the stacked calls, each with a length-1 row axis
-#: (axis 1), which :meth:`BatchTEPlant._fit_width` widens to the batch.
+#: (axis 1), which :meth:`BatchTEPlant._bind` widens to the batch.
 _ROW_CONSTANTS = {
     # Vapour and liquid masks of the reactor's two inventories.
     "reactor_masks": np.array([_LIGHT_MASK, _HEAVY_MASK])[:, None, :],
@@ -309,15 +319,86 @@ class _AmbientDraws:
     streams advance exactly as the serial plant's would.
     """
 
-    base: np.ndarray
+    base: Optional[np.ndarray] = None
     kinetics: Optional[np.ndarray] = None
     reactor_9: Optional[np.ndarray] = None
     reactor_10: Optional[np.ndarray] = None
 
 
-#: The entries of a flow table whose rows run along axis 1 (the others
-#: along axis 0).
-_ROW_AXIS_1 = ("streams", "totals")
+class _FlowTable:
+    """One flow table of a lockstep width, the batched mirror of the serial
+    plant's flow dictionary: the arrays a step writes its stream table
+    into, and the views of them that the step and the next measurement
+    read, bound once per width.
+
+    Per-row scalars of the serial path are ``(B,)`` arrays; the component
+    vectors of the nine streams of :data:`STREAM_ROWS` are one ``(9, B,
+    8)`` stack, ``streams``.  Feeds 2 and 3 carry only D and E: their other
+    columns are zero from allocation on and never written.  The light
+    columns of ``condensation`` hold the base fractions for good; each step
+    writes the heavy ones.
+    """
+
+    #: The entries a :class:`PlantRow` copies, and whether their rows run
+    #: along axis 1 (the others along axis 0).
+    ENTRIES = (
+        ("xmv_effective", False),
+        ("streams", True),
+        ("totals", True),
+        ("condensation", False),
+        ("overhead", False),
+        ("purge_total", False),
+        ("recycle_target", False),
+        ("steam", False),
+        ("steam_excess", False),
+    )
+
+    def __init__(self, n_rows: int, condensation_base: np.ndarray):
+        effective = self.xmv_effective = np.empty((n_rows, N_XMV))
+        valve_flows = self.valve_flows = np.empty((n_rows, N_XMV))
+        streams = self.streams = np.zeros((len(STREAM_ROWS), n_rows, len(COMPONENTS)))
+        totals = self.totals = np.empty((len(STREAM_ROWS), n_rows))
+        self.condensation = np.repeat(condensation_base[None], n_rows, axis=0)
+        self.heavy_condensation = self.condensation[:, _HEAVIES]
+        self.overhead = np.empty((n_rows, len(COMPONENTS)))
+        self.purge_total = np.empty(n_rows)
+        self.recycle_target = np.empty(n_rows)
+        self.steam_excess = np.empty(n_rows)
+        (
+            self.feed1,
+            self.feed2,
+            self.feed3,
+            self.feed4,
+            self.effluent,
+            self.f10,
+            self.f11,
+            self.reactor_in,
+            self.vapor_fraction,
+        ) = streams
+        self.f10_f11 = streams[_F10 : _F11 + 1]
+        self.feed2_d = self.feed2[:, _IDX["D"]]
+        self.feed3_e = self.feed3[:, _IDX["E"]]
+        # Per XMV column, the flow one percent of opening passes (see
+        # BatchTEPlant._calibrate): feeds 2, 3, 1 and 4, the purge, the two
+        # level-driven streams and the steam.
+        self.feed2_flow, self.feed3_flow = valve_flows[:, 0], valve_flows[:, 1]
+        self.feed1_flow, self.feed4_flow = valve_flows[:, 2], valve_flows[:, 3]
+        self.feed4_flow_column = valve_flows[:, 3:4]
+        self.purge_flow = valve_flows[:, 5]
+        self.level_flows = valve_flows[:, 6:8].T
+        self.steam = valve_flows[:, 8]
+        self.recycle_valve, self.condenser_valve = effective[:, 4], effective[:, 10]
+        # XMV(10) and XMV(11), the two cooling-water valves, as a (2, B) view.
+        self.cw_valves = effective[:, 9:11].T
+        # What measure() stacks and reads.
+        self.head_sources = (
+            totals[0:4],
+            totals[_F10 : _REACTOR_IN + 1],
+            self.purge_total[None],
+            self.steam[None],
+        )
+        self.lag_flow_totals = totals[_EFFLUENT : _F10 + 1]
+        self.gas_streams, self.gas_totals = streams[_REACTOR_IN:], totals[_REACTOR_IN:]
 
 
 @dataclass
@@ -338,20 +419,19 @@ class PlantRow:
     ambient: Tuple[np.random.Generator, np.ndarray]
 
 
-def _stream_totals(flows: Dict[str, np.ndarray]) -> np.ndarray:
-    """The molar total of every stream of a flow table, ``(9, B)``.
-
-    The temperature update and the next measurement both read them, so
-    they are summed once per flow table.
-    """
-    totals = flows.get("totals")
-    if totals is None:
-        totals = flows["totals"] = np.add.reduce(flows["streams"], axis=2)
-    return totals
-
-
 class BatchTEPlant(TEPlant):
     """``B`` Tennessee-Eastman plants advanced in lockstep.
+
+    Everything a step reads that depends only on the batch's rows and
+    width — the constants widened to the width, the views of the state's
+    stacks, two flow tables and the buffers of the stacked calls — is bound
+    by :meth:`_bind` when the batch forms or compacts (:meth:`take`); a
+    step runs its ufunc calls into them.  The flow table is double-buffered:
+    a step, like :meth:`restore_rows`, writes the table the step before it
+    did not, so the table the last :meth:`measure` read is still whole
+    while the next one is written.  What the plant hands out is made fresh:
+    each :meth:`measure` returns a new array and each :class:`PlantRow`
+    holds copies.
 
     Parameters
     ----------
@@ -372,6 +452,7 @@ class BatchTEPlant(TEPlant):
         rng_block: int = 256,
     ):
         self._rng_block = int(rng_block)
+        self._dt = None  # the step the dt operands are bound for
         # The parent constructor calibrates the shared flow coefficients and
         # ends with reset(seed); our reset override ignores the scalar seed
         # path and builds the batched state from ``seeds`` instead.
@@ -385,7 +466,7 @@ class BatchTEPlant(TEPlant):
     def _calibrate(self) -> None:
         super()._calibrate()
         self._reactor_driving, self._separator_driving = (
-            float(driving) for driving in _ROW_CONSTANTS["cw_driving"][:, 0]
+            f64[float(driving)] for driving in _ROW_CONSTANTS["cw_driving"][:, 0]
         )
         self._row_constants = dict(
             _ROW_CONSTANTS,
@@ -441,29 +522,126 @@ class BatchTEPlant(TEPlant):
             xmeas_lower=self._xmeas_registry.lower_bounds()[None],
             xmeas_upper=self._xmeas_registry.upper_bounds()[None],
         )
-        # Stream-4 A and C base fractions, as operands.
+        # The calibrated scalars a step reads, as operands.
         self._feed4_base_ac = (
             f64[self._feed4_comp_base[_IDX["A"]]],
             f64[self._feed4_comp_base[_IDX["C"]]],
         )
+        self._operand_feed1_capacity = f64[self._feed1_capacity]
+        self._operand_sep_pressure = f64[self._sep_pressure_nominal]
+        self._operand_pressure = f64[self._pressure_nominal]
+        self._operand_recycle = f64[self._recycle_nominal]
+        self._operand_recycle_valve = f64[self._xmv_nominal[4]]
+        self._operand_condenser_valve = f64[self._xmv_nominal[10]]
 
-    def _fit_width(self, n_rows: int) -> None:
-        """Widen the stacked calls' constants to ``n_rows`` rows.
+    def _bind(self) -> None:
+        """Bind everything a step reads that depends only on the batch's
+        rows and width.
 
-        A ufunc call whose operands share one shape skips NumPy's
-        broadcasting set-up, which costs more than the arithmetic at a
-        batch's sizes; a constant repeated along the row axis gives every
-        element the same operand, so no bit changes.  The row axis is the
-        constant's length-1 axis: axis 0 of a per-row vector ``(1, n)``,
-        axis 1 of a stacked column ``(k, 1)`` or stack ``(k, 1, 8)``.
+        The stacked calls' constants are widened to the width: a ufunc call
+        whose operands share one shape skips NumPy's broadcasting set-up,
+        which costs more than the arithmetic at a batch's sizes; a constant
+        repeated along the row axis gives every element the same operand,
+        so no bit changes.  The row axis is the constant's length-1 axis:
+        axis 0 of a per-row vector ``(1, n)``, axis 1 of a stacked column
+        ``(k, 1)`` or stack ``(k, 1, 8)``.  Then the views of the state's
+        stacks, the two flow tables and the buffers of the stacked calls.
         """
-        self._wide = {
+        state = self.state
+        n_rows = state.n_rows
+        wide = self._wide = {
             name: np.repeat(constant, n_rows, axis=0 if constant.shape[0] == 1 else 1)
             for name, constant in self._row_constants.items()
         }
-        # The condensation fractions of every row: the light columns are
-        # the base fractions for good, each flow table writes the heavy ones.
-        self._condensation = np.repeat(self._cond_base[None], n_rows, axis=0)
+        self._kinetics.bind(n_rows)
+        self._tables = [_FlowTable(n_rows, self._cond_base) for _ in range(2)]
+
+        # Views of the state's stacks.
+        inventory, lags, ambient = state.inventory, state.lags, state.ambient
+        self._inventory = inventory
+        self._reactor_stack = inventory[0:3:2]
+        self._separator_vapor = inventory[1]
+        self._level_inventories = inventory[3:5]
+        self._stripper_heavies = inventory[4][:, _HEAVIES]
+        self._lags = lags
+        self._recycle_flow, self._reactor_temp = lags[0], lags[1]
+        self._separator_temp = lags[2]
+        self._recycle_column = lags[0][:, None]
+        self._vessel_temps, self._cw_outlets = lags[1:4], lags[4:6]
+        self._reactor_separator_temps = lags[1:3]
+        self._lagged = lags[0:4]
+        self._recycle_row, self._temperatures = lags[0][None], lags[1:]
+        self._walks = ambient[0:3]
+        self._feed1_walk, self._walk_shifts = ambient[0], ambient[1:3]
+        self._feed1_pressure, self._feed4_shift = ambient[0], ambient[1]
+        self._cw_inlet_shift, self._kinetics_drift = ambient[2], ambient[3]
+
+        # Buffers of the stacked calls, with their views.
+        self._feed1_total = np.empty(n_rows)
+        self._feed1_total_column = self._feed1_total[:, None]
+        composition = self._feed4_composition = wide["feed4_comp"].copy()
+        self._feed4_a = composition[:, _IDX["A"]]
+        self._feed4_c = composition[:, _IDX["C"]]
+        self._feed4_sum = np.empty(n_rows)
+        self._feed4_sum_column = self._feed4_sum[:, None]
+        self._feed4_fractions = np.empty((n_rows, len(COMPONENTS)))
+        # Separator vapour and reactor, separator and stripper liquid
+        # totals, floored.
+        floored = self._floored_totals = np.empty((4, n_rows))
+        self._floored_vapor_column = floored[0, :, None]
+        self._floored_level_columns = floored[2:4, :, None]
+        self._pressure_factor = np.empty(n_rows)
+        self._pressure_factor_column = self._pressure_factor[:, None]
+        masked = self._masked = np.empty((2, n_rows, len(COMPONENTS)))
+        self._masked_vapor, self._masked_liquid = masked
+        self._condenser_shift = np.empty(n_rows)
+        self._condenser_shift_column = self._condenser_shift[:, None]
+        self._level_flows = np.empty((2, n_rows))
+        self._level_flow_columns = self._level_flows[:, :, None]
+        self._steam_factor = np.empty(n_rows)
+        self._steam_factor_column = self._steam_factor[:, None]
+        self._strip = np.empty((n_rows, len(COMPONENTS)))
+        change = self._change = np.empty_like(inventory)
+        self._change_rows = tuple(change)
+        self._vapor_out_total = np.empty(n_rows)
+        self._vapor_out_total_column = self._vapor_out_total[:, None]
+        self._vapor_out = np.empty((n_rows, len(COMPONENTS)))
+        step = self._walk_step = np.empty((3, n_rows))
+        self._feed1_step, self._shift_steps = step[0], step[1:3]
+        noise = self._walk_noise = np.empty((3, n_rows))
+        self._feed1_noise, self._shift_noise = noise[0], noise[1:3]
+        self._base_draws = _AmbientDraws()
+        inlets = self._cw_inlet_temps = np.empty((2, n_rows))
+        self._reactor_inlet, self._condenser_inlet = inlets
+        targets = self._targets = np.empty((4, n_rows))
+        self._recycle_target_row, self._reactor_target = targets[0], targets[1]
+        self._separator_target, self._stripper_target = targets[2], targets[3]
+        valve_ratios = self._valve_ratios = np.empty((2, n_rows))
+        self._reactor_valve_ratio, self._condenser_valve_ratio = valve_ratios
+        flow_ratios = self._flow_ratios = np.empty((2, n_rows))
+        self._effluent_ratio, self._f10_ratio = flow_ratios
+        head = self._head = np.empty((len(_HEAD_COLUMNS), n_rows))
+        self._metered, self._head_stacked = head[0:9], head[:20]
+        self._separator_pressure_reading, self._compressor_work = head[20], head[21]
+        xmeas = self._xmeas
+        # The first 22 readings, (22, B): one ``take`` lays them out.
+        self._xmeas_head = xmeas[:, :22].T
+        self._xmeas_stream6, self._xmeas_purge = xmeas[:, 22:28], xmeas[:, 28:36]
+        self._xmeas_product = xmeas[:, 36:41]
+        self._gas_floor = np.empty((2, n_rows))
+        self._gas_floor_columns = self._gas_floor[:, :, None]
+        fractions = self._gas_fractions = np.empty((2, n_rows, len(COMPONENTS)))
+        self._stream6_fractions = fractions[0, :, :6]
+        self._purge_fractions = fractions[1]
+        self._stripper_floor = np.empty(n_rows)
+        self._stripper_floor_column = self._stripper_floor[:, None]
+
+    def _bind_dt(self, dt: float) -> None:
+        """Bind the operands a step of ``dt`` hours reads."""
+        self._dt = dt
+        self._dt_operand = f64[dt]
+        self._sqrt_dt = f64[np.sqrt(dt)]
+        self._drift_decay = f64[max(1.0 - 0.5 * dt, 0.0)]
 
     # ------------------------------------------------------------------
     @property
@@ -494,13 +672,14 @@ class BatchTEPlant(TEPlant):
         )
         self._stuck_reactor_cw_rows = np.full(n_rows, np.nan)
         self._stuck_condenser_cw_rows = np.full(n_rows, np.nan)
+        self._cw_held = False
         self._xmeas = np.empty((n_rows, len(self._xmeas_registry)))
-        self._fit_width(n_rows)
-        self._last_flows = self._compute_flows_batch(
-            np.tile(self._xmv_nominal, (n_rows, 1)),
-            self.state,
-            BatchIdv.none(n_rows),
+        self._bind()
+        self._last_flows = self._tables[0]
+        self._compute_flows_batch(
+            np.tile(self._xmv_nominal, (n_rows, 1)), BatchIdv.none(n_rows), self._last_flows
         )
+        np.add.reduce(self._last_flows.streams, axis=2, out=self._last_flows.totals)
 
     def take(self, indices: np.ndarray) -> None:
         """Keep only the given rows (compaction after trips / early stops)."""
@@ -512,19 +691,23 @@ class BatchTEPlant(TEPlant):
         self._stuck_reactor_cw_rows = self._stuck_reactor_cw_rows[indices]
         self._stuck_condenser_cw_rows = self._stuck_condenser_cw_rows[indices]
         self._xmeas = self._xmeas[indices]
-        self._fit_width(len(index_list))
-        self._last_flows = {
-            key: value[:, indices] if key in _ROW_AXIS_1 else value[indices]
-            for key, value in self._last_flows.items()
-        }
+        last = self._last_flows
+        self._bind()
+        flows = self._last_flows = self._tables[0]
+        for name, row_axis_1 in _FlowTable.ENTRIES:
+            value = getattr(last, name)
+            getattr(flows, name)[...] = value[:, indices] if row_axis_1 else value[indices]
 
     def snapshot_row(self, row: int) -> PlantRow:
         """Everything row ``row``'s later steps read, copied out of the batch."""
+        flows = self._last_flows
         return PlantRow(
             state=self.state.snapshot_row(row),
             flows={
-                key: (value[:, row] if key in _ROW_AXIS_1 else value[row]).copy()
-                for key, value in self._last_flows.items()
+                name: (
+                    getattr(flows, name)[:, row] if row_axis_1 else getattr(flows, name)[row]
+                ).copy()
+                for name, row_axis_1 in _FlowTable.ENTRIES
             },
             stuck_cw=(
                 float(self._stuck_reactor_cw_rows[row]),
@@ -539,7 +722,9 @@ class BatchTEPlant(TEPlant):
 
         The rows go on from where their snapshots were taken, bit for bit,
         each on a copy of its own random streams; every snapshot must be
-        taken at the same clock, which the batch shares.
+        taken at the same clock, which the batch shares.  The restored flow
+        table is written into the table the last step did not write, so the
+        one before the restore stays whole.
         """
         if len(rows) != self.n_rows:
             raise ConfigurationError(
@@ -547,29 +732,33 @@ class BatchTEPlant(TEPlant):
             )
         for index, row in enumerate(rows):
             self.state.restore_row(index, row.state)
-        self._last_flows = {
-            key: np.stack(
-                [row.flows[key] for row in rows], axis=1 if key in _ROW_AXIS_1 else 0
+        flows = self._spare_flows()
+        for name, row_axis_1 in _FlowTable.ENTRIES:
+            getattr(flows, name)[...] = np.stack(
+                [row.flows[name] for row in rows], axis=1 if row_axis_1 else 0
             )
-            for key in rows[0].flows
-        }
+        self._last_flows = flows
         self._stuck_reactor_cw_rows = np.array([row.stuck_cw[0] for row in rows])
         self._stuck_condenser_cw_rows = np.array([row.stuck_cw[1] for row in rows])
+        self._cw_held = True
         self._noise_draws.restore([row.noise for row in rows])
         self._ambient_draws.restore([row.ambient for row in rows])
+
+    def _spare_flows(self) -> _FlowTable:
+        """The flow table the last step did not write."""
+        first, second = self._tables
+        return second if self._last_flows is first else first
 
     # ------------------------------------------------------------------
     # Flow network (row-wise mirror of TEPlant._compute_flows)
     # ------------------------------------------------------------------
-    def _effective_xmv_batch(self, xmv: np.ndarray, idv: BatchIdv) -> np.ndarray:
+    def _stick_cw_valves(self, effective: np.ndarray, idv: BatchIdv) -> None:
         """Row-wise valve sticking, mirroring :meth:`TEPlant._effective_xmv`."""
-        wide = self._wide
-        effective = np.asarray(xmv, dtype=float).clip(wide["xmv_lower"], wide["xmv_upper"])
         for index, stuck in (
             (14, self._stuck_reactor_cw_rows),
             (15, self._stuck_condenser_cw_rows),
         ):
-            if not idv.may_be_active(index):
+            if index not in idv.possible:
                 stuck.fill(np.nan)
                 continue
             column = 9 if index == 14 else 10
@@ -578,24 +767,29 @@ class BatchTEPlant(TEPlant):
             stuck[newly] = effective[newly, column]
             effective[:, column] = np.where(active, stuck, effective[:, column])
             stuck[~active] = np.nan
-        return effective
+        self._cw_held = 14 in idv.possible or 15 in idv.possible
 
-    def _feed4_composition_batch(
-        self, idv: BatchIdv, state: BatchTEState
-    ) -> np.ndarray:
+    def _feed4_composition_batch(self, idv: BatchIdv) -> np.ndarray:
         """Row-wise stream-4 composition (:meth:`TEPlant._feed4_composition`)."""
-        composition = self._wide["feed4_comp"].copy()
-        shift = state.feed4_composition_shift
-        if idv.may_be_active(8):
+        possible = idv.possible
+        shift = self._feed4_shift
+        if 8 in possible:
             shift = np.where(idv.active(8), shift * f64[8.0], shift)
-        if idv.may_be_active(1):
+        if 1 in possible:
             shift = np.where(idv.active(1), shift + f64[-0.05] * idv.value(1), shift)
         a, b, c = _IDX["A"], _IDX["B"], _IDX["C"]
+        if 2 in possible:
+            composition = self._wide["feed4_comp"].copy()
+            column_a, column_c = composition[:, a], composition[:, c]
+        else:
+            # Only the A and C columns move: the rest hold the base.
+            composition = self._feed4_composition
+            column_a, column_c = self._feed4_a, self._feed4_c
         base_a, base_c = self._feed4_base_ac
         floor = f64[0.01]
-        np.maximum(base_a + shift, floor, out=composition[:, a])
-        np.maximum(base_c - shift, floor, out=composition[:, c])
-        if idv.may_be_active(2):
+        np.maximum(base_a + shift, floor, out=column_a)
+        np.maximum(base_c - shift, floor, out=column_c)
+        if 2 in possible:
             active2 = idv.active(2)
             extra_b = f64[0.025] * idv.value(2)
             half_b = extra_b / f64[2.0]
@@ -612,122 +806,115 @@ class BatchTEPlant(TEPlant):
                 np.maximum(composition[:, c] - half_b, floor),
                 composition[:, c],
             )
-        return composition / np.add.reduce(composition, axis=1)[:, None]
+        np.add.reduce(composition, axis=1, out=self._feed4_sum)
+        return np.divide(composition, self._feed4_sum_column, out=self._feed4_fractions)
 
     def _compute_flows_batch(
-        self, xmv: np.ndarray, state: BatchTEState, idv: BatchIdv
-    ) -> Dict[str, np.ndarray]:
-        """Row-wise stream table, mirroring :meth:`TEPlant._compute_flows`.
+        self, xmv: np.ndarray, idv: BatchIdv, flows: _FlowTable
+    ) -> None:
+        """Row-wise stream table into ``flows``, mirroring
+        :meth:`TEPlant._compute_flows`.
 
-        Per-row scalars of the serial path become ``(B,)`` arrays; the
-        component vectors of the nine streams in :data:`STREAM_ROWS` are
-        written into one ``(9, B, 8)`` stack, ``flows["streams"]``.  Every
-        expression keeps the serial operand order so each row stays
+        Every expression keeps the serial operand order so each row stays
         bitwise-identical.
         """
         wide = self._wide
-        effective = self._effective_xmv_batch(xmv, idv)
+        state = self.state
+        possible = idv.possible
+        effective = flows.xmv_effective
+        np.asarray(xmv, dtype=float).clip(wide["xmv_lower"], wide["xmv_upper"], out=effective)
+        if self._cw_held or 14 in possible or 15 in possible:
+            self._stick_cw_valves(effective, idv)
         # The eight flows proportional to a valve opening, in one product:
         # column j is the serial ``per_percent * effective[j]`` (a product
         # commutes; the columns no flow reads are multiplied by 1.0).
-        valve_flows = effective * wide["valve_gains"]
-        # Feeds 2 and 3 carry only D and E respectively: start from zeros.
-        streams = np.zeros((len(STREAM_ROWS), state.n_rows, len(COMPONENTS)))
-        feed1, feed2 = streams[_FEED1], streams[_FEED2]
-        feed3, feed4 = streams[_FEED3], streams[_FEED4]
-        effluent, f10 = streams[_EFFLUENT], streams[_F10]
-        reactor_in, vapor_fraction = streams[_REACTOR_IN], streams[_VAPOR_FRACTION]
+        np.multiply(effective, wide["valve_gains"], out=flows.valve_flows)
 
-        feed1_total = np.minimum(valve_flows[:, 2], f64[self._feed1_capacity])
-        if idv.may_be_active(6):
-            feed1_total = feed1_total * np.where(idv.active(6), f64[0.0], f64[1.0])
-        feed1_total = feed1_total * state.feed1_pressure_factor
-        np.multiply(feed1_total[:, None], wide["feed1_comp"], out=feed1)
+        feed1_total = self._feed1_total
+        np.minimum(flows.feed1_flow, self._operand_feed1_capacity, out=feed1_total)
+        if 6 in possible:
+            feed1_total *= np.where(idv.active(6), f64[0.0], f64[1.0])
+        feed1_total *= self._feed1_pressure
+        np.multiply(self._feed1_total_column, wide["feed1_comp"], out=flows.feed1)
 
-        feed2[:, _IDX["D"]] = valve_flows[:, 0]
-        feed3[:, _IDX["E"]] = valve_flows[:, 1]
-        feed4_total = valve_flows[:, 3]
-        if idv.may_be_active(7):
-            feed4_total = feed4_total * np.where(idv.active(7), f64[0.8], f64[1.0])
-        np.multiply(
-            feed4_total[:, None], self._feed4_composition_batch(idv, state), out=feed4
-        )
+        flows.feed2_d[...] = flows.feed2_flow
+        flows.feed3_e[...] = flows.feed3_flow
+        feed4_total = flows.feed4_flow_column
+        if 7 in possible:
+            feed4_total = (
+                flows.feed4_flow * np.where(idv.active(7), f64[0.8], f64[1.0])
+            )[:, None]
+        np.multiply(feed4_total, self._feed4_composition_batch(idv), out=flows.feed4)
 
         totals, quantities = state.inventory_totals, state.quantities
-        reactor_pressure = quantities[0]
-        pressure_ratio = quantities[1] / f64[self._sep_pressure_nominal]
+        pressure_ratio = quantities[1] / self._operand_sep_pressure
 
-        purge_total = valve_flows[:, 5] * np.square(pressure_ratio)
-        recycle_target = (
-            f64[self._recycle_nominal]
-            * pressure_ratio
-            * (
-                f64[1.0]
-                + f64[0.4] * (f64[self._xmv_nominal[4]] - effective[:, 4]) / f64[100.0]
-            )
+        np.multiply(flows.purge_flow, np.square(pressure_ratio), out=flows.purge_total)
+        np.multiply(
+            self._operand_recycle * pressure_ratio,
+            f64[1.0]
+            + f64[0.4] * (self._operand_recycle_valve - flows.recycle_valve) / f64[100.0],
+            out=flows.recycle_target,
         )
 
         # Separator vapour and reactor, separator and stripper liquid totals.
-        floored = np.maximum(totals[1:5], f64[1e-9])
-        np.divide(state.separator_vapor, floored[0, :, None], out=vapor_fraction)
+        np.maximum(totals[1:5], f64[1e-9], out=self._floored_totals)
+        np.divide(self._separator_vapor, self._floored_vapor_column, out=flows.vapor_fraction)
 
         # Effluent: k * (vapour * LIGHT * pressure_factor + liquid * HEAVY).
-        nominal_pressure = f64[self._pressure_nominal]
-        pressure_factor = np.maximum(reactor_pressure, f64[0.0]) / nominal_pressure
-        masked = state.inventory[0:3:2] * wide["reactor_masks"]
-        np.multiply(masked[0], pressure_factor[:, None], out=masked[0])
-        np.add(masked[0], masked[1], out=effluent)
+        pressure_factor = self._pressure_factor
+        np.maximum(quantities[0], f64[0.0], out=pressure_factor)
+        np.divide(pressure_factor, self._operand_pressure, out=pressure_factor)
+        masked_vapor = self._masked_vapor
+        np.multiply(self._reactor_stack, wide["reactor_masks"], out=self._masked)
+        np.multiply(masked_vapor, self._pressure_factor_column, out=masked_vapor)
+        effluent = flows.effluent
+        np.add(masked_vapor, self._masked_liquid, out=effluent)
         np.multiply(wide["k_reactor"], effluent, out=effluent)
 
-        condenser_shift = (
+        np.add(
             f64[_CONDENSATION_COOLING_GAIN]
-            * (effective[:, 10] - f64[self._xmv_nominal[10]])
-            / f64[100.0]
-            + f64[0.004] * (f64[_SEPARATOR_TEMP_NOMINAL] - state.separator_temp)
+            * (flows.condenser_valve - self._operand_condenser_valve)
+            / f64[100.0],
+            f64[0.004] * (f64[_SEPARATOR_TEMP_NOMINAL] - self._separator_temp),
+            out=self._condenser_shift,
         )
         # The condenser shift moves only the heavy components' fractions.
-        cond = self._condensation
-        heavy = cond[:, _HEAVIES]
-        np.add(wide["condensation_heavy"], condenser_shift[:, None], out=heavy)
+        heavy = flows.heavy_condensation
+        np.add(wide["condensation_heavy"], self._condenser_shift_column, out=heavy)
         heavy.clip(f64[0.02], f64[0.98], out=heavy)
 
         # Streams 10 and 11 leave the separator and the stripper at a rate
         # set by the valve and the square root of the vessel's level.
         levels = np.maximum(quantities[3:5], f64[0.0])
-        level_flows = valve_flows[:, 6:8].T * np.sqrt(levels / f64[50.0])
+        np.multiply(flows.level_flows, np.sqrt(levels / f64[50.0]), out=self._level_flows)
         np.divide(
-            level_flows[:, :, None] * state.inventory[3:5],
-            floored[2:4, :, None],
-            out=streams[_F10 : _F11 + 1],
+            self._level_flow_columns * self._level_inventories,
+            self._floored_level_columns,
+            out=flows.f10_f11,
         )
 
-        steam = valve_flows[:, 8]
         # steam / nominal - 1, which the stripper temperature target reads too.
-        steam_excess = steam / f64[_STEAM_NOMINAL] - f64[1.0]
-        steam_factor = f64[1.0] + f64[_STRIPPING_STEAM_GAIN] * steam_excess
-        strip = (wide["strip_base"] * steam_factor[:, None]).clip(f64[0.0], f64[0.995])
-        overhead = strip * f10
+        steam_excess = flows.steam_excess
+        np.subtract(flows.steam / f64[_STEAM_NOMINAL], f64[1.0], out=steam_excess)
+        np.add(
+            f64[1.0], f64[_STRIPPING_STEAM_GAIN] * steam_excess, out=self._steam_factor
+        )
+        strip = self._strip
+        np.multiply(wide["strip_base"], self._steam_factor_column, out=strip)
+        strip.clip(f64[0.0], f64[0.995], out=strip)
+        overhead = flows.overhead
+        np.multiply(strip, flows.f10, out=overhead)
 
         np.add(
-            feed1
-            + feed2
-            + feed3
-            + feed4
-            + state.recycle_flow[:, None] * vapor_fraction,
+            flows.feed1
+            + flows.feed2
+            + flows.feed3
+            + flows.feed4
+            + self._recycle_column * flows.vapor_fraction,
             overhead,
-            out=reactor_in,
+            out=flows.reactor_in,
         )
-
-        return {
-            "xmv_effective": effective,
-            "streams": streams,
-            "condensation": cond,
-            "overhead": overhead,
-            "purge_total": purge_total,
-            "recycle_target": recycle_target,
-            "steam": steam,
-            "steam_excess": steam_excess,
-        }
 
     # ------------------------------------------------------------------
     # Dynamics
@@ -742,11 +929,12 @@ class BatchTEPlant(TEPlant):
         """
         if not self.enable_process_variation:
             return None
-        if not (
-            idv.may_be_active(13) or idv.may_be_active(9) or idv.may_be_active(10)
-        ):
+        possible = idv.possible
+        if not (13 in possible or 9 in possible or 10 in possible):
             # Every row takes just the three base walks.
-            return _AmbientDraws(self._ambient_draws.base())
+            draws = self._base_draws
+            draws.base = self._ambient_draws.base()
+            return draws
         n_rows = idv.n_rows
         draws = _AmbientDraws(
             base=np.empty((3, n_rows)),
@@ -773,106 +961,85 @@ class BatchTEPlant(TEPlant):
 
     def step_batch(self, manipulated: np.ndarray, dt_hours: float, idv: BatchIdv) -> None:
         """Advance every row by ``dt_hours`` (mirrors :meth:`TEPlant.step`)."""
-        state = self.state
         dt = float(dt_hours)
+        if dt != self._dt:
+            self._bind_dt(dt)
 
         draws = self._draw_ambient(idv)
-        self._update_ambient_batch(dt, idv, draws)
-        flows = self._compute_flows_batch(manipulated, state, idv)
+        if draws is not None:
+            self._update_ambient_batch(idv, draws)
+        flows = self._spare_flows()
+        self._compute_flows_batch(manipulated, idv, flows)
         self._last_flows = flows
 
-        rates = self._kinetics.rates_batch(
-            state.inventory[0:3:2], state.reactor_temp, state.kinetics_drift
-        )
-        production = rates.consumption()
+        kinetics = self._kinetics
+        kinetics.rates_batch(self._reactor_stack, self._reactor_temp, self._kinetics_drift)
+        production = kinetics.consumption_batch()
 
-        streams = flows["streams"]
-        effluent, f10, f11 = streams[_EFFLUENT], streams[_F10], streams[_F11]
-        reactor_in, vapor_fraction = streams[_REACTOR_IN], streams[_VAPOR_FRACTION]
-        cond = flows["condensation"]
+        effluent, f10, cond = flows.effluent, flows.f10, flows.condensation
+        vapor_fraction = flows.vapor_fraction
 
         # One (5, B, 8) increment of the five inventories, row for row of
         # BatchTEState.inventory; the reactor's change enters twice and is
         # masked below to its vapour and its liquid.
-        change = np.empty_like(state.inventory)
-        np.subtract(reactor_in + production, effluent, out=change[0])
-        change[2] = change[0]
-        vapor_out = (state.recycle_flow + flows["purge_total"])[:, None] * vapor_fraction
-        np.subtract(effluent * (f64[1.0] - cond), vapor_out, out=change[1])
-        np.subtract(effluent * cond, f10, out=change[3])
-        np.subtract(f10 - flows["overhead"], f11, out=change[4])
-        change *= f64[dt]
+        change = self._change
+        reactor_vapor, separator_vapor, reactor_liquid, separator_liquid, stripper = (
+            self._change_rows
+        )
+        np.subtract(flows.reactor_in + production, effluent, out=reactor_vapor)
+        reactor_liquid[...] = reactor_vapor
+        np.add(self._recycle_flow, flows.purge_total, out=self._vapor_out_total)
+        vapor_out = self._vapor_out
+        np.multiply(self._vapor_out_total_column, vapor_fraction, out=vapor_out)
+        np.subtract(effluent * (f64[1.0] - cond), vapor_out, out=separator_vapor)
+        np.subtract(effluent * cond, f10, out=separator_liquid)
+        np.subtract(f10 - flows.overhead, flows.f11, out=stripper)
+        change *= self._dt_operand
         change *= self._wide["balance_masks"]
-        state.inventory += change
-        state.clip_nonnegative()
+        inventory = self._inventory
+        inventory += change
+        np.maximum(inventory, f64[0.0], out=inventory)
 
-        self._update_lags_batch(flows, rates, idv, dt, draws)
+        self._update_lags_batch(flows, idv, draws)
 
+        state = self.state
         state.time_hours += dt
         state.mark_changed()
 
-    def _update_ambient_batch(
-        self, dt: float, idv: BatchIdv, draws: Optional[_AmbientDraws]
-    ) -> None:
+    def _update_ambient_batch(self, idv: BatchIdv, draws: _AmbientDraws) -> None:
         """Row-wise ambient walks (mirrors :meth:`TEPlant._update_ambient`).
 
         The three base walks run as one ``(3, B)`` update: ``walk + (std *
         sqrt(dt) * draw + reversion * dt)``, where the feed-1 factor reverts
         by ``+ 0.15 * (1 - x) * dt`` and the two shifts by ``- k * x * dt``.
         """
-        state = self.state
-        if not self.enable_process_variation:
-            return
         wide = self._wide
-        dt_operand = f64[dt]
-        sqrt_dt = f64[np.sqrt(dt)]
-        walks = state.ambient[0:3]
-        step = np.empty_like(walks)
-        np.subtract(f64[1.0], walks[0], out=step[0])
-        np.multiply(f64[0.15], step[0], out=step[0])
-        np.multiply(wide["walk_reversion"], walks[1:3], out=step[1:3])
+        dt_operand, sqrt_dt = self._dt_operand, self._sqrt_dt
+        walks, step = self._walks, self._walk_step
+        feed1_step, shift_steps = self._feed1_step, self._shift_steps
+        np.subtract(f64[1.0], self._feed1_walk, out=feed1_step)
+        np.multiply(f64[0.15], feed1_step, out=feed1_step)
+        np.multiply(wide["walk_reversion"], self._walk_shifts, out=shift_steps)
         step *= dt_operand
-        noise = wide["walk_stds"] * sqrt_dt
+        noise = self._walk_noise
+        np.multiply(wide["walk_stds"], sqrt_dt, out=noise)
         noise *= draws.base
-        np.add(noise[0], step[0], out=step[0])
-        np.subtract(noise[1:3], step[1:3], out=step[1:3])
+        np.add(self._feed1_noise, feed1_step, out=feed1_step)
+        np.subtract(self._shift_noise, shift_steps, out=shift_steps)
         np.add(walks, step, out=step)
         step.clip(wide["walk_lower"], wide["walk_upper"], out=walks)
 
-        drift = state.kinetics_drift
-        decay = f64[max(1.0 - 0.5 * dt, 0.0)]
-        if idv.may_be_active(13):
+        drift = self._kinetics_drift
+        if 13 in idv.possible:
             drifted = (
                 drift + (f64[0.05] * sqrt_dt * draws.kinetics - f64[0.02] * dt_operand)
             ).clip(f64[-0.5], f64[0.2])
-            drift[:] = np.where(idv.active(13), drifted, drift * decay)
+            drift[:] = np.where(idv.active(13), drifted, drift * self._drift_decay)
         else:
-            np.multiply(drift, decay, out=drift)
-
-    def _cooling_water_inlets_batch(self, idv: BatchIdv) -> np.ndarray:
-        """Row-wise reactor and condenser cooling-water inlet temperatures,
-        ``(2, B)``."""
-        inlets = self._wide["cw_inlets"]
-        if idv.may_be_active(4) or idv.may_be_active(5):
-            inlets = inlets + f64[5.0] * np.array([idv.value(4), idv.value(5)])
-        if idv.may_be_active(11) or idv.may_be_active(12):
-            scale = np.where(
-                np.array([idv.active(11), idv.active(12)]), f64[1.0], f64[0.15]
-            )
-            return inlets + scale * self.state.cw_inlet_shift
-        return inlets + f64[0.15] * self.state.cw_inlet_shift
-
-    @staticmethod
-    def _lag(values: np.ndarray, targets: np.ndarray, dt, taus) -> None:
-        """First-order lags in place: ``values + dt * (targets - values) / taus``
-        (overwrites ``targets``)."""
-        np.subtract(targets, values, out=targets)
-        np.multiply(dt, targets, out=targets)
-        np.divide(targets, taus, out=targets)
-        np.add(values, targets, out=values)
+            np.multiply(drift, self._drift_decay, out=drift)
 
     def _update_lags_batch(
-        self, flows, rates, idv: BatchIdv, dt: float, draws: Optional[_AmbientDraws]
+        self, flows: _FlowTable, idv: BatchIdv, draws: Optional[_AmbientDraws]
     ) -> None:
         """Row-wise mirror of :meth:`TEPlant._update_temperatures` and of the
         recycle-flow lag that follows it in :meth:`TEPlant.step`.
@@ -880,133 +1047,155 @@ class BatchTEPlant(TEPlant):
         The recycle flow and the three vessel temperatures follow their
         targets as one ``(4, B)`` lag; the two cooling-water outlets track
         the updated vessel temperatures, so they follow as a second,
-        ``(2, B)`` lag.
+        ``(2, B)`` lag.  A lag is ``values + dt * (targets - values) /
+        taus``, computed in place.
         """
-        state = self.state
-        lags = state.lags
         wide = self._wide
+        possible = idv.possible
         one = f64[1.0]
-        dt_operand = f64[dt]
-        effective = flows["xmv_effective"]
-        # XMV(10) and XMV(11), the two cooling-water valves, as a (2, B) view.
-        cw_valves = effective[:, 9:11].T
-        totals = _stream_totals(flows)
-        inlets = self._cooling_water_inlets_batch(idv)
-        targets = np.empty((4, state.n_rows))
-        targets[0] = flows["recycle_target"]
+        dt_operand = self._dt_operand
+        cw_valves = flows.cw_valves
+        # The totals of every stream, which the next measurement reads too.
+        np.add.reduce(flows.streams, axis=2, out=flows.totals)
+
+        # Reactor and condenser cooling-water inlet temperatures, (2, B).
+        inlets = self._cw_inlet_temps
+        base = wide["cw_inlets"]
+        if 4 in possible or 5 in possible:
+            base = base + f64[5.0] * np.array([idv.value(4), idv.value(5)])
+        if 11 in possible or 12 in possible:
+            scale = np.where(np.array([idv.active(11), idv.active(12)]), f64[1.0], f64[0.15])
+            np.add(base, scale * self._cw_inlet_shift, out=inlets)
+        else:
+            np.add(base, f64[0.15] * self._cw_inlet_shift, out=inlets)
+
+        targets = self._targets
+        self._recycle_target_row[...] = flows.recycle_target
 
         # Each cooling-water valve over its nominal opening, and the
         # effluent and stream-10 totals over theirs.
-        valve_ratios = cw_valves / wide["cw_xmv_nominal"]
-        flow_ratios = totals[_EFFLUENT : _F10 + 1] / wide["lag_flow_nominals"]
+        np.divide(cw_valves, wide["cw_xmv_nominal"], out=self._valve_ratios)
+        np.divide(flows.lag_flow_totals, wide["lag_flow_nominals"], out=self._flow_ratios)
 
-        cooling_norm = valve_ratios[0] * (
-            (state.reactor_temp - inlets[0]) / f64[self._reactor_driving]
+        cooling_norm = self._reactor_valve_ratio * (
+            (self._reactor_temp - self._reactor_inlet) / self._reactor_driving
         )
-        reactor_target = targets[1]
+        reactor_target = self._reactor_target
         np.subtract(
             f64[_REACTOR_TEMP_NOMINAL]
-            + f64[_REACTOR_HEAT_GAIN] * (rates.heat_release - one),
+            + f64[_REACTOR_HEAT_GAIN] * (self._kinetics.heat_release_batch() - one),
             f64[_REACTOR_COOLING_GAIN] * (cooling_norm - one),
             out=reactor_target,
         )
-        if idv.may_be_active(3):
+        if 3 in possible:
             reactor_target += f64[1.5] * idv.value(3)
-        if self.enable_process_variation and idv.may_be_active(9):
+        if self.enable_process_variation and 9 in possible:
             reactor_target[:] = np.where(
                 idv.active(9), reactor_target + f64[0.6] * draws.reactor_9, reactor_target
             )
-        if self.enable_process_variation and idv.may_be_active(10):
+        if self.enable_process_variation and 10 in possible:
             reactor_target[:] = np.where(
                 idv.active(10),
                 reactor_target + f64[0.4] * draws.reactor_10,
                 reactor_target,
             )
 
-        cooling_ratio = np.maximum(valve_ratios[1], f64[0.05])
+        cooling_ratio = np.maximum(self._condenser_valve_ratio, f64[0.05])
         np.add(
-            inlets[1],
-            f64[self._separator_driving]
-            * flow_ratios[0]
+            self._condenser_inlet,
+            self._separator_driving
+            * self._effluent_ratio
             / np.power(cooling_ratio, f64[0.6]),
-            out=targets[2],
+            out=self._separator_target,
         )
         np.subtract(
-            f64[_STRIPPER_TEMP_NOMINAL] + f64[25.0] * flows["steam_excess"],
-            f64[12.0] * (flow_ratios[1] - one),
-            out=targets[3],
+            f64[_STRIPPER_TEMP_NOMINAL] + f64[25.0] * flows.steam_excess,
+            f64[12.0] * (self._f10_ratio - one),
+            out=self._stripper_target,
         )
-        self._lag(lags[0:4], targets, dt_operand, wide["lag_taus"])
-        np.maximum(lags[0], f64[0.0], out=lags[0])
+        lagged = self._lagged
+        np.subtract(targets, lagged, out=targets)
+        np.multiply(dt_operand, targets, out=targets)
+        np.divide(targets, wide["lag_taus"], out=targets)
+        np.add(lagged, targets, out=lagged)
+        recycle_flow = self._recycle_flow
+        np.maximum(recycle_flow, f64[0.0], out=recycle_flow)
 
         # Reactor and condenser cooling water, from the updated reactor and
         # separator temperatures.
         cw_targets = inlets + wide["cw_rise"] * (
-            (lags[1:3] - inlets) / wide["cw_driving"]
+            (self._reactor_separator_temps - inlets) / wide["cw_driving"]
         ) * np.power(
             wide["cw_xmv_nominal"] / np.maximum(cw_valves, f64[5.0]), f64[0.8]
         )
-        self._lag(lags[4:6], cw_targets, dt_operand, f64[_CW_OUTLET_TAU])
+        outlets = self._cw_outlets
+        np.subtract(cw_targets, outlets, out=cw_targets)
+        np.multiply(dt_operand, cw_targets, out=cw_targets)
+        np.divide(cw_targets, f64[_CW_OUTLET_TAU], out=cw_targets)
+        np.add(outlets, cw_targets, out=outlets)
 
     # ------------------------------------------------------------------
     # Measurement
     # ------------------------------------------------------------------
     def measure(self, noisy: bool = True) -> np.ndarray:
-        """Per-row sensor vectors, ``(B, 41)`` (mirrors :meth:`TEPlant.measure`)."""
+        """Per-row sensor vectors, ``(B, 41)`` (mirrors :meth:`TEPlant.measure`).
+
+        Returns a new array on every call.
+        """
         flows = self._last_flows
         state = self.state
         wide = self._wide
-        totals = _stream_totals(flows)
-        inventory_totals, quantities = state.inventory_totals, state.quantities
-        recycle_flow = state.recycle_flow
-        xmeas = self._xmeas
+        quantities = state.quantities
+        feed_totals, downstream_totals, purge_total, steam = flows.head_sources
 
         # The first 22 readings as rows of one (22, B) stack, in
         # _HEAD_COLUMNS order, laid out in XMEAS order by one take.
-        head = np.empty((len(_HEAD_COLUMNS), state.n_rows))
+        head = self._head
         np.concatenate(
             (
-                totals[0:4],
-                totals[_F10 : _REACTOR_IN + 1],
-                recycle_flow[None],
-                flows["purge_total"][None],
+                feed_totals,
+                downstream_totals,
+                self._recycle_row,
+                purge_total,
                 quantities,
-                state.lags[1:],
-                flows["steam"][None],
+                self._temperatures,
+                steam,
             ),
-            out=head[:20],
+            out=self._head_stacked,
         )
-        metered = head[0:9]
+        metered = self._metered
         np.multiply(wide["metered_gains"], metered, out=metered)
         np.divide(metered, wide["metered_nominals"], out=metered)
         np.multiply(
             f64[3102.2],
-            f64[0.5] + f64[0.5] * quantities[1] / f64[self._sep_pressure_nominal],
-            out=head[20],
+            f64[0.5] + f64[0.5] * quantities[1] / self._operand_sep_pressure,
+            out=self._separator_pressure_reading,
         )
         np.multiply(
-            f64[341.43] * (recycle_flow / f64[self._recycle_nominal]),
-            quantities[0] / f64[self._pressure_nominal],
-            out=head[21],
+            f64[341.43] * (self._recycle_flow / self._operand_recycle),
+            quantities[0] / self._operand_pressure,
+            out=self._compressor_work,
         )
-        xmeas[:, :22] = head.take(_HEAD_ORDER, axis=0).T
+        # ``mode="wrap"`` gathers straight into the readings (every index
+        # is in range, so it changes no value).
+        head.take(_HEAD_ORDER, axis=0, out=self._xmeas_head, mode="wrap")
 
         # Stream-6, purge and product analysers: each vector over its
         # floored total, times the analyser calibration.
-        fractions = (
-            flows["streams"][_REACTOR_IN:]
-            / np.maximum(totals[_REACTOR_IN:], f64[1e-9])[:, :, None]
-            * wide["gas_analyser_scales"]
-        )
-        xmeas[:, 22:28] = fractions[0, :, :6]
-        xmeas[:, 28:36] = fractions[1]
+        fractions = self._gas_fractions
+        np.maximum(flows.gas_totals, f64[1e-9], out=self._gas_floor)
+        np.divide(flows.gas_streams, self._gas_floor_columns, out=fractions)
+        np.multiply(fractions, wide["gas_analyser_scales"], out=fractions)
+        self._xmeas_stream6[...] = self._stream6_fractions
+        self._xmeas_purge[...] = self._purge_fractions
+        np.maximum(state.inventory_totals[4], f64[1e-9], out=self._stripper_floor)
         np.multiply(
-            state.stripper_liquid[:, _HEAVIES]
-            / np.maximum(inventory_totals[4], f64[1e-9])[:, None],
+            self._stripper_heavies / self._stripper_floor_column,
             wide["product_scale"],
-            out=xmeas[:, 36:41],
+            out=self._xmeas_product,
         )
 
+        xmeas = self._xmeas
         readings = xmeas + self._noise_draws.next() if noisy else xmeas
         return readings.clip(wide["xmeas_lower"], wide["xmeas_upper"])
 

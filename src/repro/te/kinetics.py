@@ -17,15 +17,14 @@ the base operating point a steady state by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.common.operands import f64
 from repro.te.constants import COMPONENTS, INTERNAL
 
-__all__ = ["ReactionRates", "BatchReactionRates", "ReactionKinetics"]
+__all__ = ["ReactionRates", "ReactionKinetics"]
 
 _INDEX = {component: i for i, component in enumerate(COMPONENTS)}
 
@@ -102,42 +101,6 @@ _PAIR_OPERANDS = np.array([[0, 0, 1, 2], [1, 3, 2, 3]])
 _PAIR_COEFFICIENTS = np.array([1.0, 3.0, 1.0, 2.0])[:, None]
 
 
-@dataclass(frozen=True)
-class BatchReactionRates:
-    """Extents of the four reactions for ``B`` reactors, ``(4, B)``."""
-
-    extents: np.ndarray
-    #: The kinetics' constants repeated to the batch width (see
-    #: :meth:`ReactionKinetics.rates_batch`), which :meth:`consumption` reads.
-    wide: Dict[str, np.ndarray] = field(repr=False, compare=False)
-
-    @property
-    def heat_release(self) -> np.ndarray:
-        """Row-wise normalized heat release (mirrors :class:`ReactionRates`)."""
-        extents = self.extents
-        halves = f64[0.5] * extents[2:4]
-        return (extents[0] + extents[1] + halves[0] + halves[1]) / f64[_NOMINAL_HEAT]
-
-    def consumption(self) -> np.ndarray:
-        """Net molar production per component, ``(B, 8)`` (negative = consumed).
-
-        Each component sees the serial :meth:`ReactionRates.consumption`
-        operations: the sums of extents, then ``0.0 -`` or ``0.0 +`` that sum.
-        """
-        extents, wide = self.extents, self.wide
-        terms = np.empty((len(COMPONENTS), extents.shape[1]))
-        pairs = extents.take(_PAIR_OPERANDS, axis=0)
-        # C, D, E, F: r1 + r2, r1 + 3 r4, r2 + r3, r3 + 2 r4.
-        np.multiply(pairs[1], wide["pair_coefficients"], out=terms[2:6])
-        np.add(pairs[0], terms[2:6], out=terms[2:6])
-        # A: r1 + r2 + r3; B: none; G, H: r1, r2.
-        np.add(terms[2], extents[2], out=terms[0])
-        terms[1] = 0.0
-        terms[6:8] = extents[0:2]
-        np.multiply(wide["production_sign"], terms, out=terms)
-        return np.add(f64[0.0], terms, out=terms).T
-
-
 class ReactionKinetics:
     """Computes reaction extents from reactor inventories and temperature.
 
@@ -177,9 +140,8 @@ class ReactionKinetics:
         self._nominal_extents = np.array(
             [float(INTERNAL[f"r{k}_nominal"]) for k in range(1, 5)]
         )[:, None]
-        # Per width: the batched path's constants repeated to the batch,
-        # and the operand buffer whose last row holds the padding 1.0.
-        self._wide_rows = -1
+        # The batched path's constants and buffers are bound per width by
+        # bind().
 
     def _availability(self, vapor: np.ndarray, liquid: np.ndarray, component: str) -> float:
         """Normalized availability of a reactant (1.0 at nominal inventory)."""
@@ -220,69 +182,129 @@ class ReactionKinetics:
     # ------------------------------------------------------------------
     # Batched evaluation (one call advances B reactors)
     # ------------------------------------------------------------------
+    def bind(self, n_rows: int) -> None:
+        """Bind the batched path to ``n_rows`` rows: its constants repeated
+        to the width (a call whose operands share one shape skips NumPy's
+        broadcasting set-up), the operand, extent and production buffers
+        and their views.  The batched results live in these buffers until
+        the next :meth:`rates_batch`."""
+        # Flat positions in the (2, B, 8) reactor stack of each row's a, c,
+        # d and e inventories, (4, B): one ``take`` gathers them.
+        self._reactants = (
+            (self._reactant_phase[:, None] * n_rows + np.arange(n_rows)) * len(COMPONENTS)
+            + self._reactant_index[:, None]
+        )
+        (
+            self._reactant_nominal_wide,
+            self._temp_gains_wide,
+            self._nominal_extents_wide,
+            self._pair_coefficients,
+            self._production_sign,
+        ) = (
+            np.repeat(constant, n_rows, axis=1)
+            for constant in (
+                self._reactant_nominal,
+                self._temp_gains,
+                self._nominal_extents,
+                _PAIR_COEFFICIENTS,
+                _PRODUCTION_SIGN,
+            )
+        )
+        # The operands of the extent products; the last row holds the
+        # padding 1.0.
+        operands = self._operands = np.empty((11, n_rows))
+        operands[10] = 1.0
+        self._availabilities = operands[0:4]
+        self._c, self._sqrt_c, self._factors, self._drift = (
+            operands[1], operands[4], operands[5:9], operands[9]
+        )
+        # The extent products' operands gathered per reaction, (5, 4, B).
+        self._extent_factors = np.empty((len(_EXTENT_OPERANDS), 4, n_rows))
+        self._first_factors, *self._later_factors = self._extent_factors
+        extents = self.extents = np.empty((4, n_rows))
+        self._extent_rows = tuple(extents)
+        self._r1_r2, self._r3_r4 = extents[0:2], extents[2:4]
+        self._halves = np.empty((2, n_rows))
+        self._pairs = np.empty((2, 4, n_rows))
+        # Production terms per component, (8, B); ``production`` is its
+        # (B, 8) transpose.
+        terms = self._terms = np.empty((len(COMPONENTS), n_rows))
+        terms[1] = 0.0
+        self._terms_a, self._terms_cdef, self._terms_gh = terms[0], terms[2:6], terms[6:8]
+        self._terms_c = terms[2]
+        self.production = terms.T
+
     def rates_batch(
         self,
         reactor: np.ndarray,
         reactor_temp: np.ndarray,
         kinetics_drift: np.ndarray,
-    ) -> "BatchReactionRates":
-        """Reaction extents for ``B`` reactor states at once.
+    ) -> np.ndarray:
+        """Reaction extents for ``B`` reactor states at once, ``(4, B)``.
 
         ``reactor`` stacks the vapour and liquid inventories, ``(2, B, 8)``;
-        temperatures and drifts are ``(B,)``.  The four availabilities, the
-        four temperature factors and the four extent products each run as
-        one stacked call, and every element sees the ufuncs of the scalar
-        :meth:`rates` path in the same order, so row ``i`` of the result is
-        bitwise-identical to ``rates(vapor[i], liquid[i], temp[i], drift[i])``.
+        temperatures and drifts are ``(B,)``, ``B`` the width of the last
+        :meth:`bind`.  The four availabilities, the four temperature factors
+        and the four extent products each run as one stacked call, and every
+        element sees the ufuncs of the scalar :meth:`rates` path in the same
+        order, so row ``i`` of the result is bitwise-identical to
+        ``rates(vapor[i], liquid[i], temp[i], drift[i])``.  The result is
+        :attr:`extents`, written again by the next call.
         """
-        n_rows = reactor.shape[1]
-        if n_rows != self._wide_rows:
-            self._fit_width(n_rows)
-        wide = self._wide
-        operands = self._operands
+        availabilities = self._availabilities
         # a, c, d, e: inventory over nominal, floored at zero.
         np.divide(
-            reactor.take(wide["reactants"]), wide["reactant_nominal"], out=operands[0:4]
+            reactor.take(self._reactants), self._reactant_nominal_wide, out=availabilities
         )
-        np.maximum(operands[0:4], f64[0.0], out=operands[0:4])
+        np.maximum(availabilities, f64[0.0], out=availabilities)
         # sqrt(max(c, 0.0)): c is floored already, and flooring twice
         # changes no bit (max(max(x, 0), 0) is max(x, 0), NaN included).
-        np.sqrt(operands[1], out=operands[4])
+        np.sqrt(self._c, out=self._sqrt_c)
         np.exp(
-            wide["temp_gains"] * (reactor_temp - f64[self._nominal_temp]),
-            out=operands[5:9],
+            self._temp_gains_wide * (reactor_temp - f64[self._nominal_temp]),
+            out=self._factors,
         )
-        np.multiply(f64[self.drift_gain], kinetics_drift, out=operands[9])
-        np.add(f64[1.0], operands[9], out=operands[9])
+        np.multiply(f64[self.drift_gain], kinetics_drift, out=self._drift)
+        np.add(f64[1.0], self._drift, out=self._drift)
 
-        factors = operands.take(_EXTENT_OPERANDS, axis=0)
-        extents = wide["nominal_extents"] * factors[0]
-        for factor in factors[1:]:
+        # ``mode="wrap"`` gathers straight into the buffer (every index is
+        # in range, so it changes no value).
+        self._operands.take(
+            _EXTENT_OPERANDS, axis=0, out=self._extent_factors, mode="wrap"
+        )
+        extents = self.extents
+        np.multiply(self._nominal_extents_wide, self._first_factors, out=extents)
+        for factor in self._later_factors:
             extents *= factor
         np.maximum(extents, f64[0.0], out=extents)
-        return BatchReactionRates(extents, wide)
+        return extents
 
-    def _fit_width(self, n_rows: int) -> None:
-        """Repeat the batched path's constants to ``n_rows`` rows."""
-        # Flat positions in the (2, B, 8) reactor stack of each row's a, c,
-        # d and e inventories, (4, B): one ``take`` gathers them.
-        reactants = (
-            (self._reactant_phase[:, None] * n_rows + np.arange(n_rows)) * len(COMPONENTS)
-            + self._reactant_index[:, None]
-        )
-        self._wide = {
-            "reactants": reactants,
-            **{
-                name: np.repeat(constant, n_rows, axis=1)
-                for name, constant in (
-                    ("reactant_nominal", self._reactant_nominal),
-                    ("temp_gains", self._temp_gains),
-                    ("nominal_extents", self._nominal_extents),
-                    ("pair_coefficients", _PAIR_COEFFICIENTS),
-                    ("production_sign", _PRODUCTION_SIGN),
-                )
-            },
-        }
-        self._operands = np.empty((11, n_rows))
-        self._operands[10] = 1.0
-        self._wide_rows = n_rows
+    def heat_release_batch(self) -> np.ndarray:
+        """Row-wise normalized heat release of the last :meth:`rates_batch`
+        (mirrors :attr:`ReactionRates.heat_release`)."""
+        r1, r2 = self._extent_rows[0:2]
+        halves = self._halves
+        np.multiply(f64[0.5], self._r3_r4, out=halves)
+        return (r1 + r2 + halves[0] + halves[1]) / f64[_NOMINAL_HEAT]
+
+    def consumption_batch(self) -> np.ndarray:
+        """Net molar production per component of the last
+        :meth:`rates_batch`, ``(B, 8)`` (negative = consumed).
+
+        Each component sees the serial :meth:`ReactionRates.consumption`
+        operations: the sums of extents, then ``0.0 -`` or ``0.0 +`` that
+        sum.  The result is :attr:`production`, written again by the next
+        call.
+        """
+        terms = self._terms
+        left, right = self.extents.take(_PAIR_OPERANDS, axis=0, out=self._pairs, mode="wrap")
+        # C, D, E, F: r1 + r2, r1 + 3 r4, r2 + r3, r3 + 2 r4.
+        cdef = self._terms_cdef
+        np.multiply(right, self._pair_coefficients, out=cdef)
+        np.add(left, cdef, out=cdef)
+        # A: r1 + r2 + r3; B: none; G, H: r1, r2.
+        np.add(self._terms_c, self._extent_rows[2], out=self._terms_a)
+        self._terms_gh[...] = self._r1_r2
+        np.multiply(self._production_sign, terms, out=terms)
+        np.add(f64[0.0], terms, out=terms)
+        return self.production

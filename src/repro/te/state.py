@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Dict
 
 import numpy as np
 
@@ -225,19 +226,17 @@ QUANTITY_ROWS = (
 )
 
 
-def _row_view(stack: str, row: int, doc: str) -> property:
-    """A named field of a stacked state: reads a view, writes in place."""
-
-    def get(self) -> np.ndarray:
-        return getattr(self, stack)[row]
+def _row_view(name: str, doc: str) -> property:
+    """A named field of a stacked state: reads its bound view, writes into
+    its stack in place."""
 
     def set(self, value) -> None:
-        getattr(self, stack)[row] = value
+        getattr(self, name)[...] = value
+        self.mark_changed()
 
-    return property(get, set, doc=doc)
+    return property(attrgetter(name), set, doc=doc)
 
 
-@dataclass
 class BatchTEState:
     """Dynamic state of ``B`` independent plants, stacked by kind.
 
@@ -250,6 +249,13 @@ class BatchTEState:
     Assigning a named field writes into its stack.  The simulation clock
     stays a single scalar because batched runs advance in lockstep.
 
+    The named views and the derived quantities' constants, repeated to the
+    batch width, are bound when the state is built and when :meth:`take`
+    replaces the stacks, not looked up per read.  Whatever writes into the
+    stacks calls :meth:`mark_changed`, which derives the pressures, levels
+    and inventory totals anew, into fresh arrays: one a caller holds is
+    never written again.
+
     Each derived quantity applies exactly the arithmetic of the
     corresponding :class:`TEState` property, element by element, which is
     what anchors the batch kernel's bitwise equivalence to the serial
@@ -257,19 +263,25 @@ class BatchTEState:
     never the operations one element sees.
     """
 
-    inventory: np.ndarray
-    lags: np.ndarray
-    ambient: np.ndarray
-    time_hours: float = 0.0
-    _derived: Optional[Tuple[np.ndarray, np.ndarray]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    #: The derived quantities' constants repeated to the batch width (a
-    #: call whose operands share one shape skips NumPy's broadcasting
-    #: set-up); built on first use and after :meth:`take`.
-    _wide: Optional[Tuple[np.ndarray, ...]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    inventory_totals: np.ndarray
+    """Molar total of every inventory, ``(5, B)`` in :data:`INVENTORY_ROWS` order."""
+    quantities: np.ndarray
+    """The pressures and levels stacked, ``(5, B)`` in :data:`QUANTITY_ROWS`
+    order: reactor and separator pressure (kPa gauge), then reactor,
+    separator and stripper level (% of capacity)."""
+
+    def __init__(
+        self,
+        inventory: np.ndarray,
+        lags: np.ndarray,
+        ambient: np.ndarray,
+        time_hours: float = 0.0,
+    ):
+        self.inventory = inventory
+        self.lags = lags
+        self.ambient = ambient
+        self.time_hours = time_hours
+        self._bind()
 
     @classmethod
     def nominal(cls, n_rows: int) -> "BatchTEState":
@@ -284,6 +296,24 @@ class BatchTEState:
             ambient=np.tile(ambient[:, None], (1, n_rows)),
         )
 
+    def _bind(self) -> None:
+        """Bind the named views of the stacks and the derived quantities'
+        constants at the stacks' width (a call whose operands share one
+        shape skips NumPy's broadcasting set-up), then derive."""
+        for stack, names in (
+            (self.inventory, INVENTORY_ROWS),
+            (self.lags, LAG_ROWS),
+            (self.ambient, AMBIENT_ROWS),
+        ):
+            for name, view in zip(names, stack):
+                setattr(self, "_" + name, view)
+        self._temperatures = self.lags[1:3]
+        self._wide = tuple(
+            np.repeat(constant, self.n_rows, axis=1)
+            for constant in (_NOMINAL_PRESSURES, _NOMINAL_MOLES, _NOMINAL_TEMPS_K, _CAPACITIES)
+        )
+        self.mark_changed()
+
     @property
     def n_rows(self) -> int:
         """Number of plants in the batch."""
@@ -294,8 +324,7 @@ class BatchTEState:
         self.inventory = self.inventory[:, indices]
         self.lags = self.lags[:, indices]
         self.ambient = self.ambient[:, indices]
-        self._derived = None
-        self._wide = None
+        self._bind()
 
     def snapshot_row(self, row: int) -> TEState:
         """Row ``row`` as a serial :class:`TEState` (a copy), on the batch clock."""
@@ -320,101 +349,73 @@ class BatchTEState:
             for index, name in enumerate(names):
                 stack[index, row] = getattr(state, name)
         self.time_hours = state.time_hours
-        self._derived = None
+        self.mark_changed()
 
     # -- derived quantities (row-wise mirrors of TEState) ---------------
     def mark_changed(self) -> None:
-        """Drop the stored derived quantities after the state was updated.
+        """Derive the quantities anew after the state was updated.
 
         The pressures, levels and inventory totals are read by the
         measurement map, the flow network and the safety check of every
-        step, so they are computed once per state; whatever mutates the
-        arrays calls this afterwards.
+        step, so they are derived once per state; whatever mutates the
+        arrays calls this afterwards.  ``inventory_totals`` is the ``(5,
+        B)`` molar total of every inventory, ``quantities`` the ``(5, B)``
+        reactor and separator pressure and reactor, separator and stripper
+        level.
         """
-        self._derived = None
-
-    def _derived_values(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(totals, quantities)``, computed on first use after a change.
-
-        ``totals`` is the ``(5, B)`` molar total of every inventory;
-        ``quantities`` the ``(5, B)`` reactor and separator pressure and
-        reactor, separator and stripper level.
-        """
-        derived = self._derived
-        if derived is None:
-            if self._wide is None:
-                self._wide = tuple(
-                    np.repeat(constant, self.n_rows, axis=1)
-                    for constant in (
-                        _NOMINAL_PRESSURES, _NOMINAL_MOLES, _NOMINAL_TEMPS_K, _CAPACITIES
-                    )
-                )
-            pressures, moles, temps_k, capacities = self._wide
-            totals = np.add.reduce(self.inventory, axis=2)
-            quantities = np.empty_like(totals)
-            temp_k = self.lags[1:3] + f64[273.15]
-            np.multiply(
-                pressures * (totals[0:2] / moles),
-                temp_k / temps_k,
-                out=quantities[0:2],
-            )
-            np.divide(f64[100.0] * totals[2:5], capacities, out=quantities[2:5])
-            derived = self._derived = (totals, quantities)
-        return derived
-
-    @property
-    def inventory_totals(self) -> np.ndarray:
-        """Molar total of every inventory, ``(5, B)`` in :data:`INVENTORY_ROWS` order."""
-        return self._derived_values()[0]
-
-    @property
-    def quantities(self) -> np.ndarray:
-        """The pressures and levels stacked, ``(5, B)`` in
-        :data:`QUANTITY_ROWS` order: reactor and separator pressure (kPa
-        gauge), then reactor, separator and stripper level (% of
-        capacity)."""
-        return self._derived_values()[1]
+        pressures, moles, temps_k, capacities = self._wide
+        totals = np.add.reduce(self.inventory, axis=2)
+        quantities = np.empty_like(totals)
+        temp_k = self._temperatures + f64[273.15]
+        np.multiply(
+            pressures * (totals[0:2] / moles),
+            temp_k / temps_k,
+            out=quantities[0:2],
+        )
+        np.divide(f64[100.0] * totals[2:5], capacities, out=quantities[2:5])
+        self.inventory_totals, self.quantities = totals, quantities
 
     @property
     def reactor_pressure_kpa(self) -> np.ndarray:
         """Reactor pressure (kPa gauge) per row."""
-        return self._derived_values()[1][0]
+        return self.quantities[0]
 
     @property
     def separator_pressure_kpa(self) -> np.ndarray:
         """Separator pressure (kPa gauge) per row."""
-        return self._derived_values()[1][1]
+        return self.quantities[1]
 
     @property
     def reactor_level_percent(self) -> np.ndarray:
         """Reactor liquid level, % of capacity, per row."""
-        return self._derived_values()[1][2]
+        return self.quantities[2]
 
     @property
     def separator_level_percent(self) -> np.ndarray:
         """Separator liquid level, % of capacity, per row."""
-        return self._derived_values()[1][3]
+        return self.quantities[3]
 
     @property
     def stripper_level_percent(self) -> np.ndarray:
         """Stripper liquid level, % of capacity, per row."""
-        return self._derived_values()[1][4]
+        return self.quantities[4]
 
     def clip_nonnegative(self) -> None:
         """Clamp all molar inventories to be non-negative (numerical guard)."""
         np.maximum(self.inventory, f64[0.0], out=self.inventory)
-        self._derived = None
+        self.mark_changed()
 
 
-for _row, _name in enumerate(INVENTORY_ROWS):
-    setattr(
-        BatchTEState,
-        _name,
-        _row_view("inventory", _row, f"``{_name}`` per row, ``(B, 8)``."),
-    )
-for _stack, _rows in (("lags", LAG_ROWS), ("ambient", AMBIENT_ROWS)):
-    for _row, _name in enumerate(_rows):
+for _stack, _rows in (
+    ("inventory", INVENTORY_ROWS),
+    ("lags", LAG_ROWS),
+    ("ambient", AMBIENT_ROWS),
+):
+    _shape = "``(B, 8)``" if _stack == "inventory" else "``(B,)``"
+    for _name in _rows:
         setattr(
-            BatchTEState, _name, _row_view(_stack, _row, f"``{_name}`` per row, ``(B,)``.")
+            BatchTEState,
+            _name,
+            _row_view("_" + _name, f"``{_name}`` per row, {_shape}."),
         )
-del _row, _name, _stack, _rows
+del _name, _stack, _rows, _shape

@@ -7,6 +7,9 @@ to the pre-existing eager ``Evaluation.evaluate_all`` path; and novel
 anomaly primitives (drift, stuck-at, replay) run purely from a spec file.
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -395,3 +398,77 @@ class TestFigureRegistryIntegration:
             contributions=np.array([]),
         )
         assert figure.title == "no_such"
+
+
+def run_isolated(code: str) -> list:
+    """Run ``code`` in a fresh interpreter on this tree; its output lines."""
+    source = Path(__file__).resolve().parent.parent / "src"
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(source)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return completed.stdout.splitlines()
+
+
+class TestImportIsolation:
+    def test_fingerprinting_a_spec_leaves_the_service_stack_unloaded(self):
+        # Session.run opens by fingerprinting its spec; the digest lives
+        # beside CampaignSpec, so no coordinator, REST or HTTP module loads.
+        modules = ("repro.service", "repro.faults", "http.server")
+        spec_path = SPEC_DIR / "batch_paper.toml"
+        code = (
+            "import sys\n"
+            "from repro import api\n"
+            f"spec = api.load_spec({str(spec_path)!r})\n"
+            "print(api.Session(spec).fingerprint())\n"
+            f"print(sorted(m for m in {modules!r} if m in sys.modules))\n"
+            "from repro.service import campaign_fingerprint\n"
+            "from repro.service.chunks import campaign_fingerprint as chunked\n"
+            "print(campaign_fingerprint(spec), chunked is campaign_fingerprint)\n"
+        )
+        fingerprint, loaded, service = run_isolated(code)
+        assert loaded == "[]"
+        assert service == f"{fingerprint} True"
+
+    def test_importing_the_api_leaves_the_response_and_dashboard_layers_unloaded(self):
+        # A spec reads only the response policy and the live alarm records;
+        # the packages load their other layers on first attribute access.
+        modules = (
+            "repro.response.campaign",
+            "repro.response.runner",
+            "repro.response.metrics",
+            "repro.response.verify",
+            "repro.live.dashboard",
+            "repro.plotting",
+            "repro.experiments.figures",
+        )
+        code = (
+            "import sys, repro.api\n"
+            f"print(sorted(m for m in {modules!r} if m in sys.modules))\n"
+            "import repro.experiments, repro.live, repro.response\n"
+            "from repro.response import ResponseRunner, evaluate_all_response\n"
+            "from repro.live import render_live_dashboard\n"
+            "from repro.experiments import arl_table\n"
+            "print(ResponseRunner.__module__, evaluate_all_response.__module__,\n"
+            "      render_live_dashboard.__module__, arl_table.__module__)\n"
+            "print(all(hasattr(package, name) for package in\n"
+            "          (repro.experiments, repro.live, repro.response)\n"
+            "          for name in package.__all__))\n"
+        )
+        assert run_isolated(code) == [
+            "[]",
+            "repro.response.runner repro.response.campaign "
+            "repro.live.dashboard repro.experiments.figures",
+            "True",
+        ]
+
+    def test_an_unknown_lazy_name_still_raises_attribute_error(self):
+        import repro.live
+        import repro.response
+
+        for package in (repro.live, repro.response):
+            with pytest.raises(AttributeError):
+                package.no_such_name

@@ -181,6 +181,60 @@ class TestOnAlarmSnapshot:
             assert monitor.report().snapshot is None
 
 
+class TestDetectionState:
+    """The earliest onset-restricted detection is kept as state, set when
+    a rule fires; ``detected`` reads it on every sample."""
+
+    @pytest.mark.parametrize("loud_view", ["controller", "process"])
+    def test_detected_flips_exactly_at_the_confirming_sample(
+        self, small_evaluation, loud_view
+    ):
+        analyzer = small_evaluation.analyzer
+        monitor = LiveMonitor(analyzer, anomaly_start_hour=1.0)
+        consecutive = monitor.controller_view.consecutive
+        loud = getattr(monitor, f"{loud_view}_view")
+        # The loud view violates D from sample 5 on: a false alarm confirms
+        # before the onset (t = 1.0 h, sample 10), the counted detection at
+        # the onset's consecutive-th sample.
+        confirming = 10 + consecutive - 1
+        controller = np.zeros(len(analyzer.controller_monitor.variable_names))
+        process = np.zeros(len(analyzer.process_monitor.variable_names))
+        for index in range(confirming + 4):
+            violating = (2.0 * loud.d_limit, 0.0) if index >= 5 else (0.0, 0.0)
+            stats = {"controller": (0.0, 0.0), "process": (0.0, 0.0)}
+            stats[loud_view] = violating
+            monitor.ingest_scored(
+                controller, process, 0.1 * index, stats["controller"], stats["process"]
+            )
+            assert monitor.detected == (index >= confirming), index
+        assert monitor.detection_index == loud.detection_index == confirming
+        assert monitor.detection_time_hours == 0.1 * confirming
+        assert monitor.false_alarm_time_hours == 0.1 * (5 + consecutive - 1)
+        quiet = monitor.views["process" if loud_view == "controller" else "controller"]
+        assert quiet.detection_index is None
+        assert monitor.snapshot is not None
+
+    def test_the_earlier_view_wins_and_reset_forgets(self, small_evaluation):
+        analyzer = small_evaluation.analyzer
+        monitor = LiveMonitor(analyzer)
+        consecutive = monitor.controller_view.consecutive
+        controller = np.zeros(len(analyzer.controller_monitor.variable_names))
+        process = np.zeros(len(analyzer.process_monitor.variable_names))
+        for index in range(2 * consecutive + 2):
+            # Q of the process view from sample 0, D of the controller
+            # view from sample 2.
+            controller_stats = (1e12, 0.0) if index >= 2 else (0.0, 0.0)
+            monitor.ingest_scored(
+                controller, process, float(index), controller_stats, (0.0, 1e12)
+            )
+        assert monitor.process_view.detection_index == consecutive - 1
+        assert monitor.controller_view.detection_index == consecutive + 1
+        assert monitor.detection_index == consecutive - 1
+        assert monitor.detection_time_hours == float(consecutive - 1)
+        monitor.reset()
+        assert not monitor.detected and monitor.detection_index is None
+
+
 # ----------------------------------------------------------------------
 # Alarm manager state machine
 # ----------------------------------------------------------------------
