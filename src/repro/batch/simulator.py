@@ -52,6 +52,7 @@ from repro.control.batch import BatchDecentralizedController
 from repro.control.te_controller import TEDecentralizedController
 from repro.datasets.dataset import ProcessDataset
 from repro.network.channel import BatchChannel, Channel
+from repro.obs.trace import span as obs_span
 from repro.process.disturbances import BatchDisturbanceView
 from repro.process.interfaces import StepObserver, StepSample
 from repro.process.safety import BatchSafetyMonitor
@@ -570,115 +571,131 @@ class BatchSimulator:
             for observer in row.observers:
                 observer.on_run_start(names, row.spec.simulation, dict(row.metadata))
 
-        # ``batch.alive`` maps batch-local position -> original batch index
-        # (the slab row); components are compacted whenever rows finish
-        # early.  ``recorded_through`` is the shared count of fully recorded
-        # samples (rows advance in lockstep, so one scalar serves every
-        # alive row); a row's own n_recorded is stamped only when it leaves
-        # the batch.
-        recorded_through = start
-        any_observers = any(row.observers for row in rows)
-        live_groups = _live_groups(rows, batch.alive)
+        # One span per lockstep batch; with tracing off this is the shared
+        # no-op span, and nothing is added per step.
+        n_steps = 0
+        with obs_span(
+            "batch.lockstep",
+            rows=len(rows),
+            start_sample=start,
+            resumed=checkpoints is not None,
+        ) as lockstep:
+            # ``batch.alive`` maps batch-local position -> original batch index
+            # (the slab row); components are compacted whenever rows finish
+            # early.  ``recorded_through`` is the shared count of fully recorded
+            # samples (rows advance in lockstep, so one scalar serves every
+            # alive row); a row's own n_recorded is stamped only when it leaves
+            # the batch.
+            recorded_through = start
+            any_observers = any(row.observers for row in rows)
+            live_groups = _live_groups(rows, batch.alive)
 
-        for sample_index in range(start, total_samples):
-            if batch.alive.size == 0:
-                break
-            for index, key in due.get(sample_index, ()):
-                if index in batch.alive:
-                    checkpoint = batch.checkpoint(
-                        batch.local(index),
-                        time,  # the clock of the last step's transmissions
-                        controller_rows[index][:sample_index],
-                        process_rows[index][:sample_index],
-                        times[:sample_index],
-                    )
-                    prefixes.keep(key, checkpoint, budget)
-            batch_ended = False
-            for _ in range(steps_per_sample):
-                time = state.time_hours
-                true_xmeas = measure(noisy)
-                received_xmeas = transmit_sensors(true_xmeas, time)
-                commanded_xmv = update(received_xmeas, dt)
-                applied_xmv = transmit_commands(commanded_xmv, time)
-                step_batch(applied_xmv, dt, idv_at(time))
+            for sample_index in range(start, total_samples):
+                if batch.alive.size == 0:
+                    break
+                for index, key in due.get(sample_index, ()):
+                    if index in batch.alive:
+                        checkpoint = batch.checkpoint(
+                            batch.local(index),
+                            time,  # the clock of the last step's transmissions
+                            controller_rows[index][:sample_index],
+                            process_rows[index][:sample_index],
+                            times[:sample_index],
+                        )
+                        prefixes.keep(key, checkpoint, budget)
+                batch_ended = False
+                for step_index in range(steps_per_sample):
+                    time = state.time_hours
+                    true_xmeas = measure(noisy)
+                    received_xmeas = transmit_sensors(true_xmeas, time)
+                    commanded_xmv = update(received_xmeas, dt)
+                    applied_xmv = transmit_commands(commanded_xmv, time)
+                    step_batch(applied_xmv, dt, idv_at(time))
 
-                tripped, reasons = check(state.time_hours, state.quantities)
-                if safety.any_tripped:
-                    trip_time = state.time_hours
-                    tripped_locals = np.flatnonzero(tripped)
-                    if recorded_through == 0 and trajectories:
-                        # The plant tripped before its first sample could be
-                        # stored; mirror the serial fallback of recording the
-                        # (noiseless) state at t = 0 with nominal commands.
-                        xmeas = plant.measure(noisy=False)
-                        xmv = plant.manipulated_variables.nominal_values()
+                    tripped, reasons = check(state.time_hours, state.quantities)
+                    if safety.any_tripped:
+                        trip_time = state.time_hours
+                        tripped_locals = np.flatnonzero(tripped)
+                        if recorded_through == 0 and trajectories:
+                            # The plant tripped before its first sample could be
+                            # stored; mirror the serial fallback of recording the
+                            # (noiseless) state at t = 0 with nominal commands.
+                            xmeas = plant.measure(noisy=False)
+                            xmv = plant.manipulated_variables.nominal_values()
+                            for local in tripped_locals:
+                                rows[batch.alive[local]].fallback_sample = np.concatenate(
+                                    [xmeas[local], xmv]
+                                )
                         for local in tripped_locals:
-                            rows[batch.alive[local]].fallback_sample = np.concatenate(
-                                [xmeas[local], xmv]
-                            )
-                    for local in tripped_locals:
-                        row = rows[batch.alive[local]]
-                        row.n_recorded = recorded_through
-                        row.shutdown_time_hours = trip_time
-                        row.shutdown_reason = reasons[local]
-                    keep = batch.compact(~tripped)
-                    true_xmeas = true_xmeas[keep]
-                    received_xmeas = received_xmeas[keep]
-                    commanded_xmv = commanded_xmv[keep]
-                    applied_xmv = applied_xmv[keep]
-                    live_groups = _live_groups(rows, batch.alive)
-                    if batch.alive.size == 0:
-                        batch_ended = True
-                        break
-            if batch_ended:
-                break
+                            row = rows[batch.alive[local]]
+                            row.n_recorded = recorded_through
+                            row.shutdown_time_hours = trip_time
+                            row.shutdown_reason = reasons[local]
+                        keep = batch.compact(~tripped)
+                        true_xmeas = true_xmeas[keep]
+                        received_xmeas = received_xmeas[keep]
+                        commanded_xmv = commanded_xmv[keep]
+                        applied_xmv = applied_xmv[keep]
+                        live_groups = _live_groups(rows, batch.alive)
+                        if batch.alive.size == 0:
+                            batch_ended = True
+                            break
+                if batch_ended:
+                    n_steps += step_index + 1
+                    break
+                n_steps += steps_per_sample
 
-            alive = batch.alive
-            sample_time = state.time_hours
-            controller_values = np.concatenate(
-                [received_xmeas, commanded_xmv], axis=1
+                alive = batch.alive
+                sample_time = state.time_hours
+                controller_values = np.concatenate(
+                    [received_xmeas, commanded_xmv], axis=1
+                )
+                process_values = np.concatenate([true_xmeas, applied_xmv], axis=1)
+                if trajectories:
+                    for local, index in enumerate(alive):
+                        controller_rows[index][sample_index] = controller_values[local]
+                        process_rows[index][sample_index] = process_values[local]
+                    times[sample_index] = sample_time
+                recorded_through = sample_index + 1
+
+                if any_observers:
+                    scores = _score_live(live_groups, controller_values, process_values)
+                    stopping = np.zeros(alive.size, dtype=bool)
+                    for local in range(alive.size):
+                        row = rows[alive[local]]
+                        if not row.observers:
+                            continue
+                        sample = StepSample(
+                            index=sample_index,
+                            time_hours=float(sample_time),
+                            controller_values=controller_values[local],
+                            process_values=process_values[local],
+                        )
+                        stop_requested = False
+                        for observer in row.observers:
+                            stats = scores.get(id(observer))
+                            if stats is None:
+                                stop = observer.on_sample(sample)
+                            else:
+                                stop = observer.on_scored_sample(sample, *stats)
+                            if stop:
+                                stop_requested = True
+                                if row.early_stop_reason is None:
+                                    row.early_stop_reason = observer.stop_reason
+                        if stop_requested:
+                            row.n_recorded = recorded_through
+                            row.early_stop_time_hours = float(sample_time)
+                            stopping[local] = True
+                    if stopping.any():
+                        batch.compact(~stopping)
+                        live_groups = _live_groups(rows, batch.alive)
+                        if batch.alive.size == 0:
+                            break
+            lockstep.annotate(
+                steps=n_steps,
+                tripped=sum(row.shutdown_time_hours is not None for row in rows),
+                stopped=sum(row.early_stop_time_hours is not None for row in rows),
             )
-            process_values = np.concatenate([true_xmeas, applied_xmv], axis=1)
-            if trajectories:
-                for local, index in enumerate(alive):
-                    controller_rows[index][sample_index] = controller_values[local]
-                    process_rows[index][sample_index] = process_values[local]
-                times[sample_index] = sample_time
-            recorded_through = sample_index + 1
-
-            if any_observers:
-                scores = _score_live(live_groups, controller_values, process_values)
-                stopping = np.zeros(alive.size, dtype=bool)
-                for local in range(alive.size):
-                    row = rows[alive[local]]
-                    if not row.observers:
-                        continue
-                    sample = StepSample(
-                        index=sample_index,
-                        time_hours=float(sample_time),
-                        controller_values=controller_values[local],
-                        process_values=process_values[local],
-                    )
-                    stop_requested = False
-                    for observer in row.observers:
-                        stats = scores.get(id(observer))
-                        if stats is None:
-                            stop = observer.on_sample(sample)
-                        else:
-                            stop = observer.on_scored_sample(sample, *stats)
-                        if stop:
-                            stop_requested = True
-                            if row.early_stop_reason is None:
-                                row.early_stop_reason = observer.stop_reason
-                    if stop_requested:
-                        row.n_recorded = recorded_through
-                        row.early_stop_time_hours = float(sample_time)
-                        stopping[local] = True
-                if stopping.any():
-                    batch.compact(~stopping)
-                    live_groups = _live_groups(rows, batch.alive)
-                    if batch.alive.size == 0:
-                        break
 
         for local in range(batch.alive.size):
             rows[batch.alive[local]].n_recorded = recorded_through

@@ -139,28 +139,85 @@ class BatchDecentralizedController:
         return self._n_rows
 
     def _bind(self) -> None:
-        """Bind the batch width: repeat the shared tuning to it, and set up
-        the buffers of :meth:`update`: the loop outputs beside the
-        constants, the override factor table whose column 0 holds 1.0, and
-        the per-loop error, proportional, increment and unclamped terms."""
-        n_rows = self._n_rows
-        self._wide = {
+        """Build :meth:`update`'s step for the batch width.
+
+        The shared tuning is repeated to the width (a ufunc call whose
+        operands share one shape skips NumPy's broadcasting set-up); the
+        loop outputs sit beside the constants in one buffer that the
+        command matrix is gathered from; the override factor table holds
+        1.0 in column 0; every intermediate gets a buffer.  All of them,
+        with the row state (integrals, filtered overrides, gains) and the
+        ufuncs, are locals of the closures built here: ``_filter``, the
+        override filter's step, and ``_step``, the PI step from the
+        filtered signals to the command matrix.
+        """
+        n_rows, n_loops = self._n_rows, self._ti.size
+        wide = self._wide = {
             name: np.tile(constant, (n_rows, 1)) for name, constant in self._shared.items()
         }
-        n_loops = self._ti.size
-        self._assembly = np.empty((n_rows, n_loops + self._constant_values.size))
-        self._assembly[:, n_loops:] = self._constant_values
-        self._loop_outputs = self._assembly[:, :n_loops]
+        setpoint, direction, bias, override_start = (
+            wide[name] for name in ("setpoint", "direction", "bias", "override_start")
+        )
+        assembly = np.empty((n_rows, n_loops + self._constant_values.size))
+        assembly[:, n_loops:] = self._constant_values
+        loop_outputs = assembly[:, :n_loops]
         self._factors = np.ones((n_rows, 4))
-        (
-            self._measured,
-            self._error,
-            self._proportional,
-            self._increment,
-            self._unclamped,
-        ) = np.empty((5, n_rows, n_loops))
-        self._filter_step = np.empty((n_rows, 2))
-        self._high = np.empty((n_rows, 2), dtype=bool)
+        measured, error, proportional, increment, unclamped, floored = np.empty(
+            (6, n_rows, n_loops)
+        )
+        accumulate, deeper, easing = np.empty((3, n_rows, n_loops), dtype=bool)
+        filter_step = np.empty((n_rows, 2))
+        high = np.empty((n_rows, 2), dtype=bool)
+        integral, filtered = self._integral, self._filtered
+        kc, kc_over_ti = self._kc, self._kc_over_ti
+        xmeas_columns, output_order = self._xmeas_columns, self._output_order
+        override_setpoints = self._override_setpoints
+        zero, hundred = f64[0.0], f64[100.0]
+        add, subtract, multiply = np.add, np.subtract, np.multiply
+        maximum, minimum, greater, less = np.maximum, np.minimum, np.greater, np.less
+        equal, bitwise_and, bitwise_or = np.equal, np.bitwise_and, np.bitwise_or
+        count_nonzero = np.count_nonzero
+
+        def filter_signals(signals: np.ndarray, alpha: np.ndarray) -> None:
+            # previous + alpha * (signal - previous)
+            subtract(signals, filtered, filter_step)
+            multiply(filter_step, alpha, filter_step)
+            add(filter_step, filtered, filtered)
+
+        def step(measurements: np.ndarray, dt: np.ndarray) -> np.ndarray:
+            greater(filtered, override_start, high)
+            goal = override_setpoints(high) if count_nonzero(high) else setpoint
+            # ``"wrap"`` gathers straight into the buffer (every column is in
+            # range, so it changes no value).
+            measurements.take(xmeas_columns, 1, measured, "wrap")
+            subtract(goal, measured, error)
+            multiply(error, direction, error)
+            multiply(kc, error, proportional)
+            multiply(kc_over_ti, error, increment)
+            multiply(increment, dt, increment)
+            # The serial PID adds a literal-zero derivative term; mirror it
+            # so a -0.0 partial sum normalizes identically.
+            add(bias, proportional, unclamped)
+            add(unclamped, integral, unclamped)
+            add(unclamped, increment, unclamped)
+            add(unclamped, zero, unclamped)
+            maximum(unclamped, zero, out=floored)
+            minimum(floored, hundred, out=loop_outputs)
+            # Anti-windup: accumulate only where it does not deepen
+            # saturation.
+            equal(loop_outputs, unclamped, accumulate)
+            greater(unclamped, loop_outputs, deeper)
+            less(increment, zero, easing)
+            bitwise_and(deeper, easing, deeper)
+            bitwise_or(accumulate, deeper, accumulate)
+            less(unclamped, loop_outputs, deeper)
+            greater(increment, zero, easing)
+            bitwise_and(deeper, easing, deeper)
+            bitwise_or(accumulate, deeper, accumulate)
+            add(integral, increment, out=integral, where=accumulate)
+            return assembly.take(output_order, 1)
+
+        self._filter, self._step = filter_signals, step
 
     def reset(self) -> None:
         """Clear every row's controller memory."""
@@ -277,57 +334,16 @@ class BatchDecentralizedController:
             )
         if dt_hours <= 0:
             return self._output
-
-        wide = self._wide
-        zero = f64[0.0]
         signals = measurements[:, _OVERRIDE_COLUMNS]
-        filtered = self._filtered
         if not self._filters_initialized or self.override_filter_hours <= 0:
-            filtered[...] = signals
+            self._filtered[...] = signals
         else:
-            # previous + alpha * (signal - previous)
-            alpha = f64[min(dt_hours / self.override_filter_hours, 1.0)]
-            step = self._filter_step
-            np.subtract(signals, filtered, out=step)
-            step *= alpha
-            np.add(step, filtered, out=filtered)
+            self._filter(signals, f64[min(dt_hours / self.override_filter_hours, 1.0)])
             if self._unfiltered is not None:
-                filtered[self._unfiltered] = signals[self._unfiltered]
+                self._filtered[self._unfiltered] = signals[self._unfiltered]
         self._filters_initialized = True
         self._unfiltered = None
-
-        high = np.greater(filtered, wide["override_start"], out=self._high)
-        setpoint = (
-            self._override_setpoints(high) if np.count_nonzero(high) else wide["setpoint"]
-        )
-        # ``mode="wrap"`` gathers straight into the buffer (every column is
-        # in range, so it changes no value).
-        measured = measurements.take(
-            self._xmeas_columns, axis=1, out=self._measured, mode="wrap"
-        )
-        error = np.subtract(setpoint, measured, out=self._error)
-        error *= wide["direction"]
-        proportional = np.multiply(self._kc, error, out=self._proportional)
-        increment = np.multiply(self._kc_over_ti, error, out=self._increment)
-        increment *= f64[dt_hours]
-        # The serial PID adds a literal-zero derivative term; mirror it so a
-        # -0.0 partial sum normalizes identically.
-        unclamped = np.add(wide["bias"], proportional, out=self._unclamped)
-        unclamped += self._integral
-        unclamped += increment
-        unclamped += zero
-        value = self._loop_outputs
-        np.minimum(np.maximum(unclamped, zero), f64[100.0], out=value)
-
-        # Anti-windup: accumulate only where it does not deepen saturation.
-        accumulate = (
-            (value == unclamped)
-            | ((unclamped > value) & (increment < zero))
-            | ((unclamped < value) & (increment > zero))
-        )
-        np.add(self._integral, increment, out=self._integral, where=accumulate)
-
-        self._output = self._assembly.take(self._output_order, axis=1)
+        self._output = self._step(measurements, f64[dt_hours])
         return self._output
 
     @property

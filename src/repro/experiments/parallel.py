@@ -210,11 +210,12 @@ def _execute_group(
     Top-level so worker pools can pickle it; each pool task steps one whole
     batch of runs in a single vectorized loop, so the per-row saving of the
     kernel multiplies with the process fan-out.  Runs that would step alone
-    (a one-spec group, or ``width = 1``) take the serial kernel instead: a
-    one-row lockstep step costs about 1.1x a serial one, and the two are
-    pinned bitwise-identical.  ``prefixes`` holds the campaign's onset
-    checkpoints (:mod:`repro.batch.prefix`); without it the group shares
-    prefixes only within itself.
+    (a one-spec group, or ``width = 1``) take the serial kernel instead,
+    which is pinned bitwise-identical to a one-row batch, although a one-row
+    lockstep step now costs less (about 0.7x a serial one) and the serial
+    kernel can neither leave nor use an onset checkpoint.  ``prefixes``
+    holds the campaign's onset checkpoints (:mod:`repro.batch.prefix`);
+    without it the group shares prefixes only within itself.
     """
     from repro.batch import run_specs_batched
     from repro.experiments.runner import run_scenario

@@ -159,6 +159,9 @@ class BatchChannel:
             if channel.compromised
         ]
         self._stale = False
+        #: No row is compromised and none may have changed: a transmission
+        #: delivers the matrix it is handed.
+        self._passes_through = not self._compromised
 
     @property
     def n_rows(self) -> int:
@@ -182,6 +185,7 @@ class BatchChannel:
         :meth:`transmit` on, which works out the compromised rows again.
         """
         self._stale = True
+        self._passes_through = False
         return self._channels[row]
 
     def transmit(self, values: np.ndarray, time_hours: float) -> np.ndarray:
@@ -190,10 +194,12 @@ class BatchChannel:
         With no compromised row this is ``values`` itself; the caller's
         matrix is never written into.
         """
+        if self._passes_through:
+            return values
         if self._stale:
             self._refresh_compromised()
-        if not self._compromised:
-            return values
+            if self._passes_through:
+                return values
         delivered = values.copy()
         for row, channel in self._compromised:
             delivered[row] = channel.transmit(values[row], time_hours)

@@ -213,14 +213,46 @@ class BatchSafetyMonitor:
         self._bind()
 
     def _bind(self) -> None:
-        """Bind the batch width: the limits' bounds repeated to it (a call
-        whose operands share one shape skips NumPy's broadcasting set-up)
-        and the buffers of the comparison :meth:`check` opens with."""
+        """Build the check of the batch width: the limits' bounds repeated to
+        it (a call whose operands share one shape skips NumPy's broadcasting
+        set-up), the buffers of the comparison and the quiet result, bound
+        with the ufuncs as locals of ``_compare`` (the comparison) and
+        ``_check_stack`` (a whole check of a ``layout`` stack)."""
         shape = (len(self._limits), self._n_rows)
-        self._low = np.repeat(self._lows, self._n_rows, axis=1)
-        self._high = np.repeat(self._highs, self._n_rows, axis=1)
-        self._values = np.empty(shape)
-        self._below, self._above, self._violated = np.empty((3, *shape), dtype=bool)
+        low = np.repeat(self._lows, self._n_rows, axis=1)
+        high = np.repeat(self._highs, self._n_rows, axis=1)
+        values = self._values = np.empty(shape)
+        below, above, violated = np.empty((3, *shape), dtype=bool)
+        # What a check with nothing violated or pending returns: shared, so
+        # read it, never write into it.
+        no_trips = np.zeros(self._n_rows, dtype=bool)
+        no_trips.flags.writeable = False
+        quiet_result = (no_trips, [None] * self._n_rows)
+        layout_rows, evaluate = self._layout_rows, self._evaluate
+        less, greater, logical_or, count_nonzero = (
+            np.less, np.greater, np.logical_or, np.count_nonzero
+        )
+
+        def compare() -> np.ndarray:
+            less(values, low, below)
+            greater(values, high, above)
+            return logical_or(below, above, violated)
+
+        def check_stack(
+            time_hours: float, quantities: np.ndarray
+        ) -> Tuple[np.ndarray, List[Optional[str]]]:
+            # ``"wrap"`` gathers straight into the buffer (every row is in
+            # range, so it changes no value).
+            quantities.take(layout_rows, 0, values, "wrap")
+            compare()
+            if self._quiet and not count_nonzero(violated):
+                # Nothing violated and no violation pending: the full
+                # evaluation would leave every start NaN and trip nothing.
+                self.any_tripped = False
+                return quiet_result
+            return evaluate(time_hours, values, violated, [])
+
+        self._compare, self._check_stack = compare, check_stack
 
     def check(
         self,
@@ -238,39 +270,38 @@ class BatchSafetyMonitor:
         evaluated in list order and the first limit to trip a row supplies
         its reason, exactly like the serial raise.  A quantity missing from
         a mapping is skipped and keeps its violation starts, like the serial
-        monitor.
+        monitor.  A check that trips nothing may return a shared result:
+        read it, never write into it.
         """
+        if not self._limits:
+            self.any_tripped = False
+            return np.zeros(self._n_rows, dtype=bool), [None] * self._n_rows
+        if isinstance(quantities, np.ndarray):
+            return self._check_stack(time_hours, quantities)
+        rows = [quantities.get(quantity) for quantity in self._quantities]
+        missing = [row is None for row in rows]
+        if any(missing):
+            # NaN violates no limit; the starts are restored below.
+            rows = [np.full(self._n_rows, np.nan) if row is None else row for row in rows]
+        self._values[...] = np.array(rows, dtype=float)[self._group]
+        violated = self._compare()
+        if self._quiet and not np.count_nonzero(violated):
+            self.any_tripped = False
+            return np.zeros(self._n_rows, dtype=bool), [None] * self._n_rows
+        return self._evaluate(time_hours, self._values, violated, missing)
+
+    def _evaluate(
+        self,
+        time_hours: float,
+        values: np.ndarray,
+        violated: np.ndarray,
+        missing: List[bool],
+    ) -> Tuple[np.ndarray, List[Optional[str]]]:
+        """The full evaluation of a step with a violation or a pending one:
+        the violation starts move, and rows past a grace period trip."""
         self.any_tripped = False
         tripped = np.zeros(self._n_rows, dtype=bool)
         reasons: List[Optional[str]] = [None] * self._n_rows
-        if not self._limits:
-            return tripped, reasons
-        missing: List[bool] = []
-        if isinstance(quantities, np.ndarray):
-            # ``mode="wrap"`` gathers straight into the buffer (every row is
-            # in range, so it changes no value).
-            values = quantities.take(
-                self._layout_rows, axis=0, out=self._values, mode="wrap"
-            )
-        else:
-            rows = [quantities.get(quantity) for quantity in self._quantities]
-            missing = [row is None for row in rows]
-            if any(missing):
-                # NaN violates no limit; the starts are restored below.
-                rows = [
-                    np.full(self._n_rows, np.nan) if row is None else row for row in rows
-                ]
-            values = np.array(rows, dtype=float)[self._group]
-        violated = np.logical_or(
-            np.less(values, self._low, out=self._below),
-            np.greater(values, self._high, out=self._above),
-            out=self._violated,
-        )
-        if self._quiet and not np.count_nonzero(violated):
-            # Nothing violated and no violation pending: the full
-            # evaluation below would leave every start NaN and trip nothing.
-            return tripped, reasons
-
         start = self._start[self._group]
         if self._earlier is not None:
             # A limit that is not violated clears its quantity's start before

@@ -134,6 +134,10 @@ class NominalBalance:
         return float(self.product.sum())
 
 
+#: The solved balances of this process, by iteration count.
+_SOLVED: Dict[int, NominalBalance] = {}
+
+
 def solve_nominal_balance(iterations: int = 200) -> NominalBalance:
     """Derive the nominal stream table of the grey-box model.
 
@@ -142,7 +146,23 @@ def solve_nominal_balance(iterations: int = 200) -> NominalBalance:
     and the stripper overhead are iterated (a strongly contracting loop) so
     that the reactor, separator and stripper inventory balances close at the
     nominal operating point.
+
+    The table depends only on the model constants and ``iterations``, so it
+    is solved once per process and iteration count and shared: every array
+    of the returned balance is read-only (a plant that wrote into one would
+    change the next plant's calibration).
     """
+    iterations = int(iterations)
+    balance = _SOLVED.get(iterations)
+    if balance is None:
+        balance = _SOLVED[iterations] = _solve(iterations)
+        for value in vars(balance).values():
+            value.flags.writeable = False
+    return balance
+
+
+def _solve(iterations: int) -> NominalBalance:
+    """One solve of :func:`solve_nominal_balance`."""
     feed1 = float(INTERNAL["feed1_nominal"]) * component_vector(
         INTERNAL["feed1_composition"]
     )

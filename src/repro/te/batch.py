@@ -23,24 +23,29 @@ expressions as one call, but only in ways that keep that invariant:
   gain_row`` product over the whole command matrix;
 * it never uses ``@``, ``einsum`` or ``dot``, never swaps ``.clip`` for
   ``minimum``/``maximum`` (they differ on ``-0.0``), and hands ``exp`` and
-  ``power`` their input as before: a fresh contiguous array and a 0-d
-  exponent (NumPy may take another loop for another layout).
+  ``power`` their input as before: a contiguous array and a 0-d exponent
+  (NumPy may take another loop for another layout);
+* it writes a result into a bound buffer (``out``, which gives the bits of
+  a fresh result), one ufunc call per operation of the serial expression,
+  in the serial order.
 
 Why: at a batch's widths a NumPy call costs per call, not per element, and
 its operands set most of that cost.  With numpy 2.4 on a 2-vCPU Xeon VM, a
-same-shape call costs about 0.4 µs, a Python-float operand adds half as
-much again, and a broadcast operand doubles it or more, so the step makes
-few calls, each over operands of one shape.
-
-The interpreter's work around those calls costs as much again, so each
-width is bound once: the widened constants, the 0-d operands of the
-calibrated scalars, the views of the state's stacks, two flow tables and
-the output buffers of the stacked calls are bound when the batch forms or
-compacts, and a step writes into them (``out=``, which gives the bits of a
-fresh result) instead of slicing, allocating or looking them up.  What a
-step hands out is made fresh or copied, and the flow table the next
-measurement reads is double-buffered, so nothing a caller holds is written
-by the next step.
+same-shape call costs about 0.32 µs written ``f(a, b, out)`` with its
+operands in local variables, a Python-float operand adds half as much
+again and a broadcast operand doubles it, so the step makes few calls,
+each over operands of one shape.  The interpreter's work around the calls
+— attribute loads, subscripts, keyword arguments, temporaries and helper
+frames — cost about as much as the calls themselves, so the step of a
+width is built once, when the batch forms or compacts, as closures whose
+operands are locals of the build: the widened constants, the 0-d operands,
+the views of the state's stacks, two flow tables, a scratch buffer for
+every intermediate and the ufuncs themselves.  A step is then a straight
+run of ufunc calls with positional ``out`` (``maximum`` and ``minimum``
+keep ``out=``: their positional ``out`` is deprecated), branching only
+where a disturbance may act on some row.  What a step hands out is made
+fresh or copied, and the flow table the next measurement reads is
+double-buffered, so nothing a caller holds is written by the next step.
 
 The branches of a disturbance that no row can have active at this step
 (see :meth:`~repro.process.disturbances.BatchIdv.may_be_active`) are
@@ -63,7 +68,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -309,20 +314,28 @@ class _WalkBlock(_DrawBlock):
 
 @dataclass
 class _AmbientDraws:
-    """One step's ambient random-walk draws for every row.
+    """One step's ambient random-walk draws for every row, on a step where
+    some row may take more than its three base draws.
 
     ``base`` holds the three base walks, ``(3, B)``.  The IDV(13) kinetics
     walk and the IDV(9)/IDV(10) temperature shocks are ``(B,)`` arrays
-    whose inactive rows hold a zero placeholder, or ``None`` on a step
-    where no row can have those disturbances active; a placeholder is never
+    whose inactive rows hold a zero placeholder; a placeholder is never
     consumed (the update selects the no-draw branch), so the underlying
     streams advance exactly as the serial plant's would.
     """
 
-    base: Optional[np.ndarray] = None
-    kinetics: Optional[np.ndarray] = None
-    reactor_9: Optional[np.ndarray] = None
-    reactor_10: Optional[np.ndarray] = None
+    base: np.ndarray
+    kinetics: np.ndarray
+    reactor_9: np.ndarray
+    reactor_10: np.ndarray
+
+
+#: The disturbances that make some row draw more than its three base walks.
+_EXTRA_DRAW_IDVS = frozenset((9, 10, 13))
+#: The disturbances that move a cooling-water inlet temperature.
+_INLET_IDVS = frozenset((4, 5, 11, 12))
+#: The disturbances that move stream 4's flow or composition.
+_FEED4_IDVS = frozenset((1, 2, 7, 8))
 
 
 class _FlowTable:
@@ -337,6 +350,10 @@ class _FlowTable:
     columns are zero from allocation on and never written.  The light
     columns of ``condensation`` hold the base fractions for good; each step
     writes the heavy ones.
+
+    :meth:`BatchTEPlant._bind` gives each table its closures: ``compute``
+    writes the table from a command matrix, ``advance`` steps the plant
+    through it and ``measure`` reads the sensors from it.
     """
 
     #: The entries a :class:`PlantRow` copies, and whether their rows run
@@ -353,13 +370,16 @@ class _FlowTable:
         ("steam_excess", False),
     )
 
+    compute: Callable[[np.ndarray, BatchIdv], None]
+    advance: Callable[[np.ndarray, BatchIdv], None]
+    measure: Callable[[bool], np.ndarray]
+
     def __init__(self, n_rows: int, condensation_base: np.ndarray):
         effective = self.xmv_effective = np.empty((n_rows, N_XMV))
         valve_flows = self.valve_flows = np.empty((n_rows, N_XMV))
         streams = self.streams = np.zeros((len(STREAM_ROWS), n_rows, len(COMPONENTS)))
-        totals = self.totals = np.empty((len(STREAM_ROWS), n_rows))
+        self.totals = np.empty((len(STREAM_ROWS), n_rows))
         self.condensation = np.repeat(condensation_base[None], n_rows, axis=0)
-        self.heavy_condensation = self.condensation[:, _HEAVIES]
         self.overhead = np.empty((n_rows, len(COMPONENTS)))
         self.purge_total = np.empty(n_rows)
         self.recycle_target = np.empty(n_rows)
@@ -375,30 +395,10 @@ class _FlowTable:
             self.reactor_in,
             self.vapor_fraction,
         ) = streams
-        self.f10_f11 = streams[_F10 : _F11 + 1]
-        self.feed2_d = self.feed2[:, _IDX["D"]]
-        self.feed3_e = self.feed3[:, _IDX["E"]]
-        # Per XMV column, the flow one percent of opening passes (see
-        # BatchTEPlant._calibrate): feeds 2, 3, 1 and 4, the purge, the two
-        # level-driven streams and the steam.
-        self.feed2_flow, self.feed3_flow = valve_flows[:, 0], valve_flows[:, 1]
-        self.feed1_flow, self.feed4_flow = valve_flows[:, 2], valve_flows[:, 3]
-        self.feed4_flow_column = valve_flows[:, 3:4]
-        self.purge_flow = valve_flows[:, 5]
-        self.level_flows = valve_flows[:, 6:8].T
+        # The steam flow (column 8 of the valve flows).
         self.steam = valve_flows[:, 8]
-        self.recycle_valve, self.condenser_valve = effective[:, 4], effective[:, 10]
         # XMV(10) and XMV(11), the two cooling-water valves, as a (2, B) view.
         self.cw_valves = effective[:, 9:11].T
-        # What measure() stacks and reads.
-        self.head_sources = (
-            totals[0:4],
-            totals[_F10 : _REACTOR_IN + 1],
-            self.purge_total[None],
-            self.steam[None],
-        )
-        self.lag_flow_totals = totals[_EFFLUENT : _F10 + 1]
-        self.gas_streams, self.gas_totals = streams[_REACTOR_IN:], totals[_REACTOR_IN:]
 
 
 @dataclass
@@ -422,16 +422,21 @@ class PlantRow:
 class BatchTEPlant(TEPlant):
     """``B`` Tennessee-Eastman plants advanced in lockstep.
 
-    Everything a step reads that depends only on the batch's rows and
-    width — the constants widened to the width, the views of the state's
-    stacks, two flow tables and the buffers of the stacked calls — is bound
-    by :meth:`_bind` when the batch forms or compacts (:meth:`take`); a
-    step runs its ufunc calls into them.  The flow table is double-buffered:
-    a step, like :meth:`restore_rows`, writes the table the step before it
-    did not, so the table the last :meth:`measure` read is still whole
-    while the next one is written.  What the plant hands out is made fresh:
-    each :meth:`measure` returns a new array and each :class:`PlantRow`
-    holds copies.
+    The step of a width is built by :meth:`_bind` when the batch forms or
+    compacts (:meth:`take`): two flow tables, each with three closures
+    (:class:`_FlowTable`), whose operands — the constants widened to the
+    width, the views of the state's stacks, the 0-d operands, a scratch
+    buffer per intermediate and the ufuncs themselves — are locals of the
+    build.  A step runs one table's ``advance`` closure: a straight run of
+    ufunc calls, branching only where a disturbance may act on some row.
+    The integration step's operands are 0-d cells those closures hold,
+    written when ``dt`` changes (:meth:`_bind_dt`).
+
+    The flow table is double-buffered: a step, like :meth:`restore_rows`,
+    writes the table the step before it did not, so the table the last
+    :meth:`measure` read is still whole while the next one is written.
+    What the plant hands out is made fresh: each :meth:`measure` returns a
+    new array and each :class:`PlantRow` holds copies.
 
     Parameters
     ----------
@@ -452,7 +457,10 @@ class BatchTEPlant(TEPlant):
         rng_block: int = 256,
     ):
         self._rng_block = int(rng_block)
-        self._dt = None  # the step the dt operands are bound for
+        self._dt = None  # the step the dt cells hold
+        # The cells of the integration step, its square root and the drift
+        # decay, read by every width's closures.
+        self._dt_cells = tuple(np.zeros(()) for _ in range(3))
         # The parent constructor calibrates the shared flow coefficients and
         # ends with reset(seed); our reset override ignores the scalar seed
         # path and builds the batched state from ``seeds`` instead.
@@ -465,9 +473,6 @@ class BatchTEPlant(TEPlant):
 
     def _calibrate(self) -> None:
         super()._calibrate()
-        self._reactor_driving, self._separator_driving = (
-            f64[float(driving)] for driving in _ROW_CONSTANTS["cw_driving"][:, 0]
-        )
         self._row_constants = dict(
             _ROW_CONSTANTS,
             cw_xmv_nominal=self._xmv_nominal[9:11, None],
@@ -511,7 +516,6 @@ class BatchTEPlant(TEPlant):
             lag_flow_nominals=_column(self._effluent_nominal, self._f10_nominal),
             # Per-component rows, (1, 8), and the heavy (D-H) part of two.
             feed1_comp=self._feed1_comp[None],
-            feed4_comp=self._feed4_comp_base[None],
             k_reactor=self._k_reactor[None],
             strip_base=self._strip_base[None],
             condensation_heavy=self._cond_base[None, _HEAVIES],
@@ -522,21 +526,9 @@ class BatchTEPlant(TEPlant):
             xmeas_lower=self._xmeas_registry.lower_bounds()[None],
             xmeas_upper=self._xmeas_registry.upper_bounds()[None],
         )
-        # The calibrated scalars a step reads, as operands.
-        self._feed4_base_ac = (
-            f64[self._feed4_comp_base[_IDX["A"]]],
-            f64[self._feed4_comp_base[_IDX["C"]]],
-        )
-        self._operand_feed1_capacity = f64[self._feed1_capacity]
-        self._operand_sep_pressure = f64[self._sep_pressure_nominal]
-        self._operand_pressure = f64[self._pressure_nominal]
-        self._operand_recycle = f64[self._recycle_nominal]
-        self._operand_recycle_valve = f64[self._xmv_nominal[4]]
-        self._operand_condenser_valve = f64[self._xmv_nominal[10]]
 
     def _bind(self) -> None:
-        """Bind everything a step reads that depends only on the batch's
-        rows and width.
+        """Build the step of the batch's width.
 
         The stacked calls' constants are widened to the width: a ufunc call
         whose operands share one shape skips NumPy's broadcasting set-up,
@@ -544,104 +536,37 @@ class BatchTEPlant(TEPlant):
         repeated along the row axis gives every element the same operand,
         so no bit changes.  The row axis is the constant's length-1 axis:
         axis 0 of a per-row vector ``(1, n)``, axis 1 of a stacked column
-        ``(k, 1)`` or stack ``(k, 1, 8)``.  Then the views of the state's
-        stacks, the two flow tables and the buffers of the stacked calls.
+        ``(k, 1)`` or stack ``(k, 1, 8)``.  Then the kinetics, the ambient
+        walks and two flow tables with their closures.
         """
-        state = self.state
-        n_rows = state.n_rows
-        wide = self._wide = {
+        n_rows = self.state.n_rows
+        wide = {
             name: np.repeat(constant, n_rows, axis=0 if constant.shape[0] == 1 else 1)
             for name, constant in self._row_constants.items()
         }
-        self._kinetics.bind(n_rows)
+        state = self.state
+        react = self._kinetics.bind(state.inventory[0:3:2], state.lags[1], state.ambient[3])
+        walk = self._walk_step(wide) if self.enable_process_variation else None
+        xmeas = np.empty((n_rows, len(self._xmeas_registry)))
         self._tables = [_FlowTable(n_rows, self._cond_base) for _ in range(2)]
-
-        # Views of the state's stacks.
-        inventory, lags, ambient = state.inventory, state.lags, state.ambient
-        self._inventory = inventory
-        self._reactor_stack = inventory[0:3:2]
-        self._separator_vapor = inventory[1]
-        self._level_inventories = inventory[3:5]
-        self._stripper_heavies = inventory[4][:, _HEAVIES]
-        self._lags = lags
-        self._recycle_flow, self._reactor_temp = lags[0], lags[1]
-        self._separator_temp = lags[2]
-        self._recycle_column = lags[0][:, None]
-        self._vessel_temps, self._cw_outlets = lags[1:4], lags[4:6]
-        self._reactor_separator_temps = lags[1:3]
-        self._lagged = lags[0:4]
-        self._recycle_row, self._temperatures = lags[0][None], lags[1:]
-        self._walks = ambient[0:3]
-        self._feed1_walk, self._walk_shifts = ambient[0], ambient[1:3]
-        self._feed1_pressure, self._feed4_shift = ambient[0], ambient[1]
-        self._cw_inlet_shift, self._kinetics_drift = ambient[2], ambient[3]
-
-        # Buffers of the stacked calls, with their views.
-        self._feed1_total = np.empty(n_rows)
-        self._feed1_total_column = self._feed1_total[:, None]
-        composition = self._feed4_composition = wide["feed4_comp"].copy()
-        self._feed4_a = composition[:, _IDX["A"]]
-        self._feed4_c = composition[:, _IDX["C"]]
-        self._feed4_sum = np.empty(n_rows)
-        self._feed4_sum_column = self._feed4_sum[:, None]
-        self._feed4_fractions = np.empty((n_rows, len(COMPONENTS)))
-        # Separator vapour and reactor, separator and stripper liquid
-        # totals, floored.
-        floored = self._floored_totals = np.empty((4, n_rows))
-        self._floored_vapor_column = floored[0, :, None]
-        self._floored_level_columns = floored[2:4, :, None]
-        self._pressure_factor = np.empty(n_rows)
-        self._pressure_factor_column = self._pressure_factor[:, None]
-        masked = self._masked = np.empty((2, n_rows, len(COMPONENTS)))
-        self._masked_vapor, self._masked_liquid = masked
-        self._condenser_shift = np.empty(n_rows)
-        self._condenser_shift_column = self._condenser_shift[:, None]
-        self._level_flows = np.empty((2, n_rows))
-        self._level_flow_columns = self._level_flows[:, :, None]
-        self._steam_factor = np.empty(n_rows)
-        self._steam_factor_column = self._steam_factor[:, None]
-        self._strip = np.empty((n_rows, len(COMPONENTS)))
-        change = self._change = np.empty_like(inventory)
-        self._change_rows = tuple(change)
-        self._vapor_out_total = np.empty(n_rows)
-        self._vapor_out_total_column = self._vapor_out_total[:, None]
-        self._vapor_out = np.empty((n_rows, len(COMPONENTS)))
-        step = self._walk_step = np.empty((3, n_rows))
-        self._feed1_step, self._shift_steps = step[0], step[1:3]
-        noise = self._walk_noise = np.empty((3, n_rows))
-        self._feed1_noise, self._shift_noise = noise[0], noise[1:3]
-        self._base_draws = _AmbientDraws()
-        inlets = self._cw_inlet_temps = np.empty((2, n_rows))
-        self._reactor_inlet, self._condenser_inlet = inlets
-        targets = self._targets = np.empty((4, n_rows))
-        self._recycle_target_row, self._reactor_target = targets[0], targets[1]
-        self._separator_target, self._stripper_target = targets[2], targets[3]
-        valve_ratios = self._valve_ratios = np.empty((2, n_rows))
-        self._reactor_valve_ratio, self._condenser_valve_ratio = valve_ratios
-        flow_ratios = self._flow_ratios = np.empty((2, n_rows))
-        self._effluent_ratio, self._f10_ratio = flow_ratios
-        head = self._head = np.empty((len(_HEAD_COLUMNS), n_rows))
-        self._metered, self._head_stacked = head[0:9], head[:20]
-        self._separator_pressure_reading, self._compressor_work = head[20], head[21]
-        xmeas = self._xmeas
-        # The first 22 readings, (22, B): one ``take`` lays them out.
-        self._xmeas_head = xmeas[:, :22].T
-        self._xmeas_stream6, self._xmeas_purge = xmeas[:, 22:28], xmeas[:, 28:36]
-        self._xmeas_product = xmeas[:, 36:41]
-        self._gas_floor = np.empty((2, n_rows))
-        self._gas_floor_columns = self._gas_floor[:, :, None]
-        fractions = self._gas_fractions = np.empty((2, n_rows, len(COMPONENTS)))
-        self._stream6_fractions = fractions[0, :, :6]
-        self._purge_fractions = fractions[1]
-        self._stripper_floor = np.empty(n_rows)
-        self._stripper_floor_column = self._stripper_floor[:, None]
+        for table in self._tables:
+            table.compute = self._flow_step(table, wide)
+            table.advance = self._advance_step(table, wide, walk, react)
+            table.measure = self._measure_step(table, wide, xmeas)
+        if self._dt is not None:
+            self._bind_dt(self._dt)
 
     def _bind_dt(self, dt: float) -> None:
-        """Bind the operands a step of ``dt`` hours reads."""
+        """Write the operands a step of ``dt`` hours reads into the cells the
+        closures hold: ``dt``, ``sqrt(dt)``, the drift decay ``max(1 - dt /
+        2, 0)`` and the walks' noise scale ``std * sqrt(dt)``."""
         self._dt = dt
-        self._dt_operand = f64[dt]
-        self._sqrt_dt = f64[np.sqrt(dt)]
-        self._drift_decay = f64[max(1.0 - 0.5 * dt, 0.0)]
+        dt_cell, sqrt_dt, drift_decay = self._dt_cells
+        dt_cell[...] = dt
+        sqrt_dt[...] = np.sqrt(dt)
+        drift_decay[...] = max(1.0 - 0.5 * dt, 0.0)
+        if self.enable_process_variation:
+            np.multiply(self._walk_stds, sqrt_dt, out=self._walk_scale)
 
     # ------------------------------------------------------------------
     @property
@@ -673,13 +598,9 @@ class BatchTEPlant(TEPlant):
         self._stuck_reactor_cw_rows = np.full(n_rows, np.nan)
         self._stuck_condenser_cw_rows = np.full(n_rows, np.nan)
         self._cw_held = False
-        self._xmeas = np.empty((n_rows, len(self._xmeas_registry)))
         self._bind()
-        self._last_flows = self._tables[0]
-        self._compute_flows_batch(
-            np.tile(self._xmv_nominal, (n_rows, 1)), BatchIdv.none(n_rows), self._last_flows
-        )
-        np.add.reduce(self._last_flows.streams, axis=2, out=self._last_flows.totals)
+        flows = self._last_flows = self._tables[0]
+        flows.compute(np.tile(self._xmv_nominal, (n_rows, 1)), BatchIdv.none(n_rows))
 
     def take(self, indices: np.ndarray) -> None:
         """Keep only the given rows (compaction after trips / early stops)."""
@@ -690,7 +611,6 @@ class BatchTEPlant(TEPlant):
         self._ambient_draws.take(index_list)
         self._stuck_reactor_cw_rows = self._stuck_reactor_cw_rows[indices]
         self._stuck_condenser_cw_rows = self._stuck_condenser_cw_rows[indices]
-        self._xmeas = self._xmeas[indices]
         last = self._last_flows
         self._bind()
         flows = self._last_flows = self._tables[0]
@@ -724,7 +644,8 @@ class BatchTEPlant(TEPlant):
         each on a copy of its own random streams; every snapshot must be
         taken at the same clock, which the batch shares.  The restored flow
         table is written into the table the last step did not write, so the
-        one before the restore stays whole.
+        one before the restore stays whole.  Everything is written into the
+        buffers the width's closures hold, so they stay as built.
         """
         if len(rows) != self.n_rows:
             raise ConfigurationError(
@@ -750,7 +671,8 @@ class BatchTEPlant(TEPlant):
         return second if self._last_flows is first else first
 
     # ------------------------------------------------------------------
-    # Flow network (row-wise mirror of TEPlant._compute_flows)
+    # Disturbed branches: the parts of a step that only run while some
+    # row's disturbance may act (``BatchIdv.possible``), with temporaries.
     # ------------------------------------------------------------------
     def _stick_cw_valves(self, effective: np.ndarray, idv: BatchIdv) -> None:
         """Row-wise valve sticking, mirroring :meth:`TEPlant._effective_xmv`."""
@@ -769,26 +691,32 @@ class BatchTEPlant(TEPlant):
             stuck[~active] = np.nan
         self._cw_held = 14 in idv.possible or 15 in idv.possible
 
-    def _feed4_composition_batch(self, idv: BatchIdv) -> np.ndarray:
-        """Row-wise stream-4 composition (:meth:`TEPlant._feed4_composition`)."""
+    def _release_cw_valves(self) -> None:
+        """No row's valve can stick at this step: let every held one go."""
+        self._stuck_reactor_cw_rows.fill(np.nan)
+        self._stuck_condenser_cw_rows.fill(np.nan)
+        self._cw_held = False
+
+    def _disturbed_feed4(
+        self, idv: BatchIdv, flow: np.ndarray, shift: np.ndarray, out: np.ndarray
+    ) -> None:
+        """Row-wise stream 4 into ``out`` while IDV(1), (2), (7) or (8) may act
+        (mirrors :meth:`TEPlant._feed4_composition` and the feed-4
+        availability of :meth:`TEPlant._compute_flows`)."""
         possible = idv.possible
-        shift = self._feed4_shift
+        total = flow[:, None]
+        if 7 in possible:
+            total = (flow * np.where(idv.active(7), f64[0.8], f64[1.0]))[:, None]
         if 8 in possible:
             shift = np.where(idv.active(8), shift * f64[8.0], shift)
         if 1 in possible:
             shift = np.where(idv.active(1), shift + f64[-0.05] * idv.value(1), shift)
         a, b, c = _IDX["A"], _IDX["B"], _IDX["C"]
-        if 2 in possible:
-            composition = self._wide["feed4_comp"].copy()
-            column_a, column_c = composition[:, a], composition[:, c]
-        else:
-            # Only the A and C columns move: the rest hold the base.
-            composition = self._feed4_composition
-            column_a, column_c = self._feed4_a, self._feed4_c
-        base_a, base_c = self._feed4_base_ac
+        base = self._feed4_comp_base
+        composition = np.repeat(base[None], idv.n_rows, axis=0)
         floor = f64[0.01]
-        np.maximum(base_a + shift, floor, out=column_a)
-        np.maximum(base_c - shift, floor, out=column_c)
+        np.maximum(f64[base[a]] + shift, floor, out=composition[:, a])
+        np.maximum(f64[base[c]] - shift, floor, out=composition[:, c])
         if 2 in possible:
             active2 = idv.active(2)
             extra_b = f64[0.025] * idv.value(2)
@@ -806,135 +734,18 @@ class BatchTEPlant(TEPlant):
                 np.maximum(composition[:, c] - half_b, floor),
                 composition[:, c],
             )
-        np.add.reduce(composition, axis=1, out=self._feed4_sum)
-        return np.divide(composition, self._feed4_sum_column, out=self._feed4_fractions)
+        total_moles = np.add.reduce(composition, axis=1)
+        np.multiply(total, composition / total_moles[:, None], out=out)
 
-    def _compute_flows_batch(
-        self, xmv: np.ndarray, idv: BatchIdv, flows: _FlowTable
-    ) -> None:
-        """Row-wise stream table into ``flows``, mirroring
-        :meth:`TEPlant._compute_flows`.
-
-        Every expression keeps the serial operand order so each row stays
-        bitwise-identical.
-        """
-        wide = self._wide
-        state = self.state
-        possible = idv.possible
-        effective = flows.xmv_effective
-        np.asarray(xmv, dtype=float).clip(wide["xmv_lower"], wide["xmv_upper"], out=effective)
-        if self._cw_held or 14 in possible or 15 in possible:
-            self._stick_cw_valves(effective, idv)
-        # The eight flows proportional to a valve opening, in one product:
-        # column j is the serial ``per_percent * effective[j]`` (a product
-        # commutes; the columns no flow reads are multiplied by 1.0).
-        np.multiply(effective, wide["valve_gains"], out=flows.valve_flows)
-
-        feed1_total = self._feed1_total
-        np.minimum(flows.feed1_flow, self._operand_feed1_capacity, out=feed1_total)
-        if 6 in possible:
-            feed1_total *= np.where(idv.active(6), f64[0.0], f64[1.0])
-        feed1_total *= self._feed1_pressure
-        np.multiply(self._feed1_total_column, wide["feed1_comp"], out=flows.feed1)
-
-        flows.feed2_d[...] = flows.feed2_flow
-        flows.feed3_e[...] = flows.feed3_flow
-        feed4_total = flows.feed4_flow_column
-        if 7 in possible:
-            feed4_total = (
-                flows.feed4_flow * np.where(idv.active(7), f64[0.8], f64[1.0])
-            )[:, None]
-        np.multiply(feed4_total, self._feed4_composition_batch(idv), out=flows.feed4)
-
-        totals, quantities = state.inventory_totals, state.quantities
-        pressure_ratio = quantities[1] / self._operand_sep_pressure
-
-        np.multiply(flows.purge_flow, np.square(pressure_ratio), out=flows.purge_total)
-        np.multiply(
-            self._operand_recycle * pressure_ratio,
-            f64[1.0]
-            + f64[0.4] * (self._operand_recycle_valve - flows.recycle_valve) / f64[100.0],
-            out=flows.recycle_target,
-        )
-
-        # Separator vapour and reactor, separator and stripper liquid totals.
-        np.maximum(totals[1:5], f64[1e-9], out=self._floored_totals)
-        np.divide(self._separator_vapor, self._floored_vapor_column, out=flows.vapor_fraction)
-
-        # Effluent: k * (vapour * LIGHT * pressure_factor + liquid * HEAVY).
-        pressure_factor = self._pressure_factor
-        np.maximum(quantities[0], f64[0.0], out=pressure_factor)
-        np.divide(pressure_factor, self._operand_pressure, out=pressure_factor)
-        masked_vapor = self._masked_vapor
-        np.multiply(self._reactor_stack, wide["reactor_masks"], out=self._masked)
-        np.multiply(masked_vapor, self._pressure_factor_column, out=masked_vapor)
-        effluent = flows.effluent
-        np.add(masked_vapor, self._masked_liquid, out=effluent)
-        np.multiply(wide["k_reactor"], effluent, out=effluent)
-
-        np.add(
-            f64[_CONDENSATION_COOLING_GAIN]
-            * (flows.condenser_valve - self._operand_condenser_valve)
-            / f64[100.0],
-            f64[0.004] * (f64[_SEPARATOR_TEMP_NOMINAL] - self._separator_temp),
-            out=self._condenser_shift,
-        )
-        # The condenser shift moves only the heavy components' fractions.
-        heavy = flows.heavy_condensation
-        np.add(wide["condensation_heavy"], self._condenser_shift_column, out=heavy)
-        heavy.clip(f64[0.02], f64[0.98], out=heavy)
-
-        # Streams 10 and 11 leave the separator and the stripper at a rate
-        # set by the valve and the square root of the vessel's level.
-        levels = np.maximum(quantities[3:5], f64[0.0])
-        np.multiply(flows.level_flows, np.sqrt(levels / f64[50.0]), out=self._level_flows)
-        np.divide(
-            self._level_flow_columns * self._level_inventories,
-            self._floored_level_columns,
-            out=flows.f10_f11,
-        )
-
-        # steam / nominal - 1, which the stripper temperature target reads too.
-        steam_excess = flows.steam_excess
-        np.subtract(flows.steam / f64[_STEAM_NOMINAL], f64[1.0], out=steam_excess)
-        np.add(
-            f64[1.0], f64[_STRIPPING_STEAM_GAIN] * steam_excess, out=self._steam_factor
-        )
-        strip = self._strip
-        np.multiply(wide["strip_base"], self._steam_factor_column, out=strip)
-        strip.clip(f64[0.0], f64[0.995], out=strip)
-        overhead = flows.overhead
-        np.multiply(strip, flows.f10, out=overhead)
-
-        np.add(
-            flows.feed1
-            + flows.feed2
-            + flows.feed3
-            + flows.feed4
-            + self._recycle_column * flows.vapor_fraction,
-            overhead,
-            out=flows.reactor_in,
-        )
-
-    # ------------------------------------------------------------------
-    # Dynamics
-    # ------------------------------------------------------------------
-    def _draw_ambient(self, idv: BatchIdv) -> Optional[_AmbientDraws]:
-        """Consume each row's ambient draws for one step, in serial order.
+    def _disturbed_ambient(self, idv: BatchIdv) -> _AmbientDraws:
+        """Consume each row's ambient draws for one step, in serial order,
+        while IDV(9), (10) or (13) may act.
 
         The serial plant draws, per step and in this order: the three base
         random walks, the IDV(13) kinetics walk when active, then the
         IDV(9)/IDV(10) temperature shocks inside the temperature update.
         Each row consumes exactly that many values from its own stream.
         """
-        if not self.enable_process_variation:
-            return None
-        possible = idv.possible
-        if not (13 in possible or 9 in possible or 10 in possible):
-            # Every row takes just the three base walks.
-            draws = self._base_draws
-            draws.base = self._ambient_draws.base()
-            return draws
         n_rows = idv.n_rows
         draws = _AmbientDraws(
             base=np.empty((3, n_rows)),
@@ -959,248 +770,578 @@ class BatchTEPlant(TEPlant):
                 draws.reactor_10[row] = values[cursor]
         return draws
 
+    def _disturbed_drift(self, idv: BatchIdv, draws: _AmbientDraws) -> None:
+        """The kinetics drift while IDV(13) may act: the active rows walk, the
+        others decay (mirrors :meth:`TEPlant._update_ambient`)."""
+        drift = self.state.kinetics_drift
+        dt, sqrt_dt, decay = self._dt_cells
+        drifted = (
+            drift + (f64[0.05] * sqrt_dt * draws.kinetics - f64[0.02] * dt)
+        ).clip(f64[-0.5], f64[0.2])
+        drift[:] = np.where(idv.active(13), drifted, drift * decay)
+
+    # ------------------------------------------------------------------
+    # The closures of a width
+    # ------------------------------------------------------------------
+    def _walk_step(
+        self, wide: Dict[str, np.ndarray]
+    ) -> Callable[[BatchIdv], Optional[_AmbientDraws]]:
+        """The ambient walks of one step (mirrors :meth:`TEPlant._update_ambient`).
+
+        The three base walks run as one ``(3, B)`` update: ``walk + (std *
+        sqrt(dt) * draw + reversion * dt)``, where the feed-1 factor reverts
+        by ``+ 0.15 * (1 - x) * dt`` and the two shifts by ``- k * x * dt``.
+        The closure returns the step's draws of a disturbed step (``None``
+        on a step where every row takes just its three base draws).
+        """
+        n_rows = self.state.n_rows
+        ambient = self.state.ambient
+        walks, shifts, feed1_walk, drift = ambient[0:3], ambient[1:3], ambient[0], ambient[3]
+        step, noise = np.empty((2, 3, n_rows))
+        feed1_step, shift_steps = step[0], step[1:3]
+        feed1_noise, shift_noise = noise[0], noise[1:3]
+        self._walk_stds = wide["walk_stds"]
+        scale = self._walk_scale = np.empty((3, n_rows))
+        reversion, lower, upper = wide["walk_reversion"], wide["walk_lower"], wide["walk_upper"]
+        dt, _, decay = self._dt_cells
+        one, feed1_reversion = f64[1.0], f64[0.15]
+        base_draws, disturbed_draws = self._ambient_draws.base, self._disturbed_ambient
+        disturbed_drift = self._disturbed_drift
+        add, subtract, multiply = np.add, np.subtract, np.multiply
+
+        def walk(idv: BatchIdv) -> Optional[_AmbientDraws]:
+            possible = idv.possible
+            if possible and not _EXTRA_DRAW_IDVS.isdisjoint(possible):
+                draws = disturbed_draws(idv)
+                base = draws.base
+            else:
+                draws, base = None, base_draws()
+            subtract(one, feed1_walk, feed1_step)
+            multiply(feed1_reversion, feed1_step, feed1_step)
+            multiply(reversion, shifts, shift_steps)
+            multiply(step, dt, step)
+            multiply(scale, base, noise)
+            add(feed1_noise, feed1_step, feed1_step)
+            subtract(shift_noise, shift_steps, shift_steps)
+            add(walks, step, step)
+            step.clip(lower, upper, out=walks)
+            if possible and 13 in possible:
+                disturbed_drift(idv, draws)
+            else:
+                multiply(drift, decay, drift)
+            return draws
+
+        return walk
+
+    def _flow_step(
+        self, flows: _FlowTable, wide: Dict[str, np.ndarray]
+    ) -> Callable[[np.ndarray, BatchIdv], None]:
+        """The closure that writes ``flows`` from a command matrix and the
+        state (mirrors :meth:`TEPlant._compute_flows`), every stream total
+        included.
+
+        Every expression keeps the serial operand order, one ufunc call per
+        operation, so each row stays bitwise-identical.
+        """
+        state = self.state
+        n_rows = state.n_rows
+        inventory, lags, ambient = state.inventory, state.lags, state.ambient
+        quantities = state.quantities
+        effective, valve_flows, streams = flows.xmv_effective, flows.valve_flows, flows.streams
+        feed1, feed2, feed3, feed4, effluent, f10, _, reactor_in, vapor_fraction = streams
+        f10_f11, stream_totals = streams[_F10 : _F11 + 1], flows.totals
+        feed2_d, feed3_e = feed2[:, _IDX["D"]], feed3[:, _IDX["E"]]
+        feed2_flow, feed3_flow = valve_flows[:, 0], valve_flows[:, 1]
+        feed1_flow, feed4_flow = valve_flows[:, 2], valve_flows[:, 3]
+        feed4_flow_column, purge_flow = valve_flows[:, 3:4], valve_flows[:, 5]
+        level_valve_flows, steam = valve_flows[:, 6:8].T, flows.steam
+        recycle_valve, condenser_valve = effective[:, 4], effective[:, 10]
+        heavy_condensation = flows.condensation[:, _HEAVIES]
+        purge_total, recycle_target = flows.purge_total, flows.recycle_target
+        steam_excess, overhead = flows.steam_excess, flows.overhead
+        # Views of the state.
+        reactor_stack, separator_vapor = inventory[0:3:2], inventory[1]
+        level_inventories, floor_sources = inventory[3:5], state.inventory_totals[1:5]
+        recycle_column, separator_temp = lags[0][:, None], lags[2]
+        feed1_pressure, feed4_shift = ambient[0], ambient[1]
+        reactor_pressure, separator_pressure = quantities[0], quantities[1]
+        level_quantities = quantities[3:5]
+        # Constants widened to the width.
+        xmv_lower, xmv_upper = wide["xmv_lower"], wide["xmv_upper"]
+        valve_gains, feed1_comp = wide["valve_gains"], wide["feed1_comp"]
+        k_reactor = wide["k_reactor"]
+        reactor_masks, condensation_heavy = wide["reactor_masks"], wide["condensation_heavy"]
+        strip_base = wide["strip_base"]
+        # Scratch: the feed-1 total, the feed-4 composition (its columns
+        # other than A and C hold the base for good) and the intermediates.
+        feed1_total = np.empty(n_rows)
+        feed1_total_column = feed1_total[:, None]
+        composition = np.repeat(self._feed4_comp_base[None], n_rows, axis=0)
+        feed4_a, feed4_c = composition[:, _IDX["A"]], composition[:, _IDX["C"]]
+        feed4_sum = np.empty(n_rows)
+        feed4_sum_column = feed4_sum[:, None]
+        feed4_fractions = np.empty((n_rows, len(COMPONENTS)))
+        (
+            shifted,
+            pressure_ratio,
+            ratio_squared,
+            recycle_scale,
+            valve_term,
+            pressure_factor,
+            valve_shift,
+            temp_shift,
+            condenser_shift,
+            steam_factor,
+        ) = np.empty((10, n_rows))
+        pressure_factor_column = pressure_factor[:, None]
+        condenser_shift_column = condenser_shift[:, None]
+        steam_factor_column = steam_factor[:, None]
+        # Separator vapour and reactor, separator and stripper liquid totals,
+        # floored.
+        floored = np.empty((4, n_rows))
+        floored_vapor_column, floored_level_columns = floored[0, :, None], floored[2:4, :, None]
+        masked = np.empty((2, n_rows, len(COMPONENTS)))
+        masked_vapor, masked_liquid = masked
+        levels, level_roots, level_flow_totals = np.empty((3, 2, n_rows))
+        level_flow_columns = level_flow_totals[:, :, None]
+        level_streams = np.empty((2, n_rows, len(COMPONENTS)))
+        strip, recycled = np.empty((2, n_rows, len(COMPONENTS)))
+        # Operands.
+        zero, one, hundred, tiny = f64[0.0], f64[1.0], f64[100.0], f64[1e-9]
+        feed1_capacity = f64[self._feed1_capacity]
+        feed4_base_a = f64[self._feed4_comp_base[_IDX["A"]]]
+        feed4_base_c = f64[self._feed4_comp_base[_IDX["C"]]]
+        feed4_floor = f64[0.01]
+        separator_nominal, pressure_nominal = (
+            f64[self._sep_pressure_nominal],
+            f64[self._pressure_nominal],
+        )
+        recycle_nominal, recycle_valve_nominal = (
+            f64[self._recycle_nominal],
+            f64[self._xmv_nominal[4]],
+        )
+        recycle_valve_gain = f64[0.4]
+        condenser_valve_nominal = f64[self._xmv_nominal[10]]
+        cooling_gain, temp_gain = f64[_CONDENSATION_COOLING_GAIN], f64[0.004]
+        separator_temp_nominal = f64[_SEPARATOR_TEMP_NOMINAL]
+        condensation_low, condensation_high = f64[0.02], f64[0.98]
+        fifty, steam_nominal = f64[50.0], f64[_STEAM_NOMINAL]
+        stripping_gain, strip_high = f64[_STRIPPING_STEAM_GAIN], f64[0.995]
+        stick, disturbed_feed4 = self._stick_cw_valves, self._disturbed_feed4
+        add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+        maximum, minimum, square, sqrt = np.maximum, np.minimum, np.square, np.sqrt
+        reduce = np.add.reduce
+
+        def compute(xmv: np.ndarray, idv: BatchIdv) -> None:
+            possible = idv.possible
+            xmv.clip(xmv_lower, xmv_upper, out=effective)
+            if possible and (14 in possible or 15 in possible):
+                stick(effective, idv)
+            # The eight flows proportional to a valve opening, in one
+            # product: column j is the serial ``per_percent * effective[j]``
+            # (a product commutes; the columns no flow reads are multiplied
+            # by 1.0).
+            multiply(effective, valve_gains, valve_flows)
+
+            minimum(feed1_flow, feed1_capacity, out=feed1_total)
+            if possible and 6 in possible:
+                multiply(feed1_total, np.where(idv.active(6), zero, one), feed1_total)
+            multiply(feed1_total, feed1_pressure, feed1_total)
+            multiply(feed1_total_column, feed1_comp, feed1)
+            feed2_d[...] = feed2_flow
+            feed3_e[...] = feed3_flow
+            if possible and not _FEED4_IDVS.isdisjoint(possible):
+                disturbed_feed4(idv, feed4_flow, feed4_shift, feed4)
+            else:
+                # Only the A and C fractions move with the ambient shift.
+                add(feed4_base_a, feed4_shift, shifted)
+                maximum(shifted, feed4_floor, out=feed4_a)
+                subtract(feed4_base_c, feed4_shift, shifted)
+                maximum(shifted, feed4_floor, out=feed4_c)
+                reduce(composition, 1, None, feed4_sum)
+                divide(composition, feed4_sum_column, feed4_fractions)
+                multiply(feed4_flow_column, feed4_fractions, feed4)
+
+            divide(separator_pressure, separator_nominal, pressure_ratio)
+            square(pressure_ratio, ratio_squared)
+            multiply(purge_flow, ratio_squared, purge_total)
+            # recycle * ratio * (1 + 0.4 * (nominal valve - valve) / 100)
+            multiply(recycle_nominal, pressure_ratio, recycle_scale)
+            subtract(recycle_valve_nominal, recycle_valve, valve_term)
+            multiply(recycle_valve_gain, valve_term, valve_term)
+            divide(valve_term, hundred, valve_term)
+            add(one, valve_term, valve_term)
+            multiply(recycle_scale, valve_term, recycle_target)
+
+            maximum(floor_sources, tiny, out=floored)
+            divide(separator_vapor, floored_vapor_column, vapor_fraction)
+
+            # Effluent: k * (vapour * LIGHT * pressure_factor + liquid * HEAVY).
+            maximum(reactor_pressure, zero, out=pressure_factor)
+            divide(pressure_factor, pressure_nominal, pressure_factor)
+            multiply(reactor_stack, reactor_masks, masked)
+            multiply(masked_vapor, pressure_factor_column, masked_vapor)
+            add(masked_vapor, masked_liquid, effluent)
+            multiply(k_reactor, effluent, effluent)
+
+            # The condenser shift moves only the heavy components' fractions:
+            # gain * (valve - nominal) / 100 + 0.004 * (nominal - temperature).
+            subtract(condenser_valve, condenser_valve_nominal, valve_shift)
+            multiply(cooling_gain, valve_shift, valve_shift)
+            divide(valve_shift, hundred, valve_shift)
+            subtract(separator_temp_nominal, separator_temp, temp_shift)
+            multiply(temp_gain, temp_shift, temp_shift)
+            add(valve_shift, temp_shift, condenser_shift)
+            add(condensation_heavy, condenser_shift_column, heavy_condensation)
+            heavy_condensation.clip(condensation_low, condensation_high, out=heavy_condensation)
+
+            # Streams 10 and 11 leave the separator and the stripper at a
+            # rate set by the valve and the square root of the vessel's level.
+            maximum(level_quantities, zero, out=levels)
+            divide(levels, fifty, levels)
+            sqrt(levels, level_roots)
+            multiply(level_valve_flows, level_roots, level_flow_totals)
+            multiply(level_flow_columns, level_inventories, level_streams)
+            divide(level_streams, floored_level_columns, f10_f11)
+
+            # steam / nominal - 1, which the stripper temperature target reads too.
+            divide(steam, steam_nominal, steam_excess)
+            subtract(steam_excess, one, steam_excess)
+            multiply(stripping_gain, steam_excess, steam_factor)
+            add(one, steam_factor, steam_factor)
+            multiply(strip_base, steam_factor_column, strip)
+            strip.clip(zero, strip_high, out=strip)
+            multiply(strip, f10, overhead)
+
+            add(feed1, feed2, reactor_in)
+            add(reactor_in, feed3, reactor_in)
+            add(reactor_in, feed4, reactor_in)
+            multiply(recycle_column, vapor_fraction, recycled)
+            add(reactor_in, recycled, reactor_in)
+            add(reactor_in, overhead, reactor_in)
+            # The totals of every stream, which the step's temperature
+            # targets and the next measurement read.
+            reduce(streams, 2, None, stream_totals)
+
+        return compute
+
+    def _advance_step(
+        self,
+        flows: _FlowTable,
+        wide: Dict[str, np.ndarray],
+        walk: Optional[Callable[[BatchIdv], Optional[_AmbientDraws]]],
+        react: Callable[[], None],
+    ) -> Callable[[np.ndarray, BatchIdv], None]:
+        """The closure of one plant step through ``flows`` (mirrors
+        :meth:`TEPlant.step`): the ambient walks, the flow table, the
+        kinetics, the balance and the lags.
+
+        The balance is one ``(5, B, 8)`` increment of the five inventories,
+        row for row of :attr:`BatchTEState.inventory`; the reactor's change
+        enters twice and is masked to its vapour and its liquid.  The
+        recycle flow and the three vessel temperatures follow their targets
+        as one ``(4, B)`` lag; the two cooling-water outlets track the
+        updated vessel temperatures, so they follow as a second, ``(2, B)``
+        lag (mirrors :meth:`TEPlant._update_temperatures` and the recycle
+        lag after it).  A lag is ``values + dt * (targets - values) /
+        taus``, one ufunc call per operation.
+        """
+        state = self.state
+        n_rows = state.n_rows
+        inventory, lags = state.inventory, state.lags
+        kinetics = self._kinetics
+        production, heat = kinetics.production, kinetics.heat_release
+        compute = flows.compute
+        effluent, f10, f11 = flows.effluent, flows.f10, flows.f11
+        reactor_in, vapor_fraction = flows.reactor_in, flows.vapor_fraction
+        overhead, condensation = flows.overhead, flows.condensation
+        purge_total, recycle_target = flows.purge_total, flows.recycle_target
+        steam_excess, cw_valves = flows.steam_excess, flows.cw_valves
+        lag_flow_totals = flows.totals[_EFFLUENT : _F10 + 1]
+        change = np.empty_like(inventory)
+        (
+            reactor_vapor_change,
+            separator_vapor_change,
+            reactor_liquid_change,
+            separator_liquid_change,
+            stripper_change,
+        ) = change
+        vapor_out_total = np.empty(n_rows)
+        vapor_out_total_column = vapor_out_total[:, None]
+        vapor_out, uncondensed = np.empty((2, n_rows, len(COMPONENTS)))
+        recycle_flow, reactor_temp = lags[0], lags[1]
+        lagged, outlets, vessel_temps = lags[0:4], lags[4:6], lags[1:3]
+        cw_inlet_shift = state.ambient[2]
+        inlets = np.empty((2, n_rows))
+        reactor_inlet, condenser_inlet = inlets
+        targets = np.empty((4, n_rows))
+        recycle_target_row, reactor_target, separator_target, stripper_target = targets
+        valve_ratios, flow_ratios = np.empty((2, 2, n_rows))
+        reactor_valve_ratio, condenser_valve_ratio = valve_ratios
+        effluent_ratio, f10_ratio = flow_ratios
+        (
+            inlet_shift,
+            cooling_norm,
+            heat_term,
+            cooling_ratio,
+            separator_heat,
+            ratio_power,
+            steam_term,
+            f10_term,
+        ) = np.empty((8, n_rows))
+        cw_terms, cw_floor, cw_power = np.empty((3, 2, n_rows))
+        balance_masks, cw_inlet_base = wide["balance_masks"], wide["cw_inlets"]
+        cw_xmv_nominal, lag_flow_nominals = wide["cw_xmv_nominal"], wide["lag_flow_nominals"]
+        lag_taus, cw_rise, cw_driving = wide["lag_taus"], wide["cw_rise"], wide["cw_driving"]
+        reactor_driving, separator_driving = (
+            f64[float(driving)] for driving in _ROW_CONSTANTS["cw_driving"][:, 0]
+        )
+        dt = self._dt_cells[0]
+        zero, one = f64[0.0], f64[1.0]
+        inlet_scale = f64[0.15]
+        reactor_temp_nominal, heat_gain = f64[_REACTOR_TEMP_NOMINAL], f64[_REACTOR_HEAT_GAIN]
+        cooling_gain, cooling_floor = f64[_REACTOR_COOLING_GAIN], f64[0.05]
+        separator_exponent = f64[0.6]
+        stripper_temp_nominal, steam_gain, f10_gain = (
+            f64[_STRIPPER_TEMP_NOMINAL],
+            f64[25.0],
+            f64[12.0],
+        )
+        cw_valve_floor, cw_exponent, cw_tau = f64[5.0], f64[0.8], f64[_CW_OUTLET_TAU]
+        variation = self.enable_process_variation
+        add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+        maximum, power = np.maximum, np.power
+
+        def advance(manipulated: np.ndarray, idv: BatchIdv) -> None:
+            possible = idv.possible
+            draws = walk(idv) if walk is not None else None
+            compute(manipulated, idv)
+            react()
+
+            # d_reactor = reactor_in + production - effluent; the separator
+            # keeps effluent * (1 - cond) - vapour out and effluent * cond -
+            # f10, the stripper f10 - overhead - f11.
+            add(reactor_in, production, reactor_vapor_change)
+            subtract(reactor_vapor_change, effluent, reactor_vapor_change)
+            reactor_liquid_change[...] = reactor_vapor_change
+            add(recycle_flow, purge_total, vapor_out_total)
+            multiply(vapor_out_total_column, vapor_fraction, vapor_out)
+            subtract(one, condensation, uncondensed)
+            multiply(effluent, uncondensed, uncondensed)
+            subtract(uncondensed, vapor_out, separator_vapor_change)
+            multiply(effluent, condensation, separator_liquid_change)
+            subtract(separator_liquid_change, f10, separator_liquid_change)
+            subtract(f10, overhead, stripper_change)
+            subtract(stripper_change, f11, stripper_change)
+            multiply(change, dt, change)
+            multiply(change, balance_masks, change)
+            add(inventory, change, inventory)
+            maximum(inventory, zero, out=inventory)
+
+            # Reactor and condenser cooling-water inlet temperatures, (2, B).
+            if possible and not _INLET_IDVS.isdisjoint(possible):
+                _disturbed_inlets(idv, cw_inlet_base, cw_inlet_shift, inlets)
+            else:
+                multiply(inlet_scale, cw_inlet_shift, inlet_shift)
+                add(cw_inlet_base, inlet_shift, inlets)
+            recycle_target_row[...] = recycle_target
+            # Each cooling-water valve over its nominal opening, and the
+            # effluent and stream-10 totals over theirs.
+            divide(cw_valves, cw_xmv_nominal, valve_ratios)
+            divide(lag_flow_totals, lag_flow_nominals, flow_ratios)
+
+            # nominal + gain * (heat - 1) - gain * (cooling - 1), where
+            # cooling = valve ratio * ((temperature - inlet) / driving).
+            subtract(reactor_temp, reactor_inlet, cooling_norm)
+            divide(cooling_norm, reactor_driving, cooling_norm)
+            multiply(reactor_valve_ratio, cooling_norm, cooling_norm)
+            subtract(heat, one, heat_term)
+            multiply(heat_gain, heat_term, heat_term)
+            add(reactor_temp_nominal, heat_term, heat_term)
+            subtract(cooling_norm, one, cooling_norm)
+            multiply(cooling_gain, cooling_norm, cooling_norm)
+            subtract(heat_term, cooling_norm, reactor_target)
+            if possible:
+                if 3 in possible:
+                    add(reactor_target, f64[1.5] * idv.value(3), reactor_target)
+                if variation and 9 in possible:
+                    reactor_target[:] = np.where(
+                        idv.active(9), reactor_target + f64[0.6] * draws.reactor_9, reactor_target
+                    )
+                if variation and 10 in possible:
+                    reactor_target[:] = np.where(
+                        idv.active(10),
+                        reactor_target + f64[0.4] * draws.reactor_10,
+                        reactor_target,
+                    )
+
+            # inlet + driving * effluent ratio / max(valve ratio, 0.05)^0.6
+            maximum(condenser_valve_ratio, cooling_floor, out=cooling_ratio)
+            multiply(separator_driving, effluent_ratio, separator_heat)
+            power(cooling_ratio, separator_exponent, ratio_power)
+            divide(separator_heat, ratio_power, separator_heat)
+            add(condenser_inlet, separator_heat, separator_target)
+            # nominal + 25 * steam excess - 12 * (f10 ratio - 1)
+            multiply(steam_gain, steam_excess, steam_term)
+            add(stripper_temp_nominal, steam_term, steam_term)
+            subtract(f10_ratio, one, f10_term)
+            multiply(f10_gain, f10_term, f10_term)
+            subtract(steam_term, f10_term, stripper_target)
+            subtract(targets, lagged, targets)
+            multiply(dt, targets, targets)
+            divide(targets, lag_taus, targets)
+            add(lagged, targets, lagged)
+            maximum(recycle_flow, zero, out=recycle_flow)
+
+            # Reactor and condenser cooling water, from the updated reactor
+            # and separator temperatures: inlet + rise * ((temperature -
+            # inlet) / driving) * (nominal / max(valve, 5))^0.8.
+            subtract(vessel_temps, inlets, cw_terms)
+            divide(cw_terms, cw_driving, cw_terms)
+            multiply(cw_rise, cw_terms, cw_terms)
+            maximum(cw_valves, cw_valve_floor, out=cw_floor)
+            divide(cw_xmv_nominal, cw_floor, cw_floor)
+            power(cw_floor, cw_exponent, cw_power)
+            multiply(cw_terms, cw_power, cw_terms)
+            add(inlets, cw_terms, cw_terms)
+            subtract(cw_terms, outlets, cw_terms)
+            multiply(dt, cw_terms, cw_terms)
+            divide(cw_terms, cw_tau, cw_terms)
+            add(outlets, cw_terms, outlets)
+
+        return advance
+
+    def _measure_step(
+        self, flows: _FlowTable, wide: Dict[str, np.ndarray], xmeas: np.ndarray
+    ) -> Callable[[bool], np.ndarray]:
+        """The closure that reads every row's sensors from ``flows`` and the
+        state (mirrors :meth:`TEPlant.measure`) into ``xmeas`` and returns a
+        new array of the clipped readings."""
+        state = self.state
+        n_rows = state.n_rows
+        quantities, lags = state.quantities, state.lags
+        totals = flows.totals
+        # The first 22 readings as rows of one (22, B) stack, in
+        # _HEAD_COLUMNS order, laid out in XMEAS order by one take.
+        head = np.empty((len(_HEAD_COLUMNS), n_rows))
+        head_stacked, metered = head[:20], head[0:9]
+        separator_pressure_reading, compressor_work = head[20], head[21]
+        head_sources = (
+            totals[0:4],
+            totals[_F10 : _REACTOR_IN + 1],
+            lags[0][None],
+            flows.purge_total[None],
+            quantities,
+            lags[1:],
+            flows.steam[None],
+        )
+        xmeas_head = xmeas[:, :22].T
+        xmeas_stream6, xmeas_purge = xmeas[:, 22:28], xmeas[:, 28:36]
+        xmeas_product = xmeas[:, 36:41]
+        gas_streams, gas_totals = flows.streams[_REACTOR_IN:], totals[_REACTOR_IN:]
+        gas_floor = np.empty((2, n_rows))
+        gas_floor_columns = gas_floor[:, :, None]
+        fractions = np.empty((2, n_rows, len(COMPONENTS)))
+        stream6_fractions, purge_fractions = fractions[0, :, :6], fractions[1]
+        stripper_total = state.inventory_totals[4]
+        stripper_heavies = state.inventory[4][:, _HEAVIES]
+        stripper_floor = np.empty(n_rows)
+        stripper_floor_column = stripper_floor[:, None]
+        product_fractions = np.empty((n_rows, len(COMPONENTS) - 3))
+        reading_term, recycle_term, pressure_term = np.empty((3, n_rows))
+        readings = np.empty_like(xmeas)
+        separator_pressure, reactor_pressure, recycle_flow = quantities[1], quantities[0], lags[0]
+        metered_gains, metered_nominals = wide["metered_gains"], wide["metered_nominals"]
+        gas_scales, product_scale = wide["gas_analyser_scales"], wide["product_scale"]
+        xmeas_lower, xmeas_upper = wide["xmeas_lower"], wide["xmeas_upper"]
+        half, tiny = f64[0.5], f64[1e-9]
+        separator_nominal, pressure_nominal = (
+            f64[self._sep_pressure_nominal],
+            f64[self._pressure_nominal],
+        )
+        recycle_nominal = f64[self._recycle_nominal]
+        separator_reading_gain, work_gain = f64[3102.2], f64[341.43]
+        noise = self._noise_draws.next
+        add, multiply, divide, maximum = np.add, np.multiply, np.divide, np.maximum
+        concatenate = np.concatenate
+
+        def measure(noisy: bool) -> np.ndarray:
+            concatenate(head_sources, 0, head_stacked)
+            multiply(metered_gains, metered, metered)
+            divide(metered, metered_nominals, metered)
+            # 3102.2 * (0.5 + 0.5 * separator pressure / nominal)
+            multiply(half, separator_pressure, reading_term)
+            divide(reading_term, separator_nominal, reading_term)
+            add(half, reading_term, reading_term)
+            multiply(separator_reading_gain, reading_term, separator_pressure_reading)
+            # 341.43 * (recycle / nominal) * (reactor pressure / nominal)
+            divide(recycle_flow, recycle_nominal, recycle_term)
+            multiply(work_gain, recycle_term, recycle_term)
+            divide(reactor_pressure, pressure_nominal, pressure_term)
+            multiply(recycle_term, pressure_term, compressor_work)
+            # ``"wrap"`` gathers straight into the readings (every index is
+            # in range, so it changes no value).
+            head.take(_HEAD_ORDER, 0, xmeas_head, "wrap")
+
+            # Stream-6, purge and product analysers: each vector over its
+            # floored total, times the analyser calibration.
+            maximum(gas_totals, tiny, out=gas_floor)
+            divide(gas_streams, gas_floor_columns, fractions)
+            multiply(fractions, gas_scales, fractions)
+            xmeas_stream6[...] = stream6_fractions
+            xmeas_purge[...] = purge_fractions
+            maximum(stripper_total, tiny, out=stripper_floor)
+            divide(stripper_heavies, stripper_floor_column, product_fractions)
+            multiply(product_fractions, product_scale, xmeas_product)
+            if noisy:
+                add(xmeas, noise(), readings)
+                return readings.clip(xmeas_lower, xmeas_upper)
+            return xmeas.clip(xmeas_lower, xmeas_upper)
+
+        return measure
+
+    # ------------------------------------------------------------------
+    # The traced entry points
+    # ------------------------------------------------------------------
     def step_batch(self, manipulated: np.ndarray, dt_hours: float, idv: BatchIdv) -> None:
         """Advance every row by ``dt_hours`` (mirrors :meth:`TEPlant.step`)."""
         dt = float(dt_hours)
         if dt != self._dt:
             self._bind_dt(dt)
-
-        draws = self._draw_ambient(idv)
-        if draws is not None:
-            self._update_ambient_batch(idv, draws)
-        flows = self._spare_flows()
-        self._compute_flows_batch(manipulated, idv, flows)
+        if self._cw_held and not (14 in idv.possible or 15 in idv.possible):
+            self._release_cw_valves()
+        first, second = self._tables
+        flows = second if self._last_flows is first else first
+        flows.advance(np.asarray(manipulated, dtype=float), idv)
         self._last_flows = flows
-
-        kinetics = self._kinetics
-        kinetics.rates_batch(self._reactor_stack, self._reactor_temp, self._kinetics_drift)
-        production = kinetics.consumption_batch()
-
-        effluent, f10, cond = flows.effluent, flows.f10, flows.condensation
-        vapor_fraction = flows.vapor_fraction
-
-        # One (5, B, 8) increment of the five inventories, row for row of
-        # BatchTEState.inventory; the reactor's change enters twice and is
-        # masked below to its vapour and its liquid.
-        change = self._change
-        reactor_vapor, separator_vapor, reactor_liquid, separator_liquid, stripper = (
-            self._change_rows
-        )
-        np.subtract(flows.reactor_in + production, effluent, out=reactor_vapor)
-        reactor_liquid[...] = reactor_vapor
-        np.add(self._recycle_flow, flows.purge_total, out=self._vapor_out_total)
-        vapor_out = self._vapor_out
-        np.multiply(self._vapor_out_total_column, vapor_fraction, out=vapor_out)
-        np.subtract(effluent * (f64[1.0] - cond), vapor_out, out=separator_vapor)
-        np.subtract(effluent * cond, f10, out=separator_liquid)
-        np.subtract(f10 - flows.overhead, flows.f11, out=stripper)
-        change *= self._dt_operand
-        change *= self._wide["balance_masks"]
-        inventory = self._inventory
-        inventory += change
-        np.maximum(inventory, f64[0.0], out=inventory)
-
-        self._update_lags_batch(flows, idv, draws)
-
         state = self.state
         state.time_hours += dt
-        state.mark_changed()
+        state.derive()
 
-    def _update_ambient_batch(self, idv: BatchIdv, draws: _AmbientDraws) -> None:
-        """Row-wise ambient walks (mirrors :meth:`TEPlant._update_ambient`).
-
-        The three base walks run as one ``(3, B)`` update: ``walk + (std *
-        sqrt(dt) * draw + reversion * dt)``, where the feed-1 factor reverts
-        by ``+ 0.15 * (1 - x) * dt`` and the two shifts by ``- k * x * dt``.
-        """
-        wide = self._wide
-        dt_operand, sqrt_dt = self._dt_operand, self._sqrt_dt
-        walks, step = self._walks, self._walk_step
-        feed1_step, shift_steps = self._feed1_step, self._shift_steps
-        np.subtract(f64[1.0], self._feed1_walk, out=feed1_step)
-        np.multiply(f64[0.15], feed1_step, out=feed1_step)
-        np.multiply(wide["walk_reversion"], self._walk_shifts, out=shift_steps)
-        step *= dt_operand
-        noise = self._walk_noise
-        np.multiply(wide["walk_stds"], sqrt_dt, out=noise)
-        noise *= draws.base
-        np.add(self._feed1_noise, feed1_step, out=feed1_step)
-        np.subtract(self._shift_noise, shift_steps, out=shift_steps)
-        np.add(walks, step, out=step)
-        step.clip(wide["walk_lower"], wide["walk_upper"], out=walks)
-
-        drift = self._kinetics_drift
-        if 13 in idv.possible:
-            drifted = (
-                drift + (f64[0.05] * sqrt_dt * draws.kinetics - f64[0.02] * dt_operand)
-            ).clip(f64[-0.5], f64[0.2])
-            drift[:] = np.where(idv.active(13), drifted, drift * self._drift_decay)
-        else:
-            np.multiply(drift, self._drift_decay, out=drift)
-
-    def _update_lags_batch(
-        self, flows: _FlowTable, idv: BatchIdv, draws: Optional[_AmbientDraws]
-    ) -> None:
-        """Row-wise mirror of :meth:`TEPlant._update_temperatures` and of the
-        recycle-flow lag that follows it in :meth:`TEPlant.step`.
-
-        The recycle flow and the three vessel temperatures follow their
-        targets as one ``(4, B)`` lag; the two cooling-water outlets track
-        the updated vessel temperatures, so they follow as a second,
-        ``(2, B)`` lag.  A lag is ``values + dt * (targets - values) /
-        taus``, computed in place.
-        """
-        wide = self._wide
-        possible = idv.possible
-        one = f64[1.0]
-        dt_operand = self._dt_operand
-        cw_valves = flows.cw_valves
-        # The totals of every stream, which the next measurement reads too.
-        np.add.reduce(flows.streams, axis=2, out=flows.totals)
-
-        # Reactor and condenser cooling-water inlet temperatures, (2, B).
-        inlets = self._cw_inlet_temps
-        base = wide["cw_inlets"]
-        if 4 in possible or 5 in possible:
-            base = base + f64[5.0] * np.array([idv.value(4), idv.value(5)])
-        if 11 in possible or 12 in possible:
-            scale = np.where(np.array([idv.active(11), idv.active(12)]), f64[1.0], f64[0.15])
-            np.add(base, scale * self._cw_inlet_shift, out=inlets)
-        else:
-            np.add(base, f64[0.15] * self._cw_inlet_shift, out=inlets)
-
-        targets = self._targets
-        self._recycle_target_row[...] = flows.recycle_target
-
-        # Each cooling-water valve over its nominal opening, and the
-        # effluent and stream-10 totals over theirs.
-        np.divide(cw_valves, wide["cw_xmv_nominal"], out=self._valve_ratios)
-        np.divide(flows.lag_flow_totals, wide["lag_flow_nominals"], out=self._flow_ratios)
-
-        cooling_norm = self._reactor_valve_ratio * (
-            (self._reactor_temp - self._reactor_inlet) / self._reactor_driving
-        )
-        reactor_target = self._reactor_target
-        np.subtract(
-            f64[_REACTOR_TEMP_NOMINAL]
-            + f64[_REACTOR_HEAT_GAIN] * (self._kinetics.heat_release_batch() - one),
-            f64[_REACTOR_COOLING_GAIN] * (cooling_norm - one),
-            out=reactor_target,
-        )
-        if 3 in possible:
-            reactor_target += f64[1.5] * idv.value(3)
-        if self.enable_process_variation and 9 in possible:
-            reactor_target[:] = np.where(
-                idv.active(9), reactor_target + f64[0.6] * draws.reactor_9, reactor_target
-            )
-        if self.enable_process_variation and 10 in possible:
-            reactor_target[:] = np.where(
-                idv.active(10),
-                reactor_target + f64[0.4] * draws.reactor_10,
-                reactor_target,
-            )
-
-        cooling_ratio = np.maximum(self._condenser_valve_ratio, f64[0.05])
-        np.add(
-            self._condenser_inlet,
-            self._separator_driving
-            * self._effluent_ratio
-            / np.power(cooling_ratio, f64[0.6]),
-            out=self._separator_target,
-        )
-        np.subtract(
-            f64[_STRIPPER_TEMP_NOMINAL] + f64[25.0] * flows.steam_excess,
-            f64[12.0] * (self._f10_ratio - one),
-            out=self._stripper_target,
-        )
-        lagged = self._lagged
-        np.subtract(targets, lagged, out=targets)
-        np.multiply(dt_operand, targets, out=targets)
-        np.divide(targets, wide["lag_taus"], out=targets)
-        np.add(lagged, targets, out=lagged)
-        recycle_flow = self._recycle_flow
-        np.maximum(recycle_flow, f64[0.0], out=recycle_flow)
-
-        # Reactor and condenser cooling water, from the updated reactor and
-        # separator temperatures.
-        cw_targets = inlets + wide["cw_rise"] * (
-            (self._reactor_separator_temps - inlets) / wide["cw_driving"]
-        ) * np.power(
-            wide["cw_xmv_nominal"] / np.maximum(cw_valves, f64[5.0]), f64[0.8]
-        )
-        outlets = self._cw_outlets
-        np.subtract(cw_targets, outlets, out=cw_targets)
-        np.multiply(dt_operand, cw_targets, out=cw_targets)
-        np.divide(cw_targets, f64[_CW_OUTLET_TAU], out=cw_targets)
-        np.add(outlets, cw_targets, out=outlets)
-
-    # ------------------------------------------------------------------
-    # Measurement
-    # ------------------------------------------------------------------
     def measure(self, noisy: bool = True) -> np.ndarray:
         """Per-row sensor vectors, ``(B, 41)`` (mirrors :meth:`TEPlant.measure`).
 
         Returns a new array on every call.
         """
-        flows = self._last_flows
-        state = self.state
-        wide = self._wide
-        quantities = state.quantities
-        feed_totals, downstream_totals, purge_total, steam = flows.head_sources
-
-        # The first 22 readings as rows of one (22, B) stack, in
-        # _HEAD_COLUMNS order, laid out in XMEAS order by one take.
-        head = self._head
-        np.concatenate(
-            (
-                feed_totals,
-                downstream_totals,
-                self._recycle_row,
-                purge_total,
-                quantities,
-                self._temperatures,
-                steam,
-            ),
-            out=self._head_stacked,
-        )
-        metered = self._metered
-        np.multiply(wide["metered_gains"], metered, out=metered)
-        np.divide(metered, wide["metered_nominals"], out=metered)
-        np.multiply(
-            f64[3102.2],
-            f64[0.5] + f64[0.5] * quantities[1] / self._operand_sep_pressure,
-            out=self._separator_pressure_reading,
-        )
-        np.multiply(
-            f64[341.43] * (self._recycle_flow / self._operand_recycle),
-            quantities[0] / self._operand_pressure,
-            out=self._compressor_work,
-        )
-        # ``mode="wrap"`` gathers straight into the readings (every index
-        # is in range, so it changes no value).
-        head.take(_HEAD_ORDER, axis=0, out=self._xmeas_head, mode="wrap")
-
-        # Stream-6, purge and product analysers: each vector over its
-        # floored total, times the analyser calibration.
-        fractions = self._gas_fractions
-        np.maximum(flows.gas_totals, f64[1e-9], out=self._gas_floor)
-        np.divide(flows.gas_streams, self._gas_floor_columns, out=fractions)
-        np.multiply(fractions, wide["gas_analyser_scales"], out=fractions)
-        self._xmeas_stream6[...] = self._stream6_fractions
-        self._xmeas_purge[...] = self._purge_fractions
-        np.maximum(state.inventory_totals[4], f64[1e-9], out=self._stripper_floor)
-        np.multiply(
-            self._stripper_heavies / self._stripper_floor_column,
-            wide["product_scale"],
-            out=self._xmeas_product,
-        )
-
-        xmeas = self._xmeas
-        readings = xmeas + self._noise_draws.next() if noisy else xmeas
-        return readings.clip(wide["xmeas_lower"], wide["xmeas_upper"])
+        return self._last_flows.measure(noisy)
 
     # ------------------------------------------------------------------
     # Scalar PlantModel methods that do not apply to a batch
     # ------------------------------------------------------------------
     def step(self, manipulated, dt_hours, disturbances=None):  # pragma: no cover
         raise NotImplementedError("use step_batch with a BatchIdv")
+
+
+def _disturbed_inlets(
+    idv: BatchIdv, base: np.ndarray, shift: np.ndarray, out: np.ndarray
+) -> None:
+    """Row-wise cooling-water inlet temperatures into ``out`` while IDV(4),
+    (5), (11) or (12) may act (mirrors :meth:`TEPlant._cooling_water_inlets`)."""
+    possible = idv.possible
+    if 4 in possible or 5 in possible:
+        base = base + f64[5.0] * np.array([idv.value(4), idv.value(5)])
+    if 11 in possible or 12 in possible:
+        scale = np.where(np.array([idv.active(11), idv.active(12)]), f64[1.0], f64[0.15])
+        np.add(base, scale * shift, out=out)
+    else:
+        np.add(base, f64[0.15] * shift, out=out)

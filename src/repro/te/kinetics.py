@@ -18,6 +18,7 @@ the base operating point a steady state by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -141,7 +142,7 @@ class ReactionKinetics:
             [float(INTERNAL[f"r{k}_nominal"]) for k in range(1, 5)]
         )[:, None]
         # The batched path's constants and buffers are bound per width by
-        # bind().
+        # bind(), with the closure that evaluates it.
 
     def _availability(self, vapor: np.ndarray, liquid: np.ndarray, component: str) -> float:
         """Normalized availability of a reactant (1.0 at nominal inventory)."""
@@ -182,25 +183,40 @@ class ReactionKinetics:
     # ------------------------------------------------------------------
     # Batched evaluation (one call advances B reactors)
     # ------------------------------------------------------------------
-    def bind(self, n_rows: int) -> None:
-        """Bind the batched path to ``n_rows`` rows: its constants repeated
-        to the width (a call whose operands share one shape skips NumPy's
-        broadcasting set-up), the operand, extent and production buffers
-        and their views.  The batched results live in these buffers until
-        the next :meth:`rates_batch`."""
+    def bind(
+        self,
+        reactor: np.ndarray,
+        reactor_temp: np.ndarray,
+        kinetics_drift: np.ndarray,
+    ) -> Callable[[], None]:
+        """Build the batched path over ``B`` reactor states: a closure that
+        evaluates the kinetics of the rows as they stand when it is called.
+
+        ``reactor`` stacks the vapour and liquid inventories, ``(2, B, 8)``;
+        temperatures and drifts are ``(B,)``.  All three are views the
+        closure reads on every call.  Its operands are bound here: the
+        constants repeated to the width (a call whose operands share one
+        shape skips NumPy's broadcasting set-up), the operand, extent and
+        production buffers and a scratch buffer for every intermediate.
+
+        A call writes :attr:`extents` (``(4, B)``), :attr:`heat_release`
+        (``(B,)``, mirroring :attr:`ReactionRates.heat_release`) and
+        :attr:`production` (``(B, 8)``, mirroring
+        :meth:`ReactionRates.consumption`, negative = consumed); the next
+        call writes them again.  The four availabilities, the four
+        temperature factors and the four extent products each run as one
+        stacked call, and every element sees the ufuncs of the scalar
+        :meth:`rates` path in the same order, so row ``i`` is bitwise-equal
+        to ``rates(vapor[i], liquid[i], temp[i], drift[i])``.
+        """
+        n_rows = reactor.shape[1]
         # Flat positions in the (2, B, 8) reactor stack of each row's a, c,
         # d and e inventories, (4, B): one ``take`` gathers them.
-        self._reactants = (
+        reactants = (
             (self._reactant_phase[:, None] * n_rows + np.arange(n_rows)) * len(COMPONENTS)
             + self._reactant_index[:, None]
         )
-        (
-            self._reactant_nominal_wide,
-            self._temp_gains_wide,
-            self._nominal_extents_wide,
-            self._pair_coefficients,
-            self._production_sign,
-        ) = (
+        reactant_nominal, temp_gains, nominal_extents, pair_coefficients, signs = (
             np.repeat(constant, n_rows, axis=1)
             for constant in (
                 self._reactant_nominal,
@@ -210,101 +226,74 @@ class ReactionKinetics:
                 _PRODUCTION_SIGN,
             )
         )
+        gathered, exponents = np.empty((2, 4, n_rows))
+        delta_t = np.empty(n_rows)
         # The operands of the extent products; the last row holds the
         # padding 1.0.
-        operands = self._operands = np.empty((11, n_rows))
+        operands = np.empty((11, n_rows))
         operands[10] = 1.0
-        self._availabilities = operands[0:4]
-        self._c, self._sqrt_c, self._factors, self._drift = (
-            operands[1], operands[4], operands[5:9], operands[9]
-        )
+        availabilities = operands[0:4]
+        c, sqrt_c, factors, drift = operands[1], operands[4], operands[5:9], operands[9]
         # The extent products' operands gathered per reaction, (5, 4, B).
-        self._extent_factors = np.empty((len(_EXTENT_OPERANDS), 4, n_rows))
-        self._first_factors, *self._later_factors = self._extent_factors
+        extent_factors = np.empty((len(_EXTENT_OPERANDS), 4, n_rows))
+        first, second, third, fourth, fifth = extent_factors
         extents = self.extents = np.empty((4, n_rows))
-        self._extent_rows = tuple(extents)
-        self._r1_r2, self._r3_r4 = extents[0:2], extents[2:4]
-        self._halves = np.empty((2, n_rows))
-        self._pairs = np.empty((2, 4, n_rows))
+        r1, r2, r3, _ = extents
+        r1_r2, r3_r4 = extents[0:2], extents[2:4]
+        halves = np.empty((2, n_rows))
+        half_r3, half_r4 = halves
+        heat = self.heat_release = np.empty(n_rows)
+        pairs = np.empty((2, 4, n_rows))
+        left, right = pairs
         # Production terms per component, (8, B); ``production`` is its
         # (B, 8) transpose.
-        terms = self._terms = np.empty((len(COMPONENTS), n_rows))
+        terms = np.empty((len(COMPONENTS), n_rows))
         terms[1] = 0.0
-        self._terms_a, self._terms_cdef, self._terms_gh = terms[0], terms[2:6], terms[6:8]
-        self._terms_c = terms[2]
+        terms_a, terms_c, terms_cdef, terms_gh = terms[0], terms[2], terms[2:6], terms[6:8]
         self.production = terms.T
+        zero, one, half = f64[0.0], f64[1.0], f64[0.5]
+        nominal_temp, drift_gain = f64[self._nominal_temp], f64[self.drift_gain]
+        nominal_heat = f64[_NOMINAL_HEAT]
+        add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+        maximum, sqrt, exp = np.maximum, np.sqrt, np.exp
 
-    def rates_batch(
-        self,
-        reactor: np.ndarray,
-        reactor_temp: np.ndarray,
-        kinetics_drift: np.ndarray,
-    ) -> np.ndarray:
-        """Reaction extents for ``B`` reactor states at once, ``(4, B)``.
+        def react() -> None:
+            # a, c, d, e: inventory over nominal, floored at zero.  A
+            # ``take`` with ``"wrap"`` gathers straight into its buffer
+            # (every index is in range, so it changes no value).
+            reactor.take(reactants, None, gathered, "wrap")
+            divide(gathered, reactant_nominal, availabilities)
+            maximum(availabilities, zero, out=availabilities)
+            # sqrt(max(c, 0.0)): c is floored already, and flooring twice
+            # changes no bit (max(max(x, 0), 0) is max(x, 0), NaN included).
+            sqrt(c, sqrt_c)
+            subtract(reactor_temp, nominal_temp, delta_t)
+            multiply(temp_gains, delta_t, exponents)
+            exp(exponents, factors)
+            multiply(drift_gain, kinetics_drift, drift)
+            add(one, drift, drift)
+            operands.take(_EXTENT_OPERANDS, 0, extent_factors, "wrap")
+            multiply(nominal_extents, first, extents)
+            multiply(extents, second, extents)
+            multiply(extents, third, extents)
+            multiply(extents, fourth, extents)
+            multiply(extents, fifth, extents)
+            maximum(extents, zero, out=extents)
+            # Heat release: (r1 + r2 + 0.5 r3 + 0.5 r4) / nominal.
+            multiply(half, r3_r4, halves)
+            add(r1, r2, heat)
+            add(heat, half_r3, heat)
+            add(heat, half_r4, heat)
+            divide(heat, nominal_heat, heat)
+            # Production: C, D, E, F take r1 + r2, r1 + 3 r4, r2 + r3 and
+            # r3 + 2 r4; A takes r1 + r2 + r3, B none, G and H r1 and r2;
+            # then ``0.0 -`` or ``0.0 +`` that sum.
+            extents.take(_PAIR_OPERANDS, 0, pairs, "wrap")
+            multiply(right, pair_coefficients, terms_cdef)
+            add(left, terms_cdef, terms_cdef)
+            add(terms_c, r3, terms_a)
+            terms_gh[...] = r1_r2
+            multiply(signs, terms, terms)
+            add(zero, terms, terms)
 
-        ``reactor`` stacks the vapour and liquid inventories, ``(2, B, 8)``;
-        temperatures and drifts are ``(B,)``, ``B`` the width of the last
-        :meth:`bind`.  The four availabilities, the four temperature factors
-        and the four extent products each run as one stacked call, and every
-        element sees the ufuncs of the scalar :meth:`rates` path in the same
-        order, so row ``i`` of the result is bitwise-identical to
-        ``rates(vapor[i], liquid[i], temp[i], drift[i])``.  The result is
-        :attr:`extents`, written again by the next call.
-        """
-        availabilities = self._availabilities
-        # a, c, d, e: inventory over nominal, floored at zero.
-        np.divide(
-            reactor.take(self._reactants), self._reactant_nominal_wide, out=availabilities
-        )
-        np.maximum(availabilities, f64[0.0], out=availabilities)
-        # sqrt(max(c, 0.0)): c is floored already, and flooring twice
-        # changes no bit (max(max(x, 0), 0) is max(x, 0), NaN included).
-        np.sqrt(self._c, out=self._sqrt_c)
-        np.exp(
-            self._temp_gains_wide * (reactor_temp - f64[self._nominal_temp]),
-            out=self._factors,
-        )
-        np.multiply(f64[self.drift_gain], kinetics_drift, out=self._drift)
-        np.add(f64[1.0], self._drift, out=self._drift)
-
-        # ``mode="wrap"`` gathers straight into the buffer (every index is
-        # in range, so it changes no value).
-        self._operands.take(
-            _EXTENT_OPERANDS, axis=0, out=self._extent_factors, mode="wrap"
-        )
-        extents = self.extents
-        np.multiply(self._nominal_extents_wide, self._first_factors, out=extents)
-        for factor in self._later_factors:
-            extents *= factor
-        np.maximum(extents, f64[0.0], out=extents)
-        return extents
-
-    def heat_release_batch(self) -> np.ndarray:
-        """Row-wise normalized heat release of the last :meth:`rates_batch`
-        (mirrors :attr:`ReactionRates.heat_release`)."""
-        r1, r2 = self._extent_rows[0:2]
-        halves = self._halves
-        np.multiply(f64[0.5], self._r3_r4, out=halves)
-        return (r1 + r2 + halves[0] + halves[1]) / f64[_NOMINAL_HEAT]
-
-    def consumption_batch(self) -> np.ndarray:
-        """Net molar production per component of the last
-        :meth:`rates_batch`, ``(B, 8)`` (negative = consumed).
-
-        Each component sees the serial :meth:`ReactionRates.consumption`
-        operations: the sums of extents, then ``0.0 -`` or ``0.0 +`` that
-        sum.  The result is :attr:`production`, written again by the next
-        call.
-        """
-        terms = self._terms
-        left, right = self.extents.take(_PAIR_OPERANDS, axis=0, out=self._pairs, mode="wrap")
-        # C, D, E, F: r1 + r2, r1 + 3 r4, r2 + r3, r3 + 2 r4.
-        cdef = self._terms_cdef
-        np.multiply(right, self._pair_coefficients, out=cdef)
-        np.add(left, cdef, out=cdef)
-        # A: r1 + r2 + r3; B: none; G, H: r1, r2.
-        np.add(self._terms_c, self._extent_rows[2], out=self._terms_a)
-        self._terms_gh[...] = self._r1_r2
-        np.multiply(self._production_sign, terms, out=terms)
-        np.add(f64[0.0], terms, out=terms)
-        return self.production
+        return react

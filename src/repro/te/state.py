@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict
+from typing import Callable, Dict
 
 import numpy as np
 
@@ -249,12 +249,14 @@ class BatchTEState:
     Assigning a named field writes into its stack.  The simulation clock
     stays a single scalar because batched runs advance in lockstep.
 
-    The named views and the derived quantities' constants, repeated to the
-    batch width, are bound when the state is built and when :meth:`take`
-    replaces the stacks, not looked up per read.  Whatever writes into the
-    stacks calls :meth:`mark_changed`, which derives the pressures, levels
-    and inventory totals anew, into fresh arrays: one a caller holds is
-    never written again.
+    The named views, the derived quantities' constants repeated to the
+    batch width and their buffers are bound when the state is built and
+    when :meth:`take` replaces the stacks, together with :attr:`derive`, the
+    closure that derives the pressures, levels and inventory totals into
+    those buffers.  Whatever writes into the stacks calls
+    :meth:`mark_changed` (or :attr:`derive`) afterwards.  The derived
+    arrays are the state's own: the next change writes them again, so a
+    caller that keeps one copies it.
 
     Each derived quantity applies exactly the arithmetic of the
     corresponding :class:`TEState` property, element by element, which is
@@ -269,6 +271,9 @@ class BatchTEState:
     """The pressures and levels stacked, ``(5, B)`` in :data:`QUANTITY_ROWS`
     order: reactor and separator pressure (kPa gauge), then reactor,
     separator and stripper level (% of capacity)."""
+    derive: Callable[[], None]
+    """Derives :attr:`inventory_totals` and :attr:`quantities` from the
+    stacks, into the same arrays; built per width."""
 
     def __init__(
         self,
@@ -297,9 +302,10 @@ class BatchTEState:
         )
 
     def _bind(self) -> None:
-        """Bind the named views of the stacks and the derived quantities'
-        constants at the stacks' width (a call whose operands share one
-        shape skips NumPy's broadcasting set-up), then derive."""
+        """Bind the named views of the stacks, then build :attr:`derive` over
+        the derived quantities' buffers, their scratch and their constants
+        at the stacks' width (a call whose operands share one shape skips
+        NumPy's broadcasting set-up), and derive."""
         for stack, names in (
             (self.inventory, INVENTORY_ROWS),
             (self.lags, LAG_ROWS),
@@ -307,12 +313,33 @@ class BatchTEState:
         ):
             for name, view in zip(names, stack):
                 setattr(self, "_" + name, view)
-        self._temperatures = self.lags[1:3]
-        self._wide = tuple(
-            np.repeat(constant, self.n_rows, axis=1)
+        n_rows = self.n_rows
+        pressures, moles, temps_k, capacities = (
+            np.repeat(constant, n_rows, axis=1)
             for constant in (_NOMINAL_PRESSURES, _NOMINAL_MOLES, _NOMINAL_TEMPS_K, _CAPACITIES)
         )
-        self.mark_changed()
+        inventory, temperatures = self.inventory, self.lags[1:3]
+        totals = self.inventory_totals = np.empty((len(INVENTORY_ROWS), n_rows))
+        quantities = self.quantities = np.empty((len(QUANTITY_ROWS), n_rows))
+        vapor_totals, liquid_totals = totals[0:2], totals[2:5]
+        pressures_out, levels_out = quantities[0:2], quantities[2:5]
+        temp_k, moles_ratio = np.empty((2, 2, n_rows))
+        liquid_percent = np.empty((3, n_rows))
+        kelvin, hundred = f64[273.15], f64[100.0]
+        reduce, add, multiply, divide = np.add.reduce, np.add, np.multiply, np.divide
+
+        def derive() -> None:
+            reduce(inventory, 2, None, totals)
+            add(temperatures, kelvin, temp_k)
+            divide(vapor_totals, moles, moles_ratio)
+            multiply(pressures, moles_ratio, moles_ratio)
+            divide(temp_k, temps_k, temp_k)
+            multiply(moles_ratio, temp_k, pressures_out)
+            multiply(hundred, liquid_totals, liquid_percent)
+            divide(liquid_percent, capacities, levels_out)
+
+        self.derive = derive
+        derive()
 
     @property
     def n_rows(self) -> int:
@@ -358,22 +385,15 @@ class BatchTEState:
         The pressures, levels and inventory totals are read by the
         measurement map, the flow network and the safety check of every
         step, so they are derived once per state; whatever mutates the
-        arrays calls this afterwards.  ``inventory_totals`` is the ``(5,
-        B)`` molar total of every inventory, ``quantities`` the ``(5, B)``
-        reactor and separator pressure and reactor, separator and stripper
-        level.
+        arrays calls this (or :attr:`derive`, which it runs) afterwards.
+        ``inventory_totals`` is the ``(5, B)`` molar total of every
+        inventory, ``quantities`` the ``(5, B)`` reactor and separator
+        pressure and reactor, separator and stripper level: the serial
+        properties' arithmetic, ``pressure * (moles / nominal moles) *
+        (kelvin / nominal kelvin)`` and ``100 * total / capacity``, one
+        ufunc call per operation.
         """
-        pressures, moles, temps_k, capacities = self._wide
-        totals = np.add.reduce(self.inventory, axis=2)
-        quantities = np.empty_like(totals)
-        temp_k = self._temperatures + f64[273.15]
-        np.multiply(
-            pressures * (totals[0:2] / moles),
-            temp_k / temps_k,
-            out=quantities[0:2],
-        )
-        np.divide(f64[100.0] * totals[2:5], capacities, out=quantities[2:5])
-        self.inventory_totals, self.quantities = totals, quantities
+        self.derive()
 
     @property
     def reactor_pressure_kpa(self) -> np.ndarray:

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.te import balance as balance_module
 from repro.te.balance import (
     component_vector,
     nominal_reaction_rates,
     solve_nominal_balance,
     stripping_fractions,
 )
+from repro.te.batch import BatchTEPlant
 from repro.te.constants import COMPONENTS, INTERNAL
+from repro.te.plant import TEPlant
 
 
 @pytest.fixture(scope="module")
@@ -101,3 +104,30 @@ class TestReactionRates:
         assert production[COMPONENTS.index("A")] == pytest.approx(
             -(rates.r1 + rates.r2 + rates.r3)
         )
+
+
+class TestSolvedOncePerProcess:
+    def test_plants_share_one_read_only_solve(self, monkeypatch):
+        calls = []
+        solve = balance_module._solve
+
+        def counting(iterations):
+            calls.append(iterations)
+            return solve(iterations)
+
+        monkeypatch.setattr(balance_module, "_SOLVED", {})
+        monkeypatch.setattr(balance_module, "_solve", counting)
+        first, second = TEPlant(seed=1), BatchTEPlant([2, 3])
+        assert calls == [200]
+        assert first.nominal_balance is second.nominal_balance
+        for name, value in vars(first.nominal_balance).items():
+            assert not value.flags.writeable, name
+        with pytest.raises(ValueError):
+            first.nominal_balance.condensation[0] = 0.0
+        assert solve_nominal_balance(50) is not first.nominal_balance
+        assert calls == [200, 50]
+
+    def test_the_shared_solve_equals_a_fresh_one(self):
+        shared, fresh = solve_nominal_balance(), balance_module._solve(200)
+        for name, value in vars(fresh).items():
+            assert getattr(shared, name).tobytes() == value.tobytes(), name
